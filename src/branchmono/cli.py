@@ -32,7 +32,9 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, integer literals past the
+        # interpreter's digit limit, and nesting past the recursion limit.
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
 
 

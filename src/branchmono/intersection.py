@@ -4,6 +4,10 @@ Three input modes: exact rationals with a p-adic valuation, truncated
 power series given by coefficient lists, or a raw matrix of valuations.
 All arithmetic in this module is exact (``fractions.Fraction``); nothing
 here touches floating point.
+
+The matrix computes its canonical leaf order once, on construction, and
+validates the ultrametric rule along it in O(d^2); ``canonical_order``,
+``satisfies_interval_hypothesis`` and the cluster layer read that order.
 """
 
 from __future__ import annotations
@@ -21,21 +25,28 @@ from .errors import (
 )
 
 MODES = ("padic", "series", "matrix")
+# Longest repr of an input value that an error message echoes.
+ECHO_LIMIT = 40
+
+
+def _echo(value: Any) -> str:
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} chars)"
 
 
 def parse_rational(value: Any) -> Fraction:
     """Accept an int or an ``"a/b"`` / ``"a"`` string; floats are rejected
     to keep the arithmetic exact."""
     if isinstance(value, bool):
-        raise InvalidInput(f"not a rational: {value!r}")
+        raise InvalidInput(f"not a rational: {_echo(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"cannot parse rational {value!r}") from exc
-    raise InvalidInput(f"not a rational: {value!r} (floats are not accepted)")
+            raise InvalidInput(f"cannot parse rational {_echo(value)}") from exc
+    raise InvalidInput(f"not a rational: {_echo(value)} (floats are not accepted)")
 
 
 def format_rational(x: Fraction) -> str:
@@ -81,7 +92,7 @@ class BranchInput:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise InvalidInput(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise InvalidInput(f"unknown mode {_echo(self.mode)}; expected one of {MODES}")
         if self.p is not None and not is_prime(self.p):
             raise InvalidInput(f"p = {self.p} is not prime")
         getattr(self, f"_check_{self.mode}")()
@@ -154,10 +165,10 @@ class BranchInput:
             raise InvalidInput("branch input must be a JSON object")
         mode = obj.get("mode")
         if mode not in MODES:
-            raise InvalidInput(f"missing or unknown mode {mode!r}")
+            raise InvalidInput(f"missing or unknown mode {_echo(mode)}")
         p = obj.get("p")
         if p is not None and (not isinstance(p, int) or isinstance(p, bool)):
-            raise InvalidInput(f"p must be an integer, got {p!r}")
+            raise InvalidInput(f"p must be an integer, got {_echo(p)}")
         if mode == "padic":
             pts = obj.get("points")
             if not isinstance(pts, Sequence) or isinstance(pts, (str, bytes)):
@@ -187,28 +198,49 @@ class IntersectionMatrix:
     Validated on construction: symmetry and the ultrametric two-minima
     rule (among e_ij, e_ik, e_jk the minimum is attained at least twice).
     The diagonal is ignored and stored as 0.
+
+    ``order`` is the canonical leaf order (1-based), computed once as
+    Prim's maximum-spanning order from index 1, least index on ties.  On
+    an ultrametric it is the lexicographically least order that makes
+    every cluster an interval.
     """
 
     d: int
     e: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2 or len(self.e) != self.d:
             raise InvalidInput(f"bad matrix shape for d = {self.d}")
+        for i, row in enumerate(self.e):
+            if len(row) != self.d:
+                raise InvalidInput(f"row {i + 1} has wrong length")
         rows = tuple(
             tuple(0 if i == j else self.e[i][j] for j in range(self.d))
             for i in range(self.d)
         )
         object.__setattr__(self, "e", rows)
         for i in range(self.d):
-            if len(self.e[i]) != self.d:
-                raise InvalidInput(f"row {i + 1} has wrong length")
             for j in range(i + 1, self.d):
                 v = self.e[i][j]
-                if not isinstance(v, int) or v < 0:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise InvalidInput(f"entry ({i + 1},{j + 1}) must be a nonnegative integer")
                 if v != self.e[j][i]:
                     raise InvalidInput(f"matrix not symmetric at ({i + 1},{j + 1})")
+        order, rest, key = [0], list(range(1, self.d)), list(self.e[0])
+        while rest:
+            order.append(max(rest, key=key.__getitem__))
+            rest.remove(order[-1])
+            key = [max(k, v) for k, v in zip(key, self.e[order[-1]])]
+        object.__setattr__(self, "order", tuple(i + 1 for i in order))
+        # Ultrametric iff each entry is the minimum of the consecutive entries
+        # between its indices in this order; the triple scan names a triple.
+        for p, a in enumerate(order):
+            for b, c in zip(order[p + 1 :], order[p + 2 :]):
+                if self.e[a][c] != min(self.e[a][b], self.e[b][c]):
+                    self._raise_first_violation()
+
+    def _raise_first_violation(self) -> None:
         for i in range(self.d):
             for j in range(i + 1, self.d):
                 for k in range(j + 1, self.d):
@@ -270,13 +302,9 @@ def compute_matrix(binput: BranchInput) -> IntersectionMatrix:
 
 
 def satisfies_interval_hypothesis(m: IntersectionMatrix) -> bool:
-    """Rows weakly decreasing to the right of the diagonal; equivalent to
-    every maximal cluster being a contiguous interval."""
-    for i in range(m.d):
-        for j in range(i + 1, m.d - 1):
-            if m.e[i][j] < m.e[i][j + 1]:
-                return False
-    return True
+    """Rows weakly decreasing right of the diagonal (every maximal cluster an
+    interval); the identity, the least order, is then the canonical one."""
+    return m.order == tuple(range(1, m.d + 1))
 
 
 def reindex(m: IntersectionMatrix, sigma: Sequence[int]) -> IntersectionMatrix:
@@ -311,10 +339,6 @@ def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list
     return classes
 
 
-def _min_pairwise(m: IntersectionMatrix, block: Sequence[int]) -> int:
-    return min(m.e[i][j] for a, i in enumerate(block) for j in block[a + 1 :])
-
-
 def canonical_order(m: IntersectionMatrix) -> tuple[tuple[int, ...], IntersectionMatrix]:
     """Reorder indices so every cluster becomes a contiguous interval.
 
@@ -323,18 +347,4 @@ def canonical_order(m: IntersectionMatrix) -> tuple[tuple[int, ...], Intersectio
     tree, sigma is the lexicographically least, so an already-valid matrix
     gets the identity.
     """
-
-    def order_block(block: list[int], n: int) -> list[int]:
-        if len(block) == 1:
-            return block
-        nu = _min_pairwise(m, block)
-        children = depth_partition(m, block, nu + 1)
-        children.sort(key=lambda c: c[0])
-        out: list[int] = []
-        for child in children:
-            out.extend(order_block(child, nu + 1))
-        return out
-
-    order = order_block(list(range(m.d)), 1)
-    sigma = tuple(i + 1 for i in order)
-    return sigma, reindex(m, sigma)
+    return m.order, reindex(m, m.order)

@@ -1,12 +1,11 @@
-"""Monodromy automorphism as a product of cluster twists, and the
-resulting generators-and-relations presentation.
+"""Monodromy automorphism of a cluster forest, and the resulting
+generators-and-relations presentation.
 
-Each cluster (I, n) with I = {m..m+l-1} contributes the twist
-x_i -> (x_m...x_{m+l-1}) x_i (x_m...x_{m+l-1})^-1 for i in I, identity
-elsewhere.  The twists of a cluster forest commute, so the composition
-order (the forest's canonical sort) is unobservable.  The emitter performs
-free reduction only and never simplifies across relations, so output is
-stable for golden files.
+A cluster I = {m..m+l-1} twists x_i -> P_I x_i P_I^-1 for i in I, where
+P_I = x_m...x_{m+l-1}.  The twists of a forest commute and nest, so their
+product is x_i -> W_i x_i W_i^-1, W_i = P_C1...P_Ck over the clusters
+containing i, shallowest first.  The emitter performs free reduction only
+and never simplifies across relations, so output is stable for goldens.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Any, Optional, Sequence
 
 from .clusters import Cluster, ClusterForest
 from .errors import IntervalOutOfRange
-from .freegroup import FreeAutomorphism, FreeWord, compose
+from .freegroup import FreeAutomorphism, FreeWord
 
 
 def dehn_twist_automorphism(c: Cluster, d: int) -> FreeAutomorphism:
@@ -32,12 +31,14 @@ def dehn_twist_automorphism(c: Cluster, d: int) -> FreeAutomorphism:
 
 
 def monodromy_automorphism(forest: ClusterForest) -> FreeAutomorphism:
-    """Composition of the twist automorphisms over the forest's canonical
-    order; the empty forest gives the identity."""
-    acc = FreeAutomorphism.identity(forest.d)
+    """Product of the forest's twists in closed form, W_i built shallowest
+    first (``forest.clusters`` is sorted by depth); empty forest: identity."""
+    conj: list[list[int]] = [[] for _ in range(forest.d)]
     for c in forest.clusters:
-        acc = compose(acc, dehn_twist_automorphism(c, forest.d))
-    return acc
+        for i in c.indices():
+            conj[i - 1].extend(c.indices())
+    images = (FreeWord.generator(i).conjugated_by(FreeWord(tuple(w))) for i, w in enumerate(conj, 1))
+    return FreeAutomorphism(forest.d, tuple(images))
 
 
 @dataclass(frozen=True)

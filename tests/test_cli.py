@@ -195,6 +195,7 @@ ERROR_CASES = [
         ),
         "SIZE_LIMIT",
     ),
+    (("clusters", "--input", str(DATA / "huge_integer.json")), "INVALID_INPUT"),
 ]
 
 
@@ -205,6 +206,20 @@ def test_stable_error_codes(args, code):
     err = json.loads(out.stderr)
     assert err["error"] == code
     assert err["message"]
+
+
+@pytest.mark.parametrize("kind", ["huge_integer", "deep_array"])
+def test_hostile_json_is_invalid_input(kind, tmp_path):
+    """A 5000-digit integer literal and an array nested 100k deep exceed
+    the decoder's limits; both end in INVALID_INPUT, not a traceback."""
+    path = DATA / "huge_integer.json"
+    if kind == "deep_array":
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    out = run_cli("clusters", "--input", str(path))
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1
+    assert json.loads(out.stderr)["error"] == "INVALID_INPUT"
 
 
 def test_pure_backend_cli_agrees():

@@ -13,11 +13,13 @@ from branchmono.errors import (
     UltrametricViolation,
 )
 from branchmono.intersection import (
+    ECHO_LIMIT,
     BranchInput,
     IntersectionMatrix,
     canonical_order,
     compute_matrix,
     padic_valuation,
+    parse_rational,
     reindex,
     satisfies_interval_hypothesis,
 )
@@ -192,3 +194,59 @@ def test_canonical_order_idempotent(rng):
         sigma2, m3 = canonical_order(m2)
         assert sigma2 == tuple(range(1, m.d + 1))
         assert m3 == m2
+
+
+# -- input checks and the one-pass validation ------------------------------
+
+def test_matrix_row_length_checked_before_diagonal():
+    with pytest.raises(InvalidInput, match="row 1 has wrong length"):
+        IntersectionMatrix(3, ((0, 1), (1, 0, 0), (0, 0, 0)))
+
+
+def test_matrix_rejects_bool_entries():
+    with pytest.raises(InvalidInput, match=r"entry \(1,2\)"):
+        IntersectionMatrix(2, ((0, True), (True, 0)))
+
+
+def test_error_messages_echo_bounded_input():
+    huge = "9" * 5000 + "x"
+    for call in (
+        lambda: parse_rational(huge),
+        lambda: parse_rational([1] * 5000),
+        lambda: BranchInput.from_json_dict({"mode": huge}),
+        lambda: BranchInput.from_json_dict({"mode": "padic", "p": huge, "points": []}),
+    ):
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert len(str(info.value)) < ECHO_LIMIT + 80
+    with pytest.raises(InvalidInput, match="'abc'"):
+        parse_rational("abc")
+
+
+def first_violating_triple(e):
+    """Oracle: the first triple i < j < k (1-based) whose minimum is
+    attained once, or None for an ultrametric."""
+    for i, j, k in itertools.combinations(range(len(e)), 3):
+        trio = sorted((e[i][j], e[i][k], e[j][k]))
+        if trio[0] != trio[1]:
+            return [i + 1, j + 1, k + 1]
+    return None
+
+
+def test_oracle_validation_matches_triple_scan(rng):
+    rejected = 0
+    for _ in range(400):
+        m = shuffled(random_ultrametric_matrix(rng, rng.randint(2, 8), 3), rng)
+        e = [list(row) for row in m.e]
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.sample(range(m.d), 2)
+            e[i][j] = e[j][i] = rng.randint(0, 4)
+        expected = first_violating_triple(e)
+        if expected is None:
+            assert IntersectionMatrix(m.d, tuple(map(tuple, e))).e == tuple(map(tuple, e))
+            continue
+        rejected += 1
+        with pytest.raises(UltrametricViolation) as info:
+            IntersectionMatrix(m.d, tuple(map(tuple, e)))
+        assert info.value.details == {"triple": expected}
+    assert rejected > 100

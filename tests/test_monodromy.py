@@ -162,3 +162,14 @@ def test_presentation_json_roundtrip():
     assert doc["generators"] == ["x1", "x2", "x3", "x4", "delta"]
     assert doc["relations"][0] == {"lhs": "x1*x2*x3*x4", "rhs": "1"}
     assert doc["relations"][2] == {"lhs": "delta^-1*x2*delta", "rhs": "x1*x2*x1^-1"}
+
+
+def test_oracle_closed_form_matches_composition(rng):
+    """The closed form W_i x_i W_i^-1 equals the composition of one twist
+    per cluster, on forests well past the sizes above."""
+    for _ in range(25):
+        forest = compute_clusters(random_ultrametric_matrix(rng, rng.randint(2, 48), rng.randint(1, 6)))
+        acc = FreeAutomorphism.identity(forest.d)
+        for c in forest.clusters:
+            acc = compose(acc, dehn_twist_automorphism(c, forest.d))
+        assert monodromy_automorphism(forest) == acc
