@@ -4,7 +4,7 @@ Run:  python benchmarks/bench_backends.py
 
 Covers the two hot loops: free-word reduction/substitution (monodromy
 composition at scale) and Cayley-table class enumeration plus the delta
-permutation (the finite-quotient brute force).
+permutation (the finite-quotient layer).
 """
 
 from __future__ import annotations

@@ -5,6 +5,17 @@ These are the hot inner loops of the package.  A compiled Cython twin with
 the same signatures lives in ``_fast.pyx``; the package selects one at
 import time (see ``__init__``).  Everything here works on plain ints,
 lists and tuples so both backends are interchangeable.
+
+The two tuple kernels work by different algorithms from the compiled
+twin: the class enumeration here is an orderly generator and the
+canonical form minimises one coordinate at a time, where the twin
+canonicalises every product-one tuple under every conjugator.  The pure
+enumeration is the faster one, so the package uses it on every backend;
+the twin's enumeration serves only as a reference for the parity tests.
+The two enumerations agree on the whole range [0, |G|) and on the union
+over any partition of it, but not chunk by chunk: a chunk here holds the
+classes whose canonical first coordinate lies in the range, the twin's
+chunk every class with some member whose first coordinate does.
 """
 
 from __future__ import annotations
@@ -66,14 +77,28 @@ def evaluate_word(
 def canonical_tuple(
     table: Sequence[Sequence[int]], inv: Sequence[int], tup: Sequence[int]
 ) -> tuple[int, ...]:
-    """Lexicographically least tuple in the simultaneous-conjugation orbit."""
-    best = tuple(tup)
-    for h in range(len(inv)):
-        hi = inv[h]
-        cand = tuple(table[table[hi][g]][h] for g in tup)
-        if cand < best:
-            best = cand
-    return best
+    """Lexicographically least tuple in the simultaneous-conjugation orbit.
+
+    Minimises one coordinate at a time: only the conjugators h that reach
+    the least image of every earlier coordinate are tried on the next one,
+    so the cost is O(|G| + |C|·d) for C the set of conjugators that survive
+    the first coordinate, not |G|·d.
+    """
+    n = len(inv)
+    best: list[int] = []
+    hs = range(n)
+    for g in tup:
+        least = n
+        keep: list[int] = []
+        for h in hs:
+            y = table[table[inv[h]][g]][h]
+            if y < least:
+                least, keep = y, [h]
+            elif y == least:
+                keep.append(h)
+        best.append(least)
+        hs = keep
+    return tuple(best)
 
 
 def product_one_classes_chunk(
@@ -83,32 +108,51 @@ def product_one_classes_chunk(
     first_lo: int,
     first_hi: int,
 ) -> set[tuple[int, ...]]:
-    """Canonical representatives of product-one d-tuples whose first
-    coordinate lies in [first_lo, first_hi).
+    """Canonical representatives of the product-one d-tuple classes whose
+    canonical first coordinate lies in [first_lo, first_hi).  Chunks over
+    disjoint ranges are disjoint, and chunks over a partition of [0, |G|)
+    together hold every class once.
 
-    The last coordinate is forced to the inverse of the product of the
-    first d-1, so the walk is an odometer over d-1 coordinates.
+    Orderly generation (McKay 1998): a depth-first walk over prefixes that
+    are lexicographically least in their conjugation orbit.  With S the
+    stabiliser of a canonical prefix (the elements commuting with all of
+    it), the prefix extended by x is canonical iff x <= h^-1 x h for every
+    h in S, and its stabiliser is {h in S : h^-1 x h = x}.  The last
+    coordinate is forced to the inverse of the prefix product; S fixes
+    that product, so it passes the same test.  Each class is reached once,
+    and the accepted children are computed once per distinct stabiliser,
+    so the walk costs O(d) per canonical prefix plus O(|G|·|S|) per
+    distinct S.
     """
+    if d < 2 or first_lo >= first_hi:
+        return set()
     n = len(inv)
+    conj = [[table[table[inv[h]][x]][h] for x in range(n)] for h in range(n)]
+    elements = tuple(range(n))
+    accepted: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+
+    def children(stab: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """(x, stabiliser of x in stab) for each x least in its stab-orbit."""
+        if stab not in accepted:
+            rows = [conj[h] for h in stab]
+            accepted[stab] = [
+                (x, tuple(h for h, row in zip(stab, rows) if row[x] == x))
+                for x in elements
+                if all(row[x] >= x for row in rows)
+            ]
+        return accepted[stab]
+
     classes: set[tuple[int, ...]] = set()
     free = d - 1
-    coords = [0] * free
-    coords[0] = first_lo
-    if first_lo >= first_hi:
-        return classes
-    while True:
-        acc = 0
-        for g in coords:
-            acc = table[acc][g]
-        tup = tuple(coords) + (inv[acc],)
-        classes.add(canonical_tuple(table, inv, tup))
-        pos = free - 1
-        while pos >= 0:
-            coords[pos] += 1
-            limit = first_hi if pos == 0 else n
-            if coords[pos] < limit:
-                break
-            coords[pos] = first_lo if pos == 0 else 0
-            pos -= 1
-        if pos < 0:
-            return classes
+    stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((), 0, elements)]
+    while stack:
+        prefix, acc, stab = stack.pop()
+        options = children(stab)
+        if not prefix:
+            options = [(x, sub) for x, sub in options if first_lo <= x < first_hi]
+        row = table[acc]
+        if len(prefix) == free - 1:
+            classes.update(prefix + (x, inv[row[x]]) for x, _ in options)
+        else:
+            stack.extend((prefix + (x,), row[x], sub) for x, sub in options)
+    return classes

@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .clusters import compute_clusters, nesting_tree, tree_to_text
-from .errors import BranchMonoError, InvalidInput
+from .errors import BranchMonoError, InvalidInput, read_json
 from .intersection import BranchInput, canonical_order, compute_matrix, is_prime
 from .monodromy import emit_presentation, monodromy_automorphism
 from .quotients import DEFAULT_TUPLE_CAP, load_group, moduli_report
@@ -26,25 +26,13 @@ from .topocheck import (
 )
 
 
-def _read_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, undecodable bytes, integer literals past the
-        # interpreter's digit limit, and nesting past the recursion limit.
-        raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _emit_json(obj: Any) -> None:
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
 def _pipeline(path: str):
     """input file -> (BranchInput, sigma, reordered matrix, forest)."""
-    binput = BranchInput.from_json_dict(_read_json(path))
+    binput = BranchInput.from_json_dict(read_json(path))
     matrix = compute_matrix(binput)
     sigma, reordered = canonical_order(matrix)
     forest = compute_clusters(reordered)
@@ -118,7 +106,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_topology(args: argparse.Namespace) -> int:
-    family = WitnessFamily.from_json_dict(_read_json(args.family))
+    family = WitnessFamily.from_json_dict(read_json(args.family))
     separation = verify_separation(family)
     bound = verify_cluster_bound(family)
     oracle = verify_monodromy_oracle(family, samples=args.samples)
@@ -172,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to generating tuples (connected covers)",
     )
     p_orbits.add_argument("--max-tuples", type=int, default=DEFAULT_TUPLE_CAP)
-    p_orbits.add_argument("--threads", type=int, default=1)
+    p_orbits.add_argument("--threads", type=int, default=1, help="accepted and ignored; enumeration is serial")
     p_orbits.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_orbits.set_defaults(func=_cmd_orbits)
 

@@ -1,11 +1,14 @@
 """Exception hierarchy with stable machine-readable error codes.
 
 Every domain error carries a ``code`` string that the CLI emits verbatim in
-its JSON error output, so downstream tooling can match on it.
+its JSON error output, so downstream tooling can match on it.  ``read_json``
+is the one reader of user JSON files, so that no decoder failure escapes as
+a traceback.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 
@@ -87,3 +90,16 @@ class ParametersTooLarge(BranchMonoError):
 
 class UnresolvedCrossing(BranchMonoError):
     code = "UNRESOLVED_CROSSING"
+
+
+def read_json(path: str) -> Any:
+    """Parse a JSON file; any failure to read or decode it is InvalidInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, undecodable bytes, integer literals past the
+        # interpreter's digit limit, and nesting past the recursion limit.
+        raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc

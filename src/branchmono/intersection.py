@@ -21,6 +21,7 @@ from .errors import (
     IndistinguishableTruncation,
     InvalidInput,
     NonIntegralPoint,
+    SizeLimit,
     UltrametricViolation,
 )
 
@@ -53,14 +54,38 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# Miller–Rabin with the first 13 primes as bases is proven exact below
+# this bound (Sorenson and Webster, 2015); larger n are refused.
+PRIME_CAP = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin test; raises SizeLimit for n >= PRIME_CAP."""
+    if n >= PRIME_CAP:
+        raise SizeLimit(
+            f"a {n.bit_length()}-bit integer is past the primality test's cap {PRIME_CAP}",
+            cap=PRIME_CAP,
+        )
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    r, s = n - 1, 0
+    while r % 2 == 0:
+        r //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, r, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 

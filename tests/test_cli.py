@@ -228,3 +228,35 @@ def test_pure_backend_cli_agrees():
     pure_out = subprocess.run(args, capture_output=True, text=True, env=env)
     assert pure_out.returncode == 0
     assert pure_out.stdout == (GOLDEN / "example2_p3_m1_present.txt").read_text()
+
+
+MALFORMED_GROUP_FILES = [
+    ("missing_comma", '{"name": "K", "table": [[0, 1] [1, 0]]}'),
+    ("huge_integer", '{"name": "K", "table": [[0, ' + "9" * 5000 + "]]}"),
+    ("deep_array", '{"table": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    ("not_an_object", "[[0, 1], [1, 0]]"),
+    ("rows_not_arrays", '{"table": [0, 1]}'),
+]
+
+
+@pytest.mark.parametrize("kind, text", MALFORMED_GROUP_FILES, ids=[k for k, _ in MALFORMED_GROUP_FILES])
+def test_malformed_group_file_is_invalid_input(kind, text, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    out = run_cli("orbits", "--group", str(path), "--input", str(DATA / "example2_p3_m1.json"))
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1
+    assert json.loads(out.stderr)["error"] == "INVALID_INPUT"
+
+
+def test_orbits_p_past_primality_cap_is_size_limit():
+    out = run_cli(
+        "orbits", "--group", "s3", "--input", str(DATA / "example2_p3_m1.json"),
+        "--p", str(10**30 + 57),
+    )
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1
+    err = json.loads(out.stderr)
+    assert err["error"] == "SIZE_LIMIT"
+    assert err["details"]["cap"] == 3_317_044_064_679_887_385_961_981
+

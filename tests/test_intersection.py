@@ -10,14 +10,17 @@ from branchmono.errors import (
     IndistinguishableTruncation,
     InvalidInput,
     NonIntegralPoint,
+    SizeLimit,
     UltrametricViolation,
 )
 from branchmono.intersection import (
     ECHO_LIMIT,
+    PRIME_CAP,
     BranchInput,
     IntersectionMatrix,
     canonical_order,
     compute_matrix,
+    is_prime,
     padic_valuation,
     parse_rational,
     reindex,
@@ -250,3 +253,43 @@ def test_oracle_validation_matches_triple_scan(rng):
             IntersectionMatrix(m.d, tuple(map(tuple, e)))
         assert info.value.details == {"triple": expected}
     assert rejected > 100
+
+
+# -- primality ---------------------------------------------------------------
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 20000):
+        assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_carmichael_and_strong_pseudoprimes():
+    for n in (561, 1105, 41041):
+        assert not is_prime(n), n
+    # strong pseudoprimes to every prime base up to 7, and up to 37
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+
+
+def test_is_prime_large_mersenne_is_quick():
+    """2^61 - 1 was out of reach of trial division; the first input below
+    would not finish if the test were still trial division."""
+    assert is_prime(2**61 - 1)
+    assert is_prime(1_000_000_007)
+    assert not is_prime((2**31 - 1) * 1_000_000_007)
+    binput = BranchInput.from_json_dict({"mode": "padic", "p": 2**61 - 1, "points": [0, 1, 2]})
+    assert binput.p == 2**61 - 1
+
+
+def test_is_prime_refuses_past_cap():
+    assert not is_prime(PRIME_CAP - 1)
+    with pytest.raises(SizeLimit, match=str(PRIME_CAP)) as exc:
+        is_prime(PRIME_CAP)
+    assert exc.value.details == {"cap": PRIME_CAP}
+    with pytest.raises(SizeLimit) as exc:
+        BranchInput.from_json_dict({"mode": "padic", "p": 10**4000, "points": [0, 1]})
+    assert len(str(exc.value)) < 200
+

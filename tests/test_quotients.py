@@ -5,6 +5,8 @@ import itertools
 
 import pytest
 
+from branchmono import _kernels
+from branchmono._kernels import pure
 from branchmono.clusters import Cluster, ClusterForest
 from branchmono.errors import (
     NotAGroup,
@@ -15,6 +17,7 @@ from branchmono.errors import (
 from branchmono.freegroup import FreeAutomorphism, FreeWord, compose, inner
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
+    DEFAULT_TUPLE_CAP,
     FiniteGroup,
     canonical_class,
     center,
@@ -323,3 +326,108 @@ def test_report_json_and_csv():
     lines = rep.to_csv_lines()
     assert lines[0] == "class,representative,degree"
     assert len(lines) == rep.class_count + 1
+
+
+# -- independent oracles for the orderly enumeration -------------------------
+
+BUILTIN_NAMES = (
+    "c1", "c2", "c3", "c5", "c6", "d3", "d4", "d5", "q8",
+    "s1", "s2", "s3", "s4", "s5", "a3", "a4", "a5",
+)
+
+
+def burnside_class_count(g: FiniteGroup, d: int) -> int:
+    """Orbits of conjugation on the free (d-1)-prefixes, counted without
+    enumeration: (1/|G|) * sum over h of |C(h)|^(d-1)."""
+    n = g.order
+    total = 0
+    for h in range(n):
+        centraliser = sum(1 for x in range(n) if g.table[h][x] == g.table[x][h])
+        total += centraliser ** (d - 1)
+    assert total % n == 0
+    return total // n
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_enumeration_matches_burnside_count(name):
+    g = load_group(name)
+    for d in (2, 3, 4):
+        if g.order ** (d - 1) > DEFAULT_TUPLE_CAP:
+            continue
+        assert len(enumerate_classes(g, d)) == burnside_class_count(g, d), (name, d)
+
+
+def test_enumeration_matches_naive_oracle_larger_groups():
+    for name in ("a4", "s4", "a5"):
+        g = load_group(name)
+        got = [c.rep for c in enumerate_classes(g, 3)]
+        assert got == naive_classes(g, 3, surjective_only=False), name
+    g = load_group("a4")
+    got = [c.rep for c in enumerate_classes(g, 3, surjective_only=True)]
+    assert got == naive_classes(g, 3, surjective_only=True)
+
+
+def brute_force_chunk(g: FiniteGroup, d: int, lo: int, hi: int) -> set:
+    """Least conjugates of all product-one tuples, kept where the first
+    coordinate lies in [lo, hi): what a chunk of the walk is defined to
+    return."""
+    out = set()
+    for prefix in itertools.product(range(g.order), repeat=d - 1):
+        acc = 0
+        for x in prefix:
+            acc = g.table[acc][x]
+        tup = prefix + (g.inverse[acc],)
+        least = min(tuple(g.conjugate(x, h) for x in tup) for h in range(g.order))
+        if lo <= least[0] < hi:
+            out.add(least)
+    return out
+
+
+def test_single_coordinate_chunks_partition_the_whole_set():
+    for name, d in (("s3", 3), ("d4", 4), ("a4", 3), ("q8", 3)):
+        g = load_group(name)
+        whole = pure.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order)
+        pieces = set()
+        for lo in range(g.order):
+            chunk = pure.product_one_classes_chunk(g.table, g.inverse, d, lo, lo + 1)
+            assert chunk == brute_force_chunk(g, d, lo, lo + 1), (name, d, lo)
+            assert not pieces & chunk, (name, d, lo)
+            pieces |= chunk
+        assert pieces == whole, (name, d)
+        assert pure.product_one_classes_chunk(g.table, g.inverse, d, 2, 2) == set()
+    g = load_group("s3")
+    for d in (1, 0, -1):
+        assert pure.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order) == set()
+
+
+def test_enumeration_runs_the_pure_generator_on_every_backend():
+    assert _kernels.product_one_classes_chunk is pure.product_one_classes_chunk
+
+
+def test_canonical_tuple_is_least_conjugate(rng):
+    for name in ("c6", "s3", "d4", "q8", "a4", "s4", "a5"):
+        g = load_group(name)
+        for _ in range(100):
+            tup = tuple(rng.randrange(g.order) for _ in range(rng.randint(1, 6)))
+            least = min(tuple(g.conjugate(x, h) for x in tup) for h in range(g.order))
+            assert pure.canonical_tuple(g.table, g.inverse, tup) == least, (name, tup)
+
+
+def naive_closure(g: FiniteGroup, gens) -> frozenset:
+    """Fixpoint of products of pairs, starting from the identity and gens."""
+    current = {0, *gens}
+    while True:
+        grown = current | {g.table[a][b] for a in current for b in current}
+        if grown == current:
+            return frozenset(current)
+        current = grown
+
+
+def test_closure_matches_naive_fixpoint(rng):
+    for name in ("c1", "c6", "s3", "d4", "q8", "a4", "s4", "a5"):
+        g = load_group(name)
+        assert g.closure([]) == frozenset({0})
+        for _ in range(40):
+            gens = [rng.randrange(g.order) for _ in range(rng.randint(1, 3))]
+            assert g.closure(gens) == naive_closure(g, gens), (name, gens)
+
