@@ -14,12 +14,13 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .clusters import compute_clusters, nesting_tree, tree_to_text
-from .errors import BranchMonoError, InvalidInput, read_json
+from .errors import BranchMonoError, InvalidInput, MonodromyMismatch, read_json
 from .intersection import BranchInput, canonical_order, compute_matrix, is_prime
 from .monodromy import emit_presentation, monodromy_automorphism
 from .quotients import DEFAULT_TUPLE_CAP, load_group, moduli_report
 from .topocheck import (
     WitnessFamily,
+    check_samples,
     verify_cluster_bound,
     verify_monodromy_oracle,
     verify_separation,
@@ -106,6 +107,8 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_topology(args: argparse.Namespace) -> int:
+    if args.samples is not None:
+        check_samples(args.samples, "--samples")
     family = WitnessFamily.from_json_dict(read_json(args.family))
     separation = verify_separation(family)
     bound = verify_cluster_bound(family)
@@ -128,7 +131,13 @@ def _cmd_verify_topology(args: argparse.Namespace) -> int:
             f"up to inner automorphism by {oracle.conjugator}" if oracle.consistent else "INCONSISTENT"
         )
         print(f"monodromy agreement: {agreement}")
-    return 0 if (separation.passed and bound.passed and oracle.consistent) else 1
+    if not oracle.consistent:
+        # The report above stays on stdout; the error code goes to stderr.
+        raise MonodromyMismatch(
+            "the tracked braid does not act as the cluster twists, "
+            "not even up to an inner automorphism"
+        )
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-topology", help="separation checks and braid-tracking oracle")
     p_verify.add_argument("--family", required=True, help="witness family JSON file")
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help="tracker sample count, 16 to 2^20 (default: the family's samples)",
+    )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify_topology)
 

@@ -92,6 +92,10 @@ class UnresolvedCrossing(BranchMonoError):
     code = "UNRESOLVED_CROSSING"
 
 
+class MonodromyMismatch(BranchMonoError):
+    code = "MONODROMY_MISMATCH"
+
+
 def read_json(path: str) -> Any:
     """Parse a JSON file; any failure to read or decode it is InvalidInput."""
     try:

@@ -4,8 +4,12 @@ polynomial families, and monodromy recovery by strand tracking.
 The circle/membership inequalities are all comparisons of squared moduli
 of Gaussian rationals, so they are checked exactly; circle samples come
 from the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2), which lies
-exactly on |z| = |z0| for rational t.  Only the braid tracker itself runs
-in double precision, with crossings located by bisection.
+exactly on |z| = |z0| for rational t.  The cluster bound factors out the
+circle's radius: the centre b_{I,n} is a_i truncated below depth n, so
+|a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2 on the circle, with T_i
+the tail of a_i past depth n, and each tail is evaluated over one integer
+denominator per sample.  Only the braid tracker itself runs in double
+precision, with crossings located by bisection.
 
 Between samples the tracked strand order changes by reversing disjoint
 blocks of adjacent strands.  A pair at positions k+1, k+2 emits b_{k+1}.
@@ -29,7 +33,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .braid import BraidWord, braid_action, half_twist
 from .clusters import Cluster, ClusterForest, compute_clusters
-from .errors import InvalidInput, ParametersTooLarge, UnresolvedCrossing
+from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
 from .freegroup import FreeAutomorphism, FreeWord, is_inner_shift
 from .intersection import (
     BranchInput,
@@ -85,6 +89,24 @@ def eval_poly(coeffs: Sequence[Fraction], z: RationalComplex) -> RationalComplex
     return acc
 
 
+# Most tracker samples accepted.  The tracker evaluates every strand at
+# each sample time, so its cost is linear in the count: a family of 12
+# strands takes about 1 s at 2^16 samples, and so about 17 s at the cap.
+MAX_SAMPLES = 2**20
+
+
+def check_samples(value: Any, name: str = "samples") -> int:
+    """A tracker sample count: an int (not a bool) in [16, MAX_SAMPLES].
+    Anything else is InvalidInput, and a count past the cap SizeLimit."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{name} must be an integer, got {type(value).__name__}")
+    if value < 16:
+        raise InvalidInput(f"need at least 16 samples; {name} is below that")
+    if value > MAX_SAMPLES:
+        raise SizeLimit(f"{name} is past the cap of {MAX_SAMPLES} samples", cap=MAX_SAMPLES)
+    return value
+
+
 def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     out = list(coeffs)
     while out and out[-1] == 0:
@@ -121,8 +143,7 @@ class WitnessFamily:
             raise InvalidInput(
                 f"z0 must satisfy r/2 < |z0| < r; got |z0|^2 = {a2}, r = {self.r}"
             )
-        if self.samples < 16:
-            raise InvalidInput("need at least 16 samples")
+        check_samples(self.samples)
 
     @property
     def d(self) -> int:
@@ -159,7 +180,9 @@ class WitnessFamily:
         if not isinstance(obj, Mapping):
             raise InvalidInput("witness family must be a JSON object")
         coeffs = obj.get("coefficients")
-        if not isinstance(coeffs, Sequence):
+        if not isinstance(coeffs, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in coeffs
+        ):
             raise InvalidInput("witness family needs a 'coefficients' array of arrays")
         polys = tuple(tuple(parse_rational(c) for c in row) for row in coeffs)
         kwargs: dict[str, Any] = {}
@@ -284,44 +307,71 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
     return _raise_if_failed(GeometryReport("separation", tuple(records)))
 
 
-def _circle_samples(z0: RationalComplex, count: int) -> list[RationalComplex]:
-    """Exact points on |z| = |z0| via z0 * (1-t^2+2it)/(1+t^2), rational t."""
-    out = [RationalComplex(-z0.re, -z0.im)]
+def _circle_points(z0: RationalComplex, count: int) -> list[tuple[int, int, int]]:
+    """Exact points on |z| = |z0| as (X, Y, N) with z = (X + iY)/N, N > 0:
+    first -z0, then z0 * ((q^2-p^2) + 2pq i)/(q^2+p^2) for rational
+    t = p/q, the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2)."""
+    den = math.lcm(z0.re.denominator, z0.im.denominator)
+    u = z0.re.numerator * (den // z0.re.denominator)
+    v = z0.im.numerator * (den // z0.im.denominator)
+    out = [(-u, -v, den)]
     for k in range(count - 1):
         angle = math.pi * ((k + 0.5) / (count - 1) - 0.5)
         t = Fraction(math.tan(angle)).limit_denominator(10**6)
-        den = 1 + t * t
-        unit = RationalComplex((1 - t * t) / den, 2 * t / den)
-        out.append(z0 * unit)
+        p, q = t.numerator, t.denominator
+        x, y = q * q - p * p, 2 * p * q
+        out.append((u * x - v * y, u * y + v * x, den * (q * q + p * p)))
     return out
+
+
+def _max_abs2(coeffs: Sequence[Fraction], points: Sequence[tuple[int, int, int]]) -> Fraction:
+    """max |T(z)|^2 over the points (X, Y, N) of ``_circle_points``, for
+    T(z) = sum_j coeffs[j] z^j.  With L the common denominator of the
+    coefficients, P_j = L * coeffs[j] and m = deg T, the integer Horner
+    S = sum_j P_j (X + iY)^j N^(m-j) gives T(z) = S / (L N^m); samples are
+    compared by cross-multiplying |S|^2 and N^(2m)."""
+    if not coeffs:
+        return Fraction(0)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    top, rest = nums[-1], nums[-2::-1]
+    best_s2, best_n2m = 0, 1
+    for x, y, n in points:
+        re, im, scale = top, 0, 1
+        for c in rest:
+            scale *= n
+            re, im = re * x - im * y + c * scale, re * y + im * x
+        s2, n2m = re * re + im * im, scale * scale
+        if s2 * best_n2m > best_s2 * n2m:
+            best_s2, best_n2m = s2, n2m
+    return Fraction(best_s2, best_n2m * den * den)
 
 
 def verify_cluster_bound(w: WitnessFamily, bound_samples: int = 128) -> GeometryReport:
     """|a_i(z) - b_{I,n}(z)| < |z|^(n-1) * eta at sampled z with |z| = |z0|,
-    for every cluster (I, n) and i in I."""
+    for every cluster (I, n) and i in I.
+
+    b_{I,n} is a_i truncated below depth n, so a_i - b_{I,n} = z^n T_i(z)
+    with T_i the tail of a_i past depth n, and every sample lies exactly
+    on |z| = |z0|: |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2.  Each
+    tail is evaluated once per sample in integers (``_max_abs2``), and the
+    worst sample becomes one exact Fraction per record."""
     forest = w.forest()
-    zs = _circle_samples(w.z0, bound_samples)
+    points = _circle_points(w.z0, bound_samples)
     z0_abs2 = w.z0.abs2()
     records: list[CheckRecord] = []
     for c in forest.clusters:
-        b = w.center_poly(c)
-        bound2 = z0_abs2 ** (c.depth - 1) * w.eta * w.eta
+        n = c.depth
+        bound2 = z0_abs2 ** (n - 1) * w.eta * w.eta
         for i in c.indices():
-            worst: Optional[Fraction] = None
-            ok = True
-            for z in zs:
-                diff2 = (eval_poly(w.polys[i - 1], z) - eval_poly(b, z)).abs2()
-                if not diff2 < bound2:
-                    ok = False
-                if worst is None or diff2 > worst:
-                    worst = diff2
+            worst = z0_abs2**n * _max_abs2(w.polys[i - 1][n:], points)
             records.append(
                 CheckRecord(
                     "cluster-bound",
                     f"a{i} vs b of {c}",
-                    ok,
+                    worst < bound2,
                     f"max |a_i(z) - b(z)|^2 = {worst} vs bound^2 = {bound2} "
-                    f"over {len(zs)} samples",
+                    f"over {len(points)} samples",
                 )
             )
     return _raise_if_failed(GeometryReport("cluster-bound", tuple(records)))
@@ -582,7 +632,7 @@ def track_braid(
     label order, otherwise the braid letters would refer to the wrong
     generators (this is not an inner-automorphism ambiguity).
     """
-    sample_count = samples if samples is not None else w.samples
+    sample_count = w.samples if samples is None else check_samples(samples)
     coeffs = [[float(c) for c in p] for p in w.polys]
     z0 = w.z0.to_complex()
     base = [v.to_complex() for v in w.values_at_z0()]

@@ -1,13 +1,22 @@
 """End-to-end CLI behavior: golden outputs, exit codes, error JSON,
 determinism, and stable error codes for every fixture."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from branchmono import cli
+from branchmono.topocheck import MAX_SAMPLES
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,3 +269,108 @@ def test_orbits_p_past_primality_cap_is_size_limit():
     assert err["error"] == "SIZE_LIMIT"
     assert err["details"]["cap"] == 3_317_044_064_679_887_385_961_981
 
+
+@pytest.mark.parametrize(
+    "samples, code",
+    [
+        ("0", "INVALID_INPUT"),
+        ("-5", "INVALID_INPUT"),
+        ("1", "INVALID_INPUT"),
+        (str(MAX_SAMPLES + 1), "SIZE_LIMIT"),
+    ],
+)
+def test_verify_topology_samples_out_of_range(samples, code):
+    out = run_cli("verify-topology", "--family", str(DATA / "family_3pt.json"), "--samples", samples)
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1
+    err = json.loads(out.stderr)
+    assert err["error"] == code
+    if code == "SIZE_LIMIT":
+        assert err["details"]["cap"] == MAX_SAMPLES
+
+
+def test_verify_topology_mismatch_keeps_report():
+    # No clusters, so the checks pass vacuously, yet strands 1 and 2 wind
+    # around each other once.
+    out = run_cli("verify-topology", "--family", str(DATA / "family_inconsistent.json"))
+    assert out.returncode == 1
+    assert out.stdout.endswith("tracked braid: b1*b1\nmonodromy agreement: INCONSISTENT\n")
+    assert json.loads(out.stderr)["error"] == "MONODROMY_MISMATCH"
+
+
+# Generated witness families, canonical and in label order more often than
+# not, and then mutated: any field may be dropped or replaced by a value of
+# the wrong type, and any row by a non-array.
+RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 4)),
+)
+BAD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.integers(-(10**30), 10**30),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def witness_documents(draw):
+    def padded(poly):
+        return tuple(Fraction(c) for c in poly) + (Fraction(0),) * (4 - len(poly))
+
+    polys = draw(
+        st.lists(
+            st.lists(RATIONALS, min_size=1, max_size=4), min_size=2, max_size=4, unique_by=padded
+        )
+    )
+    polys.sort(key=padded)
+    doc = {
+        "coefficients": polys,
+        "eta": draw(st.sampled_from(["1/8", "1/64", "0", "1"])),
+        "r": "1/16",
+        "z0": draw(st.sampled_from([["3/64", "0"], ["0", "3/64"], ["3/128", "1/32"], "3/64"])),
+        "samples": draw(st.integers(16, 64)),
+    }
+    mutation = draw(st.sampled_from(["none", "drop", "replace", "row"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if mutation == "drop":
+        del doc[key]
+    elif mutation == "replace":
+        doc[key] = draw(BAD_VALUES)
+    elif mutation == "row":
+        polys[draw(st.integers(0, len(polys) - 1))] = draw(BAD_VALUES)
+    return doc
+
+
+SAMPLE_ARGS = st.one_of(
+    st.none(),
+    st.integers(16, 64).map(str),
+    st.integers(-20, 20).map(str),
+    st.sampled_from([str(MAX_SAMPLES + 1), "1e3", "16.5", "abc", ""]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=witness_documents(), samples=SAMPLE_ARGS)
+def test_verify_topology_never_raises(doc, samples):
+    """Exit 0, exit 1 with an error JSON on stderr, or a usage error;
+    never an exception out of ``cli.main``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "family.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify-topology", "--family", str(path), "--format", "json"]
+        if samples is not None:
+            argv += ["--samples", samples]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                return
+    assert code in (0, 1)
+    if code == 1:
+        assert "error" in json.loads(err.getvalue())

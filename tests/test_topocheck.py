@@ -1,5 +1,7 @@
 """Separating-circle geometry and the strand-tracking oracle."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,13 +12,19 @@ from branchmono.errors import (
     InvalidInput,
     NotCanonicallyOrdered,
     ParametersTooLarge,
+    SizeLimit,
     UnresolvedCrossing,
 )
 from branchmono.freegroup import is_inner_shift
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.topocheck import (
+    MAX_SAMPLES,
+    CheckRecord,
+    GeometryReport,
     RationalComplex,
     WitnessFamily,
+    _raise_if_failed,
+    check_samples,
     eval_poly,
     track_braid,
     verify_cluster_bound,
@@ -366,3 +374,176 @@ def test_track_braid_collinear_block_at_depth_5():
     report = verify_monodromy_oracle(fam, samples=1024)
     assert report.consistent
     assert report.braid == half_twist(1, 3, 3) ** 10
+
+
+# ---------------------------------------------------------------------------
+# The integer cluster bound against the Fraction loop it replaced.
+
+
+def fraction_circle_samples(z0, count):
+    """Exact points on |z| = |z0| via z0 * (1-t^2+2it)/(1+t^2), rational t."""
+    out = [RationalComplex(-z0.re, -z0.im)]
+    for k in range(count - 1):
+        angle = math.pi * ((k + 0.5) / (count - 1) - 0.5)
+        t = F(math.tan(angle)).limit_denominator(10**6)
+        den = 1 + t * t
+        out.append(z0 * RationalComplex((1 - t * t) / den, 2 * t / den))
+    return out
+
+
+def fraction_cluster_bound(w, bound_samples=128):
+    """The bound evaluated directly: a_i(z) - b(z) in Gaussian rationals
+    at every sample, for every cluster and member."""
+    zs = fraction_circle_samples(w.z0, bound_samples)
+    z0_abs2 = w.z0.abs2()
+    records = []
+    for c in w.forest().clusters:
+        b = w.center_poly(c)
+        bound2 = z0_abs2 ** (c.depth - 1) * w.eta * w.eta
+        for i in c.indices():
+            worst, ok = None, True
+            for z in zs:
+                diff2 = (eval_poly(w.polys[i - 1], z) - eval_poly(b, z)).abs2()
+                if not diff2 < bound2:
+                    ok = False
+                if worst is None or diff2 > worst:
+                    worst = diff2
+            records.append(
+                CheckRecord(
+                    "cluster-bound",
+                    f"a{i} vs b of {c}",
+                    ok,
+                    f"max |a_i(z) - b(z)|^2 = {worst} vs bound^2 = {bound2} "
+                    f"over {len(zs)} samples",
+                )
+            )
+    return GeometryReport("cluster-bound", tuple(records))
+
+
+def assert_bound_matches_oracle(w):
+    """Same report on success; the same message, details and report on
+    failure.  Returns whether the bound held."""
+    expected = fraction_cluster_bound(w)
+    if expected.passed:
+        assert verify_cluster_bound(w).to_json_dict() == expected.to_json_dict()
+        return True
+    with pytest.raises(ParametersTooLarge) as got:
+        verify_cluster_bound(w)
+    with pytest.raises(ParametersTooLarge) as want:
+        _raise_if_failed(expected)
+    assert got.value.to_json_dict() == want.value.to_json_dict()
+    assert got.value.report.to_json_dict() == expected.to_json_dict()
+    return False
+
+
+def random_rational(rng, den):
+    return F(rng.randint(-9, 9), rng.randint(1, den))
+
+
+def random_bound_family(rng):
+    """Up to 8 strands that share prefixes of a base polynomial up to depth
+    5, listed in lexicographic (hence canonical) order; some strands end at
+    their prefix, so their tail is empty.  z0 is real, purely imaginary or
+    general, with unrelated denominators in its two parts."""
+    base = [random_rational(rng, 5) for _ in range(6)]
+    polys = set()
+    for _ in range(rng.randint(2, 8)):
+        depth = rng.randint(0, 5)
+        tail = [random_rational(rng, 7) for _ in range(rng.choice((0, 1, 2)))]
+        poly = list(base[:depth]) + tail
+        while poly and poly[-1] == 0:
+            poly.pop()
+        polys.add(tuple(poly))
+    if len(polys) < 2:
+        polys.add((F(1, 2),) * 7)
+    width = max(len(p) for p in polys)
+    polys = sorted(polys, key=lambda p: p + (F(0),) * (width - len(p)))
+    kind = rng.choice(("real", "imaginary", "complex"))
+    re = F(rng.randint(1, 20), rng.choice((64, 128, 256)))
+    im = F(rng.randint(1, 20), rng.choice((81, 125, 243)))
+    z0 = {
+        "real": RationalComplex(re * rng.choice((1, -1))),
+        "imaginary": RationalComplex(F(0), im * rng.choice((1, -1))),
+        "complex": RationalComplex(re * rng.choice((1, -1)), im * rng.choice((1, -1))),
+    }[kind]
+    r = F(math.sqrt(z0.abs2()) * 1.5).limit_denominator(10**4)
+    eta = rng.choice((F(0), F(1, 100000), F(1, 64), F(1, 8), F(1), F(1000)))
+    return WitnessFamily(polys=tuple(polys), eta=eta, r=r, z0=z0)
+
+
+def test_oracle_cluster_bound_random_families():
+    rng = random.Random(20261018)
+    families = [random_bound_family(rng) for _ in range(24)]
+    for eta in (F(1, 8), F(0), F(1, 100000)):
+        families += [family_3pt(eta=eta), family_4pt(eta=eta)]
+    outcomes = [assert_bound_matches_oracle(w) for w in families]
+    assert True in outcomes and False in outcomes
+
+
+@pytest.mark.parametrize(
+    "polys, eta, z0, passes",
+    [
+        # a2 = x: |a2 - b|^2 = |z0|^2 = eta^2 at every sample, and the
+        # bound is strict.
+        (((0,), (0, 1)), F(3, 64), RationalComplex(F(3, 64)), False),
+        (((0,), (0, 1)), F(5, 128), RationalComplex(F(3, 128), F(4, 128)), False),
+        (((0,), (0, 1)), F(3, 64) + F(1, 10**9), RationalComplex(F(3, 64)), True),
+        # a2 = x - x^2: |1 - z| is largest at the first sample z = -z0 only.
+        (((0,), (0, 1, -1)), F(3, 64) * F(67, 64) + F(1, 10**9), RationalComplex(F(3, 64)), True),
+        (((0,), (0, 1, -1)), F(3, 64) * F(67, 64), RationalComplex(F(3, 64)), False),
+        # The exact centre: a1 = b, so its left side is 0.
+        (((0,), (0, 0, 1)), F(1, 8), RationalComplex(F(3, 64)), True),
+        (((0,), (0, 0, 1)), F(0), RationalComplex(F(3, 64)), False),
+    ],
+)
+def test_oracle_cluster_bound_edges(polys, eta, z0, passes):
+    w = WitnessFamily(
+        polys=tuple(tuple(F(c) for c in p) for p in polys), eta=eta, r=F(1, 16), z0=z0
+    )
+    assert assert_bound_matches_oracle(w) is passes
+
+
+# ---------------------------------------------------------------------------
+# Sample counts
+
+
+@pytest.mark.parametrize("value", ["abc", [1], 16.5, 1e3, True])
+def test_samples_must_be_an_integer(value):
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        family_3pt(samples=value)
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        track_braid(family_3pt(), samples=value)
+
+
+@pytest.mark.parametrize("value", [-5, 0, 1, 15])
+def test_samples_below_16_rejected(value):
+    with pytest.raises(InvalidInput, match="at least 16"):
+        family_3pt(samples=value)
+    with pytest.raises(InvalidInput, match="at least 16"):
+        track_braid(family_3pt(), samples=value)
+
+
+def test_samples_past_cap_is_size_limit():
+    # Refused before any grid is built; nothing runs at the cap itself.
+    assert check_samples(16) == 16
+    assert check_samples(MAX_SAMPLES) == MAX_SAMPLES
+    for value in (MAX_SAMPLES + 1, 10**30):
+        with pytest.raises(SizeLimit) as info:
+            family_3pt(samples=value)
+        assert info.value.details == {"cap": MAX_SAMPLES}
+        with pytest.raises(SizeLimit) as info:
+            track_braid(family_3pt(), samples=value)
+        assert info.value.details == {"cap": MAX_SAMPLES}
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [[["0"], "12"], "12", [["0"], 12], {"a": ["0"]}, None],
+    ids=["string-row", "string", "number-row", "object", "missing"],
+)
+def test_coefficients_must_be_array_of_arrays(coefficients):
+    doc = {"eta": "1/8", "r": "1/16", "z0": ["3/64", "0"]}
+    if coefficients is not None:
+        doc["coefficients"] = coefficients
+    with pytest.raises(InvalidInput, match="array of arrays"):
+        WitnessFamily.from_json_dict(doc)
