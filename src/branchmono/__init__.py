@@ -1,87 +1,56 @@
 """Monodromy and prime-to-p fundamental-group presentations from the
 intersection behavior of branch points, verified by finite-quotient brute
-force and a braid-tracking oracle."""
+force and a braid-tracking oracle.
 
-from ._kernels import BACKEND as kernel_backend
-from .braid import BraidWord, braid_action, lambda_braid, puncture_loop_braid
-from .clusters import Cluster, ClusterForest, compute_clusters, nesting_tree
-from .freegroup import (
-    FreeAutomorphism,
-    FreeWord,
-    compose,
-    inner,
-    is_inner_shift,
-    reduce_word,
-)
-from .intersection import (
-    BranchInput,
-    IntersectionMatrix,
-    canonical_order,
-    compute_matrix,
-)
-from .monodromy import (
-    Presentation,
-    dehn_twist_automorphism,
-    emit_presentation,
-    monodromy_automorphism,
-)
-from .quotients import (
-    CoverClass,
-    FiniteGroup,
-    center_and_exponent,
-    delta_on_class,
-    enumerate_classes,
-    load_group,
-    moduli_degree,
-    moduli_report,
-)
-from .topocheck import (
-    WitnessFamily,
-    track_braid,
-    verify_cluster_bound,
-    verify_monodromy_oracle,
-    verify_separation,
-)
+The public names below are imported from their submodules on first
+access (PEP 562), so ``import branchmono`` loads no layer, and a program
+that uses one layer loads only the modules that layer needs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "BraidWord",
-    "BranchInput",
-    "Cluster",
-    "ClusterForest",
-    "CoverClass",
-    "FiniteGroup",
-    "FreeAutomorphism",
-    "FreeWord",
-    "IntersectionMatrix",
-    "Presentation",
-    "WitnessFamily",
-    "braid_action",
-    "canonical_order",
-    "center_and_exponent",
-    "compose",
-    "compute_clusters",
-    "compute_matrix",
-    "dehn_twist_automorphism",
-    "delta_on_class",
-    "emit_presentation",
-    "enumerate_classes",
-    "inner",
-    "is_inner_shift",
-    "kernel_backend",
-    "lambda_braid",
-    "load_group",
-    "moduli_degree",
-    "moduli_report",
-    "monodromy_automorphism",
-    "nesting_tree",
-    "puncture_loop_braid",
-    "reduce_word",
-    "track_braid",
-    "verify_cluster_bound",
-    "verify_monodromy_oracle",
-    "verify_separation",
-    "__version__",
-]
+_EXPORTS = {
+    "braid": ("BraidWord", "braid_action", "lambda_braid", "puncture_loop_braid"),
+    "clusters": ("Cluster", "ClusterForest", "compute_clusters", "nesting_tree"),
+    "freegroup": ("FreeAutomorphism", "FreeWord", "compose", "inner", "is_inner_shift", "reduce_word"),
+    "intersection": ("BranchInput", "IntersectionMatrix", "canonical_order", "compute_matrix"),
+    "monodromy": ("Presentation", "dehn_twist_automorphism", "emit_presentation", "monodromy_automorphism"),
+    "quotients": (
+        "CoverClass",
+        "FiniteGroup",
+        "center_and_exponent",
+        "delta_on_class",
+        "enumerate_classes",
+        "load_group",
+        "moduli_degree",
+        "moduli_report",
+    ),
+    "topocheck": (
+        "WitnessFamily",
+        "track_braid",
+        "verify_cluster_bound",
+        "verify_monodromy_oracle",
+        "verify_separation",
+    ),
+}
+# name -> (submodule, attribute); the kernel backend is exported under
+# another name than the one its module gives it.
+_SOURCE = {name: (module, name) for module, names in _EXPORTS.items() for name in names}
+_SOURCE["kernel_backend"] = ("_kernels", "BACKEND")
+
+__all__ = sorted(_SOURCE) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _SOURCE[name]
+    value = getattr(importlib.import_module(f".{module}", __name__), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,6 +8,7 @@ input; no timestamps appear in data output.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import Any, Optional, Sequence
@@ -16,15 +17,36 @@ from . import __version__
 from .clusters import compute_clusters, nesting_tree, tree_to_text
 from .errors import BranchMonoError, InvalidInput, MonodromyMismatch, read_json
 from .intersection import BranchInput, canonical_order, compute_matrix, is_prime
-from .monodromy import emit_presentation, monodromy_automorphism
-from .quotients import DEFAULT_TUPLE_CAP, load_group, moduli_report
-from .topocheck import (
-    WitnessFamily,
-    check_samples,
-    verify_cluster_bound,
-    verify_monodromy_oracle,
-    verify_separation,
-)
+
+# The later layers, imported on first use, so that each subcommand loads
+# only its own modules: `clusters` stops at the cluster layer, `present`
+# adds the monodromy, and only `orbits` and `verify-topology` load the
+# finite groups and the braid tracker.  The commands look these names up
+# as attributes of this module (``_cli.name``), which resolves them once
+# and calls whatever value this module then holds, patched or not.
+_LAZY = {
+    "emit_presentation": "monodromy",
+    "monodromy_automorphism": "monodromy",
+    "DEFAULT_TUPLE_CAP": "quotients",
+    "load_group": "quotients",
+    "moduli_report": "quotients",
+    "WitnessFamily": "topocheck",
+    "check_samples": "topocheck",
+    "verify_cluster_bound": "topocheck",
+    "verify_monodromy_oracle": "topocheck",
+    "verify_separation": "topocheck",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 def _emit_json(obj: Any) -> None:
@@ -65,7 +87,7 @@ def _cmd_clusters(args: argparse.Namespace) -> int:
 def _cmd_present(args: argparse.Namespace) -> int:
     binput, sigma, _, forest = _pipeline(args.input)
     labels = tuple(binput.labels[s - 1] for s in sigma)
-    pres = emit_presentation(
+    pres = _cli.emit_presentation(
         forest, p=binput.p or 0, point_labels=labels, sigma=sigma
     )
     if args.format == "json":
@@ -78,18 +100,18 @@ def _cmd_present(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    group = load_group(args.group)
+    group = _cli.load_group(args.group)
     binput, _, _, forest = _pipeline(args.input)
-    aut = monodromy_automorphism(forest)
+    aut = _cli.monodromy_automorphism(forest)
     p = args.p if args.p is not None else (binput.p or 0)
     if p != 0 and not is_prime(p):
         raise InvalidInput(f"--p must be 0 or a prime, got {p}")
-    report = moduli_report(
+    report = _cli.moduli_report(
         group,
         aut,
         p=p,
         surjective_only=args.surjective_only,
-        cap=args.max_tuples,
+        cap=_cli.DEFAULT_TUPLE_CAP if args.max_tuples is None else args.max_tuples,
         threads=args.threads,
     )
     if args.format == "csv":
@@ -108,11 +130,11 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 def _cmd_verify_topology(args: argparse.Namespace) -> int:
     if args.samples is not None:
-        check_samples(args.samples, "--samples")
-    family = WitnessFamily.from_json_dict(read_json(args.family))
-    separation = verify_separation(family)
-    bound = verify_cluster_bound(family)
-    oracle = verify_monodromy_oracle(family, samples=args.samples)
+        _cli.check_samples(args.samples, "--samples")
+    family = _cli.WitnessFamily.from_json_dict(read_json(args.family))
+    separation = _cli.verify_separation(family)
+    bound = _cli.verify_cluster_bound(family)
+    oracle = _cli.verify_monodromy_oracle(family, samples=args.samples)
     if args.format == "json":
         _emit_json(
             {
@@ -168,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="restrict to generating tuples (connected covers)",
     )
-    p_orbits.add_argument("--max-tuples", type=int, default=DEFAULT_TUPLE_CAP)
+    p_orbits.add_argument("--max-tuples", type=int, default=None)
     p_orbits.add_argument("--threads", type=int, default=1, help="accepted and ignored; enumeration is serial")
     p_orbits.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_orbits.set_defaults(func=_cmd_orbits)

@@ -11,9 +11,9 @@ Singletons are excluded: their twists act trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
-from .errors import IntervalOutOfRange, NotCanonicallyOrdered
+from .errors import IntervalOutOfRange, NotCanonicallyOrdered, SizeLimit
 from .intersection import IntersectionMatrix, satisfies_interval_hypothesis
 
 
@@ -71,26 +71,49 @@ class ClusterForest:
         ]
 
 
+# Most clusters a matrix may have.  The text tree indents each cluster by
+# its nesting level, so a chain of c nested clusters prints O(c^2) bytes:
+# at the cap (two points at depth 10^4) `clusters` prints 100 MB in about
+# 0.7 s, and `present` 0.36 MB in 0.4 s.  2-adic points 0..d-1 have d - 1
+# clusters.
+MAX_CLUSTERS = 10_000
+
+
 def compute_clusters(m: IntersectionMatrix) -> ClusterForest:
     """All pairs (I, n) with |I| >= 2, pairwise e >= n and I maximal.
 
     Requires canonical order; raises NotCanonicallyOrdered otherwise
-    (equivalently, some maximal subset would not be an interval).
+    (equivalently, some maximal subset would not be an interval).  A
+    depth-n cluster is a maximal run of consecutive steps e[k][k+1] >= n;
+    one sweep with a stack of open runs emits each when the run ends, in
+    O(d + clusters).  There are sum of max(0, step_k - step_(k-1)) of
+    them, counted first: past MAX_CLUSTERS is SizeLimit.
     """
     if not satisfies_interval_hypothesis(m):
         raise NotCanonicallyOrdered(
             "matrix is not in canonical order; apply canonical_order first"
         )
+    steps = [m.e[k][k + 1] for k in range(m.d - 1)]
+    count = sum(max(0, b - a) for a, b in zip([0] + steps, steps))
+    if count > MAX_CLUSTERS:
+        raise SizeLimit(
+            f"the matrix has {count} clusters, past the cap of {MAX_CLUSTERS}", cap=MAX_CLUSTERS
+        )
     clusters: list[Cluster] = []
-    for n in range(1, m.max_depth() + 1):
-        i = 0
-        while i < m.d:
-            j = i
-            while j + 1 < m.d and m.e[j][j + 1] >= n:
-                j += 1
-            if j > i:
-                clusters.append(Cluster(start=i + 1, length=j - i + 1, depth=n))
-            i = j + 1
+    # Open runs as (first step, depth), depths strictly increasing.
+    stack: list[tuple[int, int]] = []
+    for k, step in enumerate(steps + [0]):
+        first = k
+        while stack and stack[-1][1] > step:
+            first, depth = stack.pop()
+            floor = max(step, stack[-1][1] if stack else 0)
+            # Steps first..k-1 join points first+1..k+1 (1-based).
+            clusters.extend(
+                Cluster(start=first + 1, length=k - first + 1, depth=n)
+                for n in range(floor + 1, depth + 1)
+            )
+        if step > (stack[-1][1] if stack else 0):
+            stack.append((first, step))
     return ClusterForest(m.d, tuple(clusters))
 
 
@@ -105,43 +128,33 @@ def nesting_tree(forest: ClusterForest) -> tuple[TreeNode, ...]:
 
     The parent of (I, n) is the unique deepest cluster whose disk contains
     it: (J, m) with J containing I, m <= n and (J, m) != (I, n); within a
-    fixed interval the depths chain outward.
+    fixed interval the depths chain outward.  Clusters are nested or
+    disjoint, and a cluster strictly inside another is strictly deeper,
+    so in the order (start, -length, depth) the clusters containing one
+    form a stack whose top is its parent: one sweep in O(c log c).
     """
-
-    def parent_of(c: Cluster) -> Optional[Cluster]:
-        containers = [
-            other
-            for other in forest.clusters
-            if other != c and other.contains_interval(c) and other.depth <= c.depth
-        ]
-        if not containers:
-            return None
-        return max(containers, key=lambda o: (o.depth, -o.length))
-
-    children: dict[Cluster, list[Cluster]] = {c: [] for c in forest.clusters}
+    order = sorted(forest.clusters, key=lambda o: (o.start, -o.length, o.depth))
+    children: dict[Cluster, list[Cluster]] = {c: [] for c in order}
     roots: list[Cluster] = []
-    for c in forest.clusters:
-        p = parent_of(c)
-        if p is None:
-            roots.append(c)
-        else:
-            children[p].append(c)
-
-    def build(c: Cluster) -> TreeNode:
+    stack: list[Cluster] = []
+    for c in order:
+        while stack and stack[-1].end < c.start:
+            stack.pop()
+        (children[stack[-1]] if stack else roots).append(c)
+        stack.append(c)
+    # Bottom-up, children before parents: chains are as long as the depth.
+    nodes: dict[Cluster, TreeNode] = {}
+    for c in reversed(order):
         kids = sorted(children[c], key=lambda o: (o.start, o.depth))
-        return TreeNode(c, tuple(build(k) for k in kids))
-
-    return tuple(build(r) for r in sorted(roots, key=lambda o: (o.start, o.depth)))
+        nodes[c] = TreeNode(c, tuple(nodes[k] for k in kids))
+    return tuple(nodes[r] for r in sorted(roots, key=lambda o: (o.start, o.depth)))
 
 
 def tree_to_text(roots: tuple[TreeNode, ...]) -> str:
     lines: list[str] = []
-
-    def walk(node: TreeNode, indent: int) -> None:
+    todo = [(r, 0) for r in reversed(roots)]
+    while todo:  # preorder, without recursion: chains are as long as the depth
+        node, indent = todo.pop()
         lines.append("  " * indent + str(node.cluster))
-        for child in node.children:
-            walk(child, indent + 1)
-
-    for r in roots:
-        walk(r, 0)
+        todo.extend((child, indent + 1) for child in reversed(node.children))
     return "\n".join(lines)

@@ -8,12 +8,16 @@ here touches floating point.
 The matrix computes its canonical leaf order once, on construction, and
 validates the ultrametric rule along it in O(d^2); ``canonical_order``,
 ``satisfies_interval_hypothesis`` and the cluster layer read that order.
+``canonical_order`` permutes the validated matrix without validating it
+again: permuting indices keeps every entry and every triple, so the rules
+still hold, and the least canonical order of the result is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 
 from .errors import (
@@ -104,6 +108,14 @@ def padic_valuation(x: Fraction, p: int) -> int:
     return v
 
 
+def _is_array(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _is_array_of_arrays(value: Any) -> bool:
+    return _is_array(value) and all(_is_array(row) for row in value)
+
+
 @dataclass(frozen=True)
 class BranchInput:
     """Validated branch-point data in one of the three input modes."""
@@ -153,8 +165,9 @@ class BranchInput:
 
     def _check_series(self) -> None:
         self._check_common_size(len(self.points))
-        if self.truncation is None or self.truncation < 1:
-            raise InvalidInput("series mode requires truncation T >= 1")
+        t = self.truncation
+        if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+            raise InvalidInput(f"series mode requires an integer truncation T >= 1, got {_echo(t)}")
         for idx, coeffs in enumerate(self.points, start=1):
             if len(coeffs) != self.truncation:
                 raise InvalidInput(
@@ -173,6 +186,7 @@ class BranchInput:
         for i, row in enumerate(self.matrix):
             if len(row) != d:
                 raise InvalidInput(f"matrix row {i + 1} has length {len(row)}, expected {d}")
+        for i, row in enumerate(self.matrix):
             for j, v in enumerate(row):
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise InvalidInput(f"matrix entry ({i + 1},{j + 1}) must be a nonnegative integer")
@@ -196,22 +210,20 @@ class BranchInput:
             raise InvalidInput(f"p must be an integer, got {_echo(p)}")
         if mode == "padic":
             pts = obj.get("points")
-            if not isinstance(pts, Sequence) or isinstance(pts, (str, bytes)):
+            if not _is_array(pts):
                 raise InvalidInput("padic mode requires a points array")
             points: tuple = tuple(parse_rational(x) for x in pts)
             return cls(mode=mode, p=p, points=points)
         if mode == "series":
             pts = obj.get("points")
-            if not isinstance(pts, Sequence) or not all(
-                isinstance(row, Sequence) and not isinstance(row, (str, bytes)) for row in pts
-            ):
+            if not _is_array_of_arrays(pts):
                 raise InvalidInput("series mode requires an array of coefficient arrays")
             points = tuple(tuple(parse_rational(c) for c in row) for row in pts)
             truncation = obj.get("truncation")
             return cls(mode=mode, p=p, points=points, truncation=truncation)
         mat = obj.get("matrix")
-        if not isinstance(mat, Sequence):
-            raise InvalidInput("matrix mode requires a matrix array")
+        if not _is_array_of_arrays(mat):
+            raise InvalidInput("matrix mode requires a matrix array of arrays")
         matrix = tuple(tuple(v for v in row) for row in mat)
         return cls(mode=mode, p=p, matrix=matrix)
 
@@ -264,6 +276,16 @@ class IntersectionMatrix:
             for b, c in zip(order[p + 1 :], order[p + 2 :]):
                 if self.e[a][c] != min(self.e[a][b], self.e[b][c]):
                     self._raise_first_violation()
+
+    @classmethod
+    def _trusted(cls, e: tuple[tuple[int, ...], ...]) -> "IntersectionMatrix":
+        """A matrix already known to be a valid ultrametric (zero diagonal)
+        in canonical order, built without ``__post_init__``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "d", len(e))
+        object.__setattr__(m, "e", e)
+        object.__setattr__(m, "order", tuple(range(1, len(e) + 1)))
+        return m
 
     def _raise_first_violation(self) -> None:
         for i in range(self.d):
@@ -332,17 +354,18 @@ def satisfies_interval_hypothesis(m: IntersectionMatrix) -> bool:
     return m.order == tuple(range(1, m.d + 1))
 
 
+def _permuted_rows(m: IntersectionMatrix, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows of m with position k holding original index sigma[k-1] (1-based)."""
+    idx = [s - 1 for s in sigma]
+    pick = itemgetter(*idx)  # d >= 2, so pick returns a tuple
+    return tuple(pick(m.e[i]) for i in idx)
+
+
 def reindex(m: IntersectionMatrix, sigma: Sequence[int]) -> IntersectionMatrix:
     """Reindexed matrix; new position k holds original index sigma[k-1] (1-based)."""
     if sorted(sigma) != list(range(1, m.d + 1)):
         raise InvalidInput(f"{sigma} is not a permutation of 1..{m.d}")
-    return IntersectionMatrix(
-        m.d,
-        tuple(
-            tuple(m.e[sigma[i] - 1][sigma[j] - 1] for j in range(m.d))
-            for i in range(m.d)
-        ),
-    )
+    return IntersectionMatrix(m.d, _permuted_rows(m, sigma))
 
 
 def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list[list[int]]:
@@ -371,5 +394,10 @@ def canonical_order(m: IntersectionMatrix) -> tuple[tuple[int, ...], Intersectio
     indices in their new order; among all valid leaf orders of the nesting
     tree, sigma is the lexicographically least, so an already-valid matrix
     gets the identity.
+
+    The reindexed matrix is not validated again, as ``reindex`` would: a
+    permutation of a validated ultrametric is still symmetric, nonnegative
+    and ultrametric, and since sigma is the least canonical order, the
+    identity is the reindexed matrix's own.
     """
-    return m.order, reindex(m, m.order)
+    return m.order, IntersectionMatrix._trusted(_permuted_rows(m, m.order))

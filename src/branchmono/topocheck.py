@@ -610,6 +610,21 @@ class _Tracker:
         return letters, start
 
 
+def _double(x: Fraction, what: str, **details: Any) -> float:
+    """x as a double for the tracker.  A value past the largest double, or
+    a nonzero one that rounds to 0.0 (which the tracker would report as a
+    collision), is SizeLimit."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if f == 0.0 and x != 0:
+        raise SizeLimit(
+            f"{what} is outside the range of a double (magnitude 2^-1074 to 2^1024)", **details
+        )
+    return f
+
+
 def track_braid(
     w: WitnessFamily,
     samples: Optional[int] = None,
@@ -633,9 +648,17 @@ def track_braid(
     generators (this is not an inner-automorphism ambiguity).
     """
     sample_count = w.samples if samples is None else check_samples(samples)
-    coeffs = [[float(c) for c in p] for p in w.polys]
-    z0 = w.z0.to_complex()
-    base = [v.to_complex() for v in w.values_at_z0()]
+    coeffs = [
+        [_double(c, f"coefficient {k} of strand {i}", strand=i, coefficient=k) for k, c in enumerate(p)]
+        for i, p in enumerate(w.polys, start=1)
+    ]
+    z0 = complex(_double(w.z0.re, "Re z0", field="z0"), _double(w.z0.im, "Im z0", field="z0"))
+    base = []
+    for i, v in enumerate(w.values_at_z0(), start=1):
+        try:
+            base.append(v.to_complex())
+        except OverflowError:
+            raise SizeLimit(f"a_{i}(z0) is past the range of a double", strand=i) from None
     scale = max(1.0, max(abs(p) for p in base))
     last_error: Optional[_NeedsRotation] = None
     for rotation in range(max_rotations):

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from branchmono import cli
 from branchmono.topocheck import MAX_SAMPLES
+from conftest import random_ultrametric_entries
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -298,6 +300,48 @@ def test_verify_topology_mismatch_keeps_report():
     assert json.loads(out.stderr)["error"] == "MONODROMY_MISMATCH"
 
 
+@pytest.mark.parametrize(
+    "coefficient",
+    ["1" + "0" * 400, "1/1" + "0" * 400],
+    ids=["overflows", "underflows_to_zero"],
+)
+def test_verify_topology_coefficient_outside_double_range(coefficient, tmp_path):
+    """A double cannot hold 10^400, and 10^-400 would become 0.0 and look
+    like a collision: both are refused before any tracking."""
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(
+        {"coefficients": [["0"], [coefficient]], "eta": "1/8", "r": "1/16", "z0": ["3/64", "0"]}
+    ))
+    out = run_cli("verify-topology", "--family", str(path))
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1
+    assert out.stdout == ""
+    err = json.loads(out.stderr)
+    assert err["error"] == "SIZE_LIMIT"
+    assert err["details"] == {"strand": 2, "coefficient": 0}
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["c401", "cyclic 401", "d201", "c" + "9" * 5000, "table"],
+    ids=["c401", "cyclic_401", "d201", "c_5000_digits", "table_file"],
+)
+def test_orbits_group_past_order_cap(group, tmp_path):
+    from branchmono.quotients import MAX_GROUP_ORDER
+
+    if group == "table":
+        # cap + 1 rows, each empty: the order is refused before any row is read.
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"name": "big", "table": [[]] * (MAX_GROUP_ORDER + 1)}))
+        group = str(path)
+    out = run_cli("orbits", "--group", group, "--input", str(DATA / "example1.json"))
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1
+    err = json.loads(out.stderr)
+    assert err["error"] == "SIZE_LIMIT"
+    assert err["details"]["cap"] == MAX_GROUP_ORDER
+
+
 # Generated witness families, canonical and in label order more often than
 # not, and then mutated: any field may be dropped or replaced by a value of
 # the wrong type, and any row by a non-array.
@@ -374,3 +418,117 @@ def test_verify_topology_never_raises(doc, samples):
     assert code in (0, 1)
     if code == 1:
         assert "error" in json.loads(err.getvalue())
+
+
+# Generated branch inputs in all three modes, and group files, mutated the
+# same way: a field dropped or replaced by a value of the wrong type (bools
+# and huge integers among them), or one point, row or entry replaced.
+HUGE = st.integers(10**30, 10**60) | st.integers(-(10**60), -(10**30))
+POINTS = st.one_of(
+    st.integers(-8, 8),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-8, 8), st.integers(1, 9)),
+    HUGE,
+)
+
+
+@st.composite
+def branch_documents(draw):
+    mode = draw(st.sampled_from(["padic", "series", "matrix"]))
+    d = draw(st.sampled_from([1, 2, 3, 3, 4, 4, 5, 6]))
+    doc = {"mode": mode}
+    if mode == "padic":
+        doc["p"] = draw(st.sampled_from([2, 2, 3, 3, 5, 7, 2**61 - 1, 4, 1, 0]))
+        doc["points"] = draw(st.lists(POINTS, min_size=d, max_size=d, unique=True))
+    elif mode == "series":
+        t = draw(st.integers(1, 3))
+        doc["truncation"] = draw(st.sampled_from([t, t, t, 0, t + 1]))
+        doc["points"] = draw(
+            st.lists(st.lists(POINTS, min_size=t, max_size=t), min_size=d, max_size=d, unique_by=str)
+        )
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        doc["matrix"] = random_ultrametric_entries(rng, d, draw(st.integers(1, 4)))
+    mutation = draw(st.sampled_from(["none"] * 4 + ["drop", "replace", "element", "deepen"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if mutation == "deepen" and mode == "matrix" and d >= 2:
+        # Still an ultrametric, but one pair (and the clusters) very deep.
+        i = draw(st.integers(0, d - 2))
+        doc["matrix"][i][i + 1] = doc["matrix"][i + 1][i] = draw(HUGE.map(abs) | st.integers(5, 12_000))
+    elif mutation == "drop":
+        del doc[key]
+    elif mutation == "replace":
+        doc[key] = draw(BAD_VALUES | HUGE)
+    elif mutation == "element":
+        rows = doc.get("points", doc.get("matrix"))
+        i = draw(st.integers(0, len(rows) - 1))
+        if isinstance(rows[i], list) and rows[i] and draw(st.booleans()):
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(BAD_VALUES | HUGE)
+        else:
+            rows[i] = draw(BAD_VALUES | HUGE)
+    return doc
+
+
+@st.composite
+def group_specs(draw, tmp):
+    """A builtin name, or a path to a group file written into ``tmp``."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["c2", "c3", "s3", "d4", "q8", "a4", "c0", "s9", "c401", "nope"]))
+    n = draw(st.sampled_from([1, 2, 3, 4]))
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    doc = {"name": "K", "table": table}
+    mutation = draw(st.sampled_from(["none"] * 3 + ["entry", "row", "table", "name", "drop"]))
+    if mutation == "entry":
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(BAD_VALUES | HUGE | st.integers(-2, 5))
+    elif mutation == "row":
+        table[draw(st.integers(0, n - 1))] = draw(BAD_VALUES)
+    elif mutation in ("table", "name"):
+        doc[mutation] = draw(BAD_VALUES | HUGE)
+    elif mutation == "drop":
+        del doc["table"]
+    path = Path(tmp) / "group.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_main_in_process(argv):
+    """(exit code, stderr) of ``cli.main``; exceptions propagate."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            return exc.code, ""
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    doc=branch_documents(),
+    command=st.sampled_from(["clusters", "present", "orbits"]),
+    fmt=st.sampled_from([None, "text", "json", "relators", "csv"]),
+    extra=st.lists(
+        st.sampled_from([
+            ("--p", "0"), ("--p", "3"), ("--p", "4"), ("--p", "-7"), ("--p", str(10**30)),
+            ("--max-tuples", "0"), ("--max-tuples", "-1"), ("--max-tuples", "100000"),
+            ("--no-surjective-only",), ("--threads", "0"),
+        ]),
+        max_size=2,
+    ),
+    data=st.data(),
+)
+def test_branch_commands_never_raise(doc, command, fmt, extra, data):
+    """Exit 0, exit 1 with an error JSON on stderr, or a usage error (2);
+    never an exception out of ``cli.main``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--input", str(path)]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        if command == "orbits":
+            argv += ["--group", data.draw(group_specs(tmp))]
+            argv += [arg for option in extra for arg in option]
+        code, err = run_main_in_process(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "error" in json.loads(err)

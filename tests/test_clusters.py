@@ -2,8 +2,16 @@
 
 import pytest
 
-from branchmono.clusters import Cluster, ClusterForest, compute_clusters, nesting_tree, tree_to_text
-from branchmono.errors import IntervalOutOfRange, NotCanonicallyOrdered
+from branchmono.clusters import (
+    MAX_CLUSTERS,
+    Cluster,
+    ClusterForest,
+    TreeNode,
+    compute_clusters,
+    nesting_tree,
+    tree_to_text,
+)
+from branchmono.errors import IntervalOutOfRange, NotCanonicallyOrdered, SizeLimit
 from branchmono.intersection import IntersectionMatrix
 from conftest import brute_force_clusters, random_ultrametric_matrix
 
@@ -151,3 +159,75 @@ def test_forest_sorted_deterministically(rng):
         forest = compute_clusters(random_ultrametric_matrix(rng, 6, 4))
         keys = [(c.depth, c.start) for c in forest.clusters]
         assert keys == sorted(keys)
+
+
+# -- the one-sweep forms against the per-depth scan they replaced -----------
+
+def scan_clusters(m: IntersectionMatrix) -> tuple[Cluster, ...]:
+    """Maximal runs of steps >= n, one pass per depth n."""
+    out = []
+    for n in range(1, m.max_depth() + 1):
+        i = 0
+        while i < m.d:
+            j = i
+            while j + 1 < m.d and m.e[j][j + 1] >= n:
+                j += 1
+            if j > i:
+                out.append(Cluster(start=i + 1, length=j - i + 1, depth=n))
+            i = j + 1
+    return ClusterForest(m.d, tuple(out)).clusters
+
+
+def scan_tree(forest: ClusterForest) -> tuple[TreeNode, ...]:
+    """Each parent found by a scan of all clusters."""
+
+    def parent_of(c):
+        containers = [
+            o for o in forest.clusters
+            if o != c and o.contains_interval(c) and o.depth <= c.depth
+        ]
+        return max(containers, key=lambda o: (o.depth, -o.length)) if containers else None
+
+    children = {c: [] for c in forest.clusters}
+    roots = []
+    for c in forest.clusters:
+        p = parent_of(c)
+        (roots if p is None else children[p]).append(c)
+
+    def build(c):
+        kids = sorted(children[c], key=lambda o: (o.start, o.depth))
+        return TreeNode(c, tuple(build(k) for k in kids))
+
+    return tuple(build(r) for r in sorted(roots, key=lambda o: (o.start, o.depth)))
+
+
+def test_oracle_sweep_matches_per_depth_scan(rng):
+    for _ in range(300):
+        m = random_ultrametric_matrix(rng, rng.randint(2, 16), rng.randint(1, 6))
+        forest = compute_clusters(m)
+        assert forest.clusters == scan_clusters(m)
+        assert nesting_tree(forest) == scan_tree(forest)
+
+
+def test_cluster_cap_counted_before_enumeration():
+    # Steps 0, 1, 0 (one cluster), then a pair at depth cap + 1: refused
+    # before any of them is built; the cap itself is not run here.
+    steps = {(0, 1): 1, (2, 3): MAX_CLUSTERS}
+    e = [[0] * 4 for _ in range(4)]
+    for (i, j), v in steps.items():
+        e[i][j] = e[j][i] = v
+    with pytest.raises(SizeLimit) as info:
+        compute_clusters(IntersectionMatrix(4, tuple(map(tuple, e))))
+    assert info.value.details == {"cap": MAX_CLUSTERS}
+    with pytest.raises(SizeLimit):
+        compute_clusters(IntersectionMatrix(2, ((0, 10**30), (10**30, 0))))
+
+
+def test_deep_chain_has_no_recursion_limit():
+    depth = 3000
+    forest = compute_clusters(IntersectionMatrix(2, ((0, depth), (depth, 0))))
+    assert len(forest) == depth
+    text = tree_to_text(nesting_tree(forest))
+    lines = text.split("\n")
+    assert len(lines) == depth
+    assert lines[-1] == "  " * (depth - 1) + f"({{1..2}}, {depth})"

@@ -199,11 +199,44 @@ def test_canonical_order_idempotent(rng):
         assert m3 == m2
 
 
+def test_oracle_unvalidated_reorder_matches_validated(rng):
+    """canonical_order builds its matrix without validating it again; a
+    validated construction of the same rows must agree on every entry, and
+    its own canonical order must be the identity that the trusted one holds."""
+    for trial in range(120):
+        m = random_ultrametric_matrix(rng, rng.randint(2, 24), rng.randint(1, 5))
+        if trial % 3:
+            m = shuffled(m, rng)
+        sigma, fast = canonical_order(m)
+        rows = tuple(tuple(m.e[s - 1][t - 1] for t in sigma) for s in sigma)
+        checked = IntersectionMatrix(m.d, rows)
+        assert fast.d == checked.d
+        assert fast.e == checked.e
+        assert fast.order == checked.order == tuple(range(1, m.d + 1))
+        assert reindex(m, sigma).e == fast.e
+
+
 # -- input checks and the one-pass validation ------------------------------
 
 def test_matrix_row_length_checked_before_diagonal():
     with pytest.raises(InvalidInput, match="row 1 has wrong length"):
         IntersectionMatrix(3, ((0, 1), (1, 0, 0), (0, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "matrix", "matrix": [None]},
+        {"mode": "matrix", "matrix": "ab"},
+        {"mode": "matrix", "matrix": [[0, 0], []]},
+        {"mode": "series", "truncation": "", "points": [[0], [1]]},
+        {"mode": "series", "truncation": True, "points": [[0], [1]]},
+    ],
+    ids=["row-not-array", "string-matrix", "later-row-short", "string-truncation", "bool-truncation"],
+)
+def test_malformed_shapes_are_invalid_input(doc):
+    with pytest.raises(InvalidInput):
+        compute_matrix(BranchInput.from_json_dict(doc))
 
 
 def test_matrix_rejects_bool_entries():

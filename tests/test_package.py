@@ -1,0 +1,132 @@
+"""The package surface: lazy public names, the modules each subcommand
+imports, and the CLI names that callers may replace."""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import branchmono
+from branchmono import cli
+
+DATA = Path(__file__).parent / "data"
+
+# Layers a subcommand must not load: `clusters` stops at the cluster
+# layer, and `present` adds only the monodromy and the free group.
+LATER_LAYERS = ("monodromy", "freegroup", "_kernels", "quotients", "topocheck", "braid")
+NOT_FOR_PRESENT = ("quotients", "topocheck", "braid")
+
+
+def test_every_public_name_resolves():
+    for name in branchmono.__all__:
+        assert getattr(branchmono, name) is not None, name
+    assert branchmono.kernel_backend in ("pure", "cython")
+    assert branchmono.__version__ == "0.1.0"
+    assert set(branchmono.__all__) <= set(dir(branchmono))
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from branchmono import *", namespace)
+    assert set(branchmono.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError):
+        branchmono.no_such_name
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def _imported_modules(*argv):
+    """The package modules a fresh process has imported after running the
+    CLI with ``argv``."""
+    script = (
+        "import sys\n"
+        "from branchmono.cli import main\n"
+        "try:\n"
+        f"    main({list(argv)!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules if m.startswith('branchmono')), file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    return set(eval(out.stderr.strip().splitlines()[-1]))
+
+
+def test_clusters_imports_no_later_layer():
+    loaded = _imported_modules("clusters", "--input", str(DATA / "example1.json"))
+    assert {"branchmono.cli", "branchmono.intersection", "branchmono.clusters"} <= loaded
+    for layer in LATER_LAYERS:
+        assert f"branchmono.{layer}" not in loaded, layer
+
+
+def test_version_imports_no_more_than_clusters():
+    loaded = _imported_modules("--version")
+    assert loaded <= _imported_modules("clusters", "--input", str(DATA / "example1.json"))
+
+
+def test_present_imports_only_the_monodromy_layers():
+    loaded = _imported_modules("present", "--input", str(DATA / "example1.json"))
+    assert {"branchmono.monodromy", "branchmono.freegroup", "branchmono._kernels"} <= loaded
+    for layer in NOT_FOR_PRESENT:
+        assert f"branchmono.{layer}" not in loaded, layer
+
+
+# Each name the benchmark's tracer replaces on ``cli``, with a command
+# that must call the replacement.
+PATCHABLE = [
+    ("compute_matrix", ["clusters", "--input", str(DATA / "example1.json")]),
+    ("canonical_order", ["clusters", "--input", str(DATA / "example1.json")]),
+    ("compute_clusters", ["clusters", "--input", str(DATA / "example1.json")]),
+    ("nesting_tree", ["clusters", "--input", str(DATA / "example2_p3_m1.json")]),
+    ("tree_to_text", ["clusters", "--input", str(DATA / "example2_p3_m1.json")]),
+    ("emit_presentation", ["present", "--input", str(DATA / "example1.json")]),
+    ("monodromy_automorphism", ["orbits", "--group", "s3", "--input", str(DATA / "example1.json")]),
+    ("load_group", ["orbits", "--group", "s3", "--input", str(DATA / "example1.json")]),
+    ("moduli_report", ["orbits", "--group", "s3", "--input", str(DATA / "example1.json")]),
+    ("verify_separation", ["verify-topology", "--family", str(DATA / "family_3pt.json")]),
+    ("verify_cluster_bound", ["verify-topology", "--family", str(DATA / "family_3pt.json")]),
+]
+
+
+@pytest.mark.parametrize("name, argv", PATCHABLE, ids=[n for n, _ in PATCHABLE])
+def test_cli_names_are_patchable(name, argv, monkeypatch):
+    original = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert calls, f"cli.{name} was resolved but the command did not call it"
+
+
+def test_max_tuples_default_is_the_library_cap(monkeypatch):
+    from branchmono.quotients import DEFAULT_TUPLE_CAP
+
+    seen = {}
+    original = cli.moduli_report
+
+    def spy(*args, **kwargs):
+        seen["cap"] = kwargs["cap"]
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "moduli_report", spy)
+    argv = ["orbits", "--group", "s3", "--input", str(DATA / "example1.json"), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    json.loads(out.getvalue())
+    assert seen["cap"] == DEFAULT_TUPLE_CAP
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--max-tuples", "12345678"]) == 0
+    assert seen["cap"] == 12345678

@@ -18,6 +18,7 @@ from branchmono.freegroup import FreeAutomorphism, FreeWord, compose, inner
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
     DEFAULT_TUPLE_CAP,
+    MAX_GROUP_ORDER,
     FiniteGroup,
     canonical_class,
     center,
@@ -46,6 +47,23 @@ def test_builtin_aliases():
         load_group("s6")
     with pytest.raises(UnknownBuiltin):
         load_group("monster")
+
+
+def test_group_order_cap():
+    """The cap is checked before a table is built or scanned: every table
+    below has cap + 1 empty rows, which a scan would call NotAGroup."""
+    assert load_group("d100").order == 200
+    rows = [[]] * (MAX_GROUP_ORDER + 1)
+    for make in (
+        lambda: FiniteGroup("big", tuple(tuple(r) for r in rows)),
+        lambda: load_group({"table": rows}),
+        lambda: load_group(f"c{MAX_GROUP_ORDER + 1}"),
+        lambda: load_group(f"d{MAX_GROUP_ORDER // 2 + 1}"),
+        lambda: load_group("s" + "9" * 5000),
+    ):
+        with pytest.raises(SizeLimit) as info:
+            make()
+        assert info.value.details == {"cap": MAX_GROUP_ORDER}
 
 
 def test_load_group_from_dict():

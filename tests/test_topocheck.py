@@ -547,3 +547,20 @@ def test_coefficients_must_be_array_of_arrays(coefficients):
         doc["coefficients"] = coefficients
     with pytest.raises(InvalidInput, match="array of arrays"):
         WitnessFamily.from_json_dict(doc)
+
+
+def test_tracker_refuses_values_outside_double_range():
+    """Where the exact family does not fit the tracker's doubles, the error
+    names what does not fit, before any tracking."""
+    huge = F(10**400)
+    cases = [
+        (((F(0),), (huge,)), F(1, 16), RationalComplex(F(3, 64)), {"strand": 2, "coefficient": 0}),
+        (((F(0),), (F(0), F(1, 10**400))), F(1, 16), RationalComplex(F(3, 64)), {"strand": 2, "coefficient": 1}),
+        (((F(0),), (F(1),)), huge, RationalComplex(huge * 3 / 4), {"field": "z0"}),
+        (((F(0),), (F(10**308), F(10**308))), F(16), RationalComplex(F(10)), {"strand": 2}),
+    ]
+    for polys, r, z0, details in cases:
+        w = WitnessFamily(polys=polys, eta=F(1, 8), r=r, z0=z0, samples=64)
+        with pytest.raises(SizeLimit) as info:
+            track_braid(w)
+        assert info.value.details == details
