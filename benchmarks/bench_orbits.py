@@ -1,0 +1,169 @@
+"""Per-layer cost of `orbits`: group load, enumeration plus generation
+filter, delta permutation, JSON emission, and the whole command.
+
+Run from the root of a source checkout:
+
+    python benchmarks/bench_orbits.py --label change
+    python benchmarks/bench_orbits.py --label parent --src OTHER_CHECKOUT/src
+
+Each case is `orbits --group G --p 7 --format json` on fixed 7-adic
+points: the first five inputs of perfbench's `orbits` pool (one per
+group), then A5 and S5 at d = 4 and the order-200 dihedral group `d100`
+at d = 3.  The package under ``--src`` (default: this checkout's ``src``)
+is imported into this process, and each layer is timed by calling the
+public function that the command calls:
+
+- ``load_group``: ``quotients.load_group``;
+- ``enumerate``: ``quotients.enumerate_classes`` with the generation filter;
+- ``delta``: ``quotients.delta_on_class`` on every class;
+- ``emit``: the report's JSON as the command writes it to stdout
+  (``OrbitReport.write_json`` where it exists, else ``json.dumps`` of
+  ``to_json_dict()``), here to devnull;
+- ``command``: ``cli.main`` in this process, stdout to devnull;
+- ``process``: a fresh ``python -c`` process calling ``cli.main``, which
+  adds interpreter start-up and imports (user plus system CPU, from wait4).
+
+Times are CPU seconds, the median of REPEATS runs, each scaled by 0.2 s
+over the CPU time of the calibration work of ``perfbench/reference.py``
+right after it, which measures the machine's speed at that moment.  A
+``process`` run is scaled as perfbench scales it, by a fresh process of
+``reference.py`` (interpreter start-up included); an in-process layer by
+``reference.work()`` in this process, so the two kinds of figure are not
+in the same unit.  The results merge into ``BENCH_7.json`` under the
+label.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference.py"
+sys.path.append(str(REFERENCE.parent))
+import reference  # noqa: E402
+REFERENCE_S = 0.2  # as perfbench/run.py
+REPEATS = 5
+P = 7
+
+# (group, 7-adic points); the first five are perfbench's orbits pool cases 0-4.
+CASES = (
+    ("s3", (7, 311, 191, 152, 324, 89, 115)),
+    ("d5", (55, 180, 236, 330, 282, 243)),
+    ("a4", (21, 7, 108, 260, 228)),
+    ("s4", (97, 85, 208, 290)),
+    ("a5", (142, 46, 274)),
+    ("a5", (142, 46, 274, 97)),
+    ("s5", (142, 46, 274, 97)),
+    ("d100", (142, 46, 274)),
+)
+
+LAUNCH = """\
+import sys
+from branchmono.cli import main
+sys.exit(main())
+"""
+
+
+def cpu_seconds(argv: list[str], env: dict[str, str]) -> float:
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env, cwd=ROOT)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"{argv} failed")
+    return usage.ru_utime + usage.ru_stime
+
+
+def scaled_cpu(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.process_time()
+        fn()
+        mid = time.process_time()
+        reference.work()
+        times.append((mid - start) * REFERENCE_S / (time.process_time() - mid))
+    return statistics.median(times)
+
+
+def emit_json(report, out) -> None:
+    """The report's JSON as the command writes it."""
+    if hasattr(report, "write_json"):
+        report.write_json(out)
+    else:  # a checkout from before OrbitReport.write_json
+        print(json.dumps(report.to_json_dict(), indent=2), file=out)
+
+
+def measure(src: Path, group: str, points: tuple[int, ...], path: str) -> dict:
+    from branchmono import cli, quotients
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    argv = ["orbits", "--group", group, "--input", path, "--p", str(P), "--format", "json"]
+
+    g = quotients.load_group(group)
+    _, _, _, forest = cli._pipeline(path)
+    aut = cli.monodromy_automorphism(forest)
+    classes = quotients.enumerate_classes(g, aut.d, surjective_only=True)
+    report = quotients.moduli_report(g, aut, p=P)
+    with open(os.devnull, "w") as devnull:
+        with contextlib.redirect_stdout(devnull):
+            layers = {
+                "load_group": scaled_cpu(lambda: quotients.load_group(group)),
+                "enumerate": scaled_cpu(
+                    lambda: quotients.enumerate_classes(g, aut.d, surjective_only=True)
+                ),
+                "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, aut, g) for c in classes]),
+                "emit": scaled_cpu(lambda: emit_json(report, devnull)),
+                "command": scaled_cpu(lambda: cli.main(argv)),
+            }
+    process = statistics.median(
+        cpu_seconds(["-c", LAUNCH, *argv], env) * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)
+        for _ in range(REPEATS)
+    )
+    return {
+        "group": group,
+        "d": len(points),
+        "classes": report.class_count,
+        "layers_s": {name: round(t, 5) for name, t in layers.items()},
+        "process_s": round(process, 4),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for group, points in CASES:
+            path = os.path.join(tmp, f"{group}-{len(points)}.json")
+            with open(path, "w") as out:
+                json.dump({"mode": "padic", "p": P, "points": list(points)}, out)
+            name = f"{group} d={len(points)}"
+            results[name] = r = measure(src, group, points, path)
+            layers = "  ".join(f"{k} {v * 1000:.2f} ms" for k, v in r["layers_s"].items())
+            print(f"{args.label:>8} {name:<10} {r['classes']:>7} classes  {layers}  process {r['process_s']:.4f} s")
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+        "cases": results,
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -117,7 +118,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     if args.format == "csv":
         print("\n".join(report.to_csv_lines()))
     elif args.format == "json":
-        _emit_json(report.to_json_dict())
+        report.write_json(sys.stdout)
     else:
         print(f"group {report.group_name} (order {report.group_order}), d = {report.d}, p = {report.p}")
         print(f"classes: {report.class_count} (surjective_only = {report.surjective_only})")
@@ -213,9 +214,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BranchMonoError as exc:
         sys.stderr.write(json.dumps(exc.to_json_dict()) + "\n")
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (`... | head -1`).  As the signal module's
+        # documentation advises, point stdout at devnull so that the flush
+        # at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -35,7 +35,11 @@ ECHO_LIMIT = 40
 
 
 def _echo(value: Any) -> str:
-    text = repr(value)
+    """repr(value), or str(value) for a Fraction, cut to ECHO_LIMIT characters."""
+    try:
+        text = str(value) if isinstance(value, Fraction) else repr(value)
+    except ValueError:  # an integer past the interpreter's limit for str()
+        return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} chars)"
 
 

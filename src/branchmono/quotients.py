@@ -7,19 +7,23 @@ least tuple in the orbit.  The classes are generated directly in
 canonical form, one coordinate at a time under the centraliser of the
 prefix (orderly generation), so enumeration costs about (number of
 classes) × |G|.  The monodromy automorphism acts by evaluating its image
-words at the tuple, and the moduli degree of a class is the length of its
-orbit under that action, which the corollary under test bounds by the
-exponent of G/Z(G).  The generation filter computes subgroup closures by
-a breadth-first search over the generators.
+words at the tuple, one table lookup per letter, and re-canonicalising
+the image from the conjugations that take its first coordinate to its
+least conjugate, which the group precomputes.  The moduli degree of a
+class is the length of its orbit under that action, which the corollary
+under test bounds by the exponent of G/Z(G).  The generation filter
+computes subgroup closures by a breadth-first search over the generators.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 from . import _kernels
 from .errors import (
@@ -35,10 +39,15 @@ from .errors import (
 from .freegroup import FreeAutomorphism
 
 DEFAULT_TUPLE_CAP = 10_000_000
-# Largest group order accepted.  Validating a Cayley table checks
-# associativity on all n^3 triples: about 3.5 s at the cap (order 400) and
-# 0.5 s for the built-in d100 (order 200), on Python 3.11 on one core.
+# Largest group order accepted; the Cayley table and the conjugation table
+# hold n^2 entries each.  Building a group costs O(n^2 log n): the
+# table checks, the conjugation data, and Light's associativity test at
+# O(n^2) per generator of a greedy generating set, which for a group has
+# at most log2 n elements (about 30 ms for an order-400 table on Python
+# 3.11, against 1.8 s for the check of all n^3 triples it replaces).
 MAX_GROUP_ORDER = 400
+# Classes per write of OrbitReport.write_json.
+JSON_CHUNK = 4096
 
 
 def check_group_order(n: int) -> None:
@@ -49,55 +58,112 @@ def check_group_order(n: int) -> None:
         )
 
 
+def associativity_failure(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """A triple (a, b, c) with (ab)c != a(bc) in a latin square with
+    identity 0, or None if there is none: Light's test.
+
+    The middle elements b for which (ab)c = a(bc) holds for all a and c
+    are closed under products and include 0, so it suffices to check b in
+    a set whose products, formed by right multiplication in the table
+    itself, reach every element.  The set is chosen greedily: each element
+    not yet reached becomes a generator.  The search costs O(n) per
+    generator and the check O(n^2) per generator, against O(n^3) for all
+    triples.
+    """
+    rows = [tuple(row) for row in table]
+    n = len(rows)
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    gens: list[int] = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        gens.append(x)
+        # What was reached times the new generator, then every generator
+        # on what that reaches: each element meets each generator once.
+        fresh = []
+        for a in reached:
+            c = rows[a][x]
+            if not seen[c]:
+                seen[c] = True
+                fresh.append(c)
+        for a in fresh:  # grows while it is read
+            row = rows[a]
+            for b in gens:
+                c = row[b]
+                if not seen[c]:
+                    seen[c] = True
+                    fresh.append(c)
+        reached += fresh
+    for b in gens:
+        tb = rows[b]
+        for a, ta in enumerate(rows):
+            ab = rows[ta[b]]
+            if ab != tuple(map(ta.__getitem__, tb)):
+                return a, b, next(c for c in range(n) if ab[c] != ta[tb[c]])
+    return None
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as a Cayley table over 0..n-1 with 0 the identity.
 
     The table is fully validated on construction (identity, latin square,
-    inverses, associativity); anything else raises NotAGroup.
+    inverses, associativity); anything else raises NotAGroup.  The
+    conjugation data that canonical forms read is built once here:
+
+    - ``conj[h][x]`` = h^-1 x h;
+    - ``least[x]``, the least conjugate of x;
+    - ``reach[x]``, the rows ``conj[h]`` that take x to ``least[x]``, one
+      per inner automorphism (conjugators that differ by a central element
+      have the same row).
     """
 
     name: str
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...] = field(init=False)
+    conj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    least: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    reach: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.table)
         check_group_order(n)
         if n == 0:
             raise NotAGroup("empty table")
+        elements = list(range(n))
         for i, row in enumerate(self.table):
             if len(row) != n:
                 raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise NotAGroup(f"entry {v!r} in row {i} out of range")
-            if sorted(row) != list(range(n)):
+            if set(map(type, row)) != {int}:
+                for v in row:
+                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                        raise NotAGroup(f"entry {v!r} in row {i} out of range")
+            if sorted(row) != elements:
                 raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            col = [self.table[i][j] for i in range(n)]
-            if sorted(col) != list(range(n)):
+        cols = tuple(zip(*self.table))
+        for j, col in enumerate(cols):
+            if sorted(col) != elements:
                 raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
+        if list(self.table[0]) != elements or list(cols[0]) != elements:
+            raise NotAGroup("0 is not a two-sided identity")
+        inv = [row.index(0) for row in self.table]
         for g in range(n):
-            if self.table[0][g] != g or self.table[g][0] != g:
-                raise NotAGroup("0 is not a two-sided identity")
-        inv = [-1] * n
-        for g in range(n):
-            for h in range(n):
-                if self.table[g][h] == 0:
-                    inv[g] = h
-                    break
-            if inv[g] < 0 or self.table[inv[g]][g] != 0:
+            if self.table[inv[g]][g] != 0:
                 raise NotAGroup(f"element {g} has no two-sided inverse")
-        for a in range(n):
-            ta = self.table[a]
-            for b in range(n):
-                tab = ta[b]
-                tb = self.table[b]
-                for c in range(n):
-                    if self.table[tab][c] != ta[tb[c]]:
-                        raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+        failure = associativity_failure(self.table)
+        if failure:
+            raise NotAGroup("associativity fails at ({},{},{})".format(*failure))
+        # conj[h][x] = h^-1 x h = (column h)[(row h^-1)[x]]
+        conj = tuple(tuple(map(cols[h].__getitem__, self.table[inv[h]])) for h in range(n))
+        inner = tuple(dict.fromkeys(conj))
+        least = tuple(map(min, zip(*inner)))
+        reach = tuple(tuple(row for row in inner if row[x] == least[x]) for x in range(n))
         object.__setattr__(self, "inverse", tuple(inv))
+        object.__setattr__(self, "conj", conj)
+        object.__setattr__(self, "least", least)
+        object.__setattr__(self, "reach", reach)
 
     @property
     def order(self) -> int:
@@ -115,7 +181,15 @@ class FiniteGroup:
 
     def conjugate(self, g: int, h: int) -> int:
         """h^-1 g h."""
-        return self.table[self.table[self.inverse[h]][g]][h]
+        return self.conj[h][g]
+
+    def canonical(self, tup: Sequence[int]) -> tuple[int, ...]:
+        """The lexicographically least tuple in the simultaneous-conjugation
+        orbit of ``tup``.  Only the rows in ``reach[tup[0]]`` give the least
+        first coordinate, so only their images are compared."""
+        if len(tup) < 2:  # itemgetter of one index returns an entry, not a 1-tuple
+            return tuple(self.least[x] for x in tup)
+        return min(map(itemgetter(*tup), self.reach[tup[0]]))
 
     def closure(self, gens: Iterable[int]) -> frozenset[int]:
         """The subgroup generated by ``gens``: a breadth-first search from
@@ -166,10 +240,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
     perms.sort()
     index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[x]] for x in range(len(p)))] for q in perms)
-        for p in perms
-    )
+    table = tuple(tuple(index[tuple(map(p.__getitem__, q))] for q in perms) for p in perms)
     return FiniteGroup(name, table)
 
 
@@ -321,7 +392,7 @@ class CoverClass:
 
 
 def canonical_class(g: FiniteGroup, tup: Sequence[int]) -> CoverClass:
-    return CoverClass(_kernels.canonical_tuple(g.table, g.inverse, tuple(tup)))
+    return CoverClass(g.canonical(tup))
 
 
 def enumerate_classes(
@@ -353,26 +424,30 @@ def enumerate_classes(
         )
     reps = _kernels.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order)
     if surjective_only:
-        cache: dict[tuple[int, ...], bool] = {}
-
-        def gen_ok(rep: tuple[int, ...]) -> bool:
-            key = tuple(sorted(set(rep)))
-            if key not in cache:
-                cache[key] = g.generates(key)
-            return cache[key]
-
-        reps = {rep for rep in reps if gen_ok(rep)}
-    return tuple(CoverClass(rep) for rep in sorted(reps))
+        # One closure per distinct element set.
+        keys = list(map(frozenset, reps))
+        verdict = {key: g.generates(key) for key in set(keys)}
+        reps = itertools.compress(reps, map(verdict.__getitem__, keys))
+    return tuple(map(CoverClass, sorted(reps)))
 
 
 def delta_on_class(c: CoverClass, a: FreeAutomorphism, g: FiniteGroup) -> CoverClass:
-    """Evaluate the automorphism's image words at the tuple and re-canonicalize."""
-    if a.d != c.d:
-        raise DimensionMismatch(f"automorphism rank {a.d} != tuple length {c.d}")
-    new = tuple(
-        _kernels.evaluate_word(g.table, g.inverse, c.rep, w.letters) for w in a.images
-    )
-    return canonical_class(g, new)
+    """Evaluate the automorphism's image words at the tuple by table
+    lookups and re-canonicalize."""
+    rep = c.rep
+    if a.d != len(rep):
+        raise DimensionMismatch(f"automorphism rank {a.d} != tuple length {len(rep)}")
+    table = g.table
+    # value[k] is the element the letter k stands for: rep[k - 1] for
+    # k > 0 and, read from the end, its inverse for k < 0.
+    value = [0, *rep, *map(g.inverse.__getitem__, reversed(rep))]
+    new = []
+    for w in a.images:
+        acc = 0
+        for k in w.letters:
+            acc = table[acc][value[k]]
+        new.append(acc)
+    return CoverClass(g.canonical(new))
 
 
 def moduli_degree(c: CoverClass, a: FreeAutomorphism, g: FiniteGroup) -> int:
@@ -411,6 +486,15 @@ class OrbitReport:
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
+            **self._head(),
+            "classes": [
+                {"rep": list(c.rep), "degree": deg} for c, deg in self.degrees
+            ],
+        }
+
+    def _head(self) -> dict[str, Any]:
+        """The JSON document without its "classes" member."""
+        return {
             "schema": "branchmono/1",
             "kind": "orbits",
             "group": self.group_name,
@@ -423,10 +507,23 @@ class OrbitReport:
             "class_count": self.class_count,
             "max_degree": self.max_degree,
             "all_degrees_divide_exponent": self.all_divide,
-            "classes": [
-                {"rep": list(c.rep), "degree": deg} for c, deg in self.degrees
-            ],
         }
+
+    def write_json(self, out: TextIO) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline
+        to ``out``: the same bytes, with each class block formatted straight
+        from its tuple and written JSON_CHUNK classes at a time."""
+        head = json.dumps({**self._head(), "classes": []}, indent=2)
+        if not self.degrees:
+            out.write(head + "\n")
+            return
+        rep = ",\n".join(["        %d"] * self.d)
+        block = '    {\n      "rep": [\n' + rep + '\n      ],\n      "degree": %d\n    }'
+        out.write(head[: -len("]\n}")] + "\n")
+        for start in range(0, len(self.degrees), JSON_CHUNK):
+            blocks = [block % (c.rep + (deg,)) for c, deg in self.degrees[start : start + JSON_CHUNK]]
+            out.write((",\n" if start else "") + ",\n".join(blocks))
+        out.write("\n  ]\n}\n")
 
     def to_csv_lines(self) -> list[str]:
         lines = ["class,representative,degree"]
@@ -456,15 +553,14 @@ def moduli_report(
         )
     classes = enumerate_classes(g, a.d, surjective_only=surjective_only, cap=cap, threads=threads)
     index = {c.rep: i for i, c in enumerate(classes)}
-    succ = []
-    for c in classes:
-        image = delta_on_class(c, a, g)
-        if image.rep not in index:
-            raise UnsupportedForm(
-                "delta image left the enumerated class set; the automorphism "
-                "does not preserve the product-one/generation constraints"
-            )
-        succ.append(index[image.rep])
+    images = [delta_on_class(c, a, g).rep for c in classes]
+    try:
+        succ = [index[rep] for rep in images]
+    except KeyError:
+        raise UnsupportedForm(
+            "delta image left the enumerated class set; the automorphism "
+            "does not preserve the product-one/generation constraints"
+        ) from None
     degrees = [0] * len(classes)
     seen = [False] * len(classes)
     for start in range(len(classes)):

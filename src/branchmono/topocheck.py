@@ -38,6 +38,7 @@ from .freegroup import FreeAutomorphism, FreeWord, is_inner_shift
 from .intersection import (
     BranchInput,
     IntersectionMatrix,
+    _echo,
     compute_matrix,
     format_rational,
     parse_rational,
@@ -135,13 +136,13 @@ class WitnessFamily:
         if len(set(self.polys)) != len(self.polys):
             raise InvalidInput("witness polynomials must be pairwise distinct")
         if self.eta < 0:
-            raise InvalidInput("eta must be nonnegative")
+            raise InvalidInput(f"eta must be nonnegative, got {_echo(self.eta)}")
         if self.r <= 0:
-            raise InvalidInput("r must be positive")
+            raise InvalidInput(f"r must be positive, got {_echo(self.r)}")
         a2 = self.z0.abs2()
         if not (self.r * self.r / 4 < a2 < self.r * self.r):
             raise InvalidInput(
-                f"z0 must satisfy r/2 < |z0| < r; got |z0|^2 = {a2}, r = {self.r}"
+                f"z0 must satisfy r/2 < |z0| < r; got |z0|^2 = {_echo(a2)}, r = {_echo(self.r)}"
             )
         check_samples(self.samples)
 

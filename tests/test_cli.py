@@ -532,3 +532,46 @@ def test_branch_commands_never_raise(doc, command, fmt, extra, data):
     assert code in (0, 1, 2)
     if code == 1:
         assert "error" in json.loads(err)
+
+
+# -- orbits output stream ------------------------------------------------------
+
+ORBITS_S3_D7 = '{"mode": "padic", "p": 7, "points": [7, 311, 191, 152, 324, 89, 115]}'
+
+
+@pytest.mark.parametrize("surjective", ["--surjective-only", "--no-surjective-only"])
+@pytest.mark.parametrize("group, points", [("s3", [0, 3, 1, 2]), ("s3", [0, 7]), ("d4", [0, 7, 1])])
+def test_orbits_json_is_json_dumps_of_the_report(group, points, surjective, tmp_path, capsys):
+    from branchmono.quotients import load_group, moduli_report
+
+    src = tmp_path / "points.json"
+    src.write_text(json.dumps({"mode": "padic", "p": 5 if group == "s3" else 3, "points": points}))
+    assert cli.main(["orbits", "--group", group, "--input", str(src), surjective, "--format", "json"]) == 0
+    _, _, _, forest = cli._pipeline(str(src))
+    report = moduli_report(
+        load_group(group),
+        cli.monodromy_automorphism(forest),
+        p=5 if group == "s3" else 3,
+        surjective_only=surjective == "--surjective-only",
+    )
+    assert capsys.readouterr().out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_exits_1_without_traceback(fmt, tmp_path):
+    """A reader that stops after the first line (`| head -1`): the command
+    exits 1 and writes nothing to stderr."""
+    src = tmp_path / "points.json"
+    src.write_text(ORBITS_S3_D7)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "branchmono.cli", "orbits", "--group", "s3", "--input", str(src),
+         "--p", "7", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()  # the output is far longer than a pipe buffer
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""

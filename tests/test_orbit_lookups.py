@@ -1,0 +1,230 @@
+"""The table-lookup path of `orbits` against slow oracles: the conjugation
+data of FiniteGroup, its canonical form, the delta permutation, the
+streamed JSON report and Light's associativity test."""
+
+import io
+import itertools
+import json
+
+import pytest
+
+from branchmono import _kernels, quotients
+from branchmono.clusters import Cluster, ClusterForest
+from branchmono.errors import NotAGroup, UnsupportedForm
+from branchmono.freegroup import FreeAutomorphism, FreeWord
+from branchmono.monodromy import monodromy_automorphism
+from branchmono.quotients import (
+    FiniteGroup,
+    associativity_failure,
+    delta_on_class,
+    enumerate_classes,
+    load_group,
+    moduli_report,
+)
+from test_quotients import find_nonassociative_loop
+
+# Every built-in family member up to order 24.
+SMALL_GROUPS = (
+    "c1", "c2", "c3", "c5", "c6", "c7", "d3", "d4", "d5", "d6", "d12", "q8",
+    "s1", "s2", "s3", "s4", "a3", "a4",
+)
+
+
+def conjugate(g: FiniteGroup, x: int, h: int) -> int:
+    """h^-1 x h straight from the table."""
+    return g.table[g.table[g.inverse[h]][x]][h]
+
+
+def brute_force_canonical(g: FiniteGroup, tup) -> tuple:
+    return min(tuple(conjugate(g, x, h) for x in tup) for h in range(g.order))
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS + ("a5", "s5"))
+def test_conjugation_data_matches_the_table(name):
+    g = load_group(name)
+    n = g.order
+    for h in range(n):
+        assert g.conj[h] == tuple(conjugate(g, x, h) for x in range(n))
+    for x in range(n):
+        images = [conjugate(g, x, h) for h in range(n)]
+        assert g.least[x] == min(images)
+        reaching = {g.conj[h] for h in range(n) if images[h] == g.least[x]}
+        assert len(g.reach[x]) == len(reaching) and set(g.reach[x]) == reaching, (name, x)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_canonical_is_the_least_conjugate(name, rng):
+    g = load_group(name)
+    assert g.canonical(()) == ()
+    for x in range(g.order):
+        assert g.canonical((x,)) == (g.least[x],)
+    for d in (2, 3, 4):
+        for _ in range(60):
+            tup = tuple(rng.randrange(g.order) for _ in range(d))
+            least = brute_force_canonical(g, tup)
+            assert g.canonical(tup) == least, (name, tup)
+            assert g.canonical(list(tup)) == least
+            assert _kernels.canonical_tuple(g.table, g.inverse, tup) == least
+
+
+def random_automorphisms(rng, d: int) -> list:
+    """The monodromy of two random cluster forests, and two endomorphisms
+    with random image words (delta is defined on classes for any of them)."""
+    auts = []
+    for _ in range(2):
+        clusters = []
+        for depth in range(1, 3):
+            start = rng.randint(1, d - 1)
+            clusters.append(Cluster(start, rng.randint(2, d - start + 1), depth))
+        auts.append(monodromy_automorphism(ClusterForest(d, tuple(clusters))))
+    for _ in range(2):
+        words = (
+            [rng.choice((-1, 1)) * rng.randint(1, d) for _ in range(rng.randint(0, 6))]
+            for _ in range(d)
+        )
+        images = tuple(FreeWord(tuple(w)) for w in words)
+        auts.append(FreeAutomorphism(d, images))
+    return auts
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_delta_matches_word_evaluation_oracle(name, rng):
+    g = load_group(name)
+    for d in (2, 3, 4):
+        classes = enumerate_classes(g, d)
+        for aut in random_automorphisms(rng, d):
+            for c in classes:
+                new = tuple(
+                    _kernels.evaluate_word(g.table, g.inverse, c.rep, w.letters) for w in aut.images
+                )
+                want = _kernels.canonical_tuple(g.table, g.inverse, new)
+                assert delta_on_class(c, aut, g).rep == want, (name, d, c.rep, aut)
+
+
+def test_moduli_report_refuses_images_outside_the_class_set():
+    g = load_group("s3")
+    squares = FreeAutomorphism(3, (FreeWord((1, 1)), FreeWord((2,)), FreeWord((3,))))
+    with pytest.raises(UnsupportedForm):
+        moduli_report(g, squares, surjective_only=False)
+
+
+def report_cases():
+    for name in SMALL_GROUPS:
+        for d in (2, 3, 4):
+            for surjective_only in (True, False):
+                yield name, d, surjective_only
+
+
+def twist(d: int) -> FreeAutomorphism:
+    return monodromy_automorphism(ClusterForest(d, (Cluster(1, 2, 1),)))
+
+
+def streamed(report) -> str:
+    out = io.StringIO()
+    report.write_json(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("chunk", (quotients.JSON_CHUNK, 1, 3))
+def test_streamed_json_is_json_dumps(chunk, monkeypatch):
+    monkeypatch.setattr(quotients, "JSON_CHUNK", chunk)
+    empty = 0
+    for name, d, surjective_only in report_cases():
+        g = load_group(name)
+        report = moduli_report(g, twist(d), p=0, surjective_only=surjective_only)
+        empty += report.class_count == 0
+        assert streamed(report) == json.dumps(report.to_json_dict(), indent=2) + "\n", (
+            name, d, surjective_only,
+        )
+    report = moduli_report(load_group("s3"), twist(2), surjective_only=True)
+    assert report.class_count == 0 and empty > 0
+    assert streamed(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def test_streamed_json_escapes_the_group_name_and_spans_chunks():
+    g = load_group({"name": 'K"é\\\n', "table": load_group("s3").table})
+    report = moduli_report(g, twist(7), p=7)
+    assert report.class_count > quotients.JSON_CHUNK
+    assert streamed(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+# -- Light's associativity test ----------------------------------------------
+
+def cubic_failures(table) -> set:
+    n = len(table)
+    return {
+        (a, b, c)
+        for a, b, c in itertools.product(range(n), repeat=3)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    }
+
+
+def random_loop(rng, n: int) -> tuple:
+    """A random latin square on 0..n-1 whose row and column 0 are the
+    identity: a loop, rarely a group."""
+    table = [[-1] * n for _ in range(n)]
+    table[0] = list(range(n))
+    for i in range(n):
+        table[i][0] = i
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        used = set(table[r][:c]) | {table[i][c] for i in range(r)}
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            table[r][c] = v
+            if fill(k + 1):
+                return True
+        table[r][c] = -1
+        return False
+
+    assert fill(0)
+    return tuple(tuple(row) for row in table)
+
+
+def test_light_test_agrees_with_the_cubic_check(rng):
+    tables = [find_nonassociative_loop()]
+    tables += [random_loop(rng, n) for n in (2, 3, 4, 5, 6, 7) for _ in range(25)]
+    tables += [load_group(name).table for name in SMALL_GROUPS]
+    failing = 0
+    for table in tables:
+        failures = cubic_failures(table)
+        got = associativity_failure(table)
+        assert (got is None) == (not failures), table
+        if got is not None:
+            failing += 1
+            assert got in failures, table
+    assert failing > 50  # loops of order 4 or less are groups
+
+
+def test_light_test_checks_every_generator():
+    """C3 x loop5, element (c, l) at index c + 3l: the first generator the
+    greedy search picks, (1, e), lies in the nucleus, so only a later
+    generator exposes a failing triple."""
+    loop = find_nonassociative_loop()
+    table = tuple(
+        tuple((a % 3 + b % 3) % 3 + 3 * loop[a // 3][b // 3] for b in range(15)) for a in range(15)
+    )
+    assert all(
+        table[table[a][1]][c] == table[a][table[1][c]] for a in range(15) for c in range(15)
+    )
+    assert associativity_failure(table) in cubic_failures(table)
+
+
+def test_not_a_group_names_a_failing_triple():
+    table = find_nonassociative_loop()
+    with pytest.raises(NotAGroup) as info:
+        FiniteGroup("loop5", table)
+    triple = tuple(int(x) for x in str(info.value).split("(")[1].rstrip(")").split(","))
+    assert triple in cubic_failures(table)
+
+
+def test_light_test_accepts_list_rows():
+    table = [list(row) for row in load_group("s3").table]
+    assert associativity_failure(table) is None
+    loop = [list(row) for row in find_nonassociative_loop()]
+    assert associativity_failure(loop) in cubic_failures(loop)

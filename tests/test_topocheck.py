@@ -16,6 +16,7 @@ from branchmono.errors import (
     UnresolvedCrossing,
 )
 from branchmono.freegroup import is_inner_shift
+from branchmono.intersection import ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.topocheck import (
     MAX_SAMPLES,
@@ -71,6 +72,22 @@ def test_family_validation():
         family_3pt(z0=RationalComplex(F(1, 40)))  # |z0| < r/2
     with pytest.raises(InvalidInput):
         WitnessFamily(polys=((F(0),), (F(0), F(0))), **PARAMS)  # duplicates after trim
+
+
+@pytest.mark.parametrize(
+    "eta, r, z0",
+    [
+        ("1/8", "1" + "0" * 310, ["1" + "0" * 309, "0"]),  # |z0|^2 has 619 digits
+        ("1/8", "1", ["1" + "0" * 3000, "0"]),  # past int-to-str's digit limit
+        ("-1" + "0" * 3000, "1/64", ["1/100", "0"]),
+        ("1/8", "-1" + "0" * 3000, ["1/100", "0"]),
+    ],
+)
+def test_family_errors_echo_bounded_values(eta, r, z0):
+    doc = {"coefficients": [["0"], ["1"]], "eta": eta, "r": r, "z0": z0}
+    with pytest.raises(InvalidInput) as info:
+        WitnessFamily.from_json_dict(doc)
+    assert len(str(info.value)) < 2 * ECHO_LIMIT + 100
 
 
 def test_family_requires_canonical_order():
