@@ -35,8 +35,8 @@ _EXPORTS = {
         "verify_separation",
     ),
 }
-# name -> (submodule, attribute); the kernel backend is exported under
-# another name than the one its module gives it.
+# name -> (submodule, attribute); `kernel_backend` is the kernel module's
+# `BACKEND` under another name.
 _SOURCE = {name: (module, name) for module, names in _EXPORTS.items() for name in names}
 _SOURCE["kernel_backend"] = ("_kernels", "BACKEND")
 

@@ -1,21 +1,15 @@
-"""Pure-Python kernels: free-word reduction/substitution and Cayley-table
-tuple operations.
+"""Kernels: free-word reduction/substitution and Cayley-table tuple
+operations.
 
-These are the hot inner loops of the package.  A compiled Cython twin with
-the same signatures lives in ``_fast.pyx``; the package selects one at
-import time (see ``__init__``).  Everything here works on plain ints,
-lists and tuples so both backends are interchangeable.
+These are the hot inner loops of the package, in plain Python on ints,
+lists and tuples.  Words are sequences of signed generator indices (+i
+the i-th generator, -i its inverse); groups are Cayley tables with
+element 0 the identity.
 
-The two tuple kernels work by different algorithms from the compiled
-twin: the class enumeration here is an orderly generator and the
-canonical form minimises one coordinate at a time, where the twin
-canonicalises every product-one tuple under every conjugator.  The pure
-enumeration is the faster one, so the package uses it on every backend;
-the twin's enumeration serves only as a reference for the parity tests.
-The two enumerations agree on the whole range [0, |G|) and on the union
-over any partition of it, but not chunk by chunk: a chunk here holds the
-classes whose canonical first coordinate lies in the range, the twin's
-chunk every class with some member whose first coordinate does.
+``freegroup`` reduces and substitutes words here, and ``quotients``
+enumerates cover classes with ``product_one_classes_chunk``.
+``evaluate_word`` and ``canonical_tuple`` are the direct definitions that
+``quotients``' precomputed lookups are tested against.
 """
 
 from __future__ import annotations

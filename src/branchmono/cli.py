@@ -113,7 +113,6 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         p=p,
         surjective_only=args.surjective_only,
         cap=_cli.DEFAULT_TUPLE_CAP if args.max_tuples is None else args.max_tuples,
-        threads=args.threads,
     )
     if args.format == "csv":
         print("\n".join(report.to_csv_lines()))

@@ -400,7 +400,6 @@ def enumerate_classes(
     d: int,
     surjective_only: bool = False,
     cap: int = DEFAULT_TUPLE_CAP,
-    threads: int = 1,
 ) -> tuple[CoverClass, ...]:
     """All product-one d-tuple classes, optionally only generating ones.
 
@@ -410,10 +409,10 @@ def enumerate_classes(
     still bounds |G|^(d-1): SizeLimit is raised when it is exceeded, so the
     same inputs are refused as by an exhaustive walk.
 
-    ``threads`` is accepted for compatibility and ignored: the walk's cost
-    is about the size of its output, so worker processes spend as much on
-    sending their class sets back as they save (measured slower with two
-    processes even on evenly split 10^6-class inputs).
+    The walk is serial: its cost is about the size of its output, so worker
+    processes spend as much on sending their class sets back as they save
+    (measured slower with two processes even on evenly split 10^6-class
+    inputs).
     """
     if d < 2:
         raise InvalidInput(f"need d >= 2, got {d}")
@@ -539,7 +538,6 @@ def moduli_report(
     p: int = 0,
     surjective_only: bool = True,
     cap: int = DEFAULT_TUPLE_CAP,
-    threads: int = 1,
 ) -> OrbitReport:
     """Per-class moduli degrees plus the divisibility verdict.
 
@@ -551,7 +549,7 @@ def moduli_report(
         raise PrimeToPViolation(
             f"|{g.name}| = {g.order} is not prime to p = {p}", group=g.name, p=p
         )
-    classes = enumerate_classes(g, a.d, surjective_only=surjective_only, cap=cap, threads=threads)
+    classes = enumerate_classes(g, a.d, surjective_only=surjective_only, cap=cap)
     index = {c.rep: i for i, c in enumerate(classes)}
     images = [delta_on_class(c, a, g).rep for c in classes]
     try:

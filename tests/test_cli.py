@@ -4,7 +4,6 @@ determinism, and stable error codes for every fixture."""
 import contextlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -231,14 +230,6 @@ def test_hostile_json_is_invalid_input(kind, tmp_path):
     assert "Traceback" not in out.stderr
     assert out.returncode == 1
     assert json.loads(out.stderr)["error"] == "INVALID_INPUT"
-
-
-def test_pure_backend_cli_agrees():
-    env = dict(os.environ, BRANCHMONO_PURE="1")
-    args = [sys.executable, "-m", "branchmono.cli", "present", "--input", str(DATA / "example2_p3_m1.json")]
-    pure_out = subprocess.run(args, capture_output=True, text=True, env=env)
-    assert pure_out.returncode == 0
-    assert pure_out.stdout == (GOLDEN / "example2_p3_m1_present.txt").read_text()
 
 
 MALFORMED_GROUP_FILES = [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from branchmono import _kernels
 from branchmono.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -50,12 +51,17 @@ def naive_apply(images, word):
     return naive_reduce(out)
 
 
+def random_letters(rng, d, length):
+    return [rng.choice([-1, 1]) * rng.randint(1, d) for _ in range(length)]
+
+
 # -- reduction ---------------------------------------------------------------
 
 def test_reduce_examples():
     assert reduce_word([1, -1]).letters == ()
     assert reduce_word([1, 2, -2, 1]).letters == (1, 1)
     assert reduce_word([2, 1, -1, -2, 3]).letters == (3,)
+    assert _kernels.reduce_word([]) == []
 
 
 def test_reduce_range_check():
@@ -115,6 +121,15 @@ def test_apply_examples():
     assert got == FreeWord((1, 2, -1, 2))
 
 
+def test_substitute_matches_naive_apply(rng):
+    assert _kernels.substitute([(1,), (2,)], []) == []
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        images = [tuple(random_letters(rng, d, rng.randint(0, 5))) for _ in range(d)]
+        word = random_letters(rng, d, rng.randint(0, 12))
+        assert _kernels.substitute(images, word) == naive_apply(images, word), (images, word)
+
+
 def test_twist_fixes_interval_product():
     # conjugation of x1, x2 by x1*x2 fixes the product x1*x2
     conj = FreeWord((1, 2))
@@ -144,7 +159,7 @@ def test_dimension_mismatch():
 def _random_conjugating_automorphism(rng, d):
     images = []
     for i in range(1, d + 1):
-        u = FreeWord(tuple(rng.choice([-1, 1]) * rng.randint(1, d) for _ in range(rng.randint(0, 3))))
+        u = FreeWord(tuple(random_letters(rng, d, rng.randint(0, 3))))
         images.append(FreeWord.generator(i).conjugated_by(u))
     return FreeAutomorphism(d, tuple(images))
 
@@ -154,7 +169,7 @@ def test_apply_respects_composition(rng):
         d = rng.randint(2, 4)
         a = _random_conjugating_automorphism(rng, d)
         b = _random_conjugating_automorphism(rng, d)
-        w = FreeWord(tuple(rng.choice([-1, 1]) * rng.randint(1, d) for _ in range(rng.randint(0, 8))))
+        w = FreeWord(tuple(random_letters(rng, d, rng.randint(0, 8))))
         assert compose(a, b).apply(w) == a.apply(b.apply(w))
 
 

@@ -1,7 +1,9 @@
 """The table-lookup path of `orbits` against slow oracles: the conjugation
-data of FiniteGroup, its canonical form, the delta permutation, the
-streamed JSON report and Light's associativity test."""
+data of FiniteGroup, its canonical form, the delta permutation (and the
+word evaluation it is checked against), the streamed JSON report and
+Light's associativity test."""
 
+import functools
 import io
 import itertools
 import json
@@ -85,6 +87,19 @@ def random_automorphisms(rng, d: int) -> list:
         images = tuple(FreeWord(tuple(w)) for w in words)
         auts.append(FreeAutomorphism(d, images))
     return auts
+
+
+def test_evaluate_word_folds_the_table(rng):
+    c3 = load_group("c3")
+    assert _kernels.evaluate_word(c3.table, c3.inverse, (1, 2), []) == 0
+    for name in ("s3", "d4", "q8", "a4"):
+        g = load_group(name)
+        for _ in range(50):
+            tup = tuple(rng.randrange(g.order) for _ in range(4))
+            word = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 8))]
+            elements = [tup[x - 1] if x > 0 else g.inverse[tup[-x - 1]] for x in word]
+            want = functools.reduce(lambda acc, x: g.table[acc][x], elements, 0)
+            assert _kernels.evaluate_word(g.table, g.inverse, tup, word) == want, (name, tup, word)
 
 
 @pytest.mark.parametrize("name", SMALL_GROUPS)

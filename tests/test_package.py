@@ -24,7 +24,7 @@ NOT_FOR_PRESENT = ("quotients", "topocheck", "braid")
 def test_every_public_name_resolves():
     for name in branchmono.__all__:
         assert getattr(branchmono, name) is not None, name
-    assert branchmono.kernel_backend in ("pure", "cython")
+    assert branchmono.kernel_backend == "pure"
     assert branchmono.__version__ == "0.1.0"
     assert set(branchmono.__all__) <= set(dir(branchmono))
 
