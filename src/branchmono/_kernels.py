@@ -1,12 +1,11 @@
-"""Kernels: free-word reduction/substitution and Cayley-table tuple
-operations.
+"""Kernels: free-word reduction and Cayley-table tuple operations.
 
 These are the hot inner loops of the package, in plain Python on ints,
 lists and tuples.  Words are sequences of signed generator indices (+i
 the i-th generator, -i its inverse); groups are Cayley tables with
 element 0 the identity.
 
-``freegroup`` reduces and substitutes words here, and ``quotients``
+``FreeWord``'s constructor reduces every word here, and ``quotients``
 enumerates cover classes with ``product_one_classes_chunk``.
 ``evaluate_word`` and ``canonical_tuple`` are the direct definitions that
 ``quotients``' precomputed lookups are tested against.
@@ -31,26 +30,6 @@ def reduce_word(letters: Sequence[int]) -> list[int]:
             out.pop()
         else:
             out.append(x)
-    return out
-
-
-def substitute(images: Sequence[Sequence[int]], word: Sequence[int]) -> list[int]:
-    """Apply a generator-wise substitution to ``word`` and reduce.
-
-    ``images[i]`` is the (reduced) image word of generator i+1; the letter
-    -(i+1) receives the reversed, negated image.
-    """
-    out: list[int] = []
-    for letter in word:
-        if letter > 0:
-            seq = images[letter - 1]
-        else:
-            seq = [-x for x in reversed(images[-letter - 1])]
-        for x in seq:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
     return out
 
 
@@ -101,6 +80,8 @@ def product_one_classes_chunk(
     d: int,
     first_lo: int,
     first_hi: int,
+    *,
+    conj: Sequence[Sequence[int]],
 ) -> set[tuple[int, ...]]:
     """Canonical representatives of the product-one d-tuple classes whose
     canonical first coordinate lies in [first_lo, first_hi).  Chunks over
@@ -116,13 +97,12 @@ def product_one_classes_chunk(
     that product, so it passes the same test.  Each class is reached once,
     and the accepted children are computed once per distinct stabiliser,
     so the walk costs O(d) per canonical prefix plus O(|G|·|S|) per
-    distinct S.
+    distinct S.  ``conj[h][x]`` is h^-1 x h, the group's conjugation
+    table.
     """
     if d < 2 or first_lo >= first_hi:
         return set()
-    n = len(inv)
-    conj = [[table[table[inv[h]][x]][h] for x in range(n)] for h in range(n)]
-    elements = tuple(range(n))
+    elements = tuple(range(len(inv)))
     accepted: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
     def children(stab: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:

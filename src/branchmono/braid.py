@@ -4,8 +4,11 @@ The generator b_i acts on loops by x_i -> x_i x_{i+1} x_i^-1 and
 x_{i+1} -> x_i (conjugation inside the larger braid group).  That rule
 extends to words as a group anti-homomorphism; ``braid_action`` turns it
 into a homomorphism by letting the rightmost letter act first, which is
-the single place this convention is fixed.  Equality of braids is always
-tested through the action, never through normal forms.
+the single place this convention is fixed.  So if a braid word sends
+(x_k, x_{k+1}) to (u, v), appending b_k changes only those two images, to
+(u v u^-1, u), and appending b_k^-1 changes them to (v, v^-1 u v).
+Equality of braids is always tested through the action, never through
+normal forms.
 """
 
 from __future__ import annotations
@@ -73,19 +76,6 @@ class BraidWord:
         return f"BraidWord({self.strands}, {format_letters(self.letters, 'b')!r})"
 
 
-def _generator_action(i: int, d: int) -> FreeAutomorphism:
-    """Action of b_i (i > 0) or b_i^-1 (i < 0) on the rank-d free group."""
-    k = abs(i)
-    images = [FreeWord.generator(j) for j in range(1, d + 1)]
-    if i > 0:
-        images[k - 1] = FreeWord((k, k + 1, -k))
-        images[k] = FreeWord.generator(k)
-    else:
-        images[k - 1] = FreeWord.generator(k + 1)
-        images[k] = FreeWord((-(k + 1), k, k + 1))
-    return FreeAutomorphism(d, tuple(images))
-
-
 def braid_action(b: BraidWord, d: Optional[int] = None) -> FreeAutomorphism:
     """The automorphism of the rank-d free group induced by a braid word.
 
@@ -97,12 +87,14 @@ def braid_action(b: BraidWord, d: Optional[int] = None) -> FreeAutomorphism:
     if d != b.strands:
         raise DimensionMismatch(f"braid on {b.strands} strands cannot act on rank {d}")
     images = [FreeWord.generator(j) for j in range(1, d + 1)]
-    # Building compose(acc, letter) left to right keeps each step cheap:
-    # the letter automorphism has images of length <= 3.
     for letter in b.letters:
-        step = _generator_action(letter, d)
-        acc = FreeAutomorphism(d, tuple(images))
-        images = [acc.apply(w) for w in step.images]
+        k = abs(letter) - 1
+        u, v = images[k], images[k + 1]
+        if letter > 0:
+            images[k], images[k + 1] = v.conjugated_by(u), u
+        else:
+            v_inv = tuple(-x for x in reversed(v.letters))
+            images[k], images[k + 1] = v, FreeWord(v_inv + u.letters + v.letters)
     return FreeAutomorphism(d, tuple(images))
 
 

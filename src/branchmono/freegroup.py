@@ -89,7 +89,7 @@ class FreeWord:
 
     def conjugated_by(self, g: "FreeWord") -> "FreeWord":
         """g * self * g^-1."""
-        return FreeWord(g.letters + self.letters + g.inv().letters)
+        return FreeWord(g.letters + self.letters + tuple(-x for x in reversed(g.letters)))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -161,17 +161,18 @@ class FreeAutomorphism:
         return all(w.letters == (i + 1,) for i, w in enumerate(self.images))
 
     def apply(self, w: FreeWord) -> FreeWord:
+        """Substitute each letter's image (reversed and negated for an
+        inverse letter); the constructor reduces the result once."""
         if w.max_index() > self.d:
             raise DimensionMismatch(f"word {w} does not fit in rank {self.d}")
-        raw = _kernels.substitute([img.letters for img in self.images], w.letters)
-        return FreeWord(tuple(raw))
+        letters: list[int] = []
+        for x in w.letters:
+            img = self.images[abs(x) - 1].letters
+            letters.extend(img if x > 0 else (-y for y in reversed(img)))
+        return FreeWord(tuple(letters))
 
     def __str__(self) -> str:
         return ", ".join(f"x{i + 1} -> {w}" for i, w in enumerate(self.images))
-
-
-def apply(a: FreeAutomorphism, w: FreeWord) -> FreeWord:
-    return a.apply(w)
 
 
 def compose(a: FreeAutomorphism, b: FreeAutomorphism) -> FreeAutomorphism:

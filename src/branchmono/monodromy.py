@@ -37,7 +37,7 @@ def monodromy_automorphism(forest: ClusterForest) -> FreeAutomorphism:
     for c in forest.clusters:
         for i in c.indices():
             conj[i - 1].extend(c.indices())
-    images = (FreeWord.generator(i).conjugated_by(FreeWord(tuple(w))) for i, w in enumerate(conj, 1))
+    images = (FreeWord((*w, i, *(-x for x in reversed(w)))) for i, w in enumerate(conj, 1))
     return FreeAutomorphism(forest.d, tuple(images))
 
 

@@ -421,7 +421,7 @@ def enumerate_classes(
         raise SizeLimit(
             f"|G|^(d-1) = {total} exceeds cap {cap}", total=total, cap=cap
         )
-    reps = _kernels.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order)
+    reps = _kernels.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order, conj=g.conj)
     if surjective_only:
         # One closure per distinct element set.
         keys = list(map(frozenset, reps))

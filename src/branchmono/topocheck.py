@@ -95,6 +95,10 @@ def eval_poly(coeffs: Sequence[Fraction], z: RationalComplex) -> RationalComplex
 # strands takes about 1 s at 2^16 samples, and so about 17 s at the cap.
 MAX_SAMPLES = 2**20
 
+# Points on the circle |z| = |z0| at which ``verify_cluster_bound`` checks
+# every cluster's bound.
+BOUND_SAMPLES = 128
+
 
 def check_samples(value: Any, name: str = "samples") -> int:
     """A tracker sample count: an int (not a bool) in [16, MAX_SAMPLES].
@@ -348,7 +352,7 @@ def _max_abs2(coeffs: Sequence[Fraction], points: Sequence[tuple[int, int, int]]
     return Fraction(best_s2, best_n2m * den * den)
 
 
-def verify_cluster_bound(w: WitnessFamily, bound_samples: int = 128) -> GeometryReport:
+def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
     """|a_i(z) - b_{I,n}(z)| < |z|^(n-1) * eta at sampled z with |z| = |z0|,
     for every cluster (I, n) and i in I.
 
@@ -358,7 +362,7 @@ def verify_cluster_bound(w: WitnessFamily, bound_samples: int = 128) -> Geometry
     tail is evaluated once per sample in integers (``_max_abs2``), and the
     worst sample becomes one exact Fraction per record."""
     forest = w.forest()
-    points = _circle_points(w.z0, bound_samples)
+    points = _circle_points(w.z0, BOUND_SAMPLES)
     z0_abs2 = w.z0.abs2()
     records: list[CheckRecord] = []
     for c in forest.clusters:
@@ -421,6 +425,14 @@ def _block_reversals(a: list[int], b: list[int]) -> Optional[list[tuple[int, int
     return blocks
 
 
+def _horner(cs: Sequence[float], z: complex) -> complex:
+    """One strand's position: its float coefficients evaluated at z."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
 @dataclass
 class _Tracker:
     coeffs: list[list[float]]
@@ -432,13 +444,7 @@ class _Tracker:
 
     def positions(self, t: float) -> list[complex]:
         z = self.z0 * cmath.exp(2j * math.pi * t)
-        out = []
-        for cs in self.coeffs:
-            acc = 0j
-            for c in reversed(cs):
-                acc = acc * z + c
-            out.append(acc)
-        return out
+        return [_horner(cs, z) for cs in self.coeffs]
 
     def proj(self, p: complex) -> float:
         return (p * self.frame).real
@@ -488,10 +494,11 @@ class _Tracker:
     def crossing_time(self, left: int, right: int, t_lo: float, t_hi: float) -> float:
         """Bisect for the time in (t_lo, t_hi) where the projection of
         strand right falls below that of strand left."""
+        left_cs, right_cs = self.coeffs[left], self.coeffs[right]
 
         def gap(t: float) -> float:
-            pos = self.positions(t)
-            return self.proj(pos[right]) - self.proj(pos[left])
+            z = self.z0 * cmath.exp(2j * math.pi * t)
+            return self.proj(_horner(right_cs, z)) - self.proj(_horner(left_cs, z))
 
         lo, hi = t_lo, t_hi
         g_lo = gap(lo)

@@ -11,7 +11,7 @@ from branchmono.braid import (
 )
 from branchmono.clusters import Cluster
 from branchmono.errors import DimensionMismatch, IndexOutOfRange, IntervalOutOfRange
-from branchmono.freegroup import FreeWord, compose
+from branchmono.freegroup import FreeAutomorphism, FreeWord, compose
 from branchmono.monodromy import dehn_twist_automorphism
 
 
@@ -58,10 +58,30 @@ def test_adjacent_generators_do_not_commute():
     assert left != right
 
 
-def test_action_is_homomorphism():
+def letter_action(i, d):
+    """Oracle: the automorphism of b_i (i > 0) or b_i^-1 (i < 0), whole."""
+    k = abs(i)
+    images = [FreeWord.generator(j) for j in range(1, d + 1)]
+    if i > 0:
+        images[k - 1] = FreeWord((k, k + 1, -k))
+        images[k] = FreeWord.generator(k)
+    else:
+        images[k - 1] = FreeWord.generator(k + 1)
+        images[k] = FreeWord((-(k + 1), k, k + 1))
+    return FreeAutomorphism(d, tuple(images))
+
+
+def test_action_is_homomorphism(rng):
     u = BraidWord(4, (1, -3, 2))
     v = BraidWord(4, (2, 2, -1))
     assert braid_action(u * v) == compose(braid_action(u), braid_action(v))
+    for _ in range(200):
+        d = rng.randint(2, 7)
+        letters = [rng.choice([-1, 1]) * rng.randint(1, d - 1) for _ in range(rng.randint(0, 40))]
+        expected = FreeAutomorphism.identity(d)
+        for x in letters:
+            expected = compose(expected, letter_action(x, d))
+        assert braid_action(BraidWord(d, tuple(letters))) == expected, (d, letters)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
