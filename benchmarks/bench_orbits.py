@@ -109,7 +109,7 @@ def measure(src: Path, group: str, points: tuple[int, ...], path: str) -> dict:
     argv = ["orbits", "--group", group, "--input", path, "--p", str(P), "--format", "json"]
 
     g = quotients.load_group(group)
-    _, _, _, forest = cli._pipeline(path)
+    forest = cli._pipeline(path)[-1]
     aut = cli.monodromy_automorphism(forest)
     classes = quotients.enumerate_classes(g, aut.d, surjective_only=True)
     report = quotients.moduli_report(g, aut, p=P)

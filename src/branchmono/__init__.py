@@ -18,7 +18,6 @@ _EXPORTS = {
     "intersection": ("BranchInput", "IntersectionMatrix", "canonical_order", "compute_matrix"),
     "monodromy": ("Presentation", "dehn_twist_automorphism", "emit_presentation", "monodromy_automorphism"),
     "quotients": (
-        "CoverClass",
         "FiniteGroup",
         "center_and_exponent",
         "delta_on_class",

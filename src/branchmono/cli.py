@@ -55,16 +55,16 @@ def _emit_json(obj: Any) -> None:
 
 
 def _pipeline(path: str):
-    """input file -> (BranchInput, sigma, reordered matrix, forest)."""
+    """input file -> (BranchInput, sigma, forest)."""
     binput = BranchInput.from_json_dict(read_json(path))
     matrix = compute_matrix(binput)
     sigma, reordered = canonical_order(matrix)
     forest = compute_clusters(reordered)
-    return binput, sigma, reordered, forest
+    return binput, sigma, forest
 
 
 def _cmd_clusters(args: argparse.Namespace) -> int:
-    _, sigma, _, forest = _pipeline(args.input)
+    _, sigma, forest = _pipeline(args.input)
     if args.format == "json":
         _emit_json(
             {
@@ -86,7 +86,7 @@ def _cmd_clusters(args: argparse.Namespace) -> int:
 
 
 def _cmd_present(args: argparse.Namespace) -> int:
-    binput, sigma, _, forest = _pipeline(args.input)
+    binput, sigma, forest = _pipeline(args.input)
     labels = tuple(binput.labels[s - 1] for s in sigma)
     pres = _cli.emit_presentation(
         forest, p=binput.p or 0, point_labels=labels, sigma=sigma
@@ -102,7 +102,7 @@ def _cmd_present(args: argparse.Namespace) -> int:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     group = _cli.load_group(args.group)
-    binput, _, _, forest = _pipeline(args.input)
+    binput, _, forest = _pipeline(args.input)
     aut = _cli.monodromy_automorphism(forest)
     p = args.p if args.p is not None else (binput.p or 0)
     if p != 0 and not is_prime(p):

@@ -183,19 +183,10 @@ class BranchInput:
         # offending pair can be reported with its valuation lower bound.
 
     def _check_matrix(self) -> None:
+        # The entries are checked once, by IntersectionMatrix.
         if self.matrix is None:
             raise InvalidInput("matrix mode requires a matrix")
-        d = len(self.matrix)
-        self._check_common_size(d)
-        for i, row in enumerate(self.matrix):
-            if len(row) != d:
-                raise InvalidInput(f"matrix row {i + 1} has length {len(row)}, expected {d}")
-        for i, row in enumerate(self.matrix):
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise InvalidInput(f"matrix entry ({i + 1},{j + 1}) must be a nonnegative integer")
-                if i != j and v != self.matrix[j][i]:
-                    raise InvalidInput(f"matrix not symmetric at ({i + 1},{j + 1})")
+        self._check_common_size(len(self.matrix))
 
     def _default_labels(self) -> tuple[str, ...]:
         if self.mode == "padic":
@@ -236,9 +227,10 @@ class BranchInput:
 class IntersectionMatrix:
     """Symmetric matrix of pairwise intersection multiplicities.
 
-    Validated on construction: symmetry and the ultrametric two-minima
-    rule (among e_ij, e_ik, e_jk the minimum is attained at least twice).
-    The diagonal is ignored and stored as 0.
+    Validated on construction: every entry a nonnegative integer, symmetry,
+    and the ultrametric two-minima rule (among e_ij, e_ik, e_jk the minimum
+    is attained at least twice).  The diagonal's values are ignored and
+    stored as 0.
 
     ``order`` is the canonical leaf order (1-based), computed once as
     Prim's maximum-spanning order from index 1, least index on ties.  On
@@ -255,19 +247,18 @@ class IntersectionMatrix:
             raise InvalidInput(f"bad matrix shape for d = {self.d}")
         for i, row in enumerate(self.e):
             if len(row) != self.d:
-                raise InvalidInput(f"row {i + 1} has wrong length")
-        rows = tuple(
-            tuple(0 if i == j else self.e[i][j] for j in range(self.d))
-            for i in range(self.d)
-        )
+                raise InvalidInput(f"row {i + 1} has wrong length {len(row)}, expected {self.d}")
+        for i, row in enumerate(self.e):
+            if set(map(type, row)) != {int} or min(row) < 0:
+                for j, v in enumerate(row):
+                    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                        raise InvalidInput(f"entry ({i + 1},{j + 1}) must be a nonnegative integer")
+        rows = tuple((*row[:i], 0, *row[i + 1 :]) for i, row in enumerate(self.e))
+        if rows != tuple(zip(*rows)):
+            d = self.d
+            i, j = next((i, j) for i in range(d) for j in range(i + 1, d) if rows[i][j] != rows[j][i])
+            raise InvalidInput(f"matrix not symmetric at ({i + 1},{j + 1})")
         object.__setattr__(self, "e", rows)
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                v = self.e[i][j]
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise InvalidInput(f"entry ({i + 1},{j + 1}) must be a nonnegative integer")
-                if v != self.e[j][i]:
-                    raise InvalidInput(f"matrix not symmetric at ({i + 1},{j + 1})")
         order, rest, key = [0], list(range(1, self.d)), list(self.e[0])
         while rest:
             order.append(max(rest, key=key.__getitem__))

@@ -3,16 +3,17 @@ field-of-moduli degree bound checked by exhaustion.
 
 A cover class is a d-tuple of group elements with product 1, up to
 simultaneous conjugation; its canonical form is the lexicographically
-least tuple in the orbit.  The classes are generated directly in
-canonical form, one coordinate at a time under the centraliser of the
-prefix (orderly generation), so enumeration costs about (number of
-classes) × |G|.  The monodromy automorphism acts by evaluating its image
-words at the tuple, one table lookup per letter, and re-canonicalising
-the image from the conjugations that take its first coordinate to its
-least conjugate, which the group precomputes.  The moduli degree of a
-class is the length of its orbit under that action, which the corollary
-under test bounds by the exponent of G/Z(G).  The generation filter
-computes subgroup closures by a breadth-first search over the generators.
+least tuple in the orbit, and that tuple stands for the class.  The
+classes are generated directly in canonical form, one coordinate at a
+time under the centraliser of the prefix (orderly generation), so
+enumeration costs about (number of classes) × |G|.  The monodromy
+automorphism acts by evaluating its image words at the tuple, one table
+lookup per letter, and re-canonicalising the image from the conjugations
+that take its first coordinate to its least conjugate, which the group
+precomputes.  The moduli degree of a class is the length of its orbit
+under that action, which the corollary under test bounds by the exponent
+of G/Z(G).  The generation filter computes subgroup closures by a
+breadth-first search over the generators.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
@@ -169,9 +171,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def element_order(self, g: int) -> int:
         k, acc = 1, g
         while acc != 0:
@@ -226,14 +225,14 @@ def dihedral_group(n: int) -> FiniteGroup:
         raise UnknownBuiltin(f"dihedral {n} undefined")
     check_group_order(2 * n)
 
-    def mul(x: int, y: int) -> int:
+    def product(x: int, y: int) -> int:
         a1, b1 = x % n, x // n
         a2, b2 = y % n, y // n
         if b1 == 0:
             return (a1 + a2) % n + n * b2
         return (a1 - a2) % n + n * (1 - b2)
 
-    table = tuple(tuple(mul(i, j) for j in range(2 * n)) for i in range(2 * n))
+    table = tuple(tuple(product(i, j) for j in range(2 * n)) for i in range(2 * n))
     return FiniteGroup(f"D{n}", table)
 
 
@@ -266,8 +265,11 @@ def alternating_group(n: int) -> FiniteGroup:
     return _perm_group(perms, f"A{n}")
 
 
-def quaternion_group() -> FiniteGroup:
-    """Q8 with elements +-1, +-i, +-j, +-k; index 2*basis + sign."""
+def quaternion_group(n: int = 8) -> FiniteGroup:
+    """Q8 with elements +-1, +-i, +-j, +-k; index 2*basis + sign.  Only
+    n = 8 is built in."""
+    if n != 8:
+        raise UnknownBuiltin("only quaternion 8 is built in")
     base = {
         (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
         (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
@@ -275,59 +277,47 @@ def quaternion_group() -> FiniteGroup:
         (3, 0): (0, 3), (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
     }
 
-    def mul(x: int, y: int) -> int:
+    def product(x: int, y: int) -> int:
         e1, s1 = x // 2, x % 2
         e2, s2 = y // 2, y % 2
         s, e = base[(e1, e2)]
         return 2 * e + (s1 ^ s2 ^ s)
 
-    table = tuple(tuple(mul(i, j) for j in range(8)) for i in range(8))
+    table = tuple(tuple(product(i, j) for j in range(8)) for i in range(8))
     return FiniteGroup("Q8", table)
 
 
-_BUILTIN_PREFIXES = {
+# A family name, then an optional space (and any further whitespace), then
+# decimal digits.  ``\d`` matches exactly the digits that int() parses, so
+# names such as "c²" are unknown rather than an int() failure.  Each
+# family's spellings share their first letter, which keys its constructor.
+_BUILTIN_NAME = re.compile(
+    r"(cyclic|c|z|dihedral|d|symmetric|s|alternating|a|quaternion|q)(?: \s*)?(\d+)"
+)
+_BUILTIN_FAMILIES = {
     "c": cyclic_group,
     "z": cyclic_group,
-    "cyclic": cyclic_group,
     "d": dihedral_group,
-    "dihedral": dihedral_group,
     "s": symmetric_group,
-    "symmetric": symmetric_group,
     "a": alternating_group,
-    "alternating": alternating_group,
-    "q": None,
-    "quaternion": None,
+    "q": quaternion_group,
 }
 
 
 def builtin_group(name: str) -> FiniteGroup:
-    """Resolve names like ``s3``, ``cyclic 7``, ``d4``, ``q8``, ``a4``."""
-    text = name.strip().lower().replace("_", " ")
-    for sep in (" ", ""):
-        for prefix, ctor in _BUILTIN_PREFIXES.items():
-            if sep == " " and text.startswith(prefix + " "):
-                digits = text[len(prefix) + 1 :].strip()
-            elif sep == "" and text.startswith(prefix) and text[len(prefix) :].isdigit():
-                digits = text[len(prefix) :]
-            else:
-                continue
-            if not digits.isdigit():
-                continue
-            if len(digits.lstrip("0")) > len(str(MAX_GROUP_ORDER)):
-                # Past the cap in every family, and maybe past what int() parses.
-                raise SizeLimit(
-                    f"builtin group {prefix}{digits[:12]}... is past the order cap of "
-                    f"{MAX_GROUP_ORDER}",
-                    cap=MAX_GROUP_ORDER,
-                )
-            n = int(digits)
-            if prefix in ("q", "quaternion"):
-                if n != 8:
-                    raise UnknownBuiltin("only quaternion 8 is built in")
-                return quaternion_group()
-            assert ctor is not None
-            return ctor(n)
-    raise UnknownBuiltin(f"unknown builtin group {name!r}")
+    """Resolve names like ``s3``, ``cyclic 7``, ``d4``, ``q8``, ``a4``:
+    ``_`` reads as a space, and case and surrounding whitespace are ignored."""
+    match = _BUILTIN_NAME.fullmatch(name.lower().replace("_", " ").strip())
+    if match is None:
+        raise UnknownBuiltin(f"unknown builtin group {name!r}")
+    prefix, digits = match.groups()
+    if len(digits.lstrip("0")) > len(str(MAX_GROUP_ORDER)):
+        # Past the cap in every family, and maybe past what int() parses.
+        raise SizeLimit(
+            f"builtin group {prefix}{digits[:12]}... is past the order cap of {MAX_GROUP_ORDER}",
+            cap=MAX_GROUP_ORDER,
+        )
+    return _BUILTIN_FAMILIES[prefix[0]](int(digits))
 
 
 def load_group(spec: Union[str, Mapping[str, Any]]) -> FiniteGroup:
@@ -350,49 +340,20 @@ def load_group(spec: Union[str, Mapping[str, Any]]) -> FiniteGroup:
     return builtin_group(spec)
 
 
-def center(g: FiniteGroup) -> tuple[int, ...]:
-    return tuple(
-        z
-        for z in range(g.order)
-        if all(g.table[z][h] == g.table[h][z] for h in range(g.order))
-    )
-
-
-def exponent_mod_center(g: FiniteGroup) -> int:
-    """Exponent of G/Z(G): lcm over g of the least k with g^k central."""
-    z = set(center(g))
+def center_and_exponent(g: FiniteGroup) -> tuple[tuple[int, ...], int]:
+    """The centre Z(G), the elements whose row equals their column, and the
+    exponent of G/Z(G): the lcm over a of the least k with a^k central."""
+    cols = list(zip(*g.table))
+    center = tuple(z for z in range(g.order) if tuple(g.table[z]) == cols[z])
+    central = set(center)
     exp = 1
     for a in range(g.order):
         k, acc = 1, a
-        while acc not in z:
+        while acc not in central:
             acc = g.table[acc][a]
             k += 1
-        exp = exp * k // math.gcd(exp, k)
-    return exp
-
-
-def center_and_exponent(g: FiniteGroup) -> tuple[tuple[int, ...], int]:
-    return center(g), exponent_mod_center(g)
-
-
-@dataclass(frozen=True)
-class CoverClass:
-    """Canonical representative of a product-one tuple up to simultaneous
-    conjugation."""
-
-    rep: tuple[int, ...]
-
-    @property
-    def representative(self) -> tuple[int, ...]:
-        return self.rep
-
-    @property
-    def d(self) -> int:
-        return len(self.rep)
-
-
-def canonical_class(g: FiniteGroup, tup: Sequence[int]) -> CoverClass:
-    return CoverClass(g.canonical(tup))
+        exp = math.lcm(exp, k)
+    return center, exp
 
 
 def enumerate_classes(
@@ -400,8 +361,9 @@ def enumerate_classes(
     d: int,
     surjective_only: bool = False,
     cap: int = DEFAULT_TUPLE_CAP,
-) -> tuple[CoverClass, ...]:
-    """All product-one d-tuple classes, optionally only generating ones.
+) -> tuple[tuple[int, ...], ...]:
+    """The canonical tuples of all product-one d-tuple classes, sorted,
+    optionally only the generating ones.
 
     The classes are produced by orderly generation (see
     ``product_one_classes_chunk``), so the work grows with the number of
@@ -427,13 +389,12 @@ def enumerate_classes(
         keys = list(map(frozenset, reps))
         verdict = {key: g.generates(key) for key in set(keys)}
         reps = itertools.compress(reps, map(verdict.__getitem__, keys))
-    return tuple(map(CoverClass, sorted(reps)))
+    return tuple(sorted(reps))
 
 
-def delta_on_class(c: CoverClass, a: FreeAutomorphism, g: FiniteGroup) -> CoverClass:
+def delta_on_class(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> tuple[int, ...]:
     """Evaluate the automorphism's image words at the tuple by table
     lookups and re-canonicalize."""
-    rep = c.rep
     if a.d != len(rep):
         raise DimensionMismatch(f"automorphism rank {a.d} != tuple length {len(rep)}")
     table = g.table
@@ -446,15 +407,15 @@ def delta_on_class(c: CoverClass, a: FreeAutomorphism, g: FiniteGroup) -> CoverC
         for k in w.letters:
             acc = table[acc][value[k]]
         new.append(acc)
-    return CoverClass(g.canonical(new))
+    return g.canonical(new)
 
 
-def moduli_degree(c: CoverClass, a: FreeAutomorphism, g: FiniteGroup) -> int:
+def moduli_degree(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> int:
     """Least N >= 1 with delta^N fixing the class; finite because the class
     set is finite and the action permutes it."""
-    current = delta_on_class(c, a, g)
+    current = delta_on_class(rep, a, g)
     n = 1
-    while current != c:
+    while current != rep:
         current = delta_on_class(current, a, g)
         n += 1
     return n
@@ -469,7 +430,8 @@ class OrbitReport:
     surjective_only: bool
     center_size: int
     exponent: int
-    degrees: tuple[tuple[CoverClass, int], ...]
+    # (canonical tuple, moduli degree) per class, in enumeration order.
+    degrees: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def class_count(self) -> int:
@@ -487,7 +449,7 @@ class OrbitReport:
         return {
             **self._head(),
             "classes": [
-                {"rep": list(c.rep), "degree": deg} for c, deg in self.degrees
+                {"rep": list(rep), "degree": deg} for rep, deg in self.degrees
             ],
         }
 
@@ -520,15 +482,14 @@ class OrbitReport:
         block = '    {\n      "rep": [\n' + rep + '\n      ],\n      "degree": %d\n    }'
         out.write(head[: -len("]\n}")] + "\n")
         for start in range(0, len(self.degrees), JSON_CHUNK):
-            blocks = [block % (c.rep + (deg,)) for c, deg in self.degrees[start : start + JSON_CHUNK]]
+            blocks = [block % (rep + (deg,)) for rep, deg in self.degrees[start : start + JSON_CHUNK]]
             out.write((",\n" if start else "") + ",\n".join(blocks))
         out.write("\n  ]\n}\n")
 
     def to_csv_lines(self) -> list[str]:
         lines = ["class,representative,degree"]
-        for idx, (c, deg) in enumerate(self.degrees):
-            rep = ".".join(str(x) for x in c.rep)
-            lines.append(f"{idx},{rep},{deg}")
+        for idx, (rep, deg) in enumerate(self.degrees):
+            lines.append(f"{idx},{'.'.join(map(str, rep))},{deg}")
         return lines
 
 
@@ -550,27 +511,24 @@ def moduli_report(
             f"|{g.name}| = {g.order} is not prime to p = {p}", group=g.name, p=p
         )
     classes = enumerate_classes(g, a.d, surjective_only=surjective_only, cap=cap)
-    index = {c.rep: i for i, c in enumerate(classes)}
-    images = [delta_on_class(c, a, g).rep for c in classes]
+    index = {rep: i for i, rep in enumerate(classes)}
     try:
-        succ = [index[rep] for rep in images]
+        succ = [index[delta_on_class(rep, a, g)] for rep in classes]
     except KeyError:
         raise UnsupportedForm(
             "delta image left the enumerated class set; the automorphism "
             "does not preserve the product-one/generation constraints"
         ) from None
+    if len(set(succ)) < len(succ):
+        # Not a permutation, so some orbit would never close.
+        raise UnsupportedForm("two classes have the same delta image; the map is not an automorphism")
     degrees = [0] * len(classes)
-    seen = [False] * len(classes)
     for start in range(len(classes)):
-        if seen[start]:
+        if degrees[start]:
             continue
         cycle = [start]
-        seen[start] = True
-        cur = succ[start]
-        while cur != start:
-            seen[cur] = True
-            cycle.append(cur)
-            cur = succ[cur]
+        while succ[cycle[-1]] != start:
+            cycle.append(succ[cycle[-1]])
         for member in cycle:
             degrees[member] = len(cycle)
     zc, exp = center_and_exponent(g)

@@ -94,6 +94,10 @@ def eval_poly(coeffs: Sequence[Fraction], z: RationalComplex) -> RationalComplex
 # each sample time, so its cost is linear in the count: a family of 12
 # strands takes about 1 s at 2^16 samples, and so about 17 s at the cap.
 MAX_SAMPLES = 2**20
+# Bisection depth at which the tracker gives up isolating a crossing, and
+# frame rotations it tries before reporting a degenerate projection.
+MAX_DEPTH = 20
+MAX_ROTATIONS = 8
 
 # Points on the circle |z| = |z0| at which ``verify_cluster_bound`` checks
 # every cluster's bound.
@@ -438,7 +442,6 @@ class _Tracker:
     coeffs: list[list[float]]
     z0: complex
     samples: int
-    max_depth: int
     frame: complex = 1.0
     scale: float = 1.0
 
@@ -582,7 +585,7 @@ class _Tracker:
                         letters.extend(w.letters)
                     current[:] = order_b
                     return
-            if depth >= self.max_depth:
+            if depth >= MAX_DEPTH:
                 moved = [s for s, s_b in zip(current, order_b) if s != s_b]
                 if blocks is not None:
                     raise _unresolved(
@@ -633,12 +636,7 @@ def _double(x: Fraction, what: str, **details: Any) -> float:
     return f
 
 
-def track_braid(
-    w: WitnessFamily,
-    samples: Optional[int] = None,
-    max_depth: int = 20,
-    max_rotations: int = 8,
-) -> BraidWord:
+def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
     """Recover the monodromy braid by following the points a_i(e(t) z0).
 
     Strands are ordered by real part in a (slightly rotatable) projection
@@ -669,12 +667,11 @@ def track_braid(
             raise SizeLimit(f"a_{i}(z0) is past the range of a double", strand=i) from None
     scale = max(1.0, max(abs(p) for p in base))
     last_error: Optional[_NeedsRotation] = None
-    for rotation in range(max_rotations):
+    for rotation in range(MAX_ROTATIONS):
         tracker = _Tracker(
             coeffs=coeffs,
             z0=z0,
             samples=sample_count,
-            max_depth=max_depth,
             frame=cmath.exp(-1j * 0.1371 * rotation),
             scale=scale,
         )
@@ -691,7 +688,7 @@ def track_braid(
         return BraidWord(w.d, tuple(letters))
     assert last_error is not None
     raise UnresolvedCrossing(
-        f"projection stayed degenerate after {max_rotations} frame rotations; "
+        f"projection stayed degenerate after {MAX_ROTATIONS} frame rotations; "
         f"last: {last_error}",
         strands=last_error.strands,
         t_window=last_error.t_window,

@@ -312,6 +312,16 @@ def test_verify_topology_coefficient_outside_double_range(coefficient, tmp_path)
     assert err["details"] == {"strand": 2, "coefficient": 0}
 
 
+@pytest.mark.parametrize("group", ["c²", "s①"], ids=["superscript_two", "circled_one"])
+def test_orbits_non_decimal_digits_are_unknown_builtin(group):
+    """str.isdigit() accepts these characters but int() does not parse them;
+    the name is unknown, not a traceback."""
+    out = run_cli("orbits", "--group", group, "--input", str(DATA / "example1.json"))
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 1
+    assert json.loads(out.stderr)["error"] == "UNKNOWN_BUILTIN"
+
+
 @pytest.mark.parametrize(
     "group",
     ["c401", "cyclic 401", "d201", "c" + "9" * 5000, "table"],
@@ -463,7 +473,7 @@ def branch_documents(draw):
 def group_specs(draw, tmp):
     """A builtin name, or a path to a group file written into ``tmp``."""
     if draw(st.booleans()):
-        return draw(st.sampled_from(["c2", "c3", "s3", "d4", "q8", "a4", "c0", "s9", "c401", "nope"]))
+        return draw(st.sampled_from(["c2", "c3", "s3", "d4", "q8", "a4", "c0", "s9", "c401", "c²", "nope"]))
     n = draw(st.sampled_from([1, 2, 3, 4]))
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     doc = {"name": "K", "table": table}
@@ -538,7 +548,7 @@ def test_orbits_json_is_json_dumps_of_the_report(group, points, surjective, tmp_
     src = tmp_path / "points.json"
     src.write_text(json.dumps({"mode": "padic", "p": 5 if group == "s3" else 3, "points": points}))
     assert cli.main(["orbits", "--group", group, "--input", str(src), surjective, "--format", "json"]) == 0
-    _, _, _, forest = cli._pipeline(str(src))
+    forest = cli._pipeline(str(src))[-1]
     report = moduli_report(
         load_group(group),
         cli.monodromy_automorphism(forest),

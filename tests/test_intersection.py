@@ -231,8 +231,13 @@ def test_matrix_row_length_checked_before_diagonal():
         {"mode": "matrix", "matrix": [[0, 0], []]},
         {"mode": "series", "truncation": "", "points": [[0], [1]]},
         {"mode": "series", "truncation": True, "points": [[0], [1]]},
+        {"mode": "matrix", "matrix": [["x", 1], [1, 0]]},
+        {"mode": "matrix", "matrix": [[0, 1], [1, -1]]},
     ],
-    ids=["row-not-array", "string-matrix", "later-row-short", "string-truncation", "bool-truncation"],
+    ids=[
+        "row-not-array", "string-matrix", "later-row-short", "string-truncation", "bool-truncation",
+        "string-diagonal", "negative-diagonal",
+    ],
 )
 def test_malformed_shapes_are_invalid_input(doc):
     with pytest.raises(InvalidInput):

@@ -110,10 +110,10 @@ def test_delta_matches_word_evaluation_oracle(name, rng):
         for aut in random_automorphisms(rng, d):
             for c in classes:
                 new = tuple(
-                    _kernels.evaluate_word(g.table, g.inverse, c.rep, w.letters) for w in aut.images
+                    _kernels.evaluate_word(g.table, g.inverse, c, w.letters) for w in aut.images
                 )
                 want = _kernels.canonical_tuple(g.table, g.inverse, new)
-                assert delta_on_class(c, aut, g).rep == want, (name, d, c.rep, aut)
+                assert delta_on_class(c, aut, g) == want, (name, d, c, aut)
 
 
 def test_moduli_report_refuses_images_outside_the_class_set():
@@ -121,6 +121,15 @@ def test_moduli_report_refuses_images_outside_the_class_set():
     squares = FreeAutomorphism(3, (FreeWord((1, 1)), FreeWord((2,)), FreeWord((3,))))
     with pytest.raises(UnsupportedForm):
         moduli_report(g, squares, surjective_only=False)
+
+
+def test_moduli_report_refuses_a_map_that_is_not_a_permutation():
+    """x1 -> x1*x2, x2 -> 1 keeps every product-one tuple product-one, but
+    sends both classes of C2 at d=2 to (0, 0): the orbit of (1, 1) never
+    closes, so the walk along it must not start."""
+    collapse = FreeAutomorphism(2, (FreeWord((1, 2)), FreeWord(())))
+    with pytest.raises(UnsupportedForm, match="same delta image"):
+        moduli_report(load_group("c2"), collapse, surjective_only=False)
 
 
 def report_cases():

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from branchmono import topocheck
 from branchmono.braid import half_twist
 from branchmono.clusters import Cluster, ClusterForest
 from branchmono.errors import (
@@ -365,7 +366,7 @@ def test_track_braid_collinear_block_collision_unresolved():
     assert t_lo < 0.1475836 < t_hi  # atan2(4, 3) / 2pi
 
 
-def test_track_braid_errors_name_strands_and_window():
+def test_track_braid_errors_name_strands_and_window(monkeypatch):
     fam = WitnessFamily(
         polys=((F(0),), (F(9, 4096), F(0), F(1))), samples=256, **PARAMS
     )
@@ -379,8 +380,9 @@ def test_track_braid_errors_name_strands_and_window():
         z0=RationalComplex(F(0), F(3, 64)),
         samples=256,
     )
+    monkeypatch.setattr(topocheck, "MAX_ROTATIONS", 1)
     with pytest.raises(UnresolvedCrossing, match=r"after 1 frame rotations; last: strands \[1, 2\]") as info:
-        track_braid(imaginary, max_rotations=1)
+        track_braid(imaginary)
     assert info.value.details == {"strands": [1, 2], "t_window": [0.0, 0.0]}
 
 
