@@ -1,0 +1,167 @@
+"""Per-layer cost of `clusters` and `present`: the matrix (or trie) build,
+canonical order, cluster sweep, monodromy images and emission, with the
+whole command's CPU time and peak RSS.
+
+Run from the root of a source checkout:
+
+    python benchmarks/bench_stages.py --label change
+    python benchmarks/bench_stages.py --label parent --src OTHER_CHECKOUT/src
+
+The inputs are the 2-adic points 0..d-1 for d = 512, 1024 and 2048, whose
+cluster tree is the complete binary tree, and at d = 512 the same tree in
+series mode: point i is the series of i's binary digits, T = 9.  Each
+input runs `clusters` and `present`, both in text form.  The package
+under ``--src`` (default: this checkout's ``src``) is imported into this
+process, and each layer is timed by calling the public function that the
+commands call:
+
+- ``compute_matrix``, ``canonical_order``, ``compute_clusters``: the
+  functions of ``intersection`` and ``clusters`` that ``cli._pipeline``
+  calls;
+- ``monodromy``: ``monodromy.emit_presentation`` (the images of every
+  generator);
+- ``emit_clusters``: ``nesting_tree`` and ``tree_to_text``;
+  ``emit_present``: ``Presentation.text``;
+- per command, ``command``: ``cli.main`` in this process, stdout to
+  devnull; ``process``: a fresh ``python -c`` process calling
+  ``cli.main`` (user plus system CPU, from wait4); ``peak_rss_mb``: that
+  process's own VmHWM, read from /proc/self/status as it exits.
+
+Times are CPU seconds, the median of ``bench_orbits.REPEATS`` runs,
+scaled by ``bench_orbits``'s calibration: 0.2 s over the CPU time of the
+work of ``perfbench/reference.py`` right after each run, in this process
+for a layer and in a fresh process for ``process``.  The results merge
+into ``BENCH_11.json`` under the label.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_orbits import REFERENCE, REFERENCE_S, REPEATS, ROOT, scaled_cpu
+
+SERIES_BITS = 9
+
+# (mode, d)
+CASES = (("padic", 512), ("padic", 1024), ("padic", 2048), ("series", 512))
+COMMANDS = ("clusters", "present")
+
+# Runs one command with stdout to devnull, then prints its peak RSS in kB.
+LAUNCH = """\
+import os, sys
+from branchmono.cli import main
+with open(os.devnull, "w") as out:
+    sys.stdout = out
+    code = main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
+sys.exit(code)
+"""
+
+
+def input_doc(mode: str, d: int) -> dict:
+    if mode == "padic":
+        return {"mode": "padic", "p": 2, "points": list(range(d))}
+    bits = [[(i >> n) & 1 for n in range(SERIES_BITS)] for i in range(d)]
+    return {"mode": "series", "truncation": SERIES_BITS, "points": bits}
+
+
+def cpu_seconds(args: list[str], env: dict[str, str]) -> tuple[float, bytes]:
+    """(user plus system CPU seconds, stdout) of a fresh process."""
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, env=env, cwd=ROOT)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"{args} failed")
+    return usage.ru_utime + usage.ru_stime, out
+
+
+def measure(src: Path, path: str) -> dict:
+    from branchmono import cli, clusters, intersection, monodromy
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    binput = intersection.BranchInput.from_json_dict(json.loads(Path(path).read_text()))
+    matrix = intersection.compute_matrix(binput)
+    sigma, reordered = intersection.canonical_order(matrix)
+    forest = clusters.compute_clusters(reordered)
+    labels = tuple(binput.labels[s - 1] for s in sigma)
+    pres = monodromy.emit_presentation(forest, p=binput.p or 0, point_labels=labels, sigma=sigma)
+    layers = {
+        "compute_matrix": scaled_cpu(lambda: intersection.compute_matrix(binput)),
+        "canonical_order": scaled_cpu(lambda: intersection.canonical_order(matrix)),
+        "compute_clusters": scaled_cpu(lambda: clusters.compute_clusters(reordered)),
+        "monodromy": scaled_cpu(
+            lambda: monodromy.emit_presentation(forest, p=binput.p or 0, point_labels=labels, sigma=sigma)
+        ),
+        "emit_clusters": scaled_cpu(lambda: clusters.tree_to_text(clusters.nesting_tree(forest))),
+        "emit_present": scaled_cpu(pres.text),
+    }
+    commands = {}
+    with open(os.devnull, "w") as devnull:
+        for command in COMMANDS:
+            argv = [command, "--input", path]
+            with contextlib.redirect_stdout(devnull):
+                in_process = scaled_cpu(lambda: cli.main(argv))
+            process, rss = [], []
+            for _ in range(REPEATS):
+                cpu, out = cpu_seconds(["-c", LAUNCH, *argv], env)
+                process.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0])
+                rss.append(int(out) / 1024)
+            commands[command] = {
+                "command_s": round(in_process, 4),
+                "process_s": round(statistics.median(process), 4),
+                "peak_rss_mb": round(statistics.median(rss), 1),
+            }
+    return {
+        "clusters": len(forest),
+        "layers_s": {name: round(t, 5) for name, t in layers.items()},
+        "commands": commands,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_11.json")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode, d in CASES:
+            path = os.path.join(tmp, f"{mode}-{d}.json")
+            with open(path, "w") as out:
+                json.dump(input_doc(mode, d), out)
+            name = f"{mode} d={d}"
+            results[name] = r = measure(src, path)
+            layers = "  ".join(f"{k} {v:.4f}" for k, v in r["layers_s"].items())
+            cmds = "  ".join(
+                f"{c} {v['command_s']:.3f}/{v['process_s']:.3f} s {v['peak_rss_mb']} MB"
+                for c, v in r["commands"].items()
+            )
+            print(f"{args.label:>8} {name:<13} {layers}  | {cmds}", flush=True)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+        "cases": results,
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

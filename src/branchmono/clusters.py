@@ -93,7 +93,7 @@ def compute_clusters(m: IntersectionMatrix) -> ClusterForest:
         raise NotCanonicallyOrdered(
             "matrix is not in canonical order; apply canonical_order first"
         )
-    steps = [m.e[k][k + 1] for k in range(m.d - 1)]
+    steps = list(m.steps)
     count = sum(max(0, b - a) for a, b in zip([0] + steps, steps))
     if count > MAX_CLUSTERS:
         raise SizeLimit(

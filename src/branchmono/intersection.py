@@ -1,24 +1,36 @@
-"""Branch-point ingestion and the pairwise intersection matrix.
+"""Branch-point ingestion and the cluster tree of the intersection matrix.
 
 Three input modes: exact rationals with a p-adic valuation, truncated
 power series given by coefficient lists, or a raw matrix of valuations.
-All arithmetic in this module is exact (``fractions.Fraction``); nothing
-here touches floating point.
+All arithmetic in this module is exact (``fractions.Fraction`` and plain
+integers); nothing here touches floating point.
 
-The matrix computes its canonical leaf order once, on construction, and
-validates the ultrametric rule along it in O(d^2); ``canonical_order``,
-``satisfies_interval_hypothesis`` and the cluster layer read that order.
-``canonical_order`` permutes the validated matrix without validating it
-again: permuting indices keeps every entry and every triple, so the rules
-still hold, and the least canonical order of the result is the identity.
+The paper's invariants depend only on the rooted tree of clusters, which
+``IntersectionMatrix`` holds as the canonical leaf order and the d - 1
+depths between consecutive leaves along it.
+
+- p-adic and series inputs are ingested as a trie in O(d * height), with
+  no d^2 matrix: at each node one valuation (or first differing
+  coefficient) per member gives the node's depth v, and the members split
+  by their digit (or coefficient) at v.  A run of shared digits costs one
+  valuation, not one level per digit.
+- matrix input is validated in O(d^2): the canonical order is computed
+  first, and along it every entry must be the minimum of the consecutive
+  depths between its two indices.
+
+The trie's depth-first leaf order, with children by least original index,
+is the canonical order: Prim's maximum-spanning order from index 1, least
+index on ties.  ``canonical_order`` reindexes along it in O(d), since the
+reindexed tree has the identity order and the same consecutive depths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
-from typing import Any, Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import (
     DuplicatePoint,
@@ -97,21 +109,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def padic_valuation(x: Fraction, p: int) -> int:
-    """v_p of a nonzero rational."""
-    if x == 0:
-        raise ValueError("valuation of zero is undefined")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def _is_array(value: Any) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
@@ -159,7 +156,7 @@ class BranchInput:
         for idx, x in enumerate(self.points, start=1):
             if not isinstance(x, Fraction):
                 raise InvalidInput(f"point {idx} is not an exact rational")
-            if x != 0 and padic_valuation(x, self.p) < 0:
+            if x.denominator % self.p == 0:  # reduced, so v_p(x) < 0
                 raise NonIntegralPoint(
                     f"point {idx} = {format_rational(x)} has v_{self.p} < 0"
                 )
@@ -223,26 +220,32 @@ class BranchInput:
         return cls(mode=mode, p=p, matrix=matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntersectionMatrix:
-    """Symmetric matrix of pairwise intersection multiplicities.
+    """The cluster tree of a symmetric matrix of pairwise intersection
+    multiplicities.
 
-    Validated on construction: every entry a nonnegative integer, symmetry,
-    and the ultrametric two-minima rule (among e_ij, e_ik, e_jk the minimum
-    is attained at least twice).  The diagonal's values are ignored and
-    stored as 0.
+    ``order`` is the canonical leaf order (1-based): Prim's
+    maximum-spanning order from index 1, least index on ties.  On an
+    ultrametric it is the lexicographically least order that makes every
+    cluster an interval.  ``steps`` holds the d - 1 depths between
+    consecutive leaves along ``order``; the entry of two leaves is the
+    least step between them.
 
-    ``order`` is the canonical leaf order (1-based), computed once as
-    Prim's maximum-spanning order from index 1, least index on ties.  On
-    an ultrametric it is the lexicographically least order that makes
-    every cluster an interval.
+    ``IntersectionMatrix(d, e)`` validates a full matrix: every entry a
+    nonnegative integer, symmetry, and the ultrametric two-minima rule
+    (among e_ij, e_ik, e_jk the minimum is attained at least twice).  The
+    diagonal's values are ignored and stored as 0.  ``from_tree`` builds
+    one from the tree alone, and ``e`` is then filled on first read.
     """
 
     d: int
-    e: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    order: tuple[int, ...]
+    steps: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, d: int, e: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
         if self.d < 2 or len(self.e) != self.d:
             raise InvalidInput(f"bad matrix shape for d = {self.d}")
         for i, row in enumerate(self.e):
@@ -267,20 +270,35 @@ class IntersectionMatrix:
         object.__setattr__(self, "order", tuple(i + 1 for i in order))
         # Ultrametric iff each entry is the minimum of the consecutive entries
         # between its indices in this order; the triple scan names a triple.
+        # The scan reads the local rows: ``e`` is a descriptor on the class,
+        # which makes each ``self.e`` lookup slower than a plain attribute's.
         for p, a in enumerate(order):
             for b, c in zip(order[p + 1 :], order[p + 2 :]):
-                if self.e[a][c] != min(self.e[a][b], self.e[b][c]):
+                if rows[a][c] != min(rows[a][b], rows[b][c]):
                     self._raise_first_violation()
+        object.__setattr__(self, "steps", tuple(rows[a][b] for a, b in zip(order, order[1:])))
 
     @classmethod
-    def _trusted(cls, e: tuple[tuple[int, ...], ...]) -> "IntersectionMatrix":
-        """A matrix already known to be a valid ultrametric (zero diagonal)
-        in canonical order, built without ``__post_init__``."""
+    def from_tree(cls, order: Sequence[int], steps: Sequence[int]) -> "IntersectionMatrix":
+        """The matrix whose canonical leaf order is ``order`` (1-based) and
+        whose consecutive depths along it are ``steps``, trusted to be
+        such; no entry is computed until ``e`` is read."""
         m = object.__new__(cls)
-        object.__setattr__(m, "d", len(e))
-        object.__setattr__(m, "e", e)
-        object.__setattr__(m, "order", tuple(range(1, len(e) + 1)))
+        object.__setattr__(m, "d", len(order))
+        object.__setattr__(m, "order", tuple(order))
+        object.__setattr__(m, "steps", tuple(steps))
         return m
+
+    @cached_property
+    def e(self) -> tuple[tuple[int, ...], ...]:
+        """The full matrix.  One built by ``from_tree`` fills it on first
+        read, by a running minimum over ``steps`` from each leaf, in O(d^2)."""
+        idx = [s - 1 for s in self.order]
+        e = [[0] * self.d for _ in range(self.d)]
+        for a, i in enumerate(idx):
+            for j, v in zip(idx[a + 1 :], accumulate(self.steps[a:], min)):
+                e[i][j] = e[j][i] = v
+        return tuple(map(tuple, e))
 
     def _raise_first_violation(self) -> None:
         for i in range(self.d):
@@ -299,87 +317,123 @@ class IntersectionMatrix:
         return self.e[i - 1][j - 1]
 
     def max_depth(self) -> int:
-        return max(
-            (self.e[i][j] for i in range(self.d) for j in range(i + 1, self.d)),
-            default=0,
-        )
+        return max(self.steps)
+
+
+def _valuation(n: int, p: int) -> int:
+    """v_p of a nonzero integer.  Dividing by p, p^2, p^4, ... in turn
+    makes a valuation v cost O(log(v)^2) divisions, not v."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v = 0
+    while n % p == 0:
+        q, k = p, 1
+        while True:
+            quotient, rem = divmod(n, q)
+            if rem:
+                break
+            n, v, q, k = quotient, v + k, q * q, 2 * k
+    return v
+
+
+# split(members, floor) -> (v, keys): the depth v of a trie node whose
+# members (original 0-based indices, increasing) agree below floor, and
+# each member's key at v, equal keys for members that agree through v.
+Split = Callable[[list[int], int], tuple[int, list[Any]]]
+
+
+def _trie(d: int, split: Split) -> IntersectionMatrix:
+    """The tree of the trie that ``split`` describes: its leaf order and
+    consecutive depths, with children by least index, depth first and
+    without recursion.  Each child but the first joins its left neighbour at its
+    parent's depth; the first inherits its parent's join."""
+    order: list[int] = []
+    steps: list[int] = []
+    # (members, depth joining the first leaf to the leaf before it, floor)
+    todo: list[tuple[list[int], int, int]] = [(list(range(d)), 0, 0)]
+    while todo:
+        members, join, floor = todo.pop()
+        if len(members) == 1:
+            if order:
+                steps.append(join)
+            order.append(members[0] + 1)
+            continue
+        v, keys = split(members, floor)
+        children: dict[Any, list[int]] = {}
+        for i, key in zip(members, keys):
+            children.setdefault(key, []).append(i)
+        first, *rest = children.values()
+        todo.extend((child, v, v + 1) for child in reversed(rest))
+        todo.append((first, join, v + 1))
+    return IntersectionMatrix.from_tree(order, steps)
+
+
+def _padic_split(points: Sequence[Fraction], p: int) -> Split:
+    """Write x = a/b with p not dividing b.  A node's depth is the least
+    v_p(a_i b_0 - a_0 b_i) over its members; as b_i b_0 is a unit, the
+    digit at v of x_i - x_0 is that difference over p^v, times
+    (b_i b_0)^-1, mod p.  The keys drop the common unit b_0^-1."""
+    nums = [x.numerator for x in points]
+    dens = [x.denominator for x in points]
+
+    def split(members: list[int], floor: int) -> tuple[int, list[int]]:
+        a0, b0 = nums[members[0]], dens[members[0]]
+        rest = members[1:]
+        diffs = [nums[i] * b0 - a0 * dens[i] for i in rest]
+        v = min(_valuation(n, p) for n in diffs)
+        pv = p**v
+        return v, [0] + [n // pv * pow(dens[i], -1, p) % p for i, n in zip(rest, diffs)]
+
+    return split
+
+
+def _series_split(points: Sequence[Sequence[Fraction]], t: int) -> Split:
+    """A node's depth is the least index, from its floor on, at which a
+    member's coefficients differ from its first member's; the key is the
+    coefficient there.  No two series may agree through all t."""
+
+    def split(members: list[int], floor: int) -> tuple[int, list[Fraction]]:
+        c0 = points[members[0]]
+        v = min(next(n for n in range(floor, t) if points[i][n] != c0[n]) for i in members[1:])
+        return v, [points[i][v] for i in members]
+
+    return split
 
 
 def compute_matrix(binput: BranchInput) -> IntersectionMatrix:
-    """Pairwise valuations of differences, per input mode."""
-    d = binput.d
+    """The cluster tree of the pairwise valuations of differences: read off
+    a trie for p-adic and series inputs, validated for a matrix."""
     if binput.mode == "matrix":
         assert binput.matrix is not None
-        return IntersectionMatrix(d, binput.matrix)
-    e = [[0] * d for _ in range(d)]
+        return IntersectionMatrix(binput.d, binput.matrix)
     if binput.mode == "padic":
         assert binput.p is not None
-        for i in range(d):
-            for j in range(i + 1, d):
-                diff = binput.points[i] - binput.points[j]
-                e[i][j] = e[j][i] = padic_valuation(diff, binput.p)
-        return IntersectionMatrix(d, tuple(tuple(r) for r in e))
-    # series mode: least index with differing coefficients
+        return _trie(binput.d, _padic_split(binput.points, binput.p))
     t = binput.truncation
     assert t is not None
-    for i in range(d):
-        for j in range(i + 1, d):
-            val = next(
-                (
-                    n
-                    for n in range(t)
-                    if binput.points[i][n] != binput.points[j][n]
-                ),
-                None,
-            )
-            if val is None:
-                raise IndistinguishableTruncation(
-                    f"series {i + 1} and {j + 1} agree through all {t} coefficients; "
-                    f"only v >= {t} is known",
-                    pair=[i + 1, j + 1],
-                    truncation=t,
-                )
-            e[i][j] = e[j][i] = val
-    return IntersectionMatrix(d, tuple(tuple(r) for r in e))
+    # Equal series have no depth.  Name the pair a scan of i < j would meet
+    # first: the two least indices of the group whose least index is least.
+    first: dict[tuple, int] = {}
+    ties = []
+    for j, coeffs in enumerate(binput.points):
+        i = first.setdefault(tuple(coeffs), j)
+        if i != j:
+            ties.append((i, j))
+    if ties:
+        i, j = min(ties)
+        raise IndistinguishableTruncation(
+            f"series {i + 1} and {j + 1} agree through all {t} coefficients; "
+            f"only v >= {t} is known",
+            pair=[i + 1, j + 1],
+            truncation=t,
+        )
+    return _trie(binput.d, _series_split(binput.points, t))
 
 
 def satisfies_interval_hypothesis(m: IntersectionMatrix) -> bool:
     """Rows weakly decreasing right of the diagonal (every maximal cluster an
     interval); the identity, the least order, is then the canonical one."""
     return m.order == tuple(range(1, m.d + 1))
-
-
-def _permuted_rows(m: IntersectionMatrix, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Rows of m with position k holding original index sigma[k-1] (1-based)."""
-    idx = [s - 1 for s in sigma]
-    pick = itemgetter(*idx)  # d >= 2, so pick returns a tuple
-    return tuple(pick(m.e[i]) for i in idx)
-
-
-def reindex(m: IntersectionMatrix, sigma: Sequence[int]) -> IntersectionMatrix:
-    """Reindexed matrix; new position k holds original index sigma[k-1] (1-based)."""
-    if sorted(sigma) != list(range(1, m.d + 1)):
-        raise InvalidInput(f"{sigma} is not a permutation of 1..{m.d}")
-    return IntersectionMatrix(m.d, _permuted_rows(m, sigma))
-
-
-def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list[list[int]]:
-    """Split a block (0-based indices) into classes of the relation e >= n,
-    which is transitive by ultrametricity.  Classes sorted by least element."""
-    remaining = sorted(block)
-    classes: list[list[int]] = []
-    while remaining:
-        seed = remaining.pop(0)
-        cls = [seed]
-        rest = []
-        for j in remaining:
-            if m.e[seed][j] >= n:
-                cls.append(j)
-            else:
-                rest.append(j)
-        remaining = rest
-        classes.append(sorted(cls))
-    return classes
 
 
 def canonical_order(m: IntersectionMatrix) -> tuple[tuple[int, ...], IntersectionMatrix]:
@@ -390,9 +444,8 @@ def canonical_order(m: IntersectionMatrix) -> tuple[tuple[int, ...], Intersectio
     tree, sigma is the lexicographically least, so an already-valid matrix
     gets the identity.
 
-    The reindexed matrix is not validated again, as ``reindex`` would: a
-    permutation of a validated ultrametric is still symmetric, nonnegative
-    and ultrametric, and since sigma is the least canonical order, the
-    identity is the reindexed matrix's own.
+    The reindexed matrix is built from the tree in O(d): along sigma it
+    has the same consecutive depths, and since sigma is the least
+    canonical order, the identity is the reindexed matrix's own.
     """
-    return m.order, IntersectionMatrix._trusted(_permuted_rows(m, m.order))
+    return m.order, IntersectionMatrix.from_tree(tuple(range(1, m.d + 1)), m.steps)

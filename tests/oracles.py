@@ -1,0 +1,83 @@
+"""Slow reference algorithms that the tests compare the fast paths against.
+
+``pairwise_oracle`` fills the whole intersection matrix pair by pair, in
+``Fraction`` arithmetic with one division per digit of ``padic_valuation``,
+as the p-adic and series ingest once did; ``reindex`` and
+``depth_partition`` read a validated matrix entry by entry.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from branchmono.errors import IndistinguishableTruncation, InvalidInput
+from branchmono.intersection import BranchInput, IntersectionMatrix
+
+
+def padic_valuation(x: Fraction, p: int) -> int:
+    """v_p of a nonzero rational."""
+    if x == 0:
+        raise ValueError("valuation of zero is undefined")
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def pairwise_oracle(binput: BranchInput) -> tuple[tuple[int, ...], ...]:
+    """All d^2 valuations of differences of a p-adic or series input.  A
+    pair of series that agree through all T coefficients raises
+    IndistinguishableTruncation, naming the first such pair i < j."""
+    d = binput.d
+    e = [[0] * d for _ in range(d)]
+    if binput.mode == "padic":
+        for i in range(d):
+            for j in range(i + 1, d):
+                diff = binput.points[i] - binput.points[j]
+                e[i][j] = e[j][i] = padic_valuation(diff, binput.p)
+        return tuple(map(tuple, e))
+    t = binput.truncation
+    for i in range(d):
+        for j in range(i + 1, d):
+            val = next((n for n in range(t) if binput.points[i][n] != binput.points[j][n]), None)
+            if val is None:
+                raise IndistinguishableTruncation(
+                    f"series {i + 1} and {j + 1} agree through all {t} coefficients; "
+                    f"only v >= {t} is known",
+                    pair=[i + 1, j + 1],
+                    truncation=t,
+                )
+            e[i][j] = e[j][i] = val
+    return tuple(map(tuple, e))
+
+
+def reindex(m: IntersectionMatrix, sigma: Sequence[int]) -> IntersectionMatrix:
+    """Validated matrix whose position k holds original index sigma[k-1] (1-based)."""
+    if sorted(sigma) != list(range(1, m.d + 1)):
+        raise InvalidInput(f"{sigma} is not a permutation of 1..{m.d}")
+    return IntersectionMatrix(m.d, tuple(tuple(m.e[s - 1][t - 1] for t in sigma) for s in sigma))
+
+
+def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list[list[int]]:
+    """Split a block (0-based indices) into classes of the relation e >= n,
+    which is transitive by ultrametricity.  Classes sorted by least element."""
+    remaining = sorted(block)
+    classes: list[list[int]] = []
+    while remaining:
+        seed = remaining.pop(0)
+        cls = [seed]
+        rest = []
+        for j in remaining:
+            if m.e[seed][j] >= n:
+                cls.append(j)
+            else:
+                rest.append(j)
+        remaining = rest
+        classes.append(sorted(cls))
+    return classes

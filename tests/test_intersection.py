@@ -21,12 +21,11 @@ from branchmono.intersection import (
     canonical_order,
     compute_matrix,
     is_prime,
-    padic_valuation,
     parse_rational,
-    reindex,
     satisfies_interval_hypothesis,
 )
 from conftest import random_ultrametric_matrix, shuffled
+from oracles import padic_valuation, pairwise_oracle, reindex
 
 
 def test_padic_valuation():
@@ -109,28 +108,111 @@ def test_from_json_dict():
         BranchInput.from_json_dict({"mode": "padic", "p": 5, "points": [0.5, 1]})
 
 
+def assert_trie_matches_oracle(bi):
+    """compute_matrix's tree against the validated pairwise matrix."""
+    fast = compute_matrix(bi)
+    slow = IntersectionMatrix(bi.d, pairwise_oracle(bi))  # validates the ultrametric rule
+    assert (fast.order, fast.steps, fast.e) == (slow.order, slow.steps, slow.e)
+    return fast, slow
+
+
+def random_padic_input(rng):
+    """Points x0 + p^k * y/b around a few bases x0: several p, non-unit
+    denominators b, repeated digits and shared prefixes up to k = 200."""
+    p = rng.choice([2, 3, 5, 7])
+    dens = (1, p + 1, 2 * p + 1)
+    bases = [F(rng.randint(-p**6, p**6), rng.choice(dens)) for _ in range(rng.randint(1, 3))]
+    points: dict = {}
+    while len(points) < 2:
+        points = dict.fromkeys(
+            rng.choice(bases)
+            + p ** rng.choice([0, 1, 2, 3, 30, 200]) * F(rng.randint(-p**4, p**4), rng.choice(dens))
+            for _ in range(rng.randint(2, 24))
+        )
+    return BranchInput(mode="padic", p=p, points=tuple(points), labels=tuple(map(str, range(len(points)))))
+
+
+def random_series_input(rng):
+    """Series that copy a random prefix of an earlier one, so that deep
+    shared prefixes and truncation ties are common."""
+    t = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(2, 12)):
+        k = rng.randint(0, t) if rows and rng.random() < 0.6 else 0
+        prefix = rng.choice(rows)[:k] if k else ()
+        rows.append(prefix + tuple(F(rng.choice([0, 1, 2, -1]), rng.choice([1, 2])) for _ in range(t - k)))
+    return BranchInput(mode="series", truncation=t, points=tuple(rows))
+
+
 def test_computed_matrices_are_ultrametric(rng):
-    """Valuation axioms force the two-minima rule; the validator must
-    accept every padic input."""
-    for _ in range(50):
-        p = rng.choice([2, 3, 5])
-        pts = rng.sample(range(0, 200), rng.randint(2, 6))
-        try:
-            bi = BranchInput(mode="padic", p=p, points=tuple(F(x) for x in pts))
-        except DuplicatePoint:
-            continue
-        compute_matrix(bi)  # construction validates
+    """Valuation axioms force the two-minima rule: the validator accepts
+    every padic input's pairwise matrix, and the trie gives its order,
+    consecutive depths and entries."""
+    for _ in range(400):
+        assert_trie_matches_oracle(random_padic_input(rng))
 
 
 def test_series_matrices_are_ultrametric(rng):
-    for _ in range(50):
-        d, t = rng.randint(2, 5), rng.randint(1, 4)
-        pts = tuple(tuple(F(rng.randint(0, 2)) for _ in range(t)) for _ in range(d))
-        bi = BranchInput(mode="series", truncation=t, points=pts)
+    ties = 0
+    for _ in range(400):
+        bi = random_series_input(rng)
         try:
-            compute_matrix(bi)  # construction validates
+            pairwise_oracle(bi)
+        except IndistinguishableTruncation as expected:
+            ties += 1
+            with pytest.raises(IndistinguishableTruncation) as info:
+                compute_matrix(bi)
+            assert str(info.value) == str(expected)
+            assert info.value.details == expected.details
+            continue
+        assert_trie_matches_oracle(bi)
+    assert 50 < ties < 350
+
+
+def test_series_tie_names_the_first_pair_of_a_scan():
+    """Series 3 and 5 tie in the subtree the trie visits first, but the
+    scan of pairs i < j meets 2 and 4 first."""
+    rows = ((0, 0), (1, 0), (0, 1), (1, 0), (0, 1))
+    bi = BranchInput(mode="series", truncation=2, points=tuple(tuple(map(F, r)) for r in rows))
+    with pytest.raises(IndistinguishableTruncation, match="series 2 and 4 agree") as info:
+        compute_matrix(bi)
+    assert info.value.details == {"pair": [2, 4], "truncation": 2}
+
+
+def test_deep_shared_prefixes():
+    """Shared runs of 20000 digits, 2-adic and 3-adic, give exact depths;
+    each node takes one valuation per member, not one level per digit."""
+    bi = BranchInput(mode="padic", p=2, points=(F(0), F(2**20000), F(3 * 2**20000)), labels=("a", "b", "c"))
+    m = compute_matrix(bi)
+    assert m.order == (1, 2, 3)
+    assert m.steps == (20000, 20001)
+    x = 3**20000
+    bi = BranchInput(mode="padic", p=3, points=(F(x), F(0), F(4 * x), F(2 * x, 5)), labels=tuple("abcd"))
+    m = compute_matrix(bi)
+    assert (m.order, m.steps) == ((1, 3, 4, 2), (20001, 20002, 20000))
+
+
+def test_forest_from_trie_matches_oracle_clusters(rng):
+    """The forest swept from the trie's depths equals compute_clusters on
+    the oracle's reordered matrix, and, pushed back through sigma, the
+    brute-force clusters of the oracle matrix."""
+    from branchmono.clusters import compute_clusters
+    from conftest import brute_force_clusters
+
+    for trial in range(150):
+        bi = random_padic_input(rng) if trial % 2 else random_series_input(rng)
+        try:
+            slow = IntersectionMatrix(bi.d, pairwise_oracle(bi))
         except IndistinguishableTruncation:
             continue
+        sigma, fast = canonical_order(compute_matrix(bi))
+        forest = compute_clusters(fast)
+        assert forest == compute_clusters(reindex(slow, sigma))
+        if bi.d <= 7 and slow.max_depth() <= 40:
+            relabeled = {
+                (frozenset(sigma[i - 1] for i in c.indices()), c.depth) for c in forest.clusters
+            }
+            assert relabeled == brute_force_clusters(slow)
 
 
 # -- canonical order ---------------------------------------------------------

@@ -21,6 +21,7 @@ from branchmono.quotients import (
     delta_on_class,
     enumerate_classes,
     load_group,
+    moduli_degree,
     moduli_report,
 )
 from test_quotients import find_nonassociative_loop
@@ -130,6 +131,15 @@ def test_moduli_report_refuses_a_map_that_is_not_a_permutation():
     collapse = FreeAutomorphism(2, (FreeWord((1, 2)), FreeWord(())))
     with pytest.raises(UnsupportedForm, match="same delta image"):
         moduli_report(load_group("c2"), collapse, surjective_only=False)
+
+
+def test_moduli_degree_refuses_an_orbit_that_misses_its_start():
+    """The same map takes (1, 1) to the fixed point (0, 0), so delta^N
+    never fixes (1, 1); the walk must stop, not loop forever."""
+    collapse = FreeAutomorphism(2, (FreeWord((1, 2)), FreeWord(())))
+    with pytest.raises(UnsupportedForm, match=r"returns to \(0, 0\) before \(1, 1\)"):
+        moduli_degree((1, 1), collapse, load_group("c2"))
+    assert moduli_degree((0, 0), collapse, load_group("c2")) == 1
 
 
 def report_cases():

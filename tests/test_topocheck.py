@@ -211,7 +211,7 @@ def family_from_matrix(mat, eta=F(1, 8), r=F(1, 64), z0re=F(3, 256), samples=102
     "pairwise e >= n+1" partition, so v(a_i - a_j) = e_ij exactly, and at
     a small real z0 the values stay in label order.
     """
-    from branchmono.intersection import depth_partition
+    from oracles import depth_partition
 
     d = mat.d
     coeffs = [[F(0)] * (mat.max_depth() + 1) for _ in range(d)]
