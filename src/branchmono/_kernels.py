@@ -6,9 +6,9 @@ the i-th generator, -i its inverse); groups are Cayley tables with
 element 0 the identity.
 
 ``FreeWord``'s constructor reduces every word here, and ``quotients``
-enumerates cover classes with ``product_one_classes_chunk``.
-``evaluate_word`` and ``canonical_tuple`` are the direct definitions that
-``quotients``' precomputed lookups are tested against.
+enumerates cover classes with ``product_one_classes_chunk``.  The direct
+definitions that ``quotients``' precomputed lookups are tested against
+live with the tests' other oracles.
 """
 
 from __future__ import annotations
@@ -31,47 +31,6 @@ def reduce_word(letters: Sequence[int]) -> list[int]:
         else:
             out.append(x)
     return out
-
-
-def evaluate_word(
-    table: Sequence[Sequence[int]],
-    inv: Sequence[int],
-    tup: Sequence[int],
-    word: Sequence[int],
-) -> int:
-    """Evaluate a free word at a tuple of group elements (0 = identity)."""
-    acc = 0
-    for letter in word:
-        g = tup[letter - 1] if letter > 0 else inv[tup[-letter - 1]]
-        acc = table[acc][g]
-    return acc
-
-
-def canonical_tuple(
-    table: Sequence[Sequence[int]], inv: Sequence[int], tup: Sequence[int]
-) -> tuple[int, ...]:
-    """Lexicographically least tuple in the simultaneous-conjugation orbit.
-
-    Minimises one coordinate at a time: only the conjugators h that reach
-    the least image of every earlier coordinate are tried on the next one,
-    so the cost is O(|G| + |C|·d) for C the set of conjugators that survive
-    the first coordinate, not |G|·d.
-    """
-    n = len(inv)
-    best: list[int] = []
-    hs = range(n)
-    for g in tup:
-        least = n
-        keep: list[int] = []
-        for h in hs:
-            y = table[table[inv[h]][g]][h]
-            if y < least:
-                least, keep = y, [h]
-            elif y == least:
-                keep.append(h)
-        best.append(least)
-        hs = keep
-    return tuple(best)
 
 
 def product_one_classes_chunk(

@@ -13,30 +13,27 @@ normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._value import Value, _set
 from .clusters import Cluster
 from .errors import DimensionMismatch, IndexOutOfRange, IntervalOutOfRange, InvalidInput
 from .freegroup import FreeAutomorphism, FreeWord, format_letters, parse_letters
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Value):
     """A word in the braid generators b_1..b_{strands-1} (signed indices)."""
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 2:
-            raise InvalidInput(f"braid group needs at least 2 strands, got {self.strands}")
-        for x in self.letters:
-            if x == 0 or abs(x) > self.strands - 1:
-                raise IndexOutOfRange(
-                    f"braid letter {x} out of range for {self.strands} strands"
-                )
-        object.__setattr__(self, "letters", tuple(self.letters))
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        if strands < 2:
+            raise InvalidInput(f"braid group needs at least 2 strands, got {strands}")
+        for x in letters:
+            if x == 0 or abs(x) > strands - 1:
+                raise IndexOutOfRange(f"braid letter {x} out of range for {strands} strands")
+        _set(self, "strands", strands)
+        _set(self, "letters", tuple(letters))
 
     @classmethod
     def identity(cls, strands: int) -> "BraidWord":

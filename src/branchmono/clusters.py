@@ -10,26 +10,24 @@ Singletons are excluded: their twists act trivially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from ._value import Value, _set
 from .errors import IntervalOutOfRange, NotCanonicallyOrdered, SizeLimit
 from .intersection import IntersectionMatrix, satisfies_interval_hypothesis
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(Value):
     """Interval {start, ..., start+length-1} at nesting depth >= 1."""
 
-    start: int
-    length: int
-    depth: int
+    __slots__ = ("start", "length", "depth")
 
-    def __post_init__(self):
-        if self.start < 1 or self.length < 2 or self.depth < 1:
-            raise IntervalOutOfRange(
-                f"bad cluster (start={self.start}, length={self.length}, depth={self.depth})"
-            )
+    def __init__(self, start: int, length: int, depth: int):
+        if start < 1 or length < 2 or depth < 1:
+            raise IntervalOutOfRange(f"bad cluster (start={start}, length={length}, depth={depth})")
+        _set(self, "start", start)
+        _set(self, "length", length)
+        _set(self, "depth", depth)
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -50,17 +48,15 @@ class Cluster:
         return f"({{{self.start}..{self.end}}}, {self.depth})"
 
 
-@dataclass(frozen=True)
-class ClusterForest:
-    d: int
-    clusters: tuple[Cluster, ...]
+class ClusterForest(Value):
+    __slots__ = ("d", "clusters")
 
-    def __post_init__(self):
-        for c in self.clusters:
-            if c.end > self.d:
-                raise IntervalOutOfRange(f"cluster {c} exceeds d = {self.d}")
-        ordered = tuple(sorted(self.clusters, key=lambda c: (c.depth, c.start)))
-        object.__setattr__(self, "clusters", ordered)
+    def __init__(self, d: int, clusters: tuple[Cluster, ...]):
+        for c in clusters:
+            if c.end > d:
+                raise IntervalOutOfRange(f"cluster {c} exceeds d = {d}")
+        _set(self, "d", d)
+        _set(self, "clusters", tuple(sorted(clusters, key=lambda c: (c.depth, c.start))))
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -117,10 +113,12 @@ def compute_clusters(m: IntersectionMatrix) -> ClusterForest:
     return ClusterForest(m.d, tuple(clusters))
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    cluster: Cluster
-    children: tuple["TreeNode", ...]
+class TreeNode(Value):
+    __slots__ = ("cluster", "children")
+
+    def __init__(self, cluster: Cluster, children: tuple["TreeNode", ...]):
+        _set(self, "cluster", cluster)
+        _set(self, "children", children)
 
 
 def nesting_tree(forest: ClusterForest) -> tuple[TreeNode, ...]:

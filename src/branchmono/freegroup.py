@@ -12,10 +12,10 @@ the relevant centralizers are cyclic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
+from ._value import Value, _set
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, UnsupportedForm
 
 _TOKEN = re.compile(r"^([A-Za-z]+)(\d+)(?:\^(-?\d+))?$")
@@ -53,17 +53,16 @@ def parse_letters(text: str, symbol: str = "x") -> list[int]:
     return letters
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Value):
     """A freely reduced word; the constructor reduces its input."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for x in self.letters:
+    def __init__(self, letters: tuple[int, ...] = ()):
+        for x in letters:
             if not isinstance(x, int) or x == 0:
                 raise InvalidInput(f"invalid letter {x!r} in word")
-        object.__setattr__(self, "letters", tuple(_kernels.reduce_word(self.letters)))
+        _set(self, "letters", tuple(_kernels.reduce_word(letters)))
 
     @classmethod
     def identity(cls) -> "FreeWord":
@@ -134,8 +133,7 @@ def reduce_word(letters: Iterable[int], d: Optional[int] = None) -> FreeWord:
     return FreeWord(letters)
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
+class FreeAutomorphism(Value):
     """An endomorphism of the free group of rank d given on generators.
 
     All instances produced by the monodromy pipeline are automorphisms
@@ -143,15 +141,16 @@ class FreeAutomorphism:
     not enforce invertibility.
     """
 
-    d: int
-    images: tuple[FreeWord, ...]
+    __slots__ = ("d", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.d:
-            raise DimensionMismatch(f"expected {self.d} images, got {len(self.images)}")
-        for w in self.images:
-            if w.max_index() > self.d:
-                raise IndexOutOfRange(f"image {w} uses a generator beyond rank {self.d}")
+    def __init__(self, d: int, images: tuple[FreeWord, ...]):
+        if len(images) != d:
+            raise DimensionMismatch(f"expected {d} images, got {len(images)}")
+        for w in images:
+            if w.max_index() > d:
+                raise IndexOutOfRange(f"image {w} uses a generator beyond rank {d}")
+        _set(self, "d", d)
+        _set(self, "images", images)
 
     @classmethod
     def identity(cls, d: int) -> "FreeAutomorphism":

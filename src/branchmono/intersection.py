@@ -26,12 +26,11 @@ reindexed tree has the identity order and the same consecutive depths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import Any, Callable, Mapping, Optional, Sequence
 
+from ._value import Value, _set
 from .errors import (
     DuplicatePoint,
     IndistinguishableTruncation,
@@ -117,25 +116,31 @@ def _is_array_of_arrays(value: Any) -> bool:
     return _is_array(value) and all(_is_array(row) for row in value)
 
 
-@dataclass(frozen=True)
-class BranchInput:
+class BranchInput(Value):
     """Validated branch-point data in one of the three input modes."""
 
-    mode: str
-    p: Optional[int] = None
-    points: tuple = ()
-    matrix: Optional[tuple[tuple[int, ...], ...]] = None
-    truncation: Optional[int] = None
-    labels: tuple[str, ...] = field(default=())
+    __slots__ = ("mode", "p", "points", "matrix", "truncation", "labels")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidInput(f"unknown mode {_echo(self.mode)}; expected one of {MODES}")
-        if self.p is not None and not is_prime(self.p):
-            raise InvalidInput(f"p = {self.p} is not prime")
-        getattr(self, f"_check_{self.mode}")()
-        if not self.labels:
-            object.__setattr__(self, "labels", self._default_labels())
+    def __init__(
+        self,
+        mode: str,
+        p: Optional[int] = None,
+        points: tuple = (),
+        matrix: Optional[tuple[tuple[int, ...], ...]] = None,
+        truncation: Optional[int] = None,
+        labels: tuple[str, ...] = (),
+    ):
+        if mode not in MODES:
+            raise InvalidInput(f"unknown mode {_echo(mode)}; expected one of {MODES}")
+        if p is not None and not is_prime(p):
+            raise InvalidInput(f"p = {p} is not prime")
+        _set(self, "mode", mode)
+        _set(self, "p", p)
+        _set(self, "points", points)
+        _set(self, "matrix", matrix)
+        _set(self, "truncation", truncation)
+        getattr(self, f"_check_{mode}")()
+        _set(self, "labels", labels or self._default_labels())
 
     @property
     def d(self) -> int:
@@ -157,9 +162,7 @@ class BranchInput:
             if not isinstance(x, Fraction):
                 raise InvalidInput(f"point {idx} is not an exact rational")
             if x.denominator % self.p == 0:  # reduced, so v_p(x) < 0
-                raise NonIntegralPoint(
-                    f"point {idx} = {format_rational(x)} has v_{self.p} < 0"
-                )
+                raise NonIntegralPoint(f"point {idx} = {_echo(x)} has v_{self.p} < 0")
             if x in seen:
                 raise DuplicatePoint(f"points {seen[x]} and {idx} coincide")
             seen[x] = idx
@@ -186,9 +189,17 @@ class BranchInput:
         self._check_common_size(len(self.matrix))
 
     def _default_labels(self) -> tuple[str, ...]:
-        if self.mode == "padic":
-            return tuple(format_rational(x) for x in self.points)
-        return tuple(f"P{i}" for i in range(1, self.d + 1))
+        if self.mode != "padic":
+            return tuple(f"P{i}" for i in range(1, self.d + 1))
+        labels = []
+        for idx, x in enumerate(self.points, start=1):
+            try:
+                labels.append(format_rational(x))
+            except ValueError:  # past the interpreter's limit for str()
+                raise InvalidInput(
+                    f"point {idx} = {_echo(x)} has no default label; give labels", point=idx
+                ) from None
+        return tuple(labels)
 
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, Any]) -> "BranchInput":
@@ -220,8 +231,7 @@ class BranchInput:
         return cls(mode=mode, p=p, matrix=matrix)
 
 
-@dataclass(frozen=True, init=False)
-class IntersectionMatrix:
+class IntersectionMatrix(Value):
     """The cluster tree of a symmetric matrix of pairwise intersection
     multiplicities.
 
@@ -237,46 +247,42 @@ class IntersectionMatrix:
     (among e_ij, e_ik, e_jk the minimum is attained at least twice).  The
     diagonal's values are ignored and stored as 0.  ``from_tree`` builds
     one from the tree alone, and ``e`` is then filled on first read.
+    Equality, hashing and the repr read ``d``, ``order`` and ``steps``.
     """
 
-    d: int
-    order: tuple[int, ...]
-    steps: tuple[int, ...]
+    __slots__ = ("d", "order", "steps", "_e")
+    _fields = ("d", "order", "steps")
 
     def __init__(self, d: int, e: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        if self.d < 2 or len(self.e) != self.d:
-            raise InvalidInput(f"bad matrix shape for d = {self.d}")
-        for i, row in enumerate(self.e):
-            if len(row) != self.d:
-                raise InvalidInput(f"row {i + 1} has wrong length {len(row)}, expected {self.d}")
-        for i, row in enumerate(self.e):
+        if d < 2 or len(e) != d:
+            raise InvalidInput(f"bad matrix shape for d = {d}")
+        for i, row in enumerate(e):
+            if len(row) != d:
+                raise InvalidInput(f"row {i + 1} has wrong length {len(row)}, expected {d}")
+        for i, row in enumerate(e):
             if set(map(type, row)) != {int} or min(row) < 0:
                 for j, v in enumerate(row):
                     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                         raise InvalidInput(f"entry ({i + 1},{j + 1}) must be a nonnegative integer")
-        rows = tuple((*row[:i], 0, *row[i + 1 :]) for i, row in enumerate(self.e))
+        rows = tuple((*row[:i], 0, *row[i + 1 :]) for i, row in enumerate(e))
         if rows != tuple(zip(*rows)):
-            d = self.d
             i, j = next((i, j) for i in range(d) for j in range(i + 1, d) if rows[i][j] != rows[j][i])
             raise InvalidInput(f"matrix not symmetric at ({i + 1},{j + 1})")
-        object.__setattr__(self, "e", rows)
-        order, rest, key = [0], list(range(1, self.d)), list(self.e[0])
+        order, rest, key = [0], list(range(1, d)), list(rows[0])
         while rest:
             order.append(max(rest, key=key.__getitem__))
             rest.remove(order[-1])
-            key = [max(k, v) for k, v in zip(key, self.e[order[-1]])]
-        object.__setattr__(self, "order", tuple(i + 1 for i in order))
+            key = [max(k, v) for k, v in zip(key, rows[order[-1]])]
         # Ultrametric iff each entry is the minimum of the consecutive entries
         # between its indices in this order; the triple scan names a triple.
-        # The scan reads the local rows: ``e`` is a descriptor on the class,
-        # which makes each ``self.e`` lookup slower than a plain attribute's.
         for p, a in enumerate(order):
             for b, c in zip(order[p + 1 :], order[p + 2 :]):
                 if rows[a][c] != min(rows[a][b], rows[b][c]):
-                    self._raise_first_violation()
-        object.__setattr__(self, "steps", tuple(rows[a][b] for a, b in zip(order, order[1:])))
+                    _raise_first_violation(rows)
+        _set(self, "d", d)
+        _set(self, "order", tuple(i + 1 for i in order))
+        _set(self, "steps", tuple(rows[a][b] for a, b in zip(order, order[1:])))
+        _set(self, "_e", rows)
 
     @classmethod
     def from_tree(cls, order: Sequence[int], steps: Sequence[int]) -> "IntersectionMatrix":
@@ -284,33 +290,26 @@ class IntersectionMatrix:
         whose consecutive depths along it are ``steps``, trusted to be
         such; no entry is computed until ``e`` is read."""
         m = object.__new__(cls)
-        object.__setattr__(m, "d", len(order))
-        object.__setattr__(m, "order", tuple(order))
-        object.__setattr__(m, "steps", tuple(steps))
+        _set(m, "d", len(order))
+        _set(m, "order", tuple(order))
+        _set(m, "steps", tuple(steps))
         return m
 
-    @cached_property
+    @property
     def e(self) -> tuple[tuple[int, ...], ...]:
         """The full matrix.  One built by ``from_tree`` fills it on first
         read, by a running minimum over ``steps`` from each leaf, in O(d^2)."""
+        try:
+            return self._e
+        except AttributeError:
+            pass
         idx = [s - 1 for s in self.order]
         e = [[0] * self.d for _ in range(self.d)]
         for a, i in enumerate(idx):
             for j, v in zip(idx[a + 1 :], accumulate(self.steps[a:], min)):
                 e[i][j] = e[j][i] = v
-        return tuple(map(tuple, e))
-
-    def _raise_first_violation(self) -> None:
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                for k in range(j + 1, self.d):
-                    trio = (self.e[i][j], self.e[i][k], self.e[j][k])
-                    if sorted(trio)[0] != sorted(trio)[1]:
-                        raise UltrametricViolation(
-                            "minimum attained only once on triple "
-                            f"({i + 1},{j + 1},{k + 1}): e = {trio}",
-                            triple=[i + 1, j + 1, k + 1],
-                        )
+        _set(self, "_e", tuple(map(tuple, e)))
+        return self._e
 
     def entry(self, i: int, j: int) -> int:
         """1-based access."""
@@ -318,6 +317,20 @@ class IntersectionMatrix:
 
     def max_depth(self) -> int:
         return max(self.steps)
+
+
+def _raise_first_violation(e: tuple[tuple[int, ...], ...]) -> None:
+    d = len(e)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                trio = (e[i][j], e[i][k], e[j][k])
+                if sorted(trio)[0] != sorted(trio)[1]:
+                    raise UltrametricViolation(
+                        "minimum attained only once on triple "
+                        f"({i + 1},{j + 1},{k + 1}): e = {trio}",
+                        triple=[i + 1, j + 1, k + 1],
+                    )
 
 
 def _valuation(n: int, p: int) -> int:

@@ -10,9 +10,9 @@ and never simplifies across relations, so output is stable for goldens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
+from ._value import Value, _set
 from .clusters import Cluster, ClusterForest
 from .errors import IntervalOutOfRange
 from .freegroup import FreeAutomorphism, FreeWord
@@ -41,16 +41,25 @@ def monodromy_automorphism(forest: ClusterForest) -> FreeAutomorphism:
     return FreeAutomorphism(forest.d, tuple(images))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """Generators x_1..x_d and delta with the product relation and the
     delta-conjugation relations."""
 
-    d: int
-    images: tuple[FreeWord, ...]
-    p: int = 0
-    point_labels: tuple[str, ...] = ()
-    sigma: tuple[int, ...] = ()
+    __slots__ = ("d", "images", "p", "point_labels", "sigma")
+
+    def __init__(
+        self,
+        d: int,
+        images: tuple[FreeWord, ...],
+        p: int = 0,
+        point_labels: tuple[str, ...] = (),
+        sigma: tuple[int, ...] = (),
+    ):
+        _set(self, "d", d)
+        _set(self, "images", images)
+        _set(self, "p", p)
+        _set(self, "point_labels", point_labels)
+        _set(self, "sigma", sigma)
 
     def generators(self) -> list[str]:
         return [f"x{i}" for i in range(1, self.d + 1)] + ["delta"]

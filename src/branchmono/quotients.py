@@ -23,11 +23,11 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 from . import _kernels
+from ._value import Value, _set
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -107,8 +107,7 @@ def associativity_failure(table: Sequence[Sequence[int]]) -> Optional[tuple[int,
     return None
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """A finite group as a Cayley table over 0..n-1 with 0 the identity.
 
     The table is fully validated on construction (identity, latin square,
@@ -120,22 +119,21 @@ class FiniteGroup:
     - ``reach[x]``, the rows ``conj[h]`` that take x to ``least[x]``, one
       per inner automorphism (conjugators that differ by a central element
       have the same row).
+
+    Equality, hashing and the repr read ``name``, ``table`` and
+    ``inverse``; the conjugation data follows from the table.
     """
 
-    name: str
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...] = field(init=False)
-    conj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    least: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    reach: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "table", "inverse", "conj", "least", "reach")
+    _fields = ("name", "table", "inverse")
 
-    def __post_init__(self):
-        n = len(self.table)
+    def __init__(self, name: str, table: tuple[tuple[int, ...], ...]):
+        n = len(table)
         check_group_order(n)
         if n == 0:
             raise NotAGroup("empty table")
         elements = list(range(n))
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(table):
             if len(row) != n:
                 raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
             if set(map(type, row)) != {int}:
@@ -144,28 +142,29 @@ class FiniteGroup:
                         raise NotAGroup(f"entry {v!r} in row {i} out of range")
             if sorted(row) != elements:
                 raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-        cols = tuple(zip(*self.table))
+        cols = tuple(zip(*table))
         for j, col in enumerate(cols):
             if sorted(col) != elements:
                 raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
-        if list(self.table[0]) != elements or list(cols[0]) != elements:
+        if list(table[0]) != elements or list(cols[0]) != elements:
             raise NotAGroup("0 is not a two-sided identity")
-        inv = [row.index(0) for row in self.table]
+        inv = [row.index(0) for row in table]
         for g in range(n):
-            if self.table[inv[g]][g] != 0:
+            if table[inv[g]][g] != 0:
                 raise NotAGroup(f"element {g} has no two-sided inverse")
-        failure = associativity_failure(self.table)
+        failure = associativity_failure(table)
         if failure:
             raise NotAGroup("associativity fails at ({},{},{})".format(*failure))
         # conj[h][x] = h^-1 x h = (column h)[(row h^-1)[x]]
-        conj = tuple(tuple(map(cols[h].__getitem__, self.table[inv[h]])) for h in range(n))
+        conj = tuple(tuple(map(cols[h].__getitem__, table[inv[h]])) for h in range(n))
         inner = tuple(dict.fromkeys(conj))
         least = tuple(map(min, zip(*inner)))
-        reach = tuple(tuple(row for row in inner if row[x] == least[x]) for x in range(n))
-        object.__setattr__(self, "inverse", tuple(inv))
-        object.__setattr__(self, "conj", conj)
-        object.__setattr__(self, "least", least)
-        object.__setattr__(self, "reach", reach)
+        _set(self, "name", name)
+        _set(self, "table", table)
+        _set(self, "inverse", tuple(inv))
+        _set(self, "conj", conj)
+        _set(self, "least", least)
+        _set(self, "reach", tuple(tuple(row for row in inner if row[x] == least[x]) for x in range(n)))
 
     @property
     def order(self) -> int:
@@ -426,17 +425,38 @@ def moduli_degree(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> 
     return len(seen)
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    group_name: str
-    group_order: int
-    d: int
-    p: int
-    surjective_only: bool
-    center_size: int
-    exponent: int
-    # (canonical tuple, moduli degree) per class, in enumeration order.
-    degrees: tuple[tuple[tuple[int, ...], int], ...]
+class OrbitReport(Value):
+    __slots__ = (
+        "group_name",
+        "group_order",
+        "d",
+        "p",
+        "surjective_only",
+        "center_size",
+        "exponent",
+        "degrees",
+    )
+
+    def __init__(
+        self,
+        group_name: str,
+        group_order: int,
+        d: int,
+        p: int,
+        surjective_only: bool,
+        center_size: int,
+        exponent: int,
+        degrees: tuple[tuple[tuple[int, ...], int], ...],
+    ):
+        _set(self, "group_name", group_name)
+        _set(self, "group_order", group_order)
+        _set(self, "d", d)
+        _set(self, "p", p)
+        _set(self, "surjective_only", surjective_only)
+        _set(self, "center_size", center_size)
+        _set(self, "exponent", exponent)
+        # (canonical tuple, moduli degree) per class, in enumeration order.
+        _set(self, "degrees", degrees)
 
     @property
     def class_count(self) -> int:

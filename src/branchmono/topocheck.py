@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
+from ._value import Value, _set
 from .braid import BraidWord, braid_action, half_twist
 from .clusters import Cluster, ClusterForest, compute_clusters
 from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
@@ -46,12 +46,14 @@ from .intersection import (
 from .monodromy import monodromy_automorphism
 
 
-@dataclass(frozen=True)
-class RationalComplex:
+class RationalComplex(Value):
     """Gaussian rational: exact real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     def __add__(self, other: "RationalComplex") -> "RationalComplex":
         return RationalComplex(self.re + other.re, self.im + other.im)
@@ -123,36 +125,43 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
+class WitnessFamily(Value):
     """Polynomials a_1..a_d with the loop parameters (eta, r, z0).
 
     The standing constraint r/2 < |z0| < r is validated exactly; the
     polynomial list must already be in canonical (cluster-interval) order.
     """
 
-    polys: tuple[tuple[Fraction, ...], ...]
-    eta: Fraction
-    r: Fraction
-    z0: RationalComplex
-    samples: int = 4096
+    __slots__ = ("polys", "eta", "r", "z0", "samples")
 
-    def __post_init__(self):
-        object.__setattr__(self, "polys", tuple(_trim(p) for p in self.polys))
-        if len(self.polys) < 2:
+    def __init__(
+        self,
+        polys: tuple[tuple[Fraction, ...], ...],
+        eta: Fraction,
+        r: Fraction,
+        z0: RationalComplex,
+        samples: int = 4096,
+    ):
+        polys = tuple(_trim(p) for p in polys)
+        if len(polys) < 2:
             raise InvalidInput("need at least 2 polynomials")
-        if len(set(self.polys)) != len(self.polys):
+        if len(set(polys)) != len(polys):
             raise InvalidInput("witness polynomials must be pairwise distinct")
-        if self.eta < 0:
-            raise InvalidInput(f"eta must be nonnegative, got {_echo(self.eta)}")
-        if self.r <= 0:
-            raise InvalidInput(f"r must be positive, got {_echo(self.r)}")
-        a2 = self.z0.abs2()
-        if not (self.r * self.r / 4 < a2 < self.r * self.r):
+        if eta < 0:
+            raise InvalidInput(f"eta must be nonnegative, got {_echo(eta)}")
+        if r <= 0:
+            raise InvalidInput(f"r must be positive, got {_echo(r)}")
+        a2 = z0.abs2()
+        if not (r * r / 4 < a2 < r * r):
             raise InvalidInput(
-                f"z0 must satisfy r/2 < |z0| < r; got |z0|^2 = {_echo(a2)}, r = {_echo(self.r)}"
+                f"z0 must satisfy r/2 < |z0| < r; got |z0|^2 = {_echo(a2)}, r = {_echo(r)}"
             )
-        check_samples(self.samples)
+        check_samples(samples)
+        _set(self, "polys", polys)
+        _set(self, "eta", eta)
+        _set(self, "r", r)
+        _set(self, "z0", z0)
+        _set(self, "samples", samples)
 
     @property
     def d(self) -> int:
@@ -206,21 +215,25 @@ class WitnessFamily:
         )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    kind: str
-    subject: str
-    ok: bool
-    detail: str = ""
+class CheckRecord(Value):
+    __slots__ = ("kind", "subject", "ok", "detail")
+
+    def __init__(self, kind: str, subject: str, ok: bool, detail: str = ""):
+        _set(self, "kind", kind)
+        _set(self, "subject", subject)
+        _set(self, "ok", ok)
+        _set(self, "detail", detail)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "subject": self.subject, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class GeometryReport:
-    kind: str
-    records: tuple[CheckRecord, ...]
+class GeometryReport(Value):
+    __slots__ = ("kind", "records")
+
+    def __init__(self, kind: str, records: tuple[CheckRecord, ...]):
+        _set(self, "kind", kind)
+        _set(self, "records", records)
 
     @property
     def passed(self) -> bool:
@@ -437,13 +450,22 @@ def _horner(cs: Sequence[float], z: complex) -> complex:
     return acc
 
 
-@dataclass
 class _Tracker:
-    coeffs: list[list[float]]
-    z0: complex
-    samples: int
-    frame: complex = 1.0
-    scale: float = 1.0
+    __slots__ = ("coeffs", "z0", "samples", "frame", "scale")
+
+    def __init__(
+        self,
+        coeffs: list[list[float]],
+        z0: complex,
+        samples: int,
+        frame: complex = 1.0,
+        scale: float = 1.0,
+    ):
+        self.coeffs = coeffs
+        self.z0 = z0
+        self.samples = samples
+        self.frame = frame
+        self.scale = scale
 
     def positions(self, t: float) -> list[complex]:
         z = self.z0 * cmath.exp(2j * math.pi * t)
@@ -695,15 +717,24 @@ def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
     )
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Value):
     """Outcome of comparing the tracked braid with the cluster twists."""
 
-    braid: BraidWord
-    tracked: FreeAutomorphism
-    symbolic: FreeAutomorphism
-    conjugator: Optional[FreeWord]
-    exact: bool
+    __slots__ = ("braid", "tracked", "symbolic", "conjugator", "exact")
+
+    def __init__(
+        self,
+        braid: BraidWord,
+        tracked: FreeAutomorphism,
+        symbolic: FreeAutomorphism,
+        conjugator: Optional[FreeWord],
+        exact: bool,
+    ):
+        _set(self, "braid", braid)
+        _set(self, "tracked", tracked)
+        _set(self, "symbolic", symbolic)
+        _set(self, "conjugator", conjugator)
+        _set(self, "exact", exact)
 
     @property
     def consistent(self) -> bool:

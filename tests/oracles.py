@@ -4,6 +4,9 @@
 ``Fraction`` arithmetic with one division per digit of ``padic_valuation``,
 as the p-adic and series ingest once did; ``reindex`` and
 ``depth_partition`` read a validated matrix entry by entry.
+``evaluate_word`` and ``canonical_tuple`` are the direct definitions of
+word evaluation and of the canonical form of a cover class, which the
+finite-group layer computes from precomputed conjugation data.
 """
 
 from __future__ import annotations
@@ -81,3 +84,44 @@ def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list
         remaining = rest
         classes.append(sorted(cls))
     return classes
+
+
+def evaluate_word(
+    table: Sequence[Sequence[int]],
+    inv: Sequence[int],
+    tup: Sequence[int],
+    word: Sequence[int],
+) -> int:
+    """Evaluate a free word at a tuple of group elements (0 = identity)."""
+    acc = 0
+    for letter in word:
+        g = tup[letter - 1] if letter > 0 else inv[tup[-letter - 1]]
+        acc = table[acc][g]
+    return acc
+
+
+def canonical_tuple(
+    table: Sequence[Sequence[int]], inv: Sequence[int], tup: Sequence[int]
+) -> tuple[int, ...]:
+    """Lexicographically least tuple in the simultaneous-conjugation orbit.
+
+    Minimises one coordinate at a time: only the conjugators h that reach
+    the least image of every earlier coordinate are tried on the next one,
+    so the cost is O(|G| + |C|·d) for C the set of conjugators that survive
+    the first coordinate, not |G|·d.
+    """
+    n = len(inv)
+    best: list[int] = []
+    hs = range(n)
+    for g in tup:
+        least = n
+        keep: list[int] = []
+        for h in hs:
+            y = table[table[inv[h]][g]][h]
+            if y < least:
+                least, keep = y, [h]
+            elif y == least:
+                keep.append(h)
+        best.append(least)
+        hs = keep
+    return tuple(best)

@@ -192,6 +192,16 @@ def test_deep_shared_prefixes():
     assert (m.order, m.steps) == ((1, 3, 4, 2), (20001, 20002, 20000))
 
 
+def test_points_past_the_digit_limit_without_labels():
+    """A point too long for str() has no default label, and a non-integral
+    one is echoed bounded; both are domain errors, not a bare ValueError."""
+    with pytest.raises(InvalidInput, match="point 2 = <Fraction too long to print> has no default label") as info:
+        BranchInput(mode="padic", p=2, points=(F(0), F(2**20000)))
+    assert info.value.to_json_dict()["details"] == {"point": 2}
+    with pytest.raises(NonIntegralPoint, match=r"point 2 = <Fraction too long to print> has v_2 < 0"):
+        BranchInput(mode="padic", p=2, points=(F(0), F(2**20000 + 1, 2)))
+
+
 def test_forest_from_trie_matches_oracle_clusters(rng):
     """The forest swept from the trie's depths equals compute_clusters on
     the oracle's reordered matrix, and, pushed back through sigma, the
