@@ -13,7 +13,7 @@ normal forms.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ._value import Value, _set
 from .clusters import Cluster
@@ -26,14 +26,15 @@ class BraidWord(Value):
 
     __slots__ = ("strands", "letters")
 
-    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+    def __init__(self, strands: int, letters: Iterable[int] = ()):
+        letters = tuple(letters)
         if strands < 2:
             raise InvalidInput(f"braid group needs at least 2 strands, got {strands}")
         for x in letters:
             if x == 0 or abs(x) > strands - 1:
                 raise IndexOutOfRange(f"braid letter {x} out of range for {strands} strands")
         _set(self, "strands", strands)
-        _set(self, "letters", tuple(letters))
+        _set(self, "letters", letters)
 
     @classmethod
     def identity(cls, strands: int) -> "BraidWord":
@@ -73,16 +74,14 @@ class BraidWord(Value):
         return f"BraidWord({self.strands}, {format_letters(self.letters, 'b')!r})"
 
 
-def braid_action(b: BraidWord, d: Optional[int] = None) -> FreeAutomorphism:
-    """The automorphism of the rank-d free group induced by a braid word.
+def braid_action(b: BraidWord) -> FreeAutomorphism:
+    """The automorphism of the free group of rank ``b.strands`` induced by
+    a braid word.
 
     Homomorphism convention: the rightmost letter acts first, so
     braid_action(u * v) = compose(braid_action(u), braid_action(v)).
     """
-    if d is None:
-        d = b.strands
-    if d != b.strands:
-        raise DimensionMismatch(f"braid on {b.strands} strands cannot act on rank {d}")
+    d = b.strands
     images = [FreeWord.generator(j) for j in range(1, d + 1)]
     for letter in b.letters:
         k = abs(letter) - 1

@@ -58,7 +58,8 @@ class FreeWord(Value):
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[int, ...] = ()):
+    def __init__(self, letters: Iterable[int] = ()):
+        letters = tuple(letters)
         for x in letters:
             if not isinstance(x, int) or x == 0:
                 raise InvalidInput(f"invalid letter {x!r} in word")

@@ -7,7 +7,8 @@ integers); nothing here touches floating point.
 
 The paper's invariants depend only on the rooted tree of clusters, which
 ``IntersectionMatrix`` holds as the canonical leaf order and the d - 1
-depths between consecutive leaves along it.
+depths between consecutive leaves along it, and nothing else: the entry
+of two leaves is the least depth between them.
 
 - p-adic and series inputs are ingested as a trie in O(d * height), with
   no d^2 matrix: at each node one valuation (or first differing
@@ -27,7 +28,6 @@ reindexed tree has the identity order and the same consecutive depths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ._value import Value, _set
@@ -244,14 +244,12 @@ class IntersectionMatrix(Value):
 
     ``IntersectionMatrix(d, e)`` validates a full matrix: every entry a
     nonnegative integer, symmetry, and the ultrametric two-minima rule
-    (among e_ij, e_ik, e_jk the minimum is attained at least twice).  The
-    diagonal's values are ignored and stored as 0.  ``from_tree`` builds
-    one from the tree alone, and ``e`` is then filled on first read.
-    Equality, hashing and the repr read ``d``, ``order`` and ``steps``.
+    (among e_ij, e_ik, e_jk the minimum is attained at least twice), with
+    the diagonal ignored; only the tree is kept.  ``from_tree`` builds one
+    from the tree alone.
     """
 
-    __slots__ = ("d", "order", "steps", "_e")
-    _fields = ("d", "order", "steps")
+    __slots__ = ("d", "order", "steps")
 
     def __init__(self, d: int, e: tuple[tuple[int, ...], ...]):
         if d < 2 or len(e) != d:
@@ -282,41 +280,17 @@ class IntersectionMatrix(Value):
         _set(self, "d", d)
         _set(self, "order", tuple(i + 1 for i in order))
         _set(self, "steps", tuple(rows[a][b] for a, b in zip(order, order[1:])))
-        _set(self, "_e", rows)
 
     @classmethod
     def from_tree(cls, order: Sequence[int], steps: Sequence[int]) -> "IntersectionMatrix":
         """The matrix whose canonical leaf order is ``order`` (1-based) and
         whose consecutive depths along it are ``steps``, trusted to be
-        such; no entry is computed until ``e`` is read."""
+        such."""
         m = object.__new__(cls)
         _set(m, "d", len(order))
         _set(m, "order", tuple(order))
         _set(m, "steps", tuple(steps))
         return m
-
-    @property
-    def e(self) -> tuple[tuple[int, ...], ...]:
-        """The full matrix.  One built by ``from_tree`` fills it on first
-        read, by a running minimum over ``steps`` from each leaf, in O(d^2)."""
-        try:
-            return self._e
-        except AttributeError:
-            pass
-        idx = [s - 1 for s in self.order]
-        e = [[0] * self.d for _ in range(self.d)]
-        for a, i in enumerate(idx):
-            for j, v in zip(idx[a + 1 :], accumulate(self.steps[a:], min)):
-                e[i][j] = e[j][i] = v
-        _set(self, "_e", tuple(map(tuple, e)))
-        return self._e
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based access."""
-        return self.e[i - 1][j - 1]
-
-    def max_depth(self) -> int:
-        return max(self.steps)
 
 
 def _raise_first_violation(e: tuple[tuple[int, ...], ...]) -> None:

@@ -170,17 +170,6 @@ class FiniteGroup(Value):
     def order(self) -> int:
         return len(self.table)
 
-    def element_order(self, g: int) -> int:
-        k, acc = 1, g
-        while acc != 0:
-            acc = self.table[acc][g]
-            k += 1
-        return k
-
-    def conjugate(self, g: int, h: int) -> int:
-        """h^-1 g h."""
-        return self.conj[h][g]
-
     def canonical(self, tup: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically least tuple in the simultaneous-conjugation
         orbit of ``tup``.  Only the rows in ``reach[tup[0]]`` give the least

@@ -8,8 +8,13 @@ exactly on |z| = |z0| for rational t.  The cluster bound factors out the
 circle's radius: the centre b_{I,n} is a_i truncated below depth n, so
 |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2 on the circle, with T_i
 the tail of a_i past depth n, and each tail is evaluated over one integer
-denominator per sample.  Only the braid tracker itself runs in double
-precision, with crossings located by bisection.
+denominator per sample.  A family's cluster forest is built once, with
+the family, and every check reads it.
+
+Only the braid tracker runs in double precision, with crossings located
+by bisection.  It multiplies the coefficients by its projection frame
+once per frame, so a position's real part is its projection and its
+imaginary part the orthogonal coordinate.
 
 Between samples the tracked strand order changes by reversing disjoint
 blocks of adjacent strands.  A pair at positions k+1, k+2 emits b_{k+1}.
@@ -32,17 +37,10 @@ from typing import Any, Mapping, Optional, Sequence
 
 from ._value import Value, _set
 from .braid import BraidWord, braid_action, half_twist
-from .clusters import Cluster, ClusterForest, compute_clusters
+from .clusters import Cluster, compute_clusters
 from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
 from .freegroup import FreeAutomorphism, FreeWord, is_inner_shift
-from .intersection import (
-    BranchInput,
-    IntersectionMatrix,
-    _echo,
-    compute_matrix,
-    format_rational,
-    parse_rational,
-)
+from .intersection import BranchInput, _echo, compute_matrix, format_rational, parse_rational
 from .monodromy import monodromy_automorphism
 
 
@@ -69,9 +67,6 @@ class RationalComplex(Value):
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
 
     def __str__(self) -> str:
         return f"{format_rational(self.re)} + {format_rational(self.im)}i"
@@ -128,11 +123,15 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
 class WitnessFamily(Value):
     """Polynomials a_1..a_d with the loop parameters (eta, r, z0).
 
-    The standing constraint r/2 < |z0| < r is validated exactly; the
-    polynomial list must already be in canonical (cluster-interval) order.
+    The standing constraint r/2 < |z0| < r is validated exactly.  The
+    polynomials' cluster ``forest`` is built once, here, as the clusters
+    of their coefficient series, so the list must already be in canonical
+    (cluster-interval) order.  Equality, hashing and the repr read the
+    other fields; the forest follows from ``polys``.
     """
 
-    __slots__ = ("polys", "eta", "r", "z0", "samples")
+    __slots__ = ("polys", "eta", "r", "z0", "samples", "forest")
+    _fields = ("polys", "eta", "r", "z0", "samples")
 
     def __init__(
         self,
@@ -162,20 +161,14 @@ class WitnessFamily(Value):
         _set(self, "r", r)
         _set(self, "z0", z0)
         _set(self, "samples", samples)
+        length = max(map(len, polys)) + 1
+        padded = tuple(p + (Fraction(0),) * (length - len(p)) for p in polys)
+        series = BranchInput(mode="series", points=padded, truncation=length)
+        _set(self, "forest", compute_clusters(compute_matrix(series)))
 
     @property
     def d(self) -> int:
         return len(self.polys)
-
-    def matrix(self) -> IntersectionMatrix:
-        length = max(len(p) for p in self.polys) + 1
-        padded = tuple(p + (Fraction(0),) * (length - len(p)) for p in self.polys)
-        return compute_matrix(
-            BranchInput(mode="series", points=padded, truncation=length)
-        )
-
-    def forest(self) -> ClusterForest:
-        return compute_clusters(self.matrix())
 
     def center_poly(self, c: Cluster) -> tuple[Fraction, ...]:
         """The common degree-<n truncation of the cluster's polynomials."""
@@ -266,7 +259,7 @@ def _raise_if_failed(report: GeometryReport) -> GeometryReport:
 def verify_separation(w: WitnessFamily) -> GeometryReport:
     """Pairwise disjointness of the separating circles, nesting matching
     cluster containment, and membership of exactly the cluster's points."""
-    forest = w.forest()
+    forest = w.forest
     values = w.values_at_z0()
     records: list[CheckRecord] = []
 
@@ -378,11 +371,10 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
     on |z| = |z0|: |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2.  Each
     tail is evaluated once per sample in integers (``_max_abs2``), and the
     worst sample becomes one exact Fraction per record."""
-    forest = w.forest()
     points = _circle_points(w.z0, BOUND_SAMPLES)
     z0_abs2 = w.z0.abs2()
     records: list[CheckRecord] = []
-    for c in forest.clusters:
+    for c in w.forest.clusters:
         n = c.depth
         bound2 = z0_abs2 ** (n - 1) * w.eta * w.eta
         for i in c.indices():
@@ -442,8 +434,8 @@ def _block_reversals(a: list[int], b: list[int]) -> Optional[list[tuple[int, int
     return blocks
 
 
-def _horner(cs: Sequence[float], z: complex) -> complex:
-    """One strand's position: its float coefficients evaluated at z."""
+def _horner(cs: Sequence[complex], z: complex) -> complex:
+    """One strand's position: its double coefficients evaluated at z."""
     acc = 0j
     for c in reversed(cs):
         acc = acc * z + c
@@ -451,47 +443,39 @@ def _horner(cs: Sequence[float], z: complex) -> complex:
 
 
 class _Tracker:
-    __slots__ = ("coeffs", "z0", "samples", "frame", "scale")
+    """Strands followed in one projection frame.  Their coefficients come
+    multiplied by the frame, so a position's real part is its projection
+    and its imaginary part the orthogonal coordinate."""
 
-    def __init__(
-        self,
-        coeffs: list[list[float]],
-        z0: complex,
-        samples: int,
-        frame: complex = 1.0,
-        scale: float = 1.0,
-    ):
+    __slots__ = ("coeffs", "z0", "samples", "scale")
+
+    def __init__(self, coeffs: list[list[complex]], z0: complex, samples: int, scale: float):
         self.coeffs = coeffs
         self.z0 = z0
         self.samples = samples
-        self.frame = frame
         self.scale = scale
 
     def positions(self, t: float) -> list[complex]:
         z = self.z0 * cmath.exp(2j * math.pi * t)
         return [_horner(cs, z) for cs in self.coeffs]
 
-    def proj(self, p: complex) -> float:
-        return (p * self.frame).real
-
-    def orth(self, p: complex) -> float:
-        return (p * self.frame).imag
-
-    def order_at(self, t: float) -> tuple[list[int], list[int]]:
-        """Strand ids sorted by projection at t, and the ids whose
-        projection ties with a neighbour's (so their order is unknown).
-        Tied strands that occupy the same point collide, in every frame.
+    def order_at(self, t: float) -> list[int]:
+        """Strand ids sorted by projection at t, a grid time or a bisection
+        midpoint.  Neighbours whose projections tie either occupy the same
+        point, a collision in every frame, or are ordered by an accident of
+        this frame, which a rotation moves (collinear blocks are resolved
+        as half-twists, and a real z0 puts symmetric configurations on
+        dyadic times).
 
         A tie is a gap within rounding (positions carry a few ulps of the
         scale), not more: a deep cluster's strands are only |z0|^n apart,
         and a wider margin would tie them over a whole grid step around
         each of their crossings, in every frame."""
         pos = self.positions(t)
-        projs = [self.proj(p) for p in pos]
-        order = sorted(range(len(pos)), key=lambda i: projs[i])
+        order = sorted(range(len(pos)), key=lambda i: pos[i].real)
         tied: set[int] = set()
         for a, b in zip(order, order[1:]):
-            if abs(projs[a] - projs[b]) < 1e-14 * self.scale:
+            if abs(pos[a].real - pos[b].real) < 1e-14 * self.scale:
                 if abs(pos[a] - pos[b]) < 1e-11 * self.scale:
                     raise _unresolved(
                         f"strands {min(a, b) + 1} and {max(a, b) + 1} collide at t = {t:.9f}",
@@ -500,19 +484,9 @@ class _Tracker:
                         t,
                     )
                 tied.update((a, b))
-        return order, sorted(tied)
-
-    def sampled_order(self, t: float) -> list[int]:
-        """Order at a grid time or a bisection midpoint.  Collinear blocks
-        are resolved as half-twists, and the tie margin is rounding, so a
-        tie at a sampled time is an accident of this frame (a real z0 puts
-        symmetric configurations on dyadic times), which a rotation moves."""
-        order, tied = self.order_at(t)
         if tied:
             raise _NeedsRotation(
-                f"strands {_strand_names(tied)} tie in projection at t = {t:.9f}",
-                tied,
-                (t, t),
+                f"strands {_strand_names(tied)} tie in projection at t = {t:.9f}", tied, (t, t)
             )
         return order
 
@@ -523,7 +497,7 @@ class _Tracker:
 
         def gap(t: float) -> float:
             z = self.z0 * cmath.exp(2j * math.pi * t)
-            return self.proj(_horner(right_cs, z)) - self.proj(_horner(left_cs, z))
+            return _horner(right_cs, z).real - _horner(left_cs, z).real
 
         lo, hi = t_lo, t_hi
         g_lo = gap(lo)
@@ -554,8 +528,8 @@ class _Tracker:
         t_star = self.crossing_time(block[0], block[-1], t_lo, t_hi)
         pos = self.positions(t_star)
         pts = [pos[s] for s in block]
-        projs = [self.proj(p) for p in pts]
-        orths = [self.orth(p) for p in pts]
+        projs = [p.real for p in pts]
+        orths = [p.imag for p in pts]
         extent = max(orths) - min(orths)
         # A rigid block is off by its turning speed times the bisection's
         # time resolution (about 1e-11 of its extent), or by rounding in
@@ -589,7 +563,7 @@ class _Tracker:
     def run(self) -> tuple[list[int], list[int]]:
         """Returns (letters, initial order as strand ids)."""
         letters: list[int] = []
-        start = self.sampled_order(0.0)
+        start = self.order_at(0.0)
         current = list(start)
 
         def resolve(t_a: float, t_b: float, order_b: list[int], depth: int) -> None:
@@ -625,12 +599,12 @@ class _Tracker:
                     t_b,
                 )
             t_mid = (t_a + t_b) / 2
-            resolve(t_a, t_mid, self.sampled_order(t_mid), depth + 1)
+            resolve(t_a, t_mid, self.order_at(t_mid), depth + 1)
             resolve(t_mid, t_b, order_b, depth + 1)
 
         t_grid = [k / self.samples for k in range(self.samples + 1)]
         for t_a, t_b in zip(t_grid, t_grid[1:]):
-            resolve(t_a, t_b, self.sampled_order(t_b), 0)
+            resolve(t_a, t_b, self.order_at(t_b), 0)
         if current != start:
             moved = [s for s, s0 in zip(current, start) if s != s0]
             raise _unresolved(
@@ -681,22 +655,18 @@ def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
         for i, p in enumerate(w.polys, start=1)
     ]
     z0 = complex(_double(w.z0.re, "Re z0", field="z0"), _double(w.z0.im, "Im z0", field="z0"))
-    base = []
-    for i, v in enumerate(w.values_at_z0(), start=1):
-        try:
-            base.append(v.to_complex())
-        except OverflowError:
-            raise SizeLimit(f"a_{i}(z0) is past the range of a double", strand=i) from None
-    scale = max(1.0, max(abs(p) for p in base))
+    scale = 1.0
+    for i, cs in enumerate(coeffs, start=1):
+        p = _horner(cs, z0)
+        size = math.hypot(p.real, p.imag)  # abs(p) raises near the largest double
+        if not size < math.inf:
+            raise SizeLimit(f"a_{i}(z0) is past the range of a double", strand=i)
+        scale = max(scale, size)
     last_error: Optional[_NeedsRotation] = None
     for rotation in range(MAX_ROTATIONS):
-        tracker = _Tracker(
-            coeffs=coeffs,
-            z0=z0,
-            samples=sample_count,
-            frame=cmath.exp(-1j * 0.1371 * rotation),
-            scale=scale,
-        )
+        frame = cmath.exp(-1j * 0.1371 * rotation)
+        framed = [[c * frame for c in cs] for cs in coeffs]
+        tracker = _Tracker(framed, z0, sample_count, scale)
         try:
             letters, start = tracker.run()
         except _NeedsRotation as exc:
@@ -756,7 +726,7 @@ def verify_monodromy_oracle(w: WitnessFamily, samples: Optional[int] = None) -> 
     automorphism; exact agreement is reported as a bonus."""
     braid = track_braid(w, samples=samples)
     tracked = braid_action(braid)
-    symbolic = monodromy_automorphism(w.forest())
+    symbolic = monodromy_automorphism(w.forest)
     conj = is_inner_shift(tracked, symbolic)
     return OracleReport(
         braid=braid,

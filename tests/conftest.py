@@ -8,6 +8,7 @@ import random
 import pytest
 
 from branchmono.intersection import IntersectionMatrix
+from oracles import entries
 
 
 def random_ultrametric_entries(
@@ -50,9 +51,10 @@ def random_ultrametric_matrix(
 def shuffled(m: IntersectionMatrix, rng: random.Random) -> IntersectionMatrix:
     perm = list(range(m.d))
     rng.shuffle(perm)
+    e = entries(m)
     return IntersectionMatrix(
         m.d,
-        tuple(tuple(m.e[perm[i]][perm[j]] for j in range(m.d)) for i in range(m.d)),
+        tuple(tuple(e[perm[i]][perm[j]] for j in range(m.d)) for i in range(m.d)),
     )
 
 
@@ -63,16 +65,17 @@ def brute_force_clusters(m: IntersectionMatrix) -> set[tuple[frozenset[int], int
 
     found = set()
     indices = range(1, m.d + 1)
-    for n in range(1, m.max_depth() + 1):
+    e = entries(m)
+    for n in range(1, max(m.steps) + 1):
         for size in range(2, m.d + 1):
             for sub in itertools.combinations(indices, size):
-                if any(m.entry(i, j) < n for i, j in itertools.combinations(sub, 2)):
+                if any(e[i - 1][j - 1] < n for i, j in itertools.combinations(sub, 2)):
                     continue
                 maximal = True
                 for extra in indices:
                     if extra in sub:
                         continue
-                    if all(m.entry(extra, i) >= n for i in sub):
+                    if all(e[extra - 1][i - 1] >= n for i in sub):
                         maximal = False
                         break
                 if maximal:

@@ -2,8 +2,9 @@
 
 ``pairwise_oracle`` fills the whole intersection matrix pair by pair, in
 ``Fraction`` arithmetic with one division per digit of ``padic_valuation``,
-as the p-adic and series ingest once did; ``reindex`` and
-``depth_partition`` read a validated matrix entry by entry.
+as the p-adic and series ingest once did.  ``entries`` reads the full
+matrix back from a cluster tree, and ``reindex`` and ``depth_partition``
+read it entry by entry.
 ``evaluate_word`` and ``canonical_tuple`` are the direct definitions of
 word evaluation and of the canonical form of a cover class, which the
 finite-group layer computes from precomputed conjugation data.
@@ -12,6 +13,7 @@ finite-group layer computes from precomputed conjugation data.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from branchmono.errors import IndistinguishableTruncation, InvalidInput
@@ -60,16 +62,29 @@ def pairwise_oracle(binput: BranchInput) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, e))
 
 
+def entries(m: IntersectionMatrix) -> tuple[tuple[int, ...], ...]:
+    """The full matrix of a cluster tree, 0 on the diagonal: the entry of
+    two leaves is a running minimum over ``steps`` from the first, O(d^2)."""
+    idx = [s - 1 for s in m.order]
+    e = [[0] * m.d for _ in range(m.d)]
+    for a, i in enumerate(idx):
+        for j, v in zip(idx[a + 1 :], accumulate(m.steps[a:], min)):
+            e[i][j] = e[j][i] = v
+    return tuple(map(tuple, e))
+
+
 def reindex(m: IntersectionMatrix, sigma: Sequence[int]) -> IntersectionMatrix:
     """Validated matrix whose position k holds original index sigma[k-1] (1-based)."""
     if sorted(sigma) != list(range(1, m.d + 1)):
         raise InvalidInput(f"{sigma} is not a permutation of 1..{m.d}")
-    return IntersectionMatrix(m.d, tuple(tuple(m.e[s - 1][t - 1] for t in sigma) for s in sigma))
+    e = entries(m)
+    return IntersectionMatrix(m.d, tuple(tuple(e[s - 1][t - 1] for t in sigma) for s in sigma))
 
 
 def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list[list[int]]:
     """Split a block (0-based indices) into classes of the relation e >= n,
     which is transitive by ultrametricity.  Classes sorted by least element."""
+    e = entries(m)
     remaining = sorted(block)
     classes: list[list[int]] = []
     while remaining:
@@ -77,7 +92,7 @@ def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list
         cls = [seed]
         rest = []
         for j in remaining:
-            if m.e[seed][j] >= n:
+            if e[seed][j] >= n:
                 cls.append(j)
             else:
                 rest.append(j)

@@ -40,6 +40,7 @@ from branchmono.topocheck import (
     verify_separation,
 )
 from conftest import random_ultrametric_matrix
+from oracles import entries
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -187,7 +188,7 @@ def test_criterion_6_corollary_brute_force():
                 aut = monodromy_automorphism(forest)
                 report = moduli_report(g, aut, p=p, surjective_only=True)
                 assert report.all_divide, (
-                    f"violation: {name}, d={mat.d}, config {mat.e}: "
+                    f"violation: {name}, d={mat.d}, config {entries(mat)}: "
                     f"max degree {report.max_degree} vs exponent {report.exponent}"
                 )
                 total_classes += report.class_count
@@ -209,7 +210,7 @@ def test_criterion_7_theorem_oracle():
     }
     for label, fam in families.items():
         with criterion(7, f"Theorem-2.4 oracle, {label}", 60.0):
-            assert fam.d <= 4 and len(fam.forest()) <= 4
+            assert fam.d <= 4 and len(fam.forest) <= 4
             assert verify_separation(fam).passed
             assert verify_cluster_bound(fam).passed
             report = verify_monodromy_oracle(fam)

@@ -10,7 +10,7 @@ from branchmono.braid import (
     puncture_loop_braid,
 )
 from branchmono.clusters import Cluster
-from branchmono.errors import DimensionMismatch, IndexOutOfRange, IntervalOutOfRange
+from branchmono.errors import IndexOutOfRange, IntervalOutOfRange
 from branchmono.freegroup import FreeAutomorphism, FreeWord, compose
 from branchmono.monodromy import dehn_twist_automorphism
 
@@ -24,6 +24,13 @@ def test_braid_word_basics():
     assert not b.is_pure()
     with pytest.raises(IndexOutOfRange):
         BraidWord(2, (2,))
+
+
+def test_braid_word_from_a_generator_keeps_its_letters():
+    """The letters are read once: validating them must not use them up."""
+    assert BraidWord(3, (x for x in (1, -2))) == BraidWord(3, (1, -2))
+    with pytest.raises(IndexOutOfRange):
+        BraidWord(3, (x for x in (1, 3)))
 
 
 def test_generator_action_base_case():
@@ -159,8 +166,3 @@ def test_puncture_loops_are_pure():
     for d in range(2, 6):
         for i in range(1, d + 1):
             assert puncture_loop_braid(i, d).is_pure()
-
-
-def test_action_rank_mismatch():
-    with pytest.raises(DimensionMismatch):
-        braid_action(BraidWord(3, (1,)), d=4)

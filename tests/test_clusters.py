@@ -14,6 +14,7 @@ from branchmono.clusters import (
 from branchmono.errors import IntervalOutOfRange, NotCanonicallyOrdered, SizeLimit
 from branchmono.intersection import IntersectionMatrix
 from conftest import brute_force_clusters, random_ultrametric_matrix
+from oracles import entries
 
 
 def forest_as_subsets(forest: ClusterForest):
@@ -89,9 +90,8 @@ def test_depths_have_no_outward_gaps(rng):
         for interval in {c.interval for c in forest.clusters}:
             start, length = interval
             members = range(start - 1, start + length - 1)
-            nu = min(
-                mat.e[i][j] for i in members for j in members if i < j
-            )
+            e = entries(mat)
+            nu = min(e[i][j] for i in members for j in members if i < j)
             expected = set()
             for n in range(1, nu + 1):
                 superset_valid = any(
@@ -166,11 +166,12 @@ def test_forest_sorted_deterministically(rng):
 def scan_clusters(m: IntersectionMatrix) -> tuple[Cluster, ...]:
     """Maximal runs of steps >= n, one pass per depth n."""
     out = []
-    for n in range(1, m.max_depth() + 1):
+    e = entries(m)
+    for n in range(1, max(m.steps) + 1):
         i = 0
         while i < m.d:
             j = i
-            while j + 1 < m.d and m.e[j][j + 1] >= n:
+            while j + 1 < m.d and e[j][j + 1] >= n:
                 j += 1
             if j > i:
                 out.append(Cluster(start=i + 1, length=j - i + 1, depth=n))

@@ -71,6 +71,14 @@ def test_reduce_range_check():
         FreeWord((0,))
 
 
+def test_word_from_a_generator_keeps_its_letters():
+    """The letters are read once: validating them must not use them up."""
+    assert FreeWord(x for x in (1, 2)) == FreeWord((1, 2))
+    assert FreeWord(x for x in (1, 2, -2)).letters == (1,)
+    with pytest.raises(InvalidInput):
+        FreeWord(x for x in (1, 0))
+
+
 letters_strategy = st.lists(
     st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0), max_size=30
 )

@@ -25,7 +25,7 @@ from branchmono.intersection import (
     satisfies_interval_hypothesis,
 )
 from conftest import random_ultrametric_matrix, shuffled
-from oracles import padic_valuation, pairwise_oracle, reindex
+from oracles import entries, padic_valuation, pairwise_oracle, reindex
 
 
 def test_padic_valuation():
@@ -38,17 +38,17 @@ def test_padic_valuation():
 
 def test_example2_matrix():
     bi = BranchInput(mode="padic", p=3, points=(F(0), F(3), F(1), F(2)))
-    m = compute_matrix(bi)
-    assert m.entry(1, 2) == 1
-    for i, j in itertools.combinations(range(1, 5), 2):
-        if (i, j) != (1, 2):
-            assert m.entry(i, j) == 0
+    e = entries(compute_matrix(bi))
+    assert e[0][1] == 1
+    for i, j in itertools.combinations(range(4), 2):
+        if (i, j) != (0, 1):
+            assert e[i][j] == 0
 
 
 def test_example1_matrix_all_zero():
     bi = BranchInput(mode="padic", p=5, points=(F(0), F(1), F(2)))
-    m = compute_matrix(bi)
-    assert all(m.entry(i, j) == 0 for i, j in itertools.combinations(range(1, 4), 2))
+    e = entries(compute_matrix(bi))
+    assert all(e[i][j] == 0 for i, j in itertools.combinations(range(3), 2))
 
 
 def test_padic_errors():
@@ -68,10 +68,10 @@ def test_series_mode():
         truncation=3,
         points=((F(0), F(1), F(0)), (F(0), F(2), F(0)), (F(1), F(1), F(0))),
     )
-    m = compute_matrix(bi)
-    assert m.entry(1, 2) == 1
-    assert m.entry(1, 3) == 0
-    assert m.entry(2, 3) == 0
+    e = entries(compute_matrix(bi))
+    assert e[0][1] == 1
+    assert e[0][2] == 0
+    assert e[1][2] == 0
 
 
 def test_series_indistinguishable():
@@ -94,7 +94,7 @@ def test_matrix_mode_ultrametric_violation():
 def test_matrix_mode_passthrough():
     rows = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
     m = compute_matrix(BranchInput(mode="matrix", matrix=rows))
-    assert m.e == rows
+    assert entries(m) == rows
 
 
 def test_from_json_dict():
@@ -112,7 +112,7 @@ def assert_trie_matches_oracle(bi):
     """compute_matrix's tree against the validated pairwise matrix."""
     fast = compute_matrix(bi)
     slow = IntersectionMatrix(bi.d, pairwise_oracle(bi))  # validates the ultrametric rule
-    assert (fast.order, fast.steps, fast.e) == (slow.order, slow.steps, slow.e)
+    assert (fast.order, fast.steps, entries(fast)) == (slow.order, slow.steps, pairwise_oracle(bi))
     return fast, slow
 
 
@@ -218,7 +218,7 @@ def test_forest_from_trie_matches_oracle_clusters(rng):
         sigma, fast = canonical_order(compute_matrix(bi))
         forest = compute_clusters(fast)
         assert forest == compute_clusters(reindex(slow, sigma))
-        if bi.d <= 7 and slow.max_depth() <= 40:
+        if bi.d <= 7 and max(slow.steps) <= 40:
             relabeled = {
                 (frozenset(sigma[i - 1] for i in c.indices()), c.depth) for c in forest.clusters
             }
@@ -242,7 +242,7 @@ def test_canonical_order_spec_example():
     sigma, m2 = canonical_order(m)
     assert sigma == (1, 3, 2)
     assert sigma == brute_force_lex_least_order(m)
-    assert m2.entry(1, 2) == 2
+    assert entries(m2)[0][1] == 2
 
 
 def test_canonical_order_identity_when_ordered():
@@ -300,12 +300,13 @@ def test_oracle_unvalidated_reorder_matches_validated(rng):
         if trial % 3:
             m = shuffled(m, rng)
         sigma, fast = canonical_order(m)
-        rows = tuple(tuple(m.e[s - 1][t - 1] for t in sigma) for s in sigma)
+        e = entries(m)
+        rows = tuple(tuple(e[s - 1][t - 1] for t in sigma) for s in sigma)
         checked = IntersectionMatrix(m.d, rows)
         assert fast.d == checked.d
-        assert fast.e == checked.e
+        assert entries(fast) == rows
         assert fast.order == checked.order == tuple(range(1, m.d + 1))
-        assert reindex(m, sigma).e == fast.e
+        assert entries(reindex(m, sigma)) == rows
 
 
 # -- input checks and the one-pass validation ------------------------------
@@ -370,13 +371,13 @@ def test_oracle_validation_matches_triple_scan(rng):
     rejected = 0
     for _ in range(400):
         m = shuffled(random_ultrametric_matrix(rng, rng.randint(2, 8), 3), rng)
-        e = [list(row) for row in m.e]
+        e = [list(row) for row in entries(m)]
         for _ in range(rng.randint(0, 2)):
             i, j = rng.sample(range(m.d), 2)
             e[i][j] = e[j][i] = rng.randint(0, 4)
         expected = first_violating_triple(e)
         if expected is None:
-            assert IntersectionMatrix(m.d, tuple(map(tuple, e))).e == tuple(map(tuple, e))
+            assert entries(IntersectionMatrix(m.d, tuple(map(tuple, e)))) == tuple(map(tuple, e))
             continue
         rejected += 1
         with pytest.raises(UltrametricViolation) as info:

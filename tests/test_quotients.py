@@ -135,10 +135,18 @@ def test_not_a_group_broken_associativity():
         FiniteGroup("loop5", table)
 
 
+def element_order(g: FiniteGroup, x: int) -> int:
+    k, acc = 1, x
+    while acc != 0:
+        acc = g.table[acc][x]
+        k += 1
+    return k
+
+
 def element_order_profile(g: FiniteGroup) -> dict[int, int]:
     profile: dict[int, int] = {}
     for x in range(g.order):
-        k = g.element_order(x)
+        k = element_order(g, x)
         profile[k] = profile.get(k, 0) + 1
     return profile
 
@@ -185,7 +193,7 @@ def naive_classes(g: FiniteGroup, d: int, surjective_only: bool):
     classes = []
     while tuples:
         seed = tuples.pop()
-        orbit = {tuple(g.conjugate(x, h) for x in seed) for h in range(g.order)}
+        orbit = {tuple(g.conj[h][x] for x in seed) for h in range(g.order)}
         tuples -= orbit
         classes.append(min(orbit))
     return sorted(classes)
@@ -258,7 +266,7 @@ def test_delta_conjugates_first_two_slots():
     assert acc == 0
     y = g.table[tup[0]][tup[1]]
     for i in (0, 1):
-        expected = g.conjugate(tup[i], g.inverse[y])  # y g_i y^-1
+        expected = g.conj[g.inverse[y]][tup[i]]  # y g_i y^-1
         assert evaluate_word(g.table, g.inverse, tup, aut.images[i].letters) == expected
     for i in (2, 3):
         assert evaluate_word(g.table, g.inverse, tup, aut.images[i].letters) == tup[i]
@@ -278,7 +286,7 @@ def test_delta_well_defined_on_representatives(rng):
     for _ in range(30):
         c = classes[rng.randrange(len(classes))]
         h = rng.randrange(g.order)
-        conj_rep = tuple(g.conjugate(x, h) for x in c)
+        conj_rep = tuple(g.conj[h][x] for x in c)
         assert g.canonical(conj_rep) == c
         assert delta_on_class(g.canonical(conj_rep), aut, g) == delta_on_class(c, aut, g)
 
@@ -388,7 +396,7 @@ def brute_force_chunk(g: FiniteGroup, d: int, lo: int, hi: int) -> set:
         for x in prefix:
             acc = g.table[acc][x]
         tup = prefix + (g.inverse[acc],)
-        least = min(tuple(g.conjugate(x, h) for x in tup) for h in range(g.order))
+        least = min(tuple(g.conj[h][x] for x in tup) for h in range(g.order))
         if lo <= least[0] < hi:
             out.add(least)
     return out
@@ -416,7 +424,7 @@ def test_canonical_tuple_is_least_conjugate(rng):
         g = load_group(name)
         for _ in range(100):
             tup = tuple(rng.randrange(g.order) for _ in range(rng.randint(1, 6)))
-            least = min(tuple(g.conjugate(x, h) for x in tup) for h in range(g.order))
+            least = min(tuple(g.conj[h][x] for x in tup) for h in range(g.order))
             assert canonical_tuple(g.table, g.inverse, tup) == least, (name, tup)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from branchmono import topocheck
 from branchmono.braid import half_twist
-from branchmono.clusters import Cluster, ClusterForest
+from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.errors import (
     InvalidInput,
     NotCanonicallyOrdered,
@@ -33,6 +33,7 @@ from branchmono.topocheck import (
     verify_monodromy_oracle,
     verify_separation,
 )
+from oracles import entries
 
 Z0 = RationalComplex(F(3, 64))
 PARAMS = dict(eta=F(1, 8), r=F(1, 16), z0=Z0)
@@ -92,16 +93,15 @@ def test_family_errors_echo_bounded_values(eta, r, z0):
 
 
 def test_family_requires_canonical_order():
-    fam = WitnessFamily(
-        polys=((F(0),), (F(0), F(1)), (F(0), F(0), F(1))), **PARAMS
-    )  # e12=1, e13=2: row not weakly decreasing
     with pytest.raises(NotCanonicallyOrdered):
-        fam.forest()
+        WitnessFamily(
+            polys=((F(0),), (F(0), F(1)), (F(0), F(0), F(1))), **PARAMS
+        )  # e12=1, e13=2: row not weakly decreasing
 
 
 def test_forest_of_families():
-    assert family_3pt().forest().clusters == (Cluster(1, 3, 1), Cluster(1, 2, 2))
-    assert family_4pt().forest().clusters == (
+    assert family_3pt().forest.clusters == (Cluster(1, 3, 1), Cluster(1, 2, 2))
+    assert family_4pt().forest.clusters == (
         Cluster(1, 2, 1),
         Cluster(3, 2, 1),
         Cluster(3, 2, 2),
@@ -214,8 +214,8 @@ def family_from_matrix(mat, eta=F(1, 8), r=F(1, 64), z0re=F(3, 256), samples=102
     from oracles import depth_partition
 
     d = mat.d
-    coeffs = [[F(0)] * (mat.max_depth() + 1) for _ in range(d)]
-    for n in range(mat.max_depth() + 1):
+    coeffs = [[F(0)] * (max(mat.steps) + 1) for _ in range(d)]
+    for n in range(max(mat.steps) + 1):
         for block in depth_partition(mat, range(d), n + 1):
             for i in block:
                 coeffs[i][n] = F(block[0])
@@ -237,16 +237,15 @@ def test_oracle_random_structures(rng):
     seen = set()
     for _ in range(40):
         mat = random_ultrametric_matrix(rng, rng.randint(2, 4), 3)
-        key = mat.e
-        if key in seen:
+        if mat in seen:
             continue
-        seen.add(key)
+        seen.add(mat)
         fam = family_from_matrix(mat)
-        assert fam.matrix() == mat
+        assert fam.forest == compute_clusters(mat)
         assert verify_separation(fam).passed
         assert verify_cluster_bound(fam).passed
         report = verify_monodromy_oracle(fam)
-        assert report.consistent, f"oracle mismatch for {mat.e}"
+        assert report.consistent, f"oracle mismatch for {entries(mat)}"
     assert len(seen) >= 15
 
 
@@ -263,7 +262,7 @@ def test_oracle_deeper_nesting():
         samples=2048,
         **PARAMS,
     )
-    assert fam.forest().clusters == (
+    assert fam.forest.clusters == (
         Cluster(1, 3, 1),
         Cluster(1, 3, 2),
         Cluster(1, 2, 3),
@@ -287,7 +286,7 @@ def test_oracle_mixed_structure_d5():
         samples=2048,
         **PARAMS,
     )
-    assert fam.forest().clusters == (
+    assert fam.forest.clusters == (
         Cluster(1, 3, 1),
         Cluster(4, 2, 1),
         Cluster(1, 2, 2),
@@ -416,7 +415,7 @@ def fraction_cluster_bound(w, bound_samples=128):
     zs = fraction_circle_samples(w.z0, bound_samples)
     z0_abs2 = w.z0.abs2()
     records = []
-    for c in w.forest().clusters:
+    for c in w.forest.clusters:
         b = w.center_poly(c)
         bound2 = z0_abs2 ** (c.depth - 1) * w.eta * w.eta
         for i in c.indices():
@@ -577,6 +576,8 @@ def test_tracker_refuses_values_outside_double_range():
         (((F(0),), (F(0), F(1, 10**400))), F(1, 16), RationalComplex(F(3, 64)), {"strand": 2, "coefficient": 1}),
         (((F(0),), (F(1),)), huge, RationalComplex(huge * 3 / 4), {"field": "z0"}),
         (((F(0),), (F(10**308), F(10**308))), F(16), RationalComplex(F(10)), {"strand": 2}),
+        # Both parts of a_2(z0) = (3/2 + 3/2 i) 10^308 fit a double; its modulus does not.
+        (((F(0),), (F(15 * 10**307), F(10**308))), F(2), RationalComplex(F(0), F(3, 2)), {"strand": 2}),
     ]
     for polys, r, z0, details in cases:
         w = WitnessFamily(polys=polys, eta=F(1, 8), r=r, z0=z0, samples=64)
