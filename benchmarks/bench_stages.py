@@ -1,6 +1,7 @@
-"""Per-layer cost of `clusters` and `present`: the matrix (or trie) build,
-canonical order, cluster sweep, monodromy images and emission, with the
-whole command's CPU time and peak RSS.
+"""Per-layer cost of `clusters`, `present` and `verify-topology`: the
+matrix (or trie) build, canonical order, cluster sweep, monodromy images
+and emission, and the circle checks and strand tracker, with the whole
+command's CPU time and peak RSS.
 
 Run from the root of a source checkout:
 
@@ -27,17 +28,26 @@ commands call:
   ``cli.main`` (user plus system CPU, from wait4); ``peak_rss_mb``: that
   process's own VmHWM, read from /proc/self/status as it exits.
 
+`verify-topology` runs on the 64 frozen witness families of perfbench's
+`verify-topology` pool (``perfbench/workloads.py``, loaded by path), with
+the tracker at 1024, 2^14 and 2^16 samples.  Its layers are
+``topocheck.verify_separation``, ``verify_cluster_bound`` and
+``track_braid``, each summed over the 64 families, and its one command is
+`verify-topology --samples N` on the first 12-strand family of the pool.
+
 Times are CPU seconds, the median of ``bench_orbits.REPEATS`` runs,
 scaled by ``bench_orbits``'s calibration: 0.2 s over the CPU time of the
 work of ``perfbench/reference.py`` right after each run, in this process
 for a layer and in a fresh process for ``process``.  The results merge
-into ``BENCH_11.json`` under the label.
+into ``BENCH_14.json`` under the label (``BENCH_11.json`` holds the
+`clusters` and `present` stages before and after the trie ingest).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import platform
@@ -54,6 +64,8 @@ SERIES_BITS = 9
 # (mode, d)
 CASES = (("padic", 512), ("padic", 1024), ("padic", 2048), ("series", 512))
 COMMANDS = ("clusters", "present")
+# Tracker sample counts of the verify-topology stage.
+SAMPLES = (1024, 2**14, 2**16)
 
 # Runs one command with stdout to devnull, then prints its peak RSS in kB.
 LAUNCH = """\
@@ -87,11 +99,44 @@ def cpu_seconds(args: list[str], env: dict[str, str]) -> tuple[float, bytes]:
     return usage.ru_utime + usage.ru_stime, out
 
 
-def measure(src: Path, path: str) -> dict:
-    from branchmono import cli, clusters, intersection, monodromy
+def pool_families() -> list[bytes]:
+    """The JSON of the witness families of perfbench's verify-topology pool."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up by name
+    spec.loader.exec_module(workloads)
+    return [workloads.family_case(i).files["family"] for i in range(workloads.FAMILY_POOL)]
 
+
+def source_env(src: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def command_costs(argv: list[str], env: dict[str, str]) -> dict:
+    """One command's CPU time in this process and in a fresh one, and the
+    fresh process's peak RSS."""
+    from branchmono import cli
+
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        in_process = scaled_cpu(lambda: cli.main(argv))
+    process, rss = [], []
+    for _ in range(REPEATS):
+        cpu, out = cpu_seconds(["-c", LAUNCH, *argv], env)
+        process.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0])
+        rss.append(int(out) / 1024)
+    return {
+        "command_s": round(in_process, 4),
+        "process_s": round(statistics.median(process), 4),
+        "peak_rss_mb": round(statistics.median(rss), 1),
+    }
+
+
+def measure(src: Path, path: str) -> dict:
+    from branchmono import clusters, intersection, monodromy
+
+    env = source_env(src)
     binput = intersection.BranchInput.from_json_dict(json.loads(Path(path).read_text()))
     matrix = intersection.compute_matrix(binput)
     sigma, reordered = intersection.canonical_order(matrix)
@@ -108,34 +153,44 @@ def measure(src: Path, path: str) -> dict:
         "emit_clusters": scaled_cpu(lambda: clusters.tree_to_text(clusters.nesting_tree(forest))),
         "emit_present": scaled_cpu(pres.text),
     }
-    commands = {}
-    with open(os.devnull, "w") as devnull:
-        for command in COMMANDS:
-            argv = [command, "--input", path]
-            with contextlib.redirect_stdout(devnull):
-                in_process = scaled_cpu(lambda: cli.main(argv))
-            process, rss = [], []
-            for _ in range(REPEATS):
-                cpu, out = cpu_seconds(["-c", LAUNCH, *argv], env)
-                process.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0])
-                rss.append(int(out) / 1024)
-            commands[command] = {
-                "command_s": round(in_process, 4),
-                "process_s": round(statistics.median(process), 4),
-                "peak_rss_mb": round(statistics.median(rss), 1),
-            }
     return {
         "clusters": len(forest),
         "layers_s": {name: round(t, 5) for name, t in layers.items()},
-        "commands": commands,
+        "commands": {command: command_costs([command, "--input", path], env) for command in COMMANDS},
     }
+
+
+def measure_topology(src: Path, docs: list[bytes], samples: int, path: str) -> dict:
+    from branchmono import topocheck
+
+    families = [topocheck.WitnessFamily.from_json_dict(json.loads(doc)) for doc in docs]
+    layers = {
+        "verify_separation": scaled_cpu(lambda: [topocheck.verify_separation(w) for w in families]),
+        "verify_cluster_bound": scaled_cpu(lambda: [topocheck.verify_cluster_bound(w) for w in families]),
+        "track_braid": scaled_cpu(lambda: [topocheck.track_braid(w, samples=samples) for w in families]),
+    }
+    argv = ["verify-topology", "--family", path, "--samples", str(samples)]
+    return {
+        "families": len(families),
+        "layers_s": {name: round(t, 5) for name, t in layers.items()},
+        "commands": {"verify-topology": command_costs(argv, source_env(src))},
+    }
+
+
+def report(label: str, name: str, r: dict) -> None:
+    layers = "  ".join(f"{k} {v:.4f}" for k, v in r["layers_s"].items())
+    cmds = "  ".join(
+        f"{c} {v['command_s']:.3f}/{v['process_s']:.3f} s {v['peak_rss_mb']} MB"
+        for c, v in r["commands"].items()
+    )
+    print(f"{label:>8} {name:<13} {layers}  | {cmds}", flush=True)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_11.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_14.json")
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -146,13 +201,16 @@ def main() -> None:
             with open(path, "w") as out:
                 json.dump(input_doc(mode, d), out)
             name = f"{mode} d={d}"
-            results[name] = r = measure(src, path)
-            layers = "  ".join(f"{k} {v:.4f}" for k, v in r["layers_s"].items())
-            cmds = "  ".join(
-                f"{c} {v['command_s']:.3f}/{v['process_s']:.3f} s {v['peak_rss_mb']} MB"
-                for c, v in r["commands"].items()
-            )
-            print(f"{args.label:>8} {name:<13} {layers}  | {cmds}", flush=True)
+            results[name] = measure(src, path)
+            report(args.label, name, results[name])
+        docs = pool_families()
+        path = os.path.join(tmp, "family.json")
+        with open(path, "wb") as out:
+            out.write(next(doc for doc in docs if len(json.loads(doc)["coefficients"]) == 12))
+        for samples in SAMPLES:
+            name = f"verify-topology samples={samples}"
+            results[name] = measure_topology(src, docs, samples, path)
+            report(args.label, name, results[name])
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),

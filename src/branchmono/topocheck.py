@@ -11,21 +11,18 @@ the tail of a_i past depth n, and each tail is evaluated over one integer
 denominator per sample.  A family's cluster forest is built once, with
 the family, and every check reads it.
 
-Only the braid tracker runs in double precision, with crossings located
-by bisection.  It multiplies the coefficients by its projection frame
-once per frame, so a position's real part is its projection and its
-imaginary part the orthogonal coordinate.
-
-Between samples the tracked strand order changes by reversing disjoint
-blocks of adjacent strands.  A pair at positions k+1, k+2 emits b_{k+1}.
-A longer block at positions k+1..k+m whose strands cross at one point,
-as the strands c + j*x^n of a cluster that differ in one coefficient do
-in every projection frame, emits the Garside half-twist
-Delta = (b_{k+1}...b_{k+m-1})(b_{k+1}...b_{k+m-2})...(b_{k+1}) or its
-inverse.  Both follow one sign rule: the letters are positive when the
-imaginary parts at the crossing increase along the order before it, and
-negative when they decrease.  A full twist of a rigidly turning cluster
-is two half-twists.
+Only the braid tracker (``_tracker``) runs in double precision, with
+crossings located by bisection.  ``track_braid`` converts the family to
+doubles, checks their range and tries up to MAX_ROTATIONS projection
+frames.  The tracker does not evaluate every grid time: the projected gap
+of two strands a, b moves no faster than
+V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j per turn, in every frame, so
+where every neighbouring gap exceeds the tie threshold and the rounding
+of a computed gap, the order provably holds, with no tie, for
+(gap - threshold - rounding)/V of a turn.  The tracker leaps to the first
+grid time past that and resolves it as a walk over every grid time
+would, so its letters and errors are that walk's, at a cost that goes
+with the number of crossings rather than the sample count.
 """
 
 from __future__ import annotations
@@ -36,12 +33,13 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
 from ._value import Value, _set
-from .braid import BraidWord, braid_action, half_twist
+from .braid import BraidWord, braid_action
 from .clusters import Cluster, compute_clusters
 from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
 from .freegroup import FreeAutomorphism, FreeWord, is_inner_shift
 from .intersection import BranchInput, _echo, compute_matrix, format_rational, parse_rational
 from .monodromy import monodromy_automorphism
+from ._tracker import _horner, _NeedsRotation, _Speeds, _Tracker
 
 
 class RationalComplex(Value):
@@ -87,13 +85,14 @@ def eval_poly(coeffs: Sequence[Fraction], z: RationalComplex) -> RationalComplex
     return acc
 
 
-# Most tracker samples accepted.  The tracker evaluates every strand at
-# each sample time, so its cost is linear in the count: a family of 12
-# strands takes about 1 s at 2^16 samples, and so about 17 s at the cap.
+# Most tracker samples accepted.  The tracker leaps over the grid times at
+# which a speed bound proves the strand order unchanged, so a family of 12
+# strands takes about 8 ms at 1024 samples and 10 ms at 2^16.  Where the
+# bound proves nothing (it is past the range of a double), it evaluates
+# every grid time, about 15 us per sample for 12 strands, so about 16 s at
+# the cap (Python 3.11 on a Xeon VM core).
 MAX_SAMPLES = 2**20
-# Bisection depth at which the tracker gives up isolating a crossing, and
-# frame rotations it tries before reporting a degenerate projection.
-MAX_DEPTH = 20
+# Frame rotations the tracker tries before reporting a degenerate projection.
 MAX_ROTATIONS = 8
 
 # Points on the circle |z| = |z0| at which ``verify_cluster_bound`` checks
@@ -395,228 +394,6 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
 # Strand tracking
 
 
-def _strand_names(ids: Sequence[int]) -> list[int]:
-    """1-based labels of 0-based strand ids, sorted."""
-    return sorted(s + 1 for s in ids)
-
-
-class _NeedsRotation(Exception):
-    """The projection frame cannot order these strands; another may."""
-
-    def __init__(self, message: str, strands: Sequence[int], t_window: tuple[float, float]):
-        super().__init__(message)
-        self.strands = _strand_names(strands)
-        self.t_window = list(t_window)
-
-
-def _unresolved(message: str, strands: Sequence[int], t_lo: float, t_hi: float) -> UnresolvedCrossing:
-    return UnresolvedCrossing(message, strands=_strand_names(strands), t_window=[t_lo, t_hi])
-
-
-def _block_reversals(a: list[int], b: list[int]) -> Optional[list[tuple[int, int]]]:
-    """(start, length) of the disjoint contiguous blocks whose reversal
-    turns a into b; None if the difference is anything else.  A block of
-    length 2 is one transposition.  Disjoint blocks arise generically:
-    clusters at equal depths rotate at the same angular speed and cross
-    simultaneously."""
-    where = {s: k for k, s in enumerate(a)}
-    blocks: list[tuple[int, int]] = []
-    k = 0
-    while k < len(a):
-        if a[k] == b[k]:
-            k += 1
-            continue
-        end = where[b[k]]
-        if end <= k or b[k : end + 1] != a[k : end + 1][::-1]:
-            return None
-        blocks.append((k, end - k + 1))
-        k = end + 1
-    return blocks
-
-
-def _horner(cs: Sequence[complex], z: complex) -> complex:
-    """One strand's position: its double coefficients evaluated at z."""
-    acc = 0j
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
-
-
-class _Tracker:
-    """Strands followed in one projection frame.  Their coefficients come
-    multiplied by the frame, so a position's real part is its projection
-    and its imaginary part the orthogonal coordinate."""
-
-    __slots__ = ("coeffs", "z0", "samples", "scale")
-
-    def __init__(self, coeffs: list[list[complex]], z0: complex, samples: int, scale: float):
-        self.coeffs = coeffs
-        self.z0 = z0
-        self.samples = samples
-        self.scale = scale
-
-    def positions(self, t: float) -> list[complex]:
-        z = self.z0 * cmath.exp(2j * math.pi * t)
-        return [_horner(cs, z) for cs in self.coeffs]
-
-    def order_at(self, t: float) -> list[int]:
-        """Strand ids sorted by projection at t, a grid time or a bisection
-        midpoint.  Neighbours whose projections tie either occupy the same
-        point, a collision in every frame, or are ordered by an accident of
-        this frame, which a rotation moves (collinear blocks are resolved
-        as half-twists, and a real z0 puts symmetric configurations on
-        dyadic times).
-
-        A tie is a gap within rounding (positions carry a few ulps of the
-        scale), not more: a deep cluster's strands are only |z0|^n apart,
-        and a wider margin would tie them over a whole grid step around
-        each of their crossings, in every frame."""
-        pos = self.positions(t)
-        order = sorted(range(len(pos)), key=lambda i: pos[i].real)
-        tied: set[int] = set()
-        for a, b in zip(order, order[1:]):
-            if abs(pos[a].real - pos[b].real) < 1e-14 * self.scale:
-                if abs(pos[a] - pos[b]) < 1e-11 * self.scale:
-                    raise _unresolved(
-                        f"strands {min(a, b) + 1} and {max(a, b) + 1} collide at t = {t:.9f}",
-                        (a, b),
-                        t,
-                        t,
-                    )
-                tied.update((a, b))
-        if tied:
-            raise _NeedsRotation(
-                f"strands {_strand_names(tied)} tie in projection at t = {t:.9f}", tied, (t, t)
-            )
-        return order
-
-    def crossing_time(self, left: int, right: int, t_lo: float, t_hi: float) -> float:
-        """Bisect for the time in (t_lo, t_hi) where the projection of
-        strand right falls below that of strand left."""
-        left_cs, right_cs = self.coeffs[left], self.coeffs[right]
-
-        def gap(t: float) -> float:
-            z = self.z0 * cmath.exp(2j * math.pi * t)
-            return _horner(right_cs, z).real - _horner(left_cs, z).real
-
-        lo, hi = t_lo, t_hi
-        g_lo = gap(lo)
-        for _ in range(64):
-            if hi - lo < 1e-9 * max(t_hi - t_lo, 1e-12):
-                break
-            mid = (lo + hi) / 2
-            g_mid = gap(mid)
-            if (g_mid > 0) == (g_lo > 0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-
-    def twist(self, block: list[int], k: int, t_lo: float, t_hi: float) -> Optional[BraidWord]:
-        """The half-twist (a single letter for a pair) of the strands
-        ``block`` at positions k+1..k+m, which reverse their order in
-        (t_lo, t_hi), if they cross at one point; None if their crossings
-        are separate events.
-
-        At the crossing time of the two end strands, the projections must
-        coincide, relative to the block's own extent (deep clusters are
-        tiny next to the global scale), and no two strands may meet.  The
-        sign follows the orthogonal order (see the module docstring); an
-        order that is not monotone is a degenerate view of separate
-        crossings, which only a rotated frame can tell apart."""
-        m = len(block)
-        t_star = self.crossing_time(block[0], block[-1], t_lo, t_hi)
-        pos = self.positions(t_star)
-        pts = [pos[s] for s in block]
-        projs = [p.real for p in pts]
-        orths = [p.imag for p in pts]
-        extent = max(orths) - min(orths)
-        # A rigid block is off by its turning speed times the bisection's
-        # time resolution (about 1e-11 of its extent), or by rounding in
-        # the positions (about 1e-16 of the scale); separate crossings that
-        # merely fall close in time are off by far more, and are bisected.
-        if m > 2 and max(projs) - min(projs) > 1e-9 * extent + 1e-14 * self.scale:
-            return None
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(pts[i] - pts[j]) < 1e-11 * self.scale:
-                    a, b = sorted((block[i], block[j]))
-                    raise _unresolved(
-                        f"strands {a + 1} and {b + 1} collide near t = {t_star:.9f}",
-                        (a, b),
-                        t_lo,
-                        t_hi,
-                    )
-        steps = [b - a for a, b in zip(orths, orths[1:])]
-        word = half_twist(k + 1, m, len(pos))
-        if all(s > 0 for s in steps):
-            return word
-        if all(s < 0 for s in steps):
-            return word.inv()
-        raise _NeedsRotation(
-            f"strands {_strand_names(block)} line up in projection near t = {t_star:.9f} "
-            "in an order that is not monotone",
-            block,
-            (t_lo, t_hi),
-        )
-
-    def run(self) -> tuple[list[int], list[int]]:
-        """Returns (letters, initial order as strand ids)."""
-        letters: list[int] = []
-        start = self.order_at(0.0)
-        current = list(start)
-
-        def resolve(t_a: float, t_b: float, order_b: list[int], depth: int) -> None:
-            """Process all crossings in (t_a, t_b], given the order at t_b.
-            Invariant: current is the order at t_a on entry and at t_b on
-            exit."""
-            if order_b == current:
-                return
-            blocks = _block_reversals(current, order_b)
-            if blocks is not None:
-                # Disjoint blocks commute; locate each one independently.
-                words = [self.twist(current[k : k + m], k, t_a, t_b) for k, m in blocks]
-                if all(w is not None for w in words):
-                    for w in words:
-                        letters.extend(w.letters)
-                    current[:] = order_b
-                    return
-            if depth >= MAX_DEPTH:
-                moved = [s for s, s_b in zip(current, order_b) if s != s_b]
-                if blocks is not None:
-                    raise _unresolved(
-                        f"strands {_strand_names(moved)} reverse their order in "
-                        f"[{t_a:.9f}, {t_b:.9f}] without meeting at one point",
-                        moved,
-                        t_a,
-                        t_b,
-                    )
-                raise _unresolved(
-                    f"could not isolate the crossings of strands {_strand_names(moved)} "
-                    f"in [{t_a:.9f}, {t_b:.9f}]; increase samples",
-                    moved,
-                    t_a,
-                    t_b,
-                )
-            t_mid = (t_a + t_b) / 2
-            resolve(t_a, t_mid, self.order_at(t_mid), depth + 1)
-            resolve(t_mid, t_b, order_b, depth + 1)
-
-        t_grid = [k / self.samples for k in range(self.samples + 1)]
-        for t_a, t_b in zip(t_grid, t_grid[1:]):
-            resolve(t_a, t_b, self.order_at(t_b), 0)
-        if current != start:
-            moved = [s for s, s0 in zip(current, start) if s != s0]
-            raise _unresolved(
-                f"tracked braid is not pure: strands {_strand_names(moved)} end out of "
-                "place (a crossing was missed); increase samples",
-                moved,
-                0.0,
-                1.0,
-            )
-        return letters, start
-
-
 def _double(x: Fraction, what: str, **details: Any) -> float:
     """x as a double for the tracker.  A value past the largest double, or
     a nonzero one that rounds to 0.0 (which the tracker would report as a
@@ -662,11 +439,13 @@ def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
         if not size < math.inf:
             raise SizeLimit(f"a_{i}(z0) is past the range of a double", strand=i)
         scale = max(scale, size)
+    speeds = _Speeds(coeffs, z0)
+    width = len(speeds.weights)
     last_error: Optional[_NeedsRotation] = None
     for rotation in range(MAX_ROTATIONS):
         frame = cmath.exp(-1j * 0.1371 * rotation)
-        framed = [[c * frame for c in cs] for cs in coeffs]
-        tracker = _Tracker(framed, z0, sample_count, scale)
+        framed = [[c * frame for c in cs] + [0j] * (width - len(cs)) for cs in coeffs]
+        tracker = _Tracker(framed, z0, sample_count, scale, speeds)
         try:
             letters, start = tracker.run()
         except _NeedsRotation as exc:

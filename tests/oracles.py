@@ -8,14 +8,21 @@ read it entry by entry.
 ``evaluate_word`` and ``canonical_tuple`` are the direct definitions of
 word evaluation and of the canonical form of a cover class, which the
 finite-group layer computes from precomputed conjugation data.
+``every_sample_track`` is the strand tracker that evaluates every grid
+time, which the leaping tracker must agree with.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Optional, Sequence
+from unittest import mock
 
+from branchmono import _tracker, topocheck
+from branchmono.braid import BraidWord
 from branchmono.errors import IndistinguishableTruncation, InvalidInput
 from branchmono.intersection import BranchInput, IntersectionMatrix
 
@@ -140,3 +147,53 @@ def canonical_tuple(
         best.append(least)
         hs = keep
     return tuple(best)
+
+
+class EverySampleTracker(_tracker._Tracker):
+    """The strand tracker without leaps: ``resolve`` on every grid step,
+    and each bisection midpoint evaluated by two separate Horner loops."""
+
+    __slots__ = ()
+
+    def crossing_time(self, left: int, right: int, t_lo: float, t_hi: float) -> float:
+        left_cs, right_cs = self.coeffs[left], self.coeffs[right]
+
+        def gap(t: float) -> float:
+            z = self.z0 * cmath.exp(2j * math.pi * t)
+            return _tracker._horner(right_cs, z).real - _tracker._horner(left_cs, z).real
+
+        lo, hi = t_lo, t_hi
+        g_lo = gap(lo)
+        for _ in range(64):
+            if hi - lo < 1e-9 * max(t_hi - t_lo, 1e-12):
+                break
+            mid = (lo + hi) / 2
+            g_mid = gap(mid)
+            if (g_mid > 0) == (g_lo > 0):
+                lo, g_lo = mid, g_mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    def run(self) -> tuple[list[int], list[int]]:
+        start = self.order_at(0.0)
+        self.current, self.letters = list(start), []
+        t_grid = [k / self.samples for k in range(self.samples + 1)]
+        for t_a, t_b in zip(t_grid, t_grid[1:]):
+            self.resolve(t_a, t_b, self.order_at(t_b), 0)
+        if self.current != start:
+            moved = [s for s, s0 in zip(self.current, start) if s != s0]
+            raise _tracker._unresolved(
+                f"tracked braid is not pure: strands {_tracker._strand_names(moved)} end out of "
+                "place (a crossing was missed); increase samples",
+                moved,
+                0.0,
+                1.0,
+            )
+        return self.letters, start
+
+
+def every_sample_track(w: topocheck.WitnessFamily, samples: Optional[int] = None) -> BraidWord:
+    """``track_braid`` with the every-sample tracker in every frame."""
+    with mock.patch.object(topocheck, "_Tracker", EverySampleTracker):
+        return topocheck.track_braid(w, samples=samples)
