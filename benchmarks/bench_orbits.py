@@ -74,12 +74,25 @@ sys.exit(main())
 """
 
 
-def cpu_seconds(argv: list[str], env: dict[str, str]) -> float:
-    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env, cwd=ROOT)
+def source_env(src: Path) -> dict[str, str]:
+    """This process's environment with ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def cpu_seconds(argv: list[str], env: dict[str, str], stdout: int = subprocess.DEVNULL) -> tuple[float, bytes]:
+    """(user plus system CPU seconds, stdout) of a fresh Python process run
+    from the checkout's root; stdout reads b"" unless ``subprocess.PIPE``."""
+    proc = subprocess.Popen([sys.executable, *argv], stdout=stdout, env=env, cwd=ROOT)
+    out = b""
+    if proc.stdout:
+        out = proc.stdout.read()
+        proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
         raise SystemExit(f"{argv} failed")
-    return usage.ru_utime + usage.ru_stime
+    return usage.ru_utime + usage.ru_stime, out
 
 
 def scaled_cpu(fn) -> float:
@@ -104,8 +117,7 @@ def emit_json(report, out) -> None:
 def measure(src: Path, group: str, points: tuple[int, ...], path: str) -> dict:
     from branchmono import cli, quotients
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = source_env(src)
     argv = ["orbits", "--group", group, "--input", path, "--p", str(P), "--format", "json"]
 
     g = quotients.load_group(group)
@@ -125,7 +137,7 @@ def measure(src: Path, group: str, points: tuple[int, ...], path: str) -> dict:
                 "command": scaled_cpu(lambda: cli.main(argv)),
             }
     process = statistics.median(
-        cpu_seconds(["-c", LAUNCH, *argv], env) * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)
+        cpu_seconds(["-c", LAUNCH, *argv], env)[0] * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0]
         for _ in range(REPEATS)
     )
     return {

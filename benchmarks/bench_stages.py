@@ -31,16 +31,19 @@ commands call:
 `verify-topology` runs on the 64 frozen witness families of perfbench's
 `verify-topology` pool (``perfbench/workloads.py``, loaded by path), with
 the tracker at 1024, 2^14 and 2^16 samples.  Its layers are
-``topocheck.verify_separation``, ``verify_cluster_bound`` and
-``track_braid``, each summed over the 64 families, and its one command is
+``topocheck.verify_separation``, ``verify_cluster_bound``,
+``track_braid`` and ``freegroup.is_inner_shift`` (on each family's
+tracked braid action and cluster twists, as the oracle calls it), each
+summed over the 64 families, and its one command is
 `verify-topology --samples N` on the first 12-strand family of the pool.
 
 Times are CPU seconds, the median of ``bench_orbits.REPEATS`` runs,
 scaled by ``bench_orbits``'s calibration: 0.2 s over the CPU time of the
 work of ``perfbench/reference.py`` right after each run, in this process
 for a layer and in a fresh process for ``process``.  The results merge
-into ``BENCH_14.json`` under the label (``BENCH_11.json`` holds the
-`clusters` and `present` stages before and after the trie ingest).
+into ``BENCH_15.json`` under the label (``BENCH_11.json`` holds the
+`clusters` and `present` stages before and after the trie ingest, and
+``BENCH_14.json`` the tracker before and after its leaps).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_orbits import REFERENCE, REFERENCE_S, REPEATS, ROOT, scaled_cpu
+from bench_orbits import REFERENCE, REFERENCE_S, REPEATS, ROOT, cpu_seconds, scaled_cpu, source_env
 
 SERIES_BITS = 9
 
@@ -88,17 +91,6 @@ def input_doc(mode: str, d: int) -> dict:
     return {"mode": "series", "truncation": SERIES_BITS, "points": bits}
 
 
-def cpu_seconds(args: list[str], env: dict[str, str]) -> tuple[float, bytes]:
-    """(user plus system CPU seconds, stdout) of a fresh process."""
-    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, env=env, cwd=ROOT)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"{args} failed")
-    return usage.ru_utime + usage.ru_stime, out
-
-
 def pool_families() -> list[bytes]:
     """The JSON of the witness families of perfbench's verify-topology pool."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
@@ -106,12 +98,6 @@ def pool_families() -> list[bytes]:
     sys.modules[spec.name] = workloads  # dataclasses looks its module up by name
     spec.loader.exec_module(workloads)
     return [workloads.family_case(i).files["family"] for i in range(workloads.FAMILY_POOL)]
-
-
-def source_env(src: Path) -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    return env
 
 
 def command_costs(argv: list[str], env: dict[str, str]) -> dict:
@@ -123,7 +109,7 @@ def command_costs(argv: list[str], env: dict[str, str]) -> dict:
         in_process = scaled_cpu(lambda: cli.main(argv))
     process, rss = [], []
     for _ in range(REPEATS):
-        cpu, out = cpu_seconds(["-c", LAUNCH, *argv], env)
+        cpu, out = cpu_seconds(["-c", LAUNCH, *argv], env, subprocess.PIPE)
         process.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0])
         rss.append(int(out) / 1024)
     return {
@@ -161,13 +147,18 @@ def measure(src: Path, path: str) -> dict:
 
 
 def measure_topology(src: Path, docs: list[bytes], samples: int, path: str) -> dict:
-    from branchmono import topocheck
+    from branchmono import braid, freegroup, monodromy, topocheck
 
     families = [topocheck.WitnessFamily.from_json_dict(json.loads(doc)) for doc in docs]
+    pairs = [
+        (braid.braid_action(topocheck.track_braid(w, samples=samples)), monodromy.monodromy_automorphism(w.forest))
+        for w in families
+    ]
     layers = {
         "verify_separation": scaled_cpu(lambda: [topocheck.verify_separation(w) for w in families]),
         "verify_cluster_bound": scaled_cpu(lambda: [topocheck.verify_cluster_bound(w) for w in families]),
         "track_braid": scaled_cpu(lambda: [topocheck.track_braid(w, samples=samples) for w in families]),
+        "is_inner_shift": scaled_cpu(lambda: [freegroup.is_inner_shift(a, b) for a, b in pairs]),
     }
     argv = ["verify-topology", "--family", path, "--samples", str(samples)]
     return {
@@ -190,7 +181,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_14.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))

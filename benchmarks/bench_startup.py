@@ -26,14 +26,11 @@ import json
 import os
 import platform
 import statistics
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_orbits import REFERENCE, REFERENCE_S, ROOT, cpu_seconds, source_env
+
 DATA = ROOT / "tests" / "data"
-REFERENCE = ROOT / "perfbench" / "reference.py"
-REFERENCE_S = 0.2  # as perfbench/run.py
 RUNS = 15
 
 COMMANDS = {
@@ -59,25 +56,14 @@ sys.exit(code)
 """
 
 
-def cpu_seconds(argv: list[str], env: dict[str, str]) -> float:
-    proc = subprocess.Popen(
-        [sys.executable, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env, cwd=ROOT
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"{argv[2:] or argv} failed")
-    return usage.ru_utime + usage.ru_stime
-
-
 def measure(src: Path, modules_file: Path) -> dict[str, dict]:
-    env = dict(os.environ, BENCH_MODULES=str(modules_file))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(source_env(src), BENCH_MODULES=str(modules_file))
     results = {}
     for name, args in COMMANDS.items():
         scaled = []
         for _ in range(RUNS):
-            cpu = cpu_seconds(["-c", LAUNCH, *args], env)
-            scaled.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env))
+            cpu = cpu_seconds(["-c", LAUNCH, *args], env)[0]
+            scaled.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0])
         results[name] = {
             "cpu_s_p50": round(statistics.median(scaled), 4),
             "modules": modules_file.read_text().split("\n"),

@@ -12,18 +12,17 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "braid": ("BraidWord", "braid_action", "lambda_braid", "puncture_loop_braid"),
+    "braid": ("BraidWord", "braid_action", "lambda_braid"),
     "clusters": ("Cluster", "ClusterForest", "compute_clusters", "nesting_tree"),
-    "freegroup": ("FreeAutomorphism", "FreeWord", "compose", "inner", "is_inner_shift", "reduce_word"),
+    "freegroup": ("FreeAutomorphism", "FreeWord", "compose", "inner", "is_inner_shift"),
     "intersection": ("BranchInput", "IntersectionMatrix", "canonical_order", "compute_matrix"),
-    "monodromy": ("Presentation", "dehn_twist_automorphism", "emit_presentation", "monodromy_automorphism"),
+    "monodromy": ("Presentation", "emit_presentation", "monodromy_automorphism"),
     "quotients": (
         "FiniteGroup",
         "center_and_exponent",
         "delta_on_class",
         "enumerate_classes",
         "load_group",
-        "moduli_degree",
         "moduli_report",
     ),
     "topocheck": (

@@ -115,21 +115,3 @@ def half_twist(m: int, l: int, d: int) -> BraidWord:
     block, and its square is the full twist ``lambda_braid`` of the block."""
     _check_interval(m, l, d)
     return BraidWord(d, tuple(m + i for j in range(l - 1, 0, -1) for i in range(j)))
-
-
-def lambda_braid_for_forest(clusters: Iterable[Cluster], d: int) -> BraidWord:
-    """Concatenation of the cluster braids in the given order."""
-    word = BraidWord.identity(d)
-    for c in clusters:
-        word = word * lambda_braid(c, d)
-    return word
-
-
-def puncture_loop_braid(i: int, d: int) -> BraidWord:
-    """The loop generator x_i written as a braid on d+1 strands:
-    (b_d ... b_{i+1}) b_i^2 (b_d ... b_{i+1})^-1."""
-    if not 1 <= i <= d:
-        raise IndexOutOfRange(f"puncture index {i} out of range 1..{d}")
-    prefix = tuple(range(d, i, -1))
-    letters = prefix + (i, i) + tuple(-x for x in reversed(prefix))
-    return BraidWord(d + 1, letters)

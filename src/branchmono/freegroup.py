@@ -4,9 +4,11 @@ Words are tuples of signed indices: +i is the generator x_i, -i its
 inverse.  Every word is stored freely reduced; reduction happens in the
 constructor.  Automorphisms are given by the images of x_1..x_d and are
 composed by substitution.  ``is_inner_shift`` decides whether two
-automorphisms differ by a single inner automorphism, which is exact here
-because all images this package produces are conjugates of generators, so
-the relevant centralizers are cyclic.
+automorphisms differ by a single inner automorphism.  That is exact here
+because all images this package produces are conjugates of generators:
+x_1's image fixes every conjugator up to a power of one generator x_k,
+and in x_1's conjugation frame each image either rejects, leaves the
+power free or pins it, read off its maximal x_k powers at both ends.
 """
 
 from __future__ import annotations
@@ -124,16 +126,6 @@ class FreeWord(Value):
         return f"FreeWord({format_letters(self.letters)!r})"
 
 
-def reduce_word(letters: Iterable[int], d: Optional[int] = None) -> FreeWord:
-    """Freely reduce a raw letter sequence, checking indices against rank d."""
-    letters = tuple(letters)
-    if d is not None:
-        for x in letters:
-            if x == 0 or abs(x) > d:
-                raise IndexOutOfRange(f"letter {x} out of range for rank {d}")
-    return FreeWord(letters)
-
-
 class FreeAutomorphism(Value):
     """An endomorphism of the free group of rank d given on generators.
 
@@ -189,113 +181,72 @@ def inner(g: FreeWord, d: int) -> FreeAutomorphism:
     return FreeAutomorphism(d, tuple(FreeWord.generator(i).conjugated_by(g) for i in range(1, d + 1)))
 
 
-def _power_run(letters: tuple[int, ...], k: int, from_end: bool) -> int:
-    """Signed length of the maximal run of +-k letters at one end."""
-    run = 0
-    seq = reversed(letters) if from_end else letters
-    for x in seq:
-        if abs(x) != k:
-            break
-        run += 1 if x > 0 else -1
-    return run
-
-
-def _strip_power(letters: tuple[int, ...], k: int, from_end: bool) -> tuple[tuple[int, ...], int]:
-    """Remove the maximal +-k power at one end, returning (rest, signed exponent)."""
-    exp = _power_run(letters, k, from_end)
-    count = abs(exp)
-    if count == 0:
-        return letters, 0
-    return (letters[:-count] if from_end else letters[count:]), exp
-
-
-def _is_power_of(letters: tuple[int, ...], k: int) -> bool:
-    return all(abs(x) == k for x in letters)
-
-
-def _conjugator_data(a: FreeAutomorphism) -> list[tuple[FreeWord, int]]:
-    """Per generator, (u_i, core letter) with image = u_i * core * u_i^-1."""
-    data = []
+def _frame(a: FreeAutomorphism) -> tuple[tuple[int, ...], int]:
+    """(u, k) with a(x_1) = u * x_k^+-1 * u^-1; UnsupportedForm unless
+    every image is a conjugate of a generator."""
+    frame = None
     for i, w in enumerate(a.images):
         u, core = w.cyclic_decomposition()
         if len(core.letters) != 1:
             raise UnsupportedForm(
                 f"image of x{i + 1} is not a conjugate of a generator: {w}"
             )
-        data.append((u, core.letters[0]))
-    return data
+        frame = frame or (u.letters, abs(core.letters[0]))
+    return frame
+
+
+def _split(letters: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...]]:
+    """(alpha, core) with letters = x_k^alpha * core * x_k^beta and both
+    powers maximal; a power of x_k has the empty core.  A reduced word's
+    run of +-k letters has one sign, and x // k is it."""
+    lo, hi = 0, len(letters)
+    while lo < hi and abs(letters[lo]) == k:
+        lo += 1
+    while hi > lo and abs(letters[hi - 1]) == k:
+        hi -= 1
+    return sum(x // k for x in letters[:lo]), letters[lo:hi]
 
 
 def is_inner_shift(a: FreeAutomorphism, b: FreeAutomorphism) -> Optional[FreeWord]:
     """Find g with a(x_i) = g * b(x_i) * g^-1 for all i, if one exists.
 
-    The solution set of the first generator's equation is the coset
-    u_1 * <x_k> * v_1^-1 (centralizers of generators are cyclic), so the
-    search reduces to an exact computation of which exponents survive the
-    remaining generators.  Returns the shortest solution, ties broken by
-    letter-tuple order; None when no conjugator exists.
+    With a(x_1) = u x_k^+-1 u^-1 and b(x_1) = v x_k^+-1 v^-1, the
+    centralizer of x_k is <x_k>, so every solution is g = u x_k^t v^-1,
+    and such a g works iff x_k^t c_i x_k^-t = e_i for every i, where
+    c_i = v^-1 b(x_i) v and e_i = u^-1 a(x_i) u.  Split both as
+    x_k^alpha * core * x_k^beta: conjugating by x_k^t adds t to alpha,
+    takes it from beta and leaves a nonempty core alone, and fixes a power
+    of x_k.  So each generator rejects (the cores differ, or two powers of
+    x_k differ), leaves t free (equal powers of x_k), or pins
+    t = alpha_e - alpha_c.  A pin needs no test on beta: both words are
+    conjugates of a generator, reduced as P x_j P^-1, so a nonempty core
+    has beta = -alpha on each side.  Returns the shortest solution, ties
+    broken by letter-tuple order; None when no conjugator exists.
     """
     if a.d != b.d:
         raise DimensionMismatch(f"rank mismatch {a.d} != {b.d}")
-    data_a = _conjugator_data(a)
-    data_b = _conjugator_data(b)
-    for (_, sa), (_, sb) in zip(data_a, data_b):
-        if sa != sb:
+    u, k = _frame(a)
+    v, _ = _frame(b)
+    u_inv = tuple(-x for x in reversed(u))
+    v_inv = tuple(-x for x in reversed(v))
+    pinned: Optional[int] = None
+    for wa, wb in zip(a.images, b.images):
+        alpha_e, core_e = _split(FreeWord(u_inv + wa.letters + u).letters, k)
+        alpha_c, core_c = _split(FreeWord(v_inv + wb.letters + v).letters, k)
+        if core_c != core_e or (not core_c and alpha_c != alpha_e):
             return None
-
-    u0, core0 = data_a[0]
-    v0, _ = data_b[0]
-    k0 = abs(core0)
+        if core_c:
+            t = alpha_e - alpha_c
+            if pinned not in (None, t):
+                return None
+            pinned = t
 
     def candidate(t: int) -> FreeWord:
-        return FreeWord(u0.letters + (k0,) * max(t, 0) + (-k0,) * max(-t, 0) + v0.inv().letters)
+        return FreeWord(u + (k if t > 0 else -k,) * abs(t) + v_inv)
 
-    # Intersect the exponent constraints from the remaining generators.
-    allowed_all = True
-    pinned: Optional[int] = None
-    for i in range(1, a.d):
-        u_i, core_i = data_a[i]
-        v_i, _ = data_b[i]
-        k_i = abs(core_i)
-        # Constraint: u_i^-1 * (u0 x^t v0^-1) * v_i  must be a power of x_{k_i}.
-        left = FreeWord(u_i.inv().letters + u0.letters)
-        right = FreeWord(v0.inv().letters + v_i.letters)
-        l_rest, alpha = _strip_power(left.letters, k0, from_end=True)
-        r_rest, beta = _strip_power(right.letters, k0, from_end=False)
-        if not l_rest and not r_rest:
-            if k_i == k0:
-                continue  # any t works for this generator
-            t_i = -alpha - beta  # middle power must vanish entirely
-        else:
-            mid = FreeWord(l_rest + r_rest)
-            if not _is_power_of(mid.letters, k_i):
-                return None
-            t_i = -alpha - beta
-        if pinned is None:
-            pinned = t_i
-            allowed_all = False
-        elif pinned != t_i:
-            return None
-
-    def valid(g: FreeWord) -> bool:
-        return all(
-            b.images[i].conjugated_by(g) == a.images[i] for i in range(a.d)
-        )
-
-    if not allowed_all:
-        assert pinned is not None
-        g = candidate(pinned)
-        return g if valid(g) else None
-
-    # Every generator leaves t free: scan a window for the shortest
-    # conjugator.  |candidate(t)| >= |t| - |u0| - |v0|, so nothing outside
+    if pinned is not None:
+        return candidate(pinned)
+    # Every t works: |candidate(t)| >= |t| - |u| - |v|, so nothing outside
     # the window can beat candidate(0).
-    limit = 2 * (len(u0) + len(v0)) + 2
-    best: Optional[FreeWord] = None
-    for t in range(-limit, limit + 1):
-        g = candidate(t)
-        if not valid(g):
-            continue
-        if best is None or (len(g), g.letters) < (len(best), best.letters):
-            best = g
-    return best
+    limit = 2 * (len(u) + len(v)) + 2
+    return min((candidate(t) for t in range(-limit, limit + 1)), key=lambda g: (len(g), g.letters))

@@ -13,21 +13,8 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from ._value import Value, _set
-from .clusters import Cluster, ClusterForest
-from .errors import IntervalOutOfRange
+from .clusters import ClusterForest
 from .freegroup import FreeAutomorphism, FreeWord
-
-
-def dehn_twist_automorphism(c: Cluster, d: int) -> FreeAutomorphism:
-    """Conjugate the generators of the interval by their ordered product."""
-    if c.end > d:
-        raise IntervalOutOfRange(f"cluster {c} does not fit in rank {d}")
-    conj = FreeWord(tuple(c.indices()))
-    images = [
-        FreeWord.generator(i).conjugated_by(conj) if i in c.indices() else FreeWord.generator(i)
-        for i in range(1, d + 1)
-    ]
-    return FreeAutomorphism(d, tuple(images))
 
 
 def monodromy_automorphism(forest: ClusterForest) -> FreeAutomorphism:

@@ -398,22 +398,6 @@ def delta_on_class(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) ->
     return g.canonical(new)
 
 
-def moduli_degree(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> int:
-    """Least N >= 1 with delta^N fixing the class; finite because the class
-    set is finite.  A map that does not permute the classes can lead into
-    a cycle that misses rep: that is UnsupportedForm."""
-    seen = {rep}
-    current = delta_on_class(rep, a, g)
-    while current not in seen:
-        seen.add(current)
-        current = delta_on_class(current, a, g)
-    if current != rep:
-        raise UnsupportedForm(
-            f"delta's orbit of {rep} returns to {current} before {rep}; the map is not an automorphism"
-        )
-    return len(seen)
-
-
 class OrbitReport(Value):
     __slots__ = (
         "group_name",

@@ -2,14 +2,17 @@
 polynomial families, and monodromy recovery by strand tracking.
 
 The circle/membership inequalities are all comparisons of squared moduli
-of Gaussian rationals, so they are checked exactly; circle samples come
+of Gaussian rationals, so they are checked exactly.  One evaluator,
+``_evaluate``, computes every polynomial value they need: an integer
+Horner over one common denominator per polynomial, at points given as
+Gaussian integers over a positive integer, (X + iY)/N.  Separation
+evaluates each a_i and each circle's centre at z0.  Circle samples come
 from the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2), which lies
 exactly on |z| = |z0| for rational t.  The cluster bound factors out the
 circle's radius: the centre b_{I,n} is a_i truncated below depth n, so
 |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2 on the circle, with T_i
-the tail of a_i past depth n, and each tail is evaluated over one integer
-denominator per sample.  A family's cluster forest is built once, with
-the family, and every check reads it.
+the tail of a_i past depth n, evaluated at every sample.  A family's
+cluster forest is built once, with the family, and every check reads it.
 
 Only the braid tracker (``_tracker``) runs in double precision, with
 crossings located by bisection.  ``track_braid`` converts the family to
@@ -34,10 +37,10 @@ from typing import Any, Mapping, Optional, Sequence
 
 from ._value import Value, _set
 from .braid import BraidWord, braid_action
-from .clusters import Cluster, compute_clusters
+from .clusters import compute_clusters
 from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
 from .freegroup import FreeAutomorphism, FreeWord, is_inner_shift
-from .intersection import BranchInput, _echo, compute_matrix, format_rational, parse_rational
+from .intersection import BranchInput, _echo, compute_matrix, parse_rational
 from .monodromy import monodromy_automorphism
 from ._tracker import _horner, _NeedsRotation, _Speeds, _Tracker
 
@@ -51,23 +54,8 @@ class RationalComplex(Value):
         _set(self, "re", re)
         _set(self, "im", im)
 
-    def __add__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    def __str__(self) -> str:
-        return f"{format_rational(self.re)} + {format_rational(self.im)}i"
 
     @classmethod
     def from_json(cls, obj: Any) -> "RationalComplex":
@@ -76,13 +64,6 @@ class RationalComplex(Value):
                 raise InvalidInput(f"complex rational needs [re, im], got {obj!r}")
             return cls(parse_rational(obj[0]), parse_rational(obj[1]))
         return cls(parse_rational(obj))
-
-
-def eval_poly(coeffs: Sequence[Fraction], z: RationalComplex) -> RationalComplex:
-    acc = RationalComplex()
-    for c in reversed(coeffs):
-        acc = acc * z + RationalComplex(c)
-    return acc
 
 
 # Most tracker samples accepted.  The tracker leaps over the grid times at
@@ -169,22 +150,6 @@ class WitnessFamily(Value):
     def d(self) -> int:
         return len(self.polys)
 
-    def center_poly(self, c: Cluster) -> tuple[Fraction, ...]:
-        """The common degree-<n truncation of the cluster's polynomials."""
-        coeffs = [
-            tuple(p[k] if k < len(p) else Fraction(0) for k in range(c.depth))
-            for p in (self.polys[i - 1] for i in c.indices())
-        ]
-        assert all(t == coeffs[0] for t in coeffs)
-        return coeffs[0]
-
-    def circle(self, c: Cluster) -> tuple[RationalComplex, Fraction]:
-        """(center w_{I,n}, radius eta * r^(n-1)) of the separating circle."""
-        return eval_poly(self.center_poly(c), self.z0), self.eta * self.r ** (c.depth - 1)
-
-    def values_at_z0(self) -> tuple[RationalComplex, ...]:
-        return tuple(eval_poly(p, self.z0) for p in self.polys)
-
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, Any]) -> "WitnessFamily":
         if not isinstance(obj, Mapping):
@@ -255,16 +220,60 @@ def _raise_if_failed(report: GeometryReport) -> GeometryReport:
     return report
 
 
+def _exact(x: Fraction) -> str:
+    """str(x) for a detail, or where str() refuses an integer past the
+    interpreter's digit limit, x to 7 digits, marked approximate."""
+    try:
+        return str(x)
+    except ValueError:
+        e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        return f"~{'-' if x < 0 else ''}{10 ** (e - math.floor(e)):.6f}e{math.floor(e)}"
+
+
+def _point(z: RationalComplex) -> tuple[int, int, int]:
+    """z as (X, Y, N) with z = (X + iY)/N, N > 0."""
+    den = math.lcm(z.re.denominator, z.im.denominator)
+    return z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator), den
+
+
+def _evaluate(coeffs: Sequence[Fraction], points: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """T(z) = sum_j coeffs[j] z^j at each point z = (X + iY)/N, exactly,
+    as (re, im, s) with T(z) = (re + i im)/s.  With L the common
+    denominator of the coefficients, P_j = L * coeffs[j] and m = deg T,
+    the integer Horner re + i im = sum_j P_j (X + iY)^j N^(m-j) gives
+    s = L N^m."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs] or [0]
+    top, rest = nums[-1], nums[-2::-1]
+    out = []
+    for x, y, n in points:
+        re, im, scale = top, 0, 1
+        for c in rest:
+            scale *= n
+            re, im = re * x - im * y + c * scale, re * y + im * x
+        out.append((re, im, den * scale))
+    return out
+
+
+def _dist2(p: tuple[int, int, int], q: tuple[int, int, int]) -> Fraction:
+    """|p - q|^2 of two values (re, im, s) of ``_evaluate``."""
+    re, im = p[0] * q[2] - q[0] * p[2], p[1] * q[2] - q[1] * p[2]
+    return Fraction(re * re + im * im, (p[2] * q[2]) ** 2)
+
+
 def verify_separation(w: WitnessFamily) -> GeometryReport:
     """Pairwise disjointness of the separating circles, nesting matching
-    cluster containment, and membership of exactly the cluster's points."""
+    cluster containment, and membership of exactly the cluster's points.
+    The circle of cluster (I, n) has radius eta * r^(n-1) and centre the
+    common degree-<n prefix of its polynomials, at z0."""
     forest = w.forest
-    values = w.values_at_z0()
+    z0 = [_point(w.z0)]
+    values = [_evaluate(p, z0)[0] for p in w.polys]
     records: list[CheckRecord] = []
 
     for i in range(w.d):
         for j in range(i + 1, w.d):
-            ok = values[i] != values[j]
+            ok = _dist2(values[i], values[j]) != 0
             records.append(
                 CheckRecord(
                     "distinct-values",
@@ -274,13 +283,16 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
                 )
             )
 
-    circles = {c: w.circle(c) for c in forest.clusters}
+    circles = {
+        c: (_evaluate(w.polys[c.start - 1][: c.depth], z0)[0], w.eta * w.r ** (c.depth - 1))
+        for c in forest.clusters
+    }
     cl = list(forest.clusters)
     for a_idx in range(len(cl)):
         for b_idx in range(a_idx + 1, len(cl)):
             c1, c2 = cl[a_idx], cl[b_idx]
             (w1, r1), (w2, r2) = circles[c1], circles[c2]
-            dist2 = (w1 - w2).abs2()
+            dist2 = _dist2(w1, w2)
             if c1.contains_interval(c2) and c1.depth <= c2.depth:
                 ok = r2 < r1 and dist2 < (r1 - r2) ** 2
                 expect = f"{c2} nested inside {c1}"
@@ -295,7 +307,8 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
                     "circle-separation",
                     f"{c1} vs {c2}",
                     ok,
-                    expect + ("" if ok else " violated: |w-w'|^2 = " f"{dist2}, radii {r1}, {r2}"),
+                    expect
+                    + ("" if ok else f" violated: |w-w'|^2 = {_exact(dist2)}, radii {_exact(r1)}, {_exact(r2)}"),
                 )
             )
 
@@ -303,7 +316,7 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
         wc, rc = circles[c]
         rc2 = rc * rc
         for i in range(1, w.d + 1):
-            dist2 = (values[i - 1] - wc).abs2()
+            dist2 = _dist2(values[i - 1], wc)
             if i in c.indices():
                 ok = dist2 < rc2
                 want = "inside"
@@ -315,7 +328,7 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
                     "membership",
                     f"a{i}(z0) vs circle of {c}",
                     ok,
-                    f"expected strictly {want}: |a - w|^2 = {dist2}, radius^2 = {rc2}",
+                    f"expected strictly {want}: |a - w|^2 = {_exact(dist2)}, radius^2 = {_exact(rc2)}",
                 )
             )
     return _raise_if_failed(GeometryReport("separation", tuple(records)))
@@ -325,9 +338,7 @@ def _circle_points(z0: RationalComplex, count: int) -> list[tuple[int, int, int]
     """Exact points on |z| = |z0| as (X, Y, N) with z = (X + iY)/N, N > 0:
     first -z0, then z0 * ((q^2-p^2) + 2pq i)/(q^2+p^2) for rational
     t = p/q, the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2)."""
-    den = math.lcm(z0.re.denominator, z0.im.denominator)
-    u = z0.re.numerator * (den // z0.re.denominator)
-    v = z0.im.numerator * (den // z0.im.denominator)
+    u, v, den = _point(z0)
     out = [(-u, -v, den)]
     for k in range(count - 1):
         angle = math.pi * ((k + 0.5) / (count - 1) - 0.5)
@@ -338,29 +349,6 @@ def _circle_points(z0: RationalComplex, count: int) -> list[tuple[int, int, int]
     return out
 
 
-def _max_abs2(coeffs: Sequence[Fraction], points: Sequence[tuple[int, int, int]]) -> Fraction:
-    """max |T(z)|^2 over the points (X, Y, N) of ``_circle_points``, for
-    T(z) = sum_j coeffs[j] z^j.  With L the common denominator of the
-    coefficients, P_j = L * coeffs[j] and m = deg T, the integer Horner
-    S = sum_j P_j (X + iY)^j N^(m-j) gives T(z) = S / (L N^m); samples are
-    compared by cross-multiplying |S|^2 and N^(2m)."""
-    if not coeffs:
-        return Fraction(0)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    top, rest = nums[-1], nums[-2::-1]
-    best_s2, best_n2m = 0, 1
-    for x, y, n in points:
-        re, im, scale = top, 0, 1
-        for c in rest:
-            scale *= n
-            re, im = re * x - im * y + c * scale, re * y + im * x
-        s2, n2m = re * re + im * im, scale * scale
-        if s2 * best_n2m > best_s2 * n2m:
-            best_s2, best_n2m = s2, n2m
-    return Fraction(best_s2, best_n2m * den * den)
-
-
 def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
     """|a_i(z) - b_{I,n}(z)| < |z|^(n-1) * eta at sampled z with |z| = |z0|,
     for every cluster (I, n) and i in I.
@@ -368,8 +356,9 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
     b_{I,n} is a_i truncated below depth n, so a_i - b_{I,n} = z^n T_i(z)
     with T_i the tail of a_i past depth n, and every sample lies exactly
     on |z| = |z0|: |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2.  Each
-    tail is evaluated once per sample in integers (``_max_abs2``), and the
-    worst sample becomes one exact Fraction per record."""
+    tail is evaluated once per sample in integers (``_evaluate``), the
+    samples are compared by cross-multiplying, and the worst becomes one
+    exact Fraction per record."""
     points = _circle_points(w.z0, BOUND_SAMPLES)
     z0_abs2 = w.z0.abs2()
     records: list[CheckRecord] = []
@@ -377,13 +366,18 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
         n = c.depth
         bound2 = z0_abs2 ** (n - 1) * w.eta * w.eta
         for i in c.indices():
-            worst = z0_abs2**n * _max_abs2(w.polys[i - 1][n:], points)
+            best, best_s2 = 0, 1
+            for re, im, s in _evaluate(w.polys[i - 1][n:], points):
+                abs2, s2 = re * re + im * im, s * s
+                if abs2 * best_s2 > best * s2:
+                    best, best_s2 = abs2, s2
+            worst = z0_abs2**n * Fraction(best, best_s2)
             records.append(
                 CheckRecord(
                     "cluster-bound",
                     f"a{i} vs b of {c}",
                     worst < bound2,
-                    f"max |a_i(z) - b(z)|^2 = {worst} vs bound^2 = {bound2} "
+                    f"max |a_i(z) - b(z)|^2 = {_exact(worst)} vs bound^2 = {_exact(bound2)} "
                     f"over {len(points)} samples",
                 )
             )

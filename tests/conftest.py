@@ -1,14 +1,36 @@
-"""Shared test helpers: seeded generators for ultrametric matrices and
-independent brute-force oracles used to freeze expected values."""
+"""Shared test helpers: seeded generators for ultrametric matrices,
+independent brute-force oracles used to freeze expected values, and the
+witness families of perfbench's verify-topology pool and of tests/data."""
 
 from __future__ import annotations
 
+import glob
+import importlib.util
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from branchmono.intersection import IntersectionMatrix
+from branchmono.topocheck import WitnessFamily
 from oracles import entries
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # dataclasses looks its module up by name
+_spec.loader.exec_module(workloads)
+
+POOL = [
+    WitnessFamily.from_json_dict(json.loads(workloads.family_case(i).files["family"]))
+    for i in range(workloads.FAMILY_POOL)
+]
+DATA_FAMILIES = {
+    Path(path).stem: WitnessFamily.from_json_dict(json.loads(Path(path).read_text()))
+    for path in sorted(glob.glob(str(ROOT / "tests" / "data" / "family_*.json")))
+}
 
 
 def random_ultrametric_entries(

@@ -31,7 +31,7 @@ from branchmono.errors import (
 )
 from branchmono.freegroup import FreeAutomorphism, FreeWord, compose
 from branchmono.intersection import BranchInput, IntersectionMatrix, canonical_order, compute_matrix
-from branchmono.monodromy import dehn_twist_automorphism, emit_presentation, monodromy_automorphism
+from branchmono.monodromy import emit_presentation, monodromy_automorphism
 from branchmono.quotients import load_group, moduli_report
 from branchmono.topocheck import (
     WitnessFamily,
@@ -40,7 +40,7 @@ from branchmono.topocheck import (
     verify_separation,
 )
 from conftest import random_ultrametric_matrix
-from oracles import entries
+from oracles import dehn_twist_automorphism, entries
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"

@@ -7,12 +7,11 @@ from branchmono.braid import (
     braid_action,
     half_twist,
     lambda_braid,
-    puncture_loop_braid,
 )
 from branchmono.clusters import Cluster
 from branchmono.errors import IndexOutOfRange, IntervalOutOfRange
 from branchmono.freegroup import FreeAutomorphism, FreeWord, compose
-from branchmono.monodromy import dehn_twist_automorphism
+from oracles import dehn_twist_automorphism, puncture_loop_braid
 
 
 def test_braid_word_basics():

@@ -312,6 +312,39 @@ def test_verify_topology_coefficient_outside_double_range(coefficient, tmp_path)
     assert err["details"] == {"strand": 2, "coefficient": 0}
 
 
+# Families whose exact check values pass str()'s limit of 4300 digits: 1200
+# terms of 1/3 and 1/5 past depth 2, and r = 10^-2200.
+LONG_TAILS = {
+    "coefficients": [["0"], ["0", "1"] + ["1/3"] * 1200, ["0", "2"] + ["1/5"] * 1200],
+    "eta": "1/8",
+    "r": "1/16",
+    "z0": ["3/64", "0"],
+    "samples": 16,
+}
+TINY_R = {
+    "coefficients": [["0"], ["0", "1"], ["0", "2"]],
+    "eta": "1/8",
+    "r": "1/1" + "0" * 2200,
+    "z0": ["3/4" + "0" * 2200, "0"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("doc", [LONG_TAILS, TINY_R], ids=["long-tails", "tiny-r"])
+def test_verify_topology_exact_values_past_the_digit_limit(doc, fmt, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("verify-topology", "--family", str(path), "--format", fmt)
+    assert "Traceback" not in out.stderr
+    assert out.returncode in (0, 1)
+    if out.returncode:
+        assert json.loads(out.stderr)["error"]
+    elif fmt == "json":
+        details = [rec["detail"] for rec in json.loads(out.stdout)["cluster_bound"]["checks"]]
+        assert any("= ~" in detail for detail in details)
+        assert max(map(len, details)) < 200
+
+
 @pytest.mark.parametrize("group", ["c²", "s①"], ids=["superscript_two", "circled_one"])
 def test_orbits_non_decimal_digits_are_unknown_builtin(group):
     """str.isdigit() accepts these characters but int() does not parse them;

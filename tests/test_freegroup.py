@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -22,8 +23,8 @@ from branchmono.freegroup import (
     inner,
     is_inner_shift,
     parse_letters,
-    reduce_word,
 )
+from oracles import window_inner_shift
 
 
 def naive_reduce(letters):
@@ -58,15 +59,15 @@ def random_letters(rng, d, length):
 # -- reduction ---------------------------------------------------------------
 
 def test_reduce_examples():
-    assert reduce_word([1, -1]).letters == ()
-    assert reduce_word([1, 2, -2, 1]).letters == (1, 1)
-    assert reduce_word([2, 1, -1, -2, 3]).letters == (3,)
+    assert FreeWord([1, -1]).letters == ()
+    assert FreeWord([1, 2, -2, 1]).letters == (1, 1)
+    assert FreeWord([2, 1, -1, -2, 3]).letters == (3,)
     assert _kernels.reduce_word([]) == []
 
 
 def test_reduce_range_check():
     with pytest.raises(IndexOutOfRange):
-        reduce_word([1, 3], d=2)
+        FreeAutomorphism(2, (FreeWord((1, 3)), FreeWord((2,))))
     with pytest.raises(InvalidInput):
         FreeWord((0,))
 
@@ -263,3 +264,52 @@ def test_inner_shift_unsupported_form():
     a = FreeAutomorphism(2, (FreeWord((1, 2)), FreeWord((2,))))
     with pytest.raises(UnsupportedForm):
         is_inner_shift(a, a)
+
+
+def random_pair(rng):
+    """(kind, a, b) with d <= 6.  "shift": a = inner(g) o b, with g often
+    holding a long power of one generator; "near": one image of a shift
+    conjugated once more; "repinned": an image x_i, i > 1, of a shift
+    conjugated by u x_k^s u^-1, where a(x_1) = u x_k^+-1 u^-1, so that it
+    asks for another power of x_k than the other images; "unrelated": a
+    and b drawn apart; "free": every image of b in one conjugation frame,
+    so every power of x_k works."""
+    d = rng.randint(2, 6)
+    kind = rng.choice(("shift", "near", "repinned", "unrelated", "free"))
+    if kind == "free":
+        k, v = rng.randint(1, d), FreeWord(tuple(random_letters(rng, d, rng.randint(0, 3))))
+        b = FreeAutomorphism(d, tuple((FreeWord.generator(k) ** rng.choice((1, -1))).conjugated_by(v) for _ in range(d)))
+    else:
+        b = _random_conjugating_automorphism(rng, d)
+    if kind == "unrelated":
+        return kind, _random_conjugating_automorphism(rng, d), b
+    g = FreeWord(tuple(random_letters(rng, d, rng.randint(0, 3))))
+    g = g * FreeWord.generator(rng.randint(1, d)) ** rng.randint(-9, 9) * g.inv() ** rng.randint(0, 1)
+    a = compose(inner(g, d), b)
+    if kind == "near":
+        i = rng.randrange(d)
+        images = list(a.images)
+        images[i] = images[i].conjugated_by(FreeWord.generator(rng.choice((1, -1)) * rng.randint(1, d)))
+        a = FreeAutomorphism(d, tuple(images))
+    if kind == "repinned":
+        u, core = a.images[0].cyclic_decomposition()
+        power = FreeWord.generator(abs(core.letters[0])) ** rng.choice((-2, -1, 1, 2))
+        i = rng.randrange(1, d)
+        images = list(a.images)
+        images[i] = images[i].conjugated_by(power.conjugated_by(u))
+        a = FreeAutomorphism(d, tuple(images))
+    return kind, a, b
+
+
+def test_inner_shift_matches_window_oracle():
+    """Against every conjugator the first generator allows in a window,
+    each with the full check: the same shortest g, or None from both."""
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for _ in range(600):
+        kind, a, b = random_pair(rng)
+        got = is_inner_shift(a, b)
+        assert got == window_inner_shift(a, b), (kind, a, b)
+        outcomes[kind, got is not None] += 1
+    assert all(outcomes[kind, True] >= 50 for kind in ("shift", "free"))
+    assert all(outcomes[kind, False] >= 50 for kind in ("near", "repinned", "unrelated"))

@@ -4,16 +4,13 @@ import itertools
 
 import pytest
 
-from branchmono.braid import braid_action, lambda_braid_for_forest
+from branchmono.braid import braid_action
 from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.errors import IntervalOutOfRange
 from branchmono.freegroup import FreeAutomorphism, FreeWord, compose
-from branchmono.monodromy import (
-    dehn_twist_automorphism,
-    emit_presentation,
-    monodromy_automorphism,
-)
+from branchmono.monodromy import emit_presentation, monodromy_automorphism
 from conftest import random_ultrametric_matrix
+from oracles import dehn_twist_automorphism, lambda_braid_for_forest
 
 
 def test_twist_formula_examples():

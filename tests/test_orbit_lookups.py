@@ -21,10 +21,9 @@ from branchmono.quotients import (
     delta_on_class,
     enumerate_classes,
     load_group,
-    moduli_degree,
     moduli_report,
 )
-from oracles import canonical_tuple, evaluate_word
+from oracles import canonical_tuple, evaluate_word, moduli_degree
 from test_quotients import find_nonassociative_loop
 
 # Every built-in family member up to order 24.

@@ -23,10 +23,9 @@ from branchmono.quotients import (
     delta_on_class,
     enumerate_classes,
     load_group,
-    moduli_degree,
     moduli_report,
 )
-from oracles import canonical_tuple, evaluate_word
+from oracles import canonical_tuple, evaluate_word, moduli_degree
 
 
 # -- groups ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from branchmono import topocheck
-from branchmono.braid import half_twist
+from branchmono.braid import braid_action, half_twist
 from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.errors import (
     InvalidInput,
@@ -21,19 +21,26 @@ from branchmono.intersection import ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.topocheck import (
     MAX_SAMPLES,
-    CheckRecord,
-    GeometryReport,
     RationalComplex,
     WitnessFamily,
+    _evaluate,
+    _exact,
+    _point,
     _raise_if_failed,
     check_samples,
-    eval_poly,
     track_braid,
     verify_cluster_bound,
     verify_monodromy_oracle,
     verify_separation,
 )
-from oracles import entries
+from conftest import DATA_FAMILIES, POOL
+from oracles import (
+    entries,
+    eval_poly,
+    fraction_cluster_bound,
+    fraction_separation,
+    window_inner_shift,
+)
 
 Z0 = RationalComplex(F(3, 64))
 PARAMS = dict(eta=F(1, 8), r=F(1, 16), z0=Z0)
@@ -55,16 +62,30 @@ def family_4pt(**kw):
 
 def test_rational_complex_arithmetic():
     a = RationalComplex(F(1, 2), F(1, 3))
-    b = RationalComplex(F(2), F(-1))
-    assert (a + b).re == F(5, 2)
-    assert (a * b).abs2() == a.abs2() * b.abs2()
+    assert a.abs2() == F(13, 36)
     assert RationalComplex.from_json(["3/64", 0]) == Z0
+    assert RationalComplex.from_json("-1/3") == RationalComplex(F(-1, 3), F(0))
+    assert _point(RationalComplex(F(1, 6), F(-3, 4))) == (2, -9, 12)
 
 
 def test_eval_poly_exact():
-    z = RationalComplex(F(1, 2), F(1, 2))
-    val = eval_poly((F(1), F(0), F(1)), z)  # 1 + z^2
-    assert val == RationalComplex(F(1), F(1, 2))
+    # 1 + z^2 at z = (1 + i)/2 is 1 + i/2, over L N^m = 1 * 2^2.
+    z = _point(RationalComplex(F(1, 2), F(1, 2)))
+    assert _evaluate((F(1), F(0), F(1)), [z]) == [(4, 2, 4)]
+    assert _evaluate((), [z, z]) == [(0, 0, 1), (0, 0, 1)]
+    rng = random.Random(11)
+    for _ in range(50):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
+        z = (F(rng.randint(-9, 9), rng.randint(1, 30)), F(rng.randint(-9, 9), rng.randint(1, 30)))
+        [(re, im, s)] = _evaluate(coeffs, [_point(RationalComplex(*z))])
+        assert (F(re, s), F(im, s)) == eval_poly(coeffs, z)
+
+
+def test_exact_values_past_the_digit_limit_print_bounded():
+    assert _exact(F(-3, 64)) == "-3/64"
+    assert _exact(F(10**4000 + 1, 3)) == str(F(10**4000 + 1, 3))
+    assert _exact(F(3, 4 * 10**4400)) == "~7.500000e-4401"
+    assert _exact(-F(10**5000 * 5, 3)) == "~-1.666667e5000"
 
 
 def test_family_validation():
@@ -395,63 +416,31 @@ def test_track_braid_collinear_block_at_depth_5():
 
 
 # ---------------------------------------------------------------------------
-# The integer cluster bound against the Fraction loop it replaced.
+# The integer geometry against the Gaussian-rational oracles.
 
 
-def fraction_circle_samples(z0, count):
-    """Exact points on |z| = |z0| via z0 * (1-t^2+2it)/(1+t^2), rational t."""
-    out = [RationalComplex(-z0.re, -z0.im)]
-    for k in range(count - 1):
-        angle = math.pi * ((k + 0.5) / (count - 1) - 0.5)
-        t = F(math.tan(angle)).limit_denominator(10**6)
-        den = 1 + t * t
-        out.append(z0 * RationalComplex((1 - t * t) / den, 2 * t / den))
-    return out
-
-
-def fraction_cluster_bound(w, bound_samples=128):
-    """The bound evaluated directly: a_i(z) - b(z) in Gaussian rationals
-    at every sample, for every cluster and member."""
-    zs = fraction_circle_samples(w.z0, bound_samples)
-    z0_abs2 = w.z0.abs2()
-    records = []
-    for c in w.forest.clusters:
-        b = w.center_poly(c)
-        bound2 = z0_abs2 ** (c.depth - 1) * w.eta * w.eta
-        for i in c.indices():
-            worst, ok = None, True
-            for z in zs:
-                diff2 = (eval_poly(w.polys[i - 1], z) - eval_poly(b, z)).abs2()
-                if not diff2 < bound2:
-                    ok = False
-                if worst is None or diff2 > worst:
-                    worst = diff2
-            records.append(
-                CheckRecord(
-                    "cluster-bound",
-                    f"a{i} vs b of {c}",
-                    ok,
-                    f"max |a_i(z) - b(z)|^2 = {worst} vs bound^2 = {bound2} "
-                    f"over {len(zs)} samples",
-                )
-            )
-    return GeometryReport("cluster-bound", tuple(records))
-
-
-def assert_bound_matches_oracle(w):
+def assert_matches_oracle(check, oracle, w):
     """Same report on success; the same message, details and report on
-    failure.  Returns whether the bound held."""
-    expected = fraction_cluster_bound(w)
+    failure.  Returns whether the check held."""
+    expected = oracle(w)
     if expected.passed:
-        assert verify_cluster_bound(w).to_json_dict() == expected.to_json_dict()
+        assert check(w).to_json_dict() == expected.to_json_dict()
         return True
     with pytest.raises(ParametersTooLarge) as got:
-        verify_cluster_bound(w)
+        check(w)
     with pytest.raises(ParametersTooLarge) as want:
         _raise_if_failed(expected)
     assert got.value.to_json_dict() == want.value.to_json_dict()
     assert got.value.report.to_json_dict() == expected.to_json_dict()
     return False
+
+
+def assert_bound_matches_oracle(w):
+    return assert_matches_oracle(verify_cluster_bound, fraction_cluster_bound, w)
+
+
+def assert_separation_matches_oracle(w):
+    return assert_matches_oracle(verify_separation, fraction_separation, w)
 
 
 def random_rational(rng, den):
@@ -496,6 +485,39 @@ def test_oracle_cluster_bound_random_families():
         families += [family_3pt(eta=eta), family_4pt(eta=eta)]
     outcomes = [assert_bound_matches_oracle(w) for w in families]
     assert True in outcomes and False in outcomes
+
+
+def test_oracle_separation_random_families():
+    rng = random.Random(20261018)
+    families = [random_bound_family(rng) for _ in range(40)]
+    for eta in (F(1, 8), F(10), F(0)):
+        families += [family_3pt(eta=eta), family_4pt(eta=eta)]
+    outcomes = [assert_separation_matches_oracle(w) for w in families]
+    assert outcomes.count(True) >= 5 and outcomes.count(False) >= 5
+
+
+@pytest.mark.parametrize("source", ["pool", "data"])
+def test_oracle_geometry_on_the_pool_and_data_families(source):
+    # The Fraction bound takes about 0.26 s a pool family, so it checks
+    # every fourth; the separation oracle checks them all.
+    families = POOL if source == "pool" else list(DATA_FAMILIES.values())
+    for w in families:
+        assert_separation_matches_oracle(w)
+    for w in families[::4] if source == "pool" else families:
+        assert_bound_matches_oracle(w)
+
+
+def test_inner_shift_matches_window_oracle_on_tracked_pairs():
+    """The pool's and the tracking test families' (tracked, symbolic)
+    pairs: the same conjugator, or None from both."""
+    outcomes = []
+    for w in POOL + [w for name, w in DATA_FAMILIES.items() if name != "family_collision"]:
+        tracked = braid_action(track_braid(w))
+        symbolic = monodromy_automorphism(w.forest)
+        got = is_inner_shift(tracked, symbolic)
+        assert got == window_inner_shift(tracked, symbolic)
+        outcomes.append(got is not None)
+    assert outcomes.count(True) >= len(POOL) and False in outcomes
 
 
 @pytest.mark.parametrize(

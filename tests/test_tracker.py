@@ -2,14 +2,9 @@
 time (``oracles.every_sample_track``): equal braids or equal errors, the
 work it saves, its fallbacks, and the linking numbers of its braids."""
 
-import glob
-import importlib.util
-import json
 import random
-import sys
 from collections import Counter
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -17,23 +12,10 @@ from branchmono import _tracker
 from branchmono.errors import BranchMonoError
 from branchmono.intersection import BranchInput, compute_matrix
 from branchmono.topocheck import MAX_SAMPLES, RationalComplex, WitnessFamily, track_braid
-from conftest import random_ultrametric_matrix
+from conftest import DATA_FAMILIES as DATA
+from conftest import POOL, random_ultrametric_matrix
 from oracles import EverySampleTracker, depth_partition, entries, every_sample_track
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = workloads  # dataclasses looks its module up by name
-_spec.loader.exec_module(workloads)
-
-POOL = [
-    WitnessFamily.from_json_dict(json.loads(workloads.family_case(i).files["family"]))
-    for i in range(workloads.FAMILY_POOL)
-]
-DATA = {
-    Path(path).stem: WitnessFamily.from_json_dict(json.loads(Path(path).read_text()))
-    for path in sorted(glob.glob(str(ROOT / "tests" / "data" / "family_*.json")))
-}
 # a_1 - a_2 vanishes at z = -3/256, on the loop, yet the tracker passes it
 # (a known false pass); the leaping tracker must not differ there either.
 TOUCH = WitnessFamily.from_json_dict(
@@ -102,8 +84,7 @@ def random_family(rng):
     for cs in coeffs:
         cs[depth:] = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)]
     p, q = rng.randint(0, 3), rng.randint(1, 3)
-    unit = RationalComplex(F(q * q - p * p, q * q + p * p), F(2 * p * q, q * q + p * p))
-    z0 = RationalComplex(F(3, 256)) * unit
+    z0 = RationalComplex(F(3, 256) * F(q * q - p * p, q * q + p * p), F(3, 256) * F(2 * p * q, q * q + p * p))
     return WitnessFamily(
         polys=tuple(map(tuple, coeffs)), eta=F(1, 8), r=F(1, 64), z0=z0, samples=rng.choice((16, 64, 512))
     )
