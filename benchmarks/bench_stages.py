@@ -7,6 +7,11 @@ Run from the root of a source checkout:
 
     python benchmarks/bench_stages.py --label change
     python benchmarks/bench_stages.py --label parent --src OTHER_CHECKOUT/src
+    python benchmarks/bench_stages.py --label change --stage verify-topology
+
+``--stage`` runs one stage: ``clusters`` (the `clusters` and `present`
+cases, most of a full run's time) or ``verify-topology``; by default both
+run.  A one-stage run replaces only its own cases under the label.
 
 The inputs are the 2-adic points 0..d-1 for d = 512, 1024 and 2048, whose
 cluster tree is the complete binary tree, and at d = 512 the same tree in
@@ -69,6 +74,7 @@ CASES = (("padic", 512), ("padic", 1024), ("padic", 2048), ("series", 512))
 COMMANDS = ("clusters", "present")
 # Tracker sample counts of the verify-topology stage.
 SAMPLES = (1024, 2**14, 2**16)
+STAGES = ("clusters", "verify-topology")
 
 # Runs one command with stdout to devnull, then prints its peak RSS in kB.
 LAUNCH = """\
@@ -182,32 +188,36 @@ def main() -> None:
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
+    parser.add_argument("--stage", choices=STAGES, help="run this stage only (default: every stage)")
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))
+    stages = (args.stage,) if args.stage else STAGES
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for mode, d in CASES:
+        for mode, d in CASES if "clusters" in stages else ():
             path = os.path.join(tmp, f"{mode}-{d}.json")
             with open(path, "w") as out:
                 json.dump(input_doc(mode, d), out)
             name = f"{mode} d={d}"
             results[name] = measure(src, path)
             report(args.label, name, results[name])
-        docs = pool_families()
-        path = os.path.join(tmp, "family.json")
-        with open(path, "wb") as out:
-            out.write(next(doc for doc in docs if len(json.loads(doc)["coefficients"]) == 12))
-        for samples in SAMPLES:
-            name = f"verify-topology samples={samples}"
-            results[name] = measure_topology(src, docs, samples, path)
-            report(args.label, name, results[name])
+        if "verify-topology" in stages:
+            docs = pool_families()
+            path = os.path.join(tmp, "family.json")
+            with open(path, "wb") as out:
+                out.write(next(doc for doc in docs if len(json.loads(doc)["coefficients"]) == 12))
+            for samples in SAMPLES:
+                name = f"verify-topology samples={samples}"
+                results[name] = measure_topology(src, docs, samples, path)
+                report(args.label, name, results[name])
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = {
+    previous = doc.setdefault("runs", {}).get(args.label, {}).get("cases", {}) if args.stage else {}
+    doc["runs"][args.label] = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": REPEATS,
-        "cases": results,
+        "cases": {**previous, **results},
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
 

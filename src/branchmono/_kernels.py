@@ -6,14 +6,15 @@ the i-th generator, -i its inverse); groups are Cayley tables with
 element 0 the identity.
 
 ``FreeWord``'s constructor reduces every word here, and ``quotients``
-enumerates cover classes with ``product_one_classes_chunk``.  The direct
-definitions that ``quotients``' precomputed lookups are tested against
-live with the tests' other oracles.
+enumerates cover classes with ``product_one_classes_chunk``, an orderly
+walk that emits them sorted and decides generation as it goes.  The
+direct definitions that ``quotients``' precomputed lookups are tested
+against live with the tests' other oracles.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 BACKEND = "pure"
 
@@ -41,11 +42,14 @@ def product_one_classes_chunk(
     first_hi: int,
     *,
     conj: Sequence[Sequence[int]],
-) -> set[tuple[int, ...]]:
+    generates: Optional[Callable[[tuple[int, ...]], bool]] = None,
+) -> list[tuple[int, ...]]:
     """Canonical representatives of the product-one d-tuple classes whose
-    canonical first coordinate lies in [first_lo, first_hi).  Chunks over
-    disjoint ranges are disjoint, and chunks over a partition of [0, |G|)
-    together hold every class once.
+    canonical first coordinate lies in [first_lo, first_hi), in increasing
+    lexicographic order; with ``generates``, only the classes whose
+    elements generate the group.  Chunks over disjoint ranges are
+    disjoint, and chunks over a partition of [0, |G|) together hold every
+    class once.
 
     Orderly generation (McKay 1998): a depth-first walk over prefixes that
     are lexicographically least in their conjugation orbit.  With S the
@@ -56,11 +60,19 @@ def product_one_classes_chunk(
     that product, so it passes the same test.  Each class is reached once,
     and the accepted children are computed once per distinct stabiliser,
     so the walk costs O(d) per canonical prefix plus O(|G|·|S|) per
-    distinct S.  ``conj[h][x]`` is h^-1 x h, the group's conjugation
-    table.
+    distinct S.  Children are pushed largest first, so the least prefix
+    is always walked next and the classes come out sorted.  ``conj[h][x]``
+    is h^-1 x h, the group's conjugation table.
+
+    Generation is decided along the walk.  Each prefix carries the
+    subgroup H its elements generate, found once per (H, x) by a
+    breadth-first closure; the forced last coordinate lies in
+    H_{d-1} = <H, x> for x the last free one, so a class generates iff
+    ``generates`` accepts H's generators and x, asked once per distinct
+    (H, x).
     """
     if d < 2 or first_lo >= first_hi:
-        return set()
+        return []
     elements = tuple(range(len(inv)))
     accepted: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
 
@@ -75,17 +87,63 @@ def product_one_classes_chunk(
             ]
         return accepted[stab]
 
-    classes: set[tuple[int, ...]] = set()
+    # Subgroups generated by prefixes, numbered as found: ``gens[s]`` is
+    # the prefix elements that grew subgroup s, ``members[s]`` its elements.
+    gens: list[tuple[int, ...]] = [()]
+    members: list[frozenset[int]] = [frozenset((0,))]
+    number = {members[0]: 0}
+    grown: dict[tuple[int, int], int] = {}
+    verdict: dict[tuple[int, int], bool] = {}
+    last: dict[tuple[tuple[int, ...], int], list[int]] = {}
+
+    def grow(s: int, x: int) -> int:
+        """The number of <subgroup s, x>."""
+        if (s, x) not in grown:
+            if x in members[s]:
+                grown[s, x] = s
+            else:
+                new = gens[s] + (x,)
+                seen = {0}
+                queue = [0]
+                for a in queue:  # grows while it is read
+                    row = table[a]
+                    for b in new:
+                        if row[b] not in seen:
+                            seen.add(row[b])
+                            queue.append(row[b])
+                key = frozenset(seen)
+                if key not in number:
+                    number[key] = len(gens)
+                    gens.append(new)
+                    members.append(key)
+                grown[s, x] = number[key]
+        return grown[s, x]
+
+    def finals(options: list[tuple[int, tuple[int, ...]]], stab: tuple[int, ...], s: int) -> list[int]:
+        """The last free coordinates x among options whose class generates."""
+        if (stab, s) not in last:
+            xs = [x for x, _ in options]
+            if generates is not None:
+                for x in xs:
+                    if (s, x) not in verdict:
+                        verdict[s, x] = generates(gens[s] + (x,))
+                xs = [x for x in xs if verdict[s, x]]
+            last[stab, s] = xs
+        return last[stab, s]
+
+    classes: list[tuple[int, ...]] = []
     free = d - 1
-    stack: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((), 0, elements)]
+    stack: list[tuple[tuple[int, ...], int, tuple[int, ...], int]] = [((), 0, elements, 0)]
     while stack:
-        prefix, acc, stab = stack.pop()
+        prefix, acc, stab, s = stack.pop()
         options = children(stab)
         if not prefix:
             options = [(x, sub) for x, sub in options if first_lo <= x < first_hi]
         row = table[acc]
         if len(prefix) == free - 1:
-            classes.update(prefix + (x, inv[row[x]]) for x, _ in options)
+            classes.extend([prefix + (x, inv[row[x]]) for x in finals(options, stab, s)])
+        elif generates is None:
+            stack.extend([(prefix + (x,), row[x], sub, 0) for x, sub in reversed(options)])
         else:
-            stack.extend((prefix + (x,), row[x], sub) for x, sub in options)
+            stack.extend([(prefix + (x,), row[x], sub, grow(s, x)) for x, sub in reversed(options)])
     return classes

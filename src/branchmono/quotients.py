@@ -4,16 +4,19 @@ field-of-moduli degree bound checked by exhaustion.
 A cover class is a d-tuple of group elements with product 1, up to
 simultaneous conjugation; its canonical form is the lexicographically
 least tuple in the orbit, and that tuple stands for the class.  The
-classes are generated directly in canonical form, one coordinate at a
-time under the centraliser of the prefix (orderly generation), so
-enumeration costs about (number of classes) × |G|.  The monodromy
-automorphism acts by evaluating its image words at the tuple, one table
-lookup per letter, and re-canonicalising the image from the conjugations
-that take its first coordinate to its least conjugate, which the group
-precomputes.  The moduli degree of a class is the length of its orbit
-under that action, which the corollary under test bounds by the exponent
-of G/Z(G).  The generation filter computes subgroup closures by a
-breadth-first search over the generators.
+classes are generated directly in canonical form and in sorted order, one
+coordinate at a time under the centraliser of the prefix (orderly
+generation), so enumeration costs about (number of classes) × |G|.  The
+same walk decides generation: each prefix carries the subgroup it
+generates, and ``FiniteGroup.generates`` is asked once per distinct
+(subgroup, last free coordinate).  The monodromy automorphism acts on a
+class through its images in conjugation form, u·x_j^±1·u⁻¹: the u's are
+evaluated once per class along a shared prefix trie, each image is then
+one conjugation, and the image tuple is re-canonicalised from the
+conjugations that take its first coordinate to its least conjugate,
+which the group precomputes.  The moduli degree of a class is the length
+of its orbit under that action, which the corollary under test bounds by
+the exponent of G/Z(G).
 """
 
 from __future__ import annotations
@@ -354,8 +357,10 @@ def enumerate_classes(
     optionally only the generating ones.
 
     The classes are produced by orderly generation (see
-    ``product_one_classes_chunk``), so the work grows with the number of
-    classes times |G|, not with the |G|^(d-1) product-one tuples.  The cap
+    ``product_one_classes_chunk``), already sorted and, with
+    ``surjective_only``, already filtered by ``FiniteGroup.generates``
+    along the walk, so the work grows with the number of classes times
+    |G|, not with the |G|^(d-1) product-one tuples.  The cap
     still bounds |G|^(d-1): SizeLimit is raised when it is exceeded, so the
     same inputs are refused as by an exhaustive walk.
 
@@ -371,31 +376,100 @@ def enumerate_classes(
         raise SizeLimit(
             f"|G|^(d-1) = {total} exceeds cap {cap}", total=total, cap=cap
         )
-    reps = _kernels.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order, conj=g.conj)
-    if surjective_only:
-        # One closure per distinct element set.
-        keys = list(map(frozenset, reps))
-        verdict = {key: g.generates(key) for key in set(keys)}
-        reps = itertools.compress(reps, map(verdict.__getitem__, keys))
-    return tuple(sorted(reps))
+    return tuple(
+        _kernels.product_one_classes_chunk(
+            g.table,
+            g.inverse,
+            d,
+            0,
+            g.order,
+            conj=g.conj,
+            generates=g.generates if surjective_only else None,
+        )
+    )
 
 
-def delta_on_class(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> tuple[int, ...]:
-    """Evaluate the automorphism's image words at the tuple by table
-    lookups and re-canonicalize."""
+# (trie, images, inverses): see ``conjugation_form``.
+ConjugationForm = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, Any], ...], bool]
+
+
+def conjugation_form(a: FreeAutomorphism) -> ConjugationForm:
+    """The automorphism's images in the form ``delta_on_class`` evaluates,
+    derived once per automorphism.
+
+    At a tuple, an image u * x_j^+-1 * u^-1 is rep[j]^+-1 conjugated by
+    the value of u, so only u is evaluated letter by letter.  The u's go
+    into one prefix trie: node k + 1 is ``trie[k]`` = (parent node,
+    letter), parents first, and node 0 is the empty word.  A monodromy
+    image has u = W_i = P_C1...P_Ck, and strands in a common cluster share
+    a prefix of their W_i, which the trie evaluates once.  ``images[i]``
+    is (the node of u, the letter of x_j^+-1), or (-1, its letters) for an
+    image that is not a conjugate of a generator.
+
+    A letter is stored as its slot in rep + (the inverses of rep): x_k
+    at k - 1 and x_k^-1 at d + k - 1.  ``inverses`` says whether any
+    letter needs the second half."""
+    d = a.d
+    trie: list[tuple[int, int]] = []
+    node_of: dict[tuple[int, int], int] = {}
+    images: list[tuple[int, Any]] = []
+    inverses = False
+
+    def slot(letter: int) -> int:
+        return letter - 1 if letter > 0 else d - letter - 1
+
+    for w in a.images:
+        u, core = w.cyclic_decomposition()
+        if len(core.letters) == 1:
+            read = w.letters[: len(u.letters) + 1]  # u, then x_j^+-1
+            node = 0
+            for k in map(slot, u.letters):
+                key = (node, k)
+                if key not in node_of:
+                    trie.append(key)
+                    node_of[key] = len(trie)
+                node = node_of[key]
+            images.append((node, slot(read[-1])))
+        else:
+            read = w.letters
+            images.append((-1, tuple(map(slot, read))))
+        inverses = inverses or min(read, default=1) < 0
+    return tuple(trie), tuple(images), inverses
+
+
+def delta_on_class(
+    rep: tuple[int, ...],
+    a: FreeAutomorphism,
+    g: FiniteGroup,
+    form: Optional[ConjugationForm] = None,
+) -> tuple[int, ...]:
+    """The canonical tuple of the automorphism's image of the class: every
+    image word evaluated at the tuple, then re-canonicalized.
+
+    The images are read in ``conjugation_form`` (``form``, derived from
+    ``a`` when not given): one table lookup per trie node for the
+    conjugators u, then one conjugation per generator; an image of
+    another shape is folded one lookup per letter."""
     if a.d != len(rep):
         raise DimensionMismatch(f"automorphism rank {a.d} != tuple length {len(rep)}")
-    table = g.table
-    # value[k] is the element the letter k stands for: rep[k - 1] for
-    # k > 0 and, read from the end, its inverse for k < 0.
-    value = [0, *rep, *map(g.inverse.__getitem__, reversed(rep))]
-    new = []
-    for w in a.images:
-        acc = 0
-        for k in w.letters:
-            acc = table[acc][value[k]]
-        new.append(acc)
-    return g.canonical(new)
+    trie, images, inverses = conjugation_form(a) if form is None else form
+    table, conj, inv = g.table, g.conj, g.inverse
+    value = (*rep, *[inv[x] for x in rep]) if inverses else rep
+    at = [0]  # at[node]: the value of the node's word
+    for parent, k in trie:
+        at.append(table[at[parent]][value[k]])
+    # u x u^-1 = h^-1 x h for h = u^-1
+    return g.canonical(
+        [conj[inv[at[node]]][value[k]] if node >= 0 else _fold(table, value, k) for node, k in images]
+    )
+
+
+def _fold(table: Sequence[Sequence[int]], value: Sequence[int], slots: Sequence[int]) -> int:
+    """The product of the values in the given slots, one lookup each."""
+    acc = 0
+    for k in slots:
+        acc = table[acc][value[k]]
+    return acc
 
 
 class OrbitReport(Value):
@@ -510,8 +584,9 @@ def moduli_report(
         )
     classes = enumerate_classes(g, a.d, surjective_only=surjective_only, cap=cap)
     index = {rep: i for i, rep in enumerate(classes)}
+    form = conjugation_form(a)
     try:
-        succ = [index[delta_on_class(rep, a, g)] for rep in classes]
+        succ = [index[delta_on_class(rep, a, g, form=form)] for rep in classes]
     except KeyError:
         raise UnsupportedForm(
             "delta image left the enumerated class set; the automorphism "

@@ -7,7 +7,10 @@ matrix back from a cluster tree, and ``reindex`` and ``depth_partition``
 read it entry by entry.
 ``evaluate_word`` and ``canonical_tuple`` are the direct definitions of
 word evaluation and of the canonical form of a cover class, which the
-finite-group layer computes from precomputed conjugation data.
+finite-group layer computes from precomputed conjugation data, and
+``letter_delta_on_class`` is delta evaluated one table lookup per image
+letter, as ``quotients.delta_on_class`` did before it read the images in
+conjugation form.
 ``every_sample_track`` is the strand tracker that evaluates every grid
 time, which the leaping tracker must agree with.
 ``window_inner_shift`` tries every conjugator the first generator allows
@@ -165,6 +168,22 @@ def canonical_tuple(
         best.append(least)
         hs = keep
     return tuple(best)
+
+
+def letter_delta_on_class(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> tuple[int, ...]:
+    """delta of a class: every image word folded through the table one
+    letter at a time, then re-canonicalized."""
+    table = g.table
+    # value[k] is the element the letter k stands for: rep[k - 1] for
+    # k > 0 and, read from the end, its inverse for k < 0.
+    value = [0, *rep, *map(g.inverse.__getitem__, reversed(rep))]
+    new = []
+    for w in a.images:
+        acc = 0
+        for k in w.letters:
+            acc = table[acc][value[k]]
+        new.append(acc)
+    return g.canonical(new)
 
 
 class EverySampleTracker(_tracker._Tracker):

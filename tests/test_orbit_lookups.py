@@ -1,7 +1,8 @@
 """The table-lookup path of `orbits` against slow oracles: the conjugation
-data of FiniteGroup, its canonical form, the delta permutation (and the
-word evaluation it is checked against), the streamed JSON report and
-Light's associativity test."""
+data of FiniteGroup, its canonical form, the generating walk, the delta
+permutation in conjugation form (and the letter-by-letter evaluation it
+is checked against), the streamed JSON report and Light's associativity
+test."""
 
 import functools
 import io
@@ -11,19 +12,21 @@ import json
 import pytest
 
 from branchmono import quotients
-from branchmono.clusters import Cluster, ClusterForest
+from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.errors import NotAGroup, UnsupportedForm
-from branchmono.freegroup import FreeAutomorphism, FreeWord
+from branchmono.freegroup import FreeAutomorphism, FreeWord, compose, inner
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
     FiniteGroup,
     associativity_failure,
+    conjugation_form,
     delta_on_class,
     enumerate_classes,
     load_group,
     moduli_report,
 )
-from oracles import canonical_tuple, evaluate_word, moduli_degree
+from conftest import random_ultrametric_matrix
+from oracles import canonical_tuple, evaluate_word, letter_delta_on_class, moduli_degree
 from test_quotients import find_nonassociative_loop
 
 # Every built-in family member up to order 24.
@@ -68,6 +71,38 @@ def test_canonical_is_the_least_conjugate(name, rng):
             assert g.canonical(tup) == least, (name, tup)
             assert g.canonical(list(tup)) == least
             assert canonical_tuple(g.table, g.inverse, tup) == least
+
+
+def brute_force_classes(g: FiniteGroup, d: int) -> tuple[list, list]:
+    """The sorted canonical forms of all product-one d-tuples, and of those
+    whose elements generate G, from all |G|^(d-1) prefixes: the
+    definition of what the walk returns without and with ``generates``."""
+    every, generating, verdict = set(), set(), {}
+    for prefix in itertools.product(range(g.order), repeat=d - 1):
+        acc = 0
+        for x in prefix:
+            acc = g.table[acc][x]
+        tup = prefix + (g.inverse[acc],)
+        least = g.canonical(tup)
+        every.add(least)
+        key = frozenset(tup)
+        if key not in verdict:
+            verdict[key] = g.generates(key)
+        if verdict[key]:
+            generating.add(least)
+    return sorted(every), sorted(generating)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_generating_walk_matches_brute_force(name):
+    """The walk decides generation per (prefix subgroup, element) and emits
+    the classes already sorted; brute force filters every tuple by
+    ``generates`` and sorts."""
+    g = load_group(name)
+    for d in (2, 3, 4, 5):
+        every, generating = brute_force_classes(g, d)
+        assert list(enumerate_classes(g, d)) == every, (name, d)
+        assert list(enumerate_classes(g, d, surjective_only=True)) == generating, (name, d)
 
 
 def random_automorphisms(rng, d: int) -> list:
@@ -115,6 +150,56 @@ def test_delta_matches_word_evaluation_oracle(name, rng):
                 )
                 want = canonical_tuple(g.table, g.inverse, new)
                 assert delta_on_class(c, aut, g) == want, (name, d, c, aut)
+
+
+def conjugation_cases(rng, d: int) -> list:
+    """Monodromy of random cluster forests, each also composed with an
+    inner automorphism on either side (conjugators with inverse letters),
+    and maps with some or all images not conjugates of a generator."""
+    auts = []
+    for _ in range(3):
+        a = monodromy_automorphism(compute_clusters(random_ultrametric_matrix(rng, d, rng.randint(1, 3))))
+        w = FreeWord(tuple(rng.choice((-1, 1)) * rng.randint(1, d) for _ in range(rng.randint(1, 5))))
+        auts += [a, compose(inner(w, d), a), compose(a, inner(w, d))]
+    images = list(auts[0].images)
+    images[rng.randrange(d)] = FreeWord((1, 1, -2) if d > 1 else (1, 1))
+    auts.append(FreeAutomorphism(d, tuple(images)))
+    auts.append(FreeAutomorphism(d, (FreeWord(()),) * d))
+    auts += random_automorphisms(rng, d)[2:]
+    return auts
+
+
+@pytest.mark.parametrize("name", ("c6", "s3", "d4", "q8", "a4", "s4"))
+def test_conjugation_delta_matches_letter_by_letter(name, rng):
+    g = load_group(name)
+    for d in (2, 3, 5, 8):
+        tuples = [tuple(rng.randrange(g.order) for _ in range(d)) for _ in range(25)]
+        for aut in conjugation_cases(rng, d):
+            form = conjugation_form(aut)
+            for tup in tuples:
+                want = letter_delta_on_class(tup, aut, g)
+                assert delta_on_class(tup, aut, g, form=form) == want, (name, tup, aut)
+                assert delta_on_class(tup, aut, g) == want, (name, tup, aut)
+
+
+def test_conjugation_form_shares_prefixes(rng):
+    """Each conjugate image's trie node spells its conjugator u, and the trie
+    has one node per distinct prefix of the u's."""
+    for _ in range(20):
+        d = rng.randint(2, 12)
+        for aut in conjugation_cases(rng, d)[:9]:
+            trie, images, _ = conjugation_form(aut)
+            prefixes = set()
+            for (node, k), w in zip(images, aut.images):
+                u, core = w.cyclic_decomposition()
+                slots = [x - 1 if x > 0 else d - x - 1 for x in u.letters + core.letters]
+                spelled = [k]
+                while node:
+                    node, letter = trie[node - 1]
+                    spelled.append(letter)
+                assert spelled[::-1] == slots, (aut, w)
+                prefixes.update(tuple(slots[:n]) for n in range(1, len(slots)))
+            assert len(trie) == len(prefixes)
 
 
 def test_moduli_report_refuses_images_outside_the_class_set():

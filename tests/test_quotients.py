@@ -405,17 +405,19 @@ def test_single_coordinate_chunks_partition_the_whole_set():
     for name, d in (("s3", 3), ("d4", 4), ("a4", 3), ("q8", 3), ("s4", 2), ("c7", 3), ("c8", 3)):
         g = load_group(name)
         whole = _kernels.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order, conj=g.conj)
+        assert all(a < b for a, b in zip(whole, whole[1:])), (name, d)
         pieces = set()
         for lo in range(g.order):
             chunk = _kernels.product_one_classes_chunk(g.table, g.inverse, d, lo, lo + 1, conj=g.conj)
-            assert chunk == brute_force_chunk(g, d, lo, lo + 1), (name, d, lo)
-            assert not pieces & chunk, (name, d, lo)
-            pieces |= chunk
-        assert pieces == whole, (name, d)
-        assert _kernels.product_one_classes_chunk(g.table, g.inverse, d, 2, 2, conj=g.conj) == set()
+            assert all(a < b for a, b in zip(chunk, chunk[1:])), (name, d, lo)
+            assert set(chunk) == brute_force_chunk(g, d, lo, lo + 1), (name, d, lo)
+            assert not pieces & set(chunk), (name, d, lo)
+            pieces |= set(chunk)
+        assert pieces == set(whole), (name, d)
+        assert not _kernels.product_one_classes_chunk(g.table, g.inverse, d, 2, 2, conj=g.conj)
     g = load_group("s3")
     for d in (1, 0, -1):
-        assert _kernels.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order, conj=g.conj) == set()
+        assert not _kernels.product_one_classes_chunk(g.table, g.inverse, d, 0, g.order, conj=g.conj)
 
 
 def test_canonical_tuple_is_least_conjugate(rng):
