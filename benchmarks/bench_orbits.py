@@ -19,10 +19,9 @@ public function that the command calls:
 - ``enumerate``: ``quotients.enumerate_classes`` with the generation filter;
 - ``delta``: ``quotients.delta_on_class`` on every class, given the
   automorphism's ``conjugation_form`` derived once, as ``moduli_report``
-  gives it (where the checkout has one);
-- ``emit``: the report's JSON as the command writes it to stdout
-  (``OrbitReport.write_json`` where it exists, else ``json.dumps`` of
-  ``to_json_dict()``), here to devnull;
+  gives it;
+- ``emit``: ``OrbitReport.write_json``, as the command writes the report
+  to stdout, here to devnull;
 - ``command``: ``cli.main`` in this process, stdout to devnull;
 - ``process``: a fresh ``python -c`` process calling ``cli.main``, which
   adds interpreter start-up and imports (user plus system CPU, from
@@ -36,9 +35,9 @@ right after it, which measures the machine's speed at that moment.  A
 ``process`` run is scaled as perfbench scales it, by a fresh process of
 ``reference.py`` (interpreter start-up included); an in-process layer by
 ``reference.work()`` in this process, so the two kinds of figure are not
-in the same unit.  The results merge into ``BENCH_16.json`` under the
+in the same unit.  The results merge into ``BENCH_17.json`` under the
 label (``BENCH_7.json`` holds the first five cases before and after the
-table-lookup path).
+table-lookup path, ``BENCH_16.json`` before and after the ordered walk).
 """
 
 from __future__ import annotations
@@ -97,18 +96,14 @@ def source_env(src: Path) -> dict[str, str]:
     return env
 
 
-def cpu_seconds(argv: list[str], env: dict[str, str], stdout: int = subprocess.DEVNULL) -> tuple[float, bytes]:
-    """(user plus system CPU seconds, stdout) of a fresh Python process run
-    from the checkout's root; stdout reads b"" unless ``subprocess.PIPE``."""
-    proc = subprocess.Popen([sys.executable, *argv], stdout=stdout, env=env, cwd=ROOT)
-    out = b""
-    if proc.stdout:
-        out = proc.stdout.read()
-        proc.stdout.close()
+def cpu_seconds(argv: list[str], env: dict[str, str]) -> float:
+    """User plus system CPU seconds of a fresh Python process run from the
+    checkout's root, stdout to devnull."""
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env, cwd=ROOT)
     _, status, usage = os.wait4(proc.pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
         raise SystemExit(f"{argv} failed")
-    return usage.ru_utime + usage.ru_stime, out
+    return usage.ru_utime + usage.ru_stime
 
 
 def scaled_cpu(fn) -> float:
@@ -122,20 +117,12 @@ def scaled_cpu(fn) -> float:
     return statistics.median(times)
 
 
-def emit_json(report, out) -> None:
-    """The report's JSON as the command writes it."""
-    if hasattr(report, "write_json"):
-        report.write_json(out)
-    else:  # a checkout from before OrbitReport.write_json
-        print(json.dumps(report.to_json_dict(), indent=2), file=out)
-
-
 def launched(argv: list[str], env: dict[str, str], hwm: Path) -> tuple[float, float]:
     """(scaled process CPU seconds, peak RSS in MB) of one fresh LAUNCH
     process."""
-    cpu, _ = cpu_seconds(["-c", LAUNCH, *argv], {**env, "BENCH_HWM": str(hwm)})
+    cpu = cpu_seconds(["-c", LAUNCH, *argv], {**env, "BENCH_HWM": str(hwm)})
     rss_mb = int(hwm.read_text().split()[1]) / 1024
-    return cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0], rss_mb
+    return cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env), rss_mb
 
 
 def measure(src: Path, group: str, points: tuple[int, ...], max_tuples, path: str) -> dict:
@@ -153,7 +140,7 @@ def measure(src: Path, group: str, points: tuple[int, ...], max_tuples, path: st
     aut = cli.monodromy_automorphism(forest)
     classes = quotients.enumerate_classes(g, aut.d, surjective_only=True, cap=cap)
     report = quotients.moduli_report(g, aut, p=P, cap=cap)
-    form = {"form": quotients.conjugation_form(aut)} if hasattr(quotients, "conjugation_form") else {}
+    form = quotients.conjugation_form(aut)
     with open(os.devnull, "w") as devnull:
         with contextlib.redirect_stdout(devnull):
             layers = {
@@ -161,8 +148,8 @@ def measure(src: Path, group: str, points: tuple[int, ...], max_tuples, path: st
                 "enumerate": scaled_cpu(
                     lambda: quotients.enumerate_classes(g, aut.d, surjective_only=True, cap=cap)
                 ),
-                "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, aut, g, **form) for c in classes]),
-                "emit": scaled_cpu(lambda: emit_json(report, devnull)),
+                "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, aut, g, form=form) for c in classes]),
+                "emit": scaled_cpu(lambda: report.write_json(devnull)),
                 "command": scaled_cpu(lambda: cli.main(argv)),
             }
     with tempfile.TemporaryDirectory() as tmp:
@@ -182,7 +169,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))

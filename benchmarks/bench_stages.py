@@ -29,9 +29,8 @@ commands call:
 - ``emit_clusters``: ``nesting_tree`` and ``tree_to_text``;
   ``emit_present``: ``Presentation.text``;
 - per command, ``command``: ``cli.main`` in this process, stdout to
-  devnull; ``process``: a fresh ``python -c`` process calling
-  ``cli.main`` (user plus system CPU, from wait4); ``peak_rss_mb``: that
-  process's own VmHWM, read from /proc/self/status as it exits.
+  devnull; ``process`` and ``peak_rss_mb``: a fresh process's CPU time
+  and VmHWM, measured by ``bench_orbits.launched`` as for `orbits`.
 
 `verify-topology` runs on the 64 frozen witness families of perfbench's
 `verify-topology` pool (``perfbench/workloads.py``, loaded by path), with
@@ -60,12 +59,11 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_orbits import REFERENCE, REFERENCE_S, REPEATS, ROOT, cpu_seconds, scaled_cpu, source_env
+from bench_orbits import REPEATS, ROOT, launched, scaled_cpu, source_env
 
 SERIES_BITS = 9
 
@@ -75,19 +73,6 @@ COMMANDS = ("clusters", "present")
 # Tracker sample counts of the verify-topology stage.
 SAMPLES = (1024, 2**14, 2**16)
 STAGES = ("clusters", "verify-topology")
-
-# Runs one command with stdout to devnull, then prints its peak RSS in kB.
-LAUNCH = """\
-import os, sys
-from branchmono.cli import main
-with open(os.devnull, "w") as out:
-    sys.stdout = out
-    code = main(sys.argv[1:])
-sys.stdout = sys.__stdout__
-with open("/proc/self/status") as status:
-    print(next(line.split()[1] for line in status if line.startswith("VmHWM")))
-sys.exit(code)
-"""
 
 
 def input_doc(mode: str, d: int) -> dict:
@@ -113,15 +98,12 @@ def command_costs(argv: list[str], env: dict[str, str]) -> dict:
 
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
         in_process = scaled_cpu(lambda: cli.main(argv))
-    process, rss = [], []
-    for _ in range(REPEATS):
-        cpu, out = cpu_seconds(["-c", LAUNCH, *argv], env, subprocess.PIPE)
-        process.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0])
-        rss.append(int(out) / 1024)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [launched(argv, env, Path(tmp) / "hwm") for _ in range(REPEATS)]
     return {
         "command_s": round(in_process, 4),
-        "process_s": round(statistics.median(process), 4),
-        "peak_rss_mb": round(statistics.median(rss), 1),
+        "process_s": round(statistics.median(cpu for cpu, _ in runs), 4),
+        "peak_rss_mb": round(statistics.median(rss for _, rss in runs), 1),
     }
 
 

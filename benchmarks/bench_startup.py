@@ -62,8 +62,8 @@ def measure(src: Path, modules_file: Path) -> dict[str, dict]:
     for name, args in COMMANDS.items():
         scaled = []
         for _ in range(RUNS):
-            cpu = cpu_seconds(["-c", LAUNCH, *args], env)[0]
-            scaled.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env)[0])
+            cpu = cpu_seconds(["-c", LAUNCH, *args], env)
+            scaled.append(cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env))
         results[name] = {
             "cpu_s_p50": round(statistics.median(scaled), 4),
             "modules": modules_file.read_text().split("\n"),

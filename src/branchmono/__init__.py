@@ -33,12 +33,11 @@ _EXPORTS = {
         "verify_separation",
     ),
 }
-# name -> (submodule, attribute); `kernel_backend` is the kernel module's
-# `BACKEND` under another name.
+# name -> (submodule, attribute)
 _SOURCE = {name: (module, name) for module, names in _EXPORTS.items() for name in names}
-_SOURCE["kernel_backend"] = ("_kernels", "BACKEND")
+kernel_backend = "pure"  # the only implementation of the kernels: plain Python
 
-__all__ = sorted(_SOURCE) + ["__version__"]
+__all__ = sorted(_SOURCE) + ["__version__", "kernel_backend"]
 
 
 def __getattr__(name: str):

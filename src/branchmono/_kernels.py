@@ -1,37 +1,36 @@
-"""Kernels: free-word reduction and Cayley-table tuple operations.
+"""Kernels: the orderly walk over cover classes and the subgroup closure
+it shares with ``FiniteGroup``.
 
-These are the hot inner loops of the package, in plain Python on ints,
-lists and tuples.  Words are sequences of signed generator indices (+i
-the i-th generator, -i its inverse); groups are Cayley tables with
-element 0 the identity.
-
-``FreeWord``'s constructor reduces every word here, and ``quotients``
-enumerates cover classes with ``product_one_classes_chunk``, an orderly
-walk that emits them sorted and decides generation as it goes.  The
-direct definitions that ``quotients``' precomputed lookups are tested
-against live with the tests' other oracles.
+These are the hot inner loops of ``orbits``, in plain Python on ints,
+lists and tuples.  Groups are Cayley tables with element 0 the identity.
+``quotients`` enumerates cover classes with ``product_one_classes_chunk``,
+an orderly walk that emits them sorted and decides generation as it goes,
+and ``FiniteGroup.closure`` is ``closure``.  The benchmark's tracer hooks
+``product_one_classes_chunk`` by this module's name and unpacks its five
+positional arguments, so both stay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
-
-BACKEND = "pure"
+from typing import Callable, Iterable, Optional, Sequence
 
 
-def reduce_word(letters: Sequence[int]) -> list[int]:
-    """Freely reduce a word given as signed generator indices.
-
-    A letter +i is the i-th generator, -i its inverse; adjacent cancelling
-    pairs are removed until none remain.
-    """
-    out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
+def closure(table: Sequence[Sequence[int]], gens: Iterable[int]) -> frozenset[int]:
+    """The subgroup generated by ``gens``: a breadth-first search from the
+    identity that multiplies by the generators only, in O(|G|·|gens|).  In
+    a finite group every inverse is a positive power, so positive words
+    reach the whole subgroup."""
+    gens = tuple(set(gens))
+    seen = {0}
+    queue = [0]
+    for a in queue:  # the queue grows while it is read
+        row = table[a]
+        for b in gens:
+            c = row[b]
+            if c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return frozenset(seen)
 
 
 def product_one_classes_chunk(
@@ -65,11 +64,10 @@ def product_one_classes_chunk(
     is h^-1 x h, the group's conjugation table.
 
     Generation is decided along the walk.  Each prefix carries the
-    subgroup H its elements generate, found once per (H, x) by a
-    breadth-first closure; the forced last coordinate lies in
-    H_{d-1} = <H, x> for x the last free one, so a class generates iff
-    ``generates`` accepts H's generators and x, asked once per distinct
-    (H, x).
+    subgroup H its elements generate, found once per (H, x) by
+    ``closure``; the forced last coordinate lies in H_{d-1} = <H, x> for
+    x the last free one, so a class generates iff ``generates`` accepts
+    H's generators and x, asked once per distinct (H, x).
     """
     if d < 2 or first_lo >= first_hi:
         return []
@@ -103,15 +101,7 @@ def product_one_classes_chunk(
                 grown[s, x] = s
             else:
                 new = gens[s] + (x,)
-                seen = {0}
-                queue = [0]
-                for a in queue:  # grows while it is read
-                    row = table[a]
-                    for b in new:
-                        if row[b] not in seen:
-                            seen.add(row[b])
-                            queue.append(row[b])
-                key = frozenset(seen)
+                key = closure(table, new)
                 if key not in number:
                     number[key] = len(gens)
                     gens.append(new)

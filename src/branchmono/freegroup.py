@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import _kernels
 from ._value import Value, _set
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, UnsupportedForm
 
@@ -61,11 +60,15 @@ class FreeWord(Value):
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        letters = tuple(letters)
+        out: list[int] = []
         for x in letters:
             if not isinstance(x, int) or x == 0:
                 raise InvalidInput(f"invalid letter {x!r} in word")
-        _set(self, "letters", tuple(_kernels.reduce_word(letters)))
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        _set(self, "letters", tuple(out))
 
     @classmethod
     def identity(cls) -> "FreeWord":

@@ -9,14 +9,18 @@ coordinate at a time under the centraliser of the prefix (orderly
 generation), so enumeration costs about (number of classes) × |G|.  The
 same walk decides generation: each prefix carries the subgroup it
 generates, and ``FiniteGroup.generates`` is asked once per distinct
-(subgroup, last free coordinate).  The monodromy automorphism acts on a
-class through its images in conjugation form, u·x_j^±1·u⁻¹: the u's are
-evaluated once per class along a shared prefix trie, each image is then
-one conjugation, and the image tuple is re-canonicalised from the
+(subgroup, last free coordinate); ``_kernels`` holds the walk and the
+closure.  The monodromy automorphism acts on a class through its images
+in conjugation form: every reduced word is u·c·u⁻¹ with c cyclically
+reduced (a generator, for a product of Dehn twists), the u's and c's
+are evaluated once per class along a shared prefix trie, each image is
+then one conjugation, and the image tuple is re-canonicalised from the
 conjugations that take its first coordinate to its least conjugate,
-which the group precomputes.  The moduli degree of a class is the length
-of its orbit under that action, which the corollary under test bounds by
-the exponent of G/Z(G).
+which the group precomputes.  The moduli degree of a class is
+the length of its orbit under that action, which the corollary under
+test bounds by the exponent of G/Z(G).  The benchmark's tracer times
+``generates`` and ``delta_on_class`` by name, so the walk asks the one
+and ``moduli_report`` calls the other once per class.
 """
 
 from __future__ import annotations
@@ -182,21 +186,8 @@ class FiniteGroup(Value):
         return min(map(itemgetter(*tup), self.reach[tup[0]]))
 
     def closure(self, gens: Iterable[int]) -> frozenset[int]:
-        """The subgroup generated by ``gens``: a breadth-first search from
-        the identity that multiplies by the generators only, in
-        O(|G|·|gens|).  In a finite group every inverse is a positive
-        power, so positive words reach the whole subgroup."""
-        gens = tuple(set(gens))
-        seen = {0}
-        queue = [0]
-        for a in queue:  # the queue grows while it is read
-            row = self.table[a]
-            for b in gens:
-                c = row[b]
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return frozenset(seen)
+        """The subgroup generated by ``gens`` (``_kernels.closure``)."""
+        return _kernels.closure(self.table, gens)
 
     def generates(self, gens: Iterable[int]) -> bool:
         return len(self.closure(gens)) == self.order
@@ -332,10 +323,10 @@ def load_group(spec: Union[str, Mapping[str, Any]]) -> FiniteGroup:
 
 
 def center_and_exponent(g: FiniteGroup) -> tuple[tuple[int, ...], int]:
-    """The centre Z(G), the elements whose row equals their column, and the
-    exponent of G/Z(G): the lcm over a of the least k with a^k central."""
-    cols = list(zip(*g.table))
-    center = tuple(z for z in range(g.order) if tuple(g.table[z]) == cols[z])
+    """The centre Z(G), the elements z whose conjugation row is the
+    identity's (z^-1 x z = x for every x), and the exponent of G/Z(G): the
+    lcm over a of the least k with a^k central."""
+    center = tuple(z for z, row in enumerate(g.conj) if row == g.conj[0])
     central = set(center)
     exp = 1
     for a in range(g.order):
@@ -390,21 +381,21 @@ def enumerate_classes(
 
 
 # (trie, images, inverses): see ``conjugation_form``.
-ConjugationForm = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, Any], ...], bool]
+ConjugationForm = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], bool]
 
 
 def conjugation_form(a: FreeAutomorphism) -> ConjugationForm:
     """The automorphism's images in the form ``delta_on_class`` evaluates,
     derived once per automorphism.
 
-    At a tuple, an image u * x_j^+-1 * u^-1 is rep[j]^+-1 conjugated by
-    the value of u, so only u is evaluated letter by letter.  The u's go
-    into one prefix trie: node k + 1 is ``trie[k]`` = (parent node,
-    letter), parents first, and node 0 is the empty word.  A monodromy
-    image has u = W_i = P_C1...P_Ck, and strands in a common cluster share
-    a prefix of their W_i, which the trie evaluates once.  ``images[i]``
-    is (the node of u, the letter of x_j^+-1), or (-1, its letters) for an
-    image that is not a conjugate of a generator.
+    Every reduced word is u * c * u^-1 with c cyclically reduced
+    (``FreeWord.cyclic_decomposition``), so at a tuple its value is the
+    value of c conjugated by the value of u.  The u's and c's go into one
+    prefix trie: node k + 1 is ``trie[k]`` = (parent node, letter),
+    parents first, and node 0 is the empty word.  A monodromy image has
+    u = W_i = P_C1...P_Ck and c = x_i, and strands in a common cluster
+    share a prefix of their W_i, which the trie evaluates once.
+    ``images[i]`` is (the node of u, the node of c).
 
     A letter is stored as its slot in rep + (the inverses of rep): x_k
     at k - 1 and x_k^-1 at d + k - 1.  ``inverses`` says whether any
@@ -412,28 +403,23 @@ def conjugation_form(a: FreeAutomorphism) -> ConjugationForm:
     d = a.d
     trie: list[tuple[int, int]] = []
     node_of: dict[tuple[int, int], int] = {}
-    images: list[tuple[int, Any]] = []
+
+    def node(letters: tuple[int, ...]) -> int:
+        at = 0
+        for x in letters:
+            key = (at, x - 1 if x > 0 else d - x - 1)
+            if key not in node_of:
+                trie.append(key)
+                node_of[key] = len(trie)
+            at = node_of[key]
+        return at
+
+    images: list[tuple[int, int]] = []
     inverses = False
-
-    def slot(letter: int) -> int:
-        return letter - 1 if letter > 0 else d - letter - 1
-
     for w in a.images:
-        u, core = w.cyclic_decomposition()
-        if len(core.letters) == 1:
-            read = w.letters[: len(u.letters) + 1]  # u, then x_j^+-1
-            node = 0
-            for k in map(slot, u.letters):
-                key = (node, k)
-                if key not in node_of:
-                    trie.append(key)
-                    node_of[key] = len(trie)
-                node = node_of[key]
-            images.append((node, slot(read[-1])))
-        else:
-            read = w.letters
-            images.append((-1, tuple(map(slot, read))))
-        inverses = inverses or min(read, default=1) < 0
+        u, c = w.cyclic_decomposition()
+        images.append((node(u.letters), node(c.letters)))
+        inverses = inverses or min(u.letters + c.letters, default=1) < 0
     return tuple(trie), tuple(images), inverses
 
 
@@ -447,9 +433,8 @@ def delta_on_class(
     image word evaluated at the tuple, then re-canonicalized.
 
     The images are read in ``conjugation_form`` (``form``, derived from
-    ``a`` when not given): one table lookup per trie node for the
-    conjugators u, then one conjugation per generator; an image of
-    another shape is folded one lookup per letter."""
+    ``a`` when not given): one table lookup per trie node, then one
+    conjugation per generator."""
     if a.d != len(rep):
         raise DimensionMismatch(f"automorphism rank {a.d} != tuple length {len(rep)}")
     trie, images, inverses = conjugation_form(a) if form is None else form
@@ -458,18 +443,8 @@ def delta_on_class(
     at = [0]  # at[node]: the value of the node's word
     for parent, k in trie:
         at.append(table[at[parent]][value[k]])
-    # u x u^-1 = h^-1 x h for h = u^-1
-    return g.canonical(
-        [conj[inv[at[node]]][value[k]] if node >= 0 else _fold(table, value, k) for node, k in images]
-    )
-
-
-def _fold(table: Sequence[Sequence[int]], value: Sequence[int], slots: Sequence[int]) -> int:
-    """The product of the values in the given slots, one lookup each."""
-    acc = 0
-    for k in slots:
-        acc = table[acc][value[k]]
-    return acc
+    # u c u^-1 = h^-1 c h for h = u^-1
+    return g.canonical([conj[inv[at[u]]][at[c]] for u, c in images])
 
 
 class OrbitReport(Value):
@@ -481,6 +456,7 @@ class OrbitReport(Value):
         "surjective_only",
         "center_size",
         "exponent",
+        "classes",
         "degrees",
     )
 
@@ -493,7 +469,8 @@ class OrbitReport(Value):
         surjective_only: bool,
         center_size: int,
         exponent: int,
-        degrees: tuple[tuple[tuple[int, ...], int], ...],
+        classes: tuple[tuple[int, ...], ...],
+        degrees: tuple[int, ...],
     ):
         _set(self, "group_name", group_name)
         _set(self, "group_order", group_order)
@@ -502,26 +479,28 @@ class OrbitReport(Value):
         _set(self, "surjective_only", surjective_only)
         _set(self, "center_size", center_size)
         _set(self, "exponent", exponent)
-        # (canonical tuple, moduli degree) per class, in enumeration order.
+        # The canonical tuple of each class, in enumeration order, and its
+        # moduli degree.
+        _set(self, "classes", classes)
         _set(self, "degrees", degrees)
 
     @property
     def class_count(self) -> int:
-        return len(self.degrees)
+        return len(self.classes)
 
     @property
     def max_degree(self) -> int:
-        return max((deg for _, deg in self.degrees), default=1)
+        return max(self.degrees, default=1)
 
     @property
     def all_divide(self) -> bool:
-        return all(self.exponent % deg == 0 for _, deg in self.degrees)
+        return all(self.exponent % deg == 0 for deg in self.degrees)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             **self._head(),
             "classes": [
-                {"rep": list(rep), "degree": deg} for rep, deg in self.degrees
+                {"rep": list(rep), "degree": deg} for rep, deg in zip(self.classes, self.degrees)
             ],
         }
 
@@ -547,20 +526,21 @@ class OrbitReport(Value):
         to ``out``: the same bytes, with each class block formatted straight
         from its tuple and written JSON_CHUNK classes at a time."""
         head = json.dumps({**self._head(), "classes": []}, indent=2)
-        if not self.degrees:
+        if not self.classes:
             out.write(head + "\n")
             return
         rep = ",\n".join(["        %d"] * self.d)
         block = '    {\n      "rep": [\n' + rep + '\n      ],\n      "degree": %d\n    }'
         out.write(head[: -len("]\n}")] + "\n")
-        for start in range(0, len(self.degrees), JSON_CHUNK):
-            blocks = [block % (rep + (deg,)) for rep, deg in self.degrees[start : start + JSON_CHUNK]]
+        for start in range(0, len(self.classes), JSON_CHUNK):
+            chunk = zip(self.classes[start : start + JSON_CHUNK], self.degrees[start : start + JSON_CHUNK])
+            blocks = [block % (rep + (deg,)) for rep, deg in chunk]
             out.write((",\n" if start else "") + ",\n".join(blocks))
         out.write("\n  ]\n}\n")
 
     def to_csv_lines(self) -> list[str]:
         lines = ["class,representative,degree"]
-        for idx, (rep, deg) in enumerate(self.degrees):
+        for idx, (rep, deg) in enumerate(zip(self.classes, self.degrees)):
             lines.append(f"{idx},{'.'.join(map(str, rep))},{deg}")
         return lines
 
@@ -613,5 +593,6 @@ def moduli_report(
         surjective_only=surjective_only,
         center_size=len(zc),
         exponent=exp,
-        degrees=tuple(zip(classes, degrees)),
+        classes=classes,
+        degrees=tuple(degrees),
     )

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from branchmono import _kernels
 from branchmono.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -62,7 +61,8 @@ def test_reduce_examples():
     assert FreeWord([1, -1]).letters == ()
     assert FreeWord([1, 2, -2, 1]).letters == (1, 1)
     assert FreeWord([2, 1, -1, -2, 3]).letters == (3,)
-    assert _kernels.reduce_word([]) == []
+    assert FreeWord([]).letters == ()
+    assert FreeWord(iter([2, 1, -1, -2])).letters == ()
 
 
 def test_reduce_range_check():

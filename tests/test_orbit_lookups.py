@@ -183,23 +183,34 @@ def test_conjugation_delta_matches_letter_by_letter(name, rng):
 
 
 def test_conjugation_form_shares_prefixes(rng):
-    """Each conjugate image's trie node spells its conjugator u, and the trie
-    has one node per distinct prefix of the u's."""
+    """Each image's two trie nodes spell its u and its cyclically reduced
+    core c, parents come first, the trie has one node per distinct
+    nonempty prefix of the u's and c's, and ``inverses`` says whether any
+    of their letters is an inverse."""
     for _ in range(20):
         d = rng.randint(2, 12)
-        for aut in conjugation_cases(rng, d)[:9]:
-            trie, images, _ = conjugation_form(aut)
-            prefixes = set()
-            for (node, k), w in zip(images, aut.images):
-                u, core = w.cyclic_decomposition()
-                slots = [x - 1 if x > 0 else d - x - 1 for x in u.letters + core.letters]
-                spelled = [k]
+        for aut in conjugation_cases(rng, d):
+            trie, images, inverses = conjugation_form(aut)
+            assert all(parent <= k for k, (parent, _) in enumerate(trie))
+
+            def spell(node):
+                slots = []
                 while node:
-                    node, letter = trie[node - 1]
-                    spelled.append(letter)
-                assert spelled[::-1] == slots, (aut, w)
-                prefixes.update(tuple(slots[:n]) for n in range(1, len(slots)))
+                    node, slot = trie[node - 1]
+                    slots.append(slot)
+                return slots[::-1]
+
+            prefixes = set()
+            negative = False
+            for (u_node, c_node), w in zip(images, aut.images):
+                u, c = w.cyclic_decomposition()
+                for node, part in ((u_node, u), (c_node, c)):
+                    slots = [x - 1 if x > 0 else d - x - 1 for x in part.letters]
+                    assert spell(node) == slots, (aut, w)
+                    prefixes.update(tuple(slots[:n]) for n in range(1, len(slots) + 1))
+                    negative = negative or min(part.letters, default=1) < 0
             assert len(trie) == len(prefixes)
+            assert inverses == negative
 
 
 def test_moduli_report_refuses_images_outside_the_class_set():

@@ -20,7 +20,7 @@ DATA = Path(__file__).parent / "data"
 # Layers a subcommand must not load: `clusters` stops at the cluster
 # layer, and `present` adds only the monodromy and the free group.
 LATER_LAYERS = ("monodromy", "freegroup", "_kernels", "quotients", "topocheck", "braid")
-NOT_FOR_PRESENT = ("quotients", "topocheck", "braid")
+NOT_FOR_PRESENT = ("_kernels", "quotients", "topocheck", "braid")
 
 
 def test_every_public_name_resolves():
@@ -96,9 +96,17 @@ def test_version_imports_no_more_than_clusters():
 
 def test_present_imports_only_the_monodromy_layers():
     loaded = _imported_modules("present", "--input", str(DATA / "example1.json"))
-    assert {"branchmono.monodromy", "branchmono.freegroup", "branchmono._kernels"} <= loaded
+    assert {"branchmono.monodromy", "branchmono.freegroup"} <= loaded
     for layer in NOT_FOR_PRESENT:
         assert f"branchmono.{layer}" not in loaded, layer
+
+
+def test_only_orbits_imports_the_kernels():
+    """``_kernels`` holds the orbit walk, so no other command loads it."""
+    topology = _imported_modules("verify-topology", "--family", str(DATA / "family_3pt.json"))
+    assert "branchmono._kernels" not in topology
+    orbits = _imported_modules("orbits", "--group", "s3", "--input", str(DATA / "example2_p3_m1.json"), "--p", "5")
+    assert {"branchmono.quotients", "branchmono._kernels"} <= orbits
 
 
 # Each name the benchmark's tracer replaces on ``cli``, with a command

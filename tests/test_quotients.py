@@ -325,7 +325,7 @@ def test_moduli_report_matches_per_class_degrees():
     g = load_group("q8")
     aut = example2_automorphism(1)
     rep = moduli_report(g, aut, p=3, surjective_only=True)
-    for c, deg in rep.degrees:
+    for c, deg in zip(rep.classes, rep.degrees):
         assert moduli_degree(c, aut, g) == deg
 
 
