@@ -1,5 +1,6 @@
 """Per-layer cost of `orbits`: group load, enumeration plus generation
-filter, delta permutation, JSON emission, and the whole command.
+filter, delta permutation, the report around it, JSON emission, and the
+whole command.
 
 Run from the root of a source checkout:
 
@@ -10,16 +11,19 @@ Each case is `orbits --group G --p 7 --format json` on fixed 7-adic
 points: the first five inputs of perfbench's `orbits` pool (one per
 group), then A5 and S5 at d = 4, the order-200 dihedral group `d100` at
 d = 3, and A5 at d = 5 with `--max-tuples 100000000` (60^4 tuples are
-past the default cap).  The package under ``--src`` (default: this
-checkout's ``src``)
-is imported into this process, and each layer is timed by calling the
-public function that the command calls:
+past the default cap), once more with `--format csv`.  The package under
+``--src`` (default: this checkout's ``src``) is imported into this
+process, and each layer of a JSON case is timed by calling the public
+function that the command calls:
 
 - ``load_group``: ``quotients.load_group``;
 - ``enumerate``: ``quotients.enumerate_classes`` with the generation filter;
 - ``delta``: ``quotients.delta_on_class`` on every class, given the
   automorphism's ``conjugation_form`` derived once, as ``moduli_report``
   gives it;
+- ``report``: ``quotients.moduli_report`` less the ``enumerate`` median:
+  delta on every class, the lookup of each image among the classes and
+  the cycle walk that reads the degrees;
 - ``emit``: ``OrbitReport.write_json``, as the command writes the report
   to stdout, here to devnull;
 - ``command``: ``cli.main`` in this process, stdout to devnull;
@@ -29,15 +33,19 @@ public function that the command calls:
   /proc/self/status as it exits (as perfbench's ``LAUNCH`` does; wait4's
   ru_maxrss would carry this process's peak over fork and exec).
 
+A case in another format times only ``command`` and ``process``: its
+layers up to the report are those of the JSON case.
+
 Times are CPU seconds, the median of REPEATS runs, each scaled by 0.2 s
 over the CPU time of the calibration work of ``perfbench/reference.py``
 right after it, which measures the machine's speed at that moment.  A
 ``process`` run is scaled as perfbench scales it, by a fresh process of
 ``reference.py`` (interpreter start-up included); an in-process layer by
 ``reference.work()`` in this process, so the two kinds of figure are not
-in the same unit.  The results merge into ``BENCH_17.json`` under the
+in the same unit.  The results merge into ``BENCH_18.json`` under the
 label (``BENCH_7.json`` holds the first five cases before and after the
-table-lookup path, ``BENCH_16.json`` before and after the ordered walk).
+table-lookup path, ``BENCH_16.json`` before and after the ordered walk,
+``BENCH_17.json`` before and after the cut-back orbits layer).
 """
 
 from __future__ import annotations
@@ -62,18 +70,19 @@ REFERENCE_S = 0.2  # as perfbench/run.py
 REPEATS = 5
 P = 7
 
-# (group, 7-adic points, --max-tuples or None for the default cap); the
-# first five are perfbench's orbits pool cases 0-4.
+# (group, 7-adic points, --max-tuples or None for the default cap,
+# --format); the first five are perfbench's orbits pool cases 0-4.
 CASES = (
-    ("s3", (7, 311, 191, 152, 324, 89, 115), None),
-    ("d5", (55, 180, 236, 330, 282, 243), None),
-    ("a4", (21, 7, 108, 260, 228), None),
-    ("s4", (97, 85, 208, 290), None),
-    ("a5", (142, 46, 274), None),
-    ("a5", (142, 46, 274, 97), None),
-    ("s5", (142, 46, 274, 97), None),
-    ("d100", (142, 46, 274), None),
-    ("a5", (0, 7, 1, 8, 2), 10**8),
+    ("s3", (7, 311, 191, 152, 324, 89, 115), None, "json"),
+    ("d5", (55, 180, 236, 330, 282, 243), None, "json"),
+    ("a4", (21, 7, 108, 260, 228), None, "json"),
+    ("s4", (97, 85, 208, 290), None, "json"),
+    ("a5", (142, 46, 274), None, "json"),
+    ("a5", (142, 46, 274, 97), None, "json"),
+    ("s5", (142, 46, 274, 97), None, "json"),
+    ("d100", (142, 46, 274), None, "json"),
+    ("a5", (0, 7, 1, 8, 2), 10**8, "json"),
+    ("a5", (0, 7, 1, 8, 2), 10**8, "csv"),
 )
 
 # Runs one command, then writes its VmHWM line to the file BENCH_HWM names.
@@ -125,11 +134,11 @@ def launched(argv: list[str], env: dict[str, str], hwm: Path) -> tuple[float, fl
     return cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env), rss_mb
 
 
-def measure(src: Path, group: str, points: tuple[int, ...], max_tuples, path: str) -> dict:
+def measure(src: Path, group: str, points: tuple[int, ...], max_tuples, fmt: str, path: str) -> dict:
     from branchmono import cli, quotients
 
     env = source_env(src)
-    argv = ["orbits", "--group", group, "--input", path, "--p", str(P), "--format", "json"]
+    argv = ["orbits", "--group", group, "--input", path, "--p", str(P), "--format", fmt]
     cap = quotients.DEFAULT_TUPLE_CAP
     if max_tuples is not None:
         argv += ["--max-tuples", str(max_tuples)]
@@ -143,21 +152,27 @@ def measure(src: Path, group: str, points: tuple[int, ...], max_tuples, path: st
     form = quotients.conjugation_form(aut)
     with open(os.devnull, "w") as devnull:
         with contextlib.redirect_stdout(devnull):
-            layers = {
-                "load_group": scaled_cpu(lambda: quotients.load_group(group)),
-                "enumerate": scaled_cpu(
+            if fmt == "json":
+                enumerate_s = scaled_cpu(
                     lambda: quotients.enumerate_classes(g, aut.d, surjective_only=True, cap=cap)
-                ),
-                "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, aut, g, form=form) for c in classes]),
-                "emit": scaled_cpu(lambda: report.write_json(devnull)),
-                "command": scaled_cpu(lambda: cli.main(argv)),
-            }
+                )
+                layers = {
+                    "load_group": scaled_cpu(lambda: quotients.load_group(group)),
+                    "enumerate": enumerate_s,
+                    "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, aut, g, form=form) for c in classes]),
+                    "report": scaled_cpu(lambda: quotients.moduli_report(g, aut, p=P, cap=cap)) - enumerate_s,
+                    "emit": scaled_cpu(lambda: report.write_json(devnull)),
+                }
+            else:
+                layers = {}
+            layers["command"] = scaled_cpu(lambda: cli.main(argv))
     with tempfile.TemporaryDirectory() as tmp:
         runs = [launched(argv, env, Path(tmp) / "hwm") for _ in range(REPEATS)]
     return {
         "group": group,
         "d": len(points),
         "max_tuples": max_tuples,
+        "format": fmt,
         "classes": report.class_count,
         "layers_s": {name: round(t, 5) for name, t in layers.items()},
         "process_s": round(statistics.median(cpu for cpu, _ in runs), 4),
@@ -169,18 +184,18 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for group, points, max_tuples in CASES:
+        for group, points, max_tuples, fmt in CASES:
             path = os.path.join(tmp, f"{group}-{len(points)}.json")
             with open(path, "w") as out:
                 json.dump({"mode": "padic", "p": P, "points": list(points)}, out)
-            name = f"{group} d={len(points)}"
-            results[name] = r = measure(src, group, points, max_tuples, path)
+            name = f"{group} d={len(points)}" + ("" if fmt == "json" else f" {fmt}")
+            results[name] = r = measure(src, group, points, max_tuples, fmt, path)
             layers = "  ".join(f"{k} {v * 1000:.2f} ms" for k, v in r["layers_s"].items())
             print(
                 f"{args.label:>8} {name:<10} {r['classes']:>7} classes  {layers}  "

@@ -115,7 +115,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         cap=_cli.DEFAULT_TUPLE_CAP if args.max_tuples is None else args.max_tuples,
     )
     if args.format == "csv":
-        print("\n".join(report.to_csv_lines()))
+        report.write_csv(sys.stdout)
     elif args.format == "json":
         report.write_json(sys.stdout)
     else:

@@ -18,9 +18,13 @@ then one conjugation, and the image tuple is re-canonicalised from the
 conjugations that take its first coordinate to its least conjugate,
 which the group precomputes.  The moduli degree of a class is
 the length of its orbit under that action, which the corollary under
-test bounds by the exponent of G/Z(G).  The benchmark's tracer times
-``generates`` and ``delta_on_class`` by name, so the walk asks the one
-and ``moduli_report`` calls the other once per class.
+test bounds by the exponent of G/Z(G).  ``moduli_report`` finds each
+image by bisection in the sorted classes and reads the degrees off one
+walk per cycle, so beside the classes it holds their degrees and one
+byte per class; the report is written a block of classes at a time.
+The benchmark's tracer times ``generates`` and ``delta_on_class`` by
+name, so the walk asks the one and ``moduli_report`` calls the other
+once per class.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import math
 import os
 import re
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
@@ -55,8 +60,8 @@ DEFAULT_TUPLE_CAP = 10_000_000
 # at most log2 n elements (about 30 ms for an order-400 table on Python
 # 3.11, against 1.8 s for the check of all n^3 triples it replaces).
 MAX_GROUP_ORDER = 400
-# Classes per write of OrbitReport.write_json.
-JSON_CHUNK = 4096
+# Classes per write of OrbitReport.write_json and OrbitReport.write_csv.
+JSON_CHUNK = 256
 
 
 def check_group_order(n: int) -> None:
@@ -538,11 +543,19 @@ class OrbitReport(Value):
             out.write((",\n" if start else "") + ",\n".join(blocks))
         out.write("\n  ]\n}\n")
 
-    def to_csv_lines(self) -> list[str]:
-        lines = ["class,representative,degree"]
-        for idx, (rep, deg) in enumerate(zip(self.classes, self.degrees)):
-            lines.append(f"{idx},{'.'.join(map(str, rep))},{deg}")
-        return lines
+    def write_csv(self, out: TextIO) -> None:
+        """Write the header line ``class,representative,degree``, then one
+        line per class (its position, its tuple joined by dots, its degree),
+        JSON_CHUNK classes at a time."""
+        out.write("class,representative,degree\n")
+        line = "%d," + ".".join(["%d"] * self.d) + ",%d\n"
+        for start in range(0, len(self.classes), JSON_CHUNK):
+            chunk = zip(
+                itertools.count(start),
+                self.classes[start : start + JSON_CHUNK],
+                self.degrees[start : start + JSON_CHUNK],
+            )
+            out.write("".join([line % (i, *rep, deg) for i, rep, deg in chunk]))
 
 
 def moduli_report(
@@ -554,34 +567,42 @@ def moduli_report(
 ) -> OrbitReport:
     """Per-class moduli degrees plus the divisibility verdict.
 
-    Degrees are read off the cycle structure of the delta permutation, so
-    the cost is one delta evaluation per class.  Groups whose order shares
-    a factor with p are refused.
+    Degrees are read off the cycles of the delta permutation, one walk per
+    cycle, so the cost is one delta evaluation per class.  The classes come
+    sorted, so the position of each image is found by bisection in them,
+    and beside the classes and their degrees the walk keeps one byte per
+    class, set when delta arrives there: a second arrival means the map is
+    not a permutation, and ends a walk that would never close.  Groups
+    whose order shares a factor with p are refused.
     """
     if p and math.gcd(g.order, p) != 1:
         raise PrimeToPViolation(
             f"|{g.name}| = {g.order} is not prime to p = {p}", group=g.name, p=p
         )
     classes = enumerate_classes(g, a.d, surjective_only=surjective_only, cap=cap)
-    index = {rep: i for i, rep in enumerate(classes)}
+    n = len(classes)
     form = conjugation_form(a)
-    try:
-        succ = [index[delta_on_class(rep, a, g, form=form)] for rep in classes]
-    except KeyError:
-        raise UnsupportedForm(
-            "delta image left the enumerated class set; the automorphism "
-            "does not preserve the product-one/generation constraints"
-        ) from None
-    if len(set(succ)) < len(succ):
-        # Not a permutation, so some orbit would never close.
-        raise UnsupportedForm("two classes have the same delta image; the map is not an automorphism")
-    degrees = [0] * len(classes)
-    for start in range(len(classes)):
+    degrees = [0] * n
+    reached = bytearray(n)
+    for start in range(n):
         if degrees[start]:
             continue
         cycle = [start]
-        while succ[cycle[-1]] != start:
-            cycle.append(succ[cycle[-1]])
+        at = start
+        while True:
+            image = delta_on_class(classes[at], a, g, form=form)
+            at = bisect_left(classes, image)
+            if at == n or classes[at] != image:
+                raise UnsupportedForm(
+                    "delta image left the enumerated class set; the automorphism "
+                    "does not preserve the product-one/generation constraints"
+                )
+            if reached[at]:
+                raise UnsupportedForm("two classes have the same delta image; the map is not an automorphism")
+            reached[at] = 1
+            if at == start:
+                break
+            cycle.append(at)
         for member in cycle:
             degrees[member] = len(cycle)
     zc, exp = center_and_exponent(g)

@@ -17,8 +17,11 @@ time, which the leaping tracker must agree with.
 in a window, with the full validity check, and ``fraction_separation``
 and ``fraction_cluster_bound`` evaluate the witness geometry in Gaussian
 rationals, against ``freegroup.is_inner_shift`` and ``topocheck``'s one
-integer evaluator.  ``moduli_degree``, ``dehn_twist_automorphism``,
-``lambda_braid_for_forest`` and ``puncture_loop_braid`` are the direct
+integer evaluator.  ``csv_lines`` builds every line of an orbits
+report's CSV table at once, the reference for the blocks that
+``OrbitReport.write_csv`` streams.  ``moduli_degree``,
+``dehn_twist_automorphism``, ``lambda_braid_for_forest`` and
+``puncture_loop_braid`` are the direct
 definitions that the closed forms of ``quotients.moduli_report`` and
 ``monodromy.monodromy_automorphism`` are tested against.
 """
@@ -44,7 +47,7 @@ from branchmono.errors import (
 )
 from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.intersection import BranchInput, IntersectionMatrix
-from branchmono.quotients import FiniteGroup, delta_on_class
+from branchmono.quotients import FiniteGroup, OrbitReport, delta_on_class
 from branchmono.topocheck import CheckRecord, GeometryReport, WitnessFamily
 
 
@@ -254,6 +257,15 @@ def moduli_degree(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> 
             f"delta's orbit of {rep} returns to {current} before {rep}; the map is not an automorphism"
         )
     return len(seen)
+
+
+def csv_lines(report: OrbitReport) -> list[str]:
+    """The header line, then one line per class: its position, its tuple
+    joined by dots, its degree."""
+    lines = ["class,representative,degree"]
+    for idx, (rep, deg) in enumerate(zip(report.classes, report.degrees)):
+        lines.append(f"{idx},{'.'.join(map(str, rep))},{deg}")
+    return lines
 
 
 def dehn_twist_automorphism(c: Cluster, d: int) -> FreeAutomorphism:

@@ -1,13 +1,17 @@
 """The table-lookup path of `orbits` against slow oracles: the conjugation
 data of FiniteGroup, its canonical form, the generating walk, the delta
 permutation in conjugation form (and the letter-by-letter evaluation it
-is checked against), the streamed JSON report and Light's associativity
-test."""
+is checked against), the cycle walk that reads degrees off it, the
+streamed JSON and CSV reports with their memory, and Light's
+associativity test."""
 
+import collections
 import functools
+import gc
 import io
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -26,7 +30,7 @@ from branchmono.quotients import (
     moduli_report,
 )
 from conftest import random_ultrametric_matrix
-from oracles import canonical_tuple, evaluate_word, letter_delta_on_class, moduli_degree
+from oracles import canonical_tuple, csv_lines, evaluate_word, letter_delta_on_class, moduli_degree
 from test_quotients import find_nonassociative_loop
 
 # Every built-in family member up to order 24.
@@ -229,6 +233,47 @@ def test_moduli_report_refuses_a_map_that_is_not_a_permutation():
         moduli_report(load_group("c2"), collapse, surjective_only=False)
 
 
+# S3's generating classes at d=3 are (1, 2, 3), (1, 3, 5) and (3, 1, 2).
+# Each map below sends the first, where the walk starts, to a tuple that
+# is no class: past the last, before the first, or between two classes.
+@pytest.mark.parametrize(
+    "words, image, position",
+    (
+        (((3,), (3,), ()), (3, 3, 0), 3),
+        (((), (), ()), (0, 0, 0), 0),
+        (((3,), (), ()), (3, 0, 0), 2),
+    ),
+    ids=("after_the_last", "before_the_first", "between_two"),
+)
+def test_moduli_report_refuses_an_image_at_each_boundary(words, image, position):
+    g = load_group("s3")
+    aut = FreeAutomorphism(3, tuple(FreeWord(w) for w in words))
+    classes = enumerate_classes(g, 3, surjective_only=True)
+    assert delta_on_class(classes[0], aut, g) == image
+    assert image not in classes
+    assert sum(c < image for c in classes) == position
+    with pytest.raises(UnsupportedForm, match="left the enumerated class set"):
+        moduli_report(g, aut)
+
+
+def test_moduli_report_calls_delta_once_per_class(monkeypatch):
+    """The cycle walk evaluates delta exactly once at every class, also
+    on cycles longer than 1."""
+    calls = collections.Counter()
+    delta = quotients.delta_on_class
+
+    def counted(rep, *args, **kwargs):
+        calls[rep] += 1
+        return delta(rep, *args, **kwargs)
+
+    monkeypatch.setattr(quotients, "delta_on_class", counted)
+    for name, d in (("s3", 5), ("a4", 4)):
+        calls.clear()
+        report = moduli_report(load_group(name), twist(d))
+        assert report.max_degree > 1
+        assert calls == collections.Counter(report.classes), (name, d)
+
+
 def test_moduli_degree_refuses_an_orbit_that_misses_its_start():
     """The same map takes (1, 1) to the fixed point (0, 0), so delta^N
     never fixes (1, 1); the walk must stop, not loop forever."""
@@ -276,6 +321,73 @@ def test_streamed_json_escapes_the_group_name_and_spans_chunks():
     report = moduli_report(g, twist(7), p=7)
     assert report.class_count > quotients.JSON_CHUNK
     assert streamed(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("chunk", (quotients.JSON_CHUNK, 1, 3))
+def test_streamed_csv_is_the_joined_lines(chunk, monkeypatch):
+    monkeypatch.setattr(quotients, "JSON_CHUNK", chunk)
+    reports = [
+        moduli_report(load_group(name), twist(d), p=0, surjective_only=surjective_only)
+        for name, d, surjective_only in report_cases()
+    ]
+    reports.append(moduli_report(load_group("s3"), twist(7), p=7))
+    assert min(r.class_count for r in reports) == 0
+    assert max(r.class_count for r in reports) > quotients.JSON_CHUNK
+    for report in reports:
+        out = io.StringIO()
+        report.write_csv(out)
+        assert out.getvalue() == "\n".join(csv_lines(report)) + "\n"
+
+
+# -- memory of the report ----------------------------------------------------
+
+class CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+def traced_peak(fn) -> tuple[object, int]:
+    """fn's result and the most memory it held at once beyond what was
+    traced when it began, in bytes."""
+    gc.collect()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_report_memory_is_about_the_classes():
+    """At S3 d=7 (7623 classes), ``moduli_report`` holds the classes,
+    their degrees and one byte per class, and the writers hold one block
+    of JSON_CHUNK classes at a time."""
+    g, aut = load_group("s3"), twist(7)
+    moduli_report(g, aut)  # nothing below is a first-call cost
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        classes = enumerate_classes(g, 7, surjective_only=True)
+        size = tracemalloc.get_traced_memory()[0] - before
+        del classes
+        report, peak = traced_peak(lambda: moduli_report(g, aut))
+        assert peak <= 1.6 * size, (peak, size)
+        # Writing every CSV line at once holds about 0.75 MB, and JSON in
+        # blocks of 4096 classes about 1.6 MB.
+        for write, text in (
+            (report.write_json, json.dumps(report.to_json_dict(), indent=2) + "\n"),
+            (report.write_csv, "\n".join(csv_lines(report)) + "\n"),
+        ):
+            sink = CountingSink()
+            _, peak = traced_peak(lambda: write(sink))
+            assert sink.chars == len(text)
+            assert peak <= 0.25 * 2**20, (write.__name__, peak)
+    finally:
+        tracemalloc.stop()
 
 
 # -- Light's associativity test ----------------------------------------------

@@ -1,6 +1,7 @@
 """Finite groups, cover-class enumeration against a naive oracle, the
 delta action, and the moduli-degree divisibility check."""
 
+import io
 import itertools
 
 import pytest
@@ -341,7 +342,11 @@ def test_report_json_and_csv():
     doc = rep.to_json_dict()
     assert doc["kind"] == "orbits"
     assert doc["class_count"] == len(doc["classes"])
-    lines = rep.to_csv_lines()
+    out = io.StringIO()
+    rep.write_csv(out)
+    text = out.getvalue()
+    assert text.endswith("\n")
+    lines = text.splitlines()
     assert lines[0] == "class,representative,degree"
     assert len(lines) == rep.class_count + 1
 
