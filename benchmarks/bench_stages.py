@@ -115,7 +115,8 @@ def measure(src: Path, path: str) -> dict:
     matrix = intersection.compute_matrix(binput)
     sigma, reordered = intersection.canonical_order(matrix)
     forest = clusters.compute_clusters(reordered)
-    labels = tuple(binput.labels[s - 1] for s in sigma)
+    point_labels = binput.labels
+    labels = tuple(point_labels[s - 1] for s in sigma)
     pres = monodromy.emit_presentation(forest, p=binput.p or 0, point_labels=labels, sigma=sigma)
     layers = {
         "compute_matrix": scaled_cpu(lambda: intersection.compute_matrix(binput)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ._value import Value, _set
+from ._value import Value
 from .clusters import Cluster
 from .errors import DimensionMismatch, IndexOutOfRange, IntervalOutOfRange, InvalidInput
 from .freegroup import FreeAutomorphism, FreeWord, format_letters, parse_letters
@@ -33,8 +33,7 @@ class BraidWord(Value):
         for x in letters:
             if x == 0 or abs(x) > strands - 1:
                 raise IndexOutOfRange(f"braid letter {x} out of range for {strands} strands")
-        _set(self, "strands", strands)
-        _set(self, "letters", letters)
+        super().__init__(strands, letters)
 
     @classmethod
     def identity(cls, strands: int) -> "BraidWord":

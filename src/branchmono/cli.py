@@ -87,9 +87,9 @@ def _cmd_clusters(args: argparse.Namespace) -> int:
 
 def _cmd_present(args: argparse.Namespace) -> int:
     binput, sigma, forest = _pipeline(args.input)
-    labels = tuple(binput.labels[s - 1] for s in sigma)
+    labels = binput.labels
     pres = _cli.emit_presentation(
-        forest, p=binput.p or 0, point_labels=labels, sigma=sigma
+        forest, p=binput.p or 0, point_labels=[labels[s - 1] for s in sigma], sigma=sigma
     )
     if args.format == "json":
         _emit_json(pres.to_json_dict())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import IntervalOutOfRange, NotCanonicallyOrdered, SizeLimit
 from .intersection import IntersectionMatrix, satisfies_interval_hypothesis
 
@@ -25,9 +25,7 @@ class Cluster(Value):
     def __init__(self, start: int, length: int, depth: int):
         if start < 1 or length < 2 or depth < 1:
             raise IntervalOutOfRange(f"bad cluster (start={start}, length={length}, depth={depth})")
-        _set(self, "start", start)
-        _set(self, "length", length)
-        _set(self, "depth", depth)
+        super().__init__(start, length, depth)
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -55,8 +53,7 @@ class ClusterForest(Value):
         for c in clusters:
             if c.end > d:
                 raise IntervalOutOfRange(f"cluster {c} exceeds d = {d}")
-        _set(self, "d", d)
-        _set(self, "clusters", tuple(sorted(clusters, key=lambda c: (c.depth, c.start))))
+        super().__init__(d, tuple(sorted(clusters, key=lambda c: (c.depth, c.start))))
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -114,11 +111,9 @@ def compute_clusters(m: IntersectionMatrix) -> ClusterForest:
 
 
 class TreeNode(Value):
-    __slots__ = ("cluster", "children")
+    """A cluster and the TreeNodes of the clusters directly inside it."""
 
-    def __init__(self, cluster: Cluster, children: tuple["TreeNode", ...]):
-        _set(self, "cluster", cluster)
-        _set(self, "children", children)
+    __slots__ = ("cluster", "children")
 
 
 def nesting_tree(forest: ClusterForest) -> tuple[TreeNode, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, UnsupportedForm
 
 _TOKEN = re.compile(r"^([A-Za-z]+)(\d+)(?:\^(-?\d+))?$")
@@ -68,7 +68,7 @@ class FreeWord(Value):
                 out.pop()
             else:
                 out.append(x)
-        _set(self, "letters", tuple(out))
+        super().__init__(tuple(out))
 
     @classmethod
     def identity(cls) -> "FreeWord":
@@ -145,8 +145,7 @@ class FreeAutomorphism(Value):
         for w in images:
             if w.max_index() > d:
                 raise IndexOutOfRange(f"image {w} uses a generator beyond rank {d}")
-        _set(self, "d", d)
-        _set(self, "images", images)
+        super().__init__(d, images)
 
     @classmethod
     def identity(cls, d: int) -> "FreeAutomorphism":

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ._value import Value, _set
+from ._value import Value
 from .errors import (
     DuplicatePoint,
     IndistinguishableTruncation,
@@ -119,7 +119,7 @@ def _is_array_of_arrays(value: Any) -> bool:
 class BranchInput(Value):
     """Validated branch-point data in one of the three input modes."""
 
-    __slots__ = ("mode", "p", "points", "matrix", "truncation", "labels")
+    __slots__ = ("mode", "p", "points", "matrix", "truncation")
 
     def __init__(
         self,
@@ -128,19 +128,13 @@ class BranchInput(Value):
         points: tuple = (),
         matrix: Optional[tuple[tuple[int, ...], ...]] = None,
         truncation: Optional[int] = None,
-        labels: tuple[str, ...] = (),
     ):
         if mode not in MODES:
             raise InvalidInput(f"unknown mode {_echo(mode)}; expected one of {MODES}")
         if p is not None and not is_prime(p):
             raise InvalidInput(f"p = {p} is not prime")
-        _set(self, "mode", mode)
-        _set(self, "p", p)
-        _set(self, "points", points)
-        _set(self, "matrix", matrix)
-        _set(self, "truncation", truncation)
+        super().__init__(mode, p, points, matrix, truncation)
         getattr(self, f"_check_{mode}")()
-        _set(self, "labels", labels or self._default_labels())
 
     @property
     def d(self) -> int:
@@ -188,7 +182,10 @@ class BranchInput(Value):
             raise InvalidInput("matrix mode requires a matrix")
         self._check_common_size(len(self.matrix))
 
-    def _default_labels(self) -> tuple[str, ...]:
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The points as printed: p-adic ones as rationals, the others as
+        P1..Pd.  Built when read, so commands that print none take any point."""
         if self.mode != "padic":
             return tuple(f"P{i}" for i in range(1, self.d + 1))
         labels = []
@@ -197,7 +194,7 @@ class BranchInput(Value):
                 labels.append(format_rational(x))
             except ValueError:  # past the interpreter's limit for str()
                 raise InvalidInput(
-                    f"point {idx} = {_echo(x)} has no default label; give labels", point=idx
+                    f"point {idx} = {_echo(x)} has no default label", point=idx
                 ) from None
         return tuple(labels)
 
@@ -277,9 +274,7 @@ class IntersectionMatrix(Value):
             for b, c in zip(order[p + 1 :], order[p + 2 :]):
                 if rows[a][c] != min(rows[a][b], rows[b][c]):
                     _raise_first_violation(rows)
-        _set(self, "d", d)
-        _set(self, "order", tuple(i + 1 for i in order))
-        _set(self, "steps", tuple(rows[a][b] for a, b in zip(order, order[1:])))
+        super().__init__(d, tuple(i + 1 for i in order), tuple(rows[a][b] for a, b in zip(order, order[1:])))
 
     @classmethod
     def from_tree(cls, order: Sequence[int], steps: Sequence[int]) -> "IntersectionMatrix":
@@ -287,9 +282,7 @@ class IntersectionMatrix(Value):
         whose consecutive depths along it are ``steps``, trusted to be
         such."""
         m = object.__new__(cls)
-        _set(m, "d", len(order))
-        _set(m, "order", tuple(order))
-        _set(m, "steps", tuple(steps))
+        Value.__init__(m, len(order), tuple(order), tuple(steps))
         return m
 
 

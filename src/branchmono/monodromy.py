@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from ._value import Value, _set
+from ._value import Value
 from .clusters import ClusterForest
 from .freegroup import FreeAutomorphism, FreeWord
 
@@ -30,23 +30,11 @@ def monodromy_automorphism(forest: ClusterForest) -> FreeAutomorphism:
 
 class Presentation(Value):
     """Generators x_1..x_d and delta with the product relation and the
-    delta-conjugation relations."""
+    delta-conjugation relations, read off the FreeWord ``images`` of x_i;
+    ``point_labels`` are the input points in canonical order ``sigma``."""
 
     __slots__ = ("d", "images", "p", "point_labels", "sigma")
-
-    def __init__(
-        self,
-        d: int,
-        images: tuple[FreeWord, ...],
-        p: int = 0,
-        point_labels: tuple[str, ...] = (),
-        sigma: tuple[int, ...] = (),
-    ):
-        _set(self, "d", d)
-        _set(self, "images", images)
-        _set(self, "p", p)
-        _set(self, "point_labels", point_labels)
-        _set(self, "sigma", sigma)
+    _defaults = {"p": 0, "point_labels": (), "sigma": ()}
 
     def generators(self) -> list[str]:
         return [f"x{i}" for i in range(1, self.d + 1)] + ["delta"]

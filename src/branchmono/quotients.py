@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 from . import _kernels
-from ._value import Value, _set
+from ._value import Value
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -171,12 +171,8 @@ class FiniteGroup(Value):
         conj = tuple(tuple(map(cols[h].__getitem__, table[inv[h]])) for h in range(n))
         inner = tuple(dict.fromkeys(conj))
         least = tuple(map(min, zip(*inner)))
-        _set(self, "name", name)
-        _set(self, "table", table)
-        _set(self, "inverse", tuple(inv))
-        _set(self, "conj", conj)
-        _set(self, "least", least)
-        _set(self, "reach", tuple(tuple(row for row in inner if row[x] == least[x]) for x in range(n)))
+        reach = tuple(tuple(row for row in inner if row[x] == least[x]) for x in range(n))
+        super().__init__(name, table, tuple(inv), conj, least, reach)
 
     @property
     def order(self) -> int:
@@ -453,6 +449,9 @@ def delta_on_class(
 
 
 class OrbitReport(Value):
+    """The canonical tuple of each class, in enumeration order, and its
+    moduli degree; ``exponent`` is that of G/Z(G)."""
+
     __slots__ = (
         "group_name",
         "group_order",
@@ -464,30 +463,6 @@ class OrbitReport(Value):
         "classes",
         "degrees",
     )
-
-    def __init__(
-        self,
-        group_name: str,
-        group_order: int,
-        d: int,
-        p: int,
-        surjective_only: bool,
-        center_size: int,
-        exponent: int,
-        classes: tuple[tuple[int, ...], ...],
-        degrees: tuple[int, ...],
-    ):
-        _set(self, "group_name", group_name)
-        _set(self, "group_order", group_order)
-        _set(self, "d", d)
-        _set(self, "p", p)
-        _set(self, "surjective_only", surjective_only)
-        _set(self, "center_size", center_size)
-        _set(self, "exponent", exponent)
-        # The canonical tuple of each class, in enumeration order, and its
-        # moduli degree.
-        _set(self, "classes", classes)
-        _set(self, "degrees", degrees)
 
     @property
     def class_count(self) -> int:

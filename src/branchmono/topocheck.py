@@ -35,11 +35,11 @@ import math
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
-from ._value import Value, _set
+from ._value import Value
 from .braid import BraidWord, braid_action
 from .clusters import compute_clusters
 from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
-from .freegroup import FreeAutomorphism, FreeWord, is_inner_shift
+from .freegroup import is_inner_shift
 from .intersection import BranchInput, _echo, compute_matrix, parse_rational
 from .monodromy import monodromy_automorphism
 from ._tracker import _horner, _NeedsRotation, _Speeds, _Tracker
@@ -49,10 +49,7 @@ class RationalComplex(Value):
     """Gaussian rational: exact real and imaginary parts."""
 
     __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
-        _set(self, "re", re)
-        _set(self, "im", im)
+    _defaults = {"re": Fraction(0), "im": Fraction(0)}
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -136,15 +133,10 @@ class WitnessFamily(Value):
                 f"z0 must satisfy r/2 < |z0| < r; got |z0|^2 = {_echo(a2)}, r = {_echo(r)}"
             )
         check_samples(samples)
-        _set(self, "polys", polys)
-        _set(self, "eta", eta)
-        _set(self, "r", r)
-        _set(self, "z0", z0)
-        _set(self, "samples", samples)
         length = max(map(len, polys)) + 1
         padded = tuple(p + (Fraction(0),) * (length - len(p)) for p in polys)
         series = BranchInput(mode="series", points=padded, truncation=length)
-        _set(self, "forest", compute_clusters(compute_matrix(series)))
+        super().__init__(polys, eta, r, z0, samples, compute_clusters(compute_matrix(series)))
 
     @property
     def d(self) -> int:
@@ -173,24 +165,19 @@ class WitnessFamily(Value):
 
 
 class CheckRecord(Value):
-    __slots__ = ("kind", "subject", "ok", "detail")
+    """One exact check: its kind, its subject, whether it passed, a detail."""
 
-    def __init__(self, kind: str, subject: str, ok: bool, detail: str = ""):
-        _set(self, "kind", kind)
-        _set(self, "subject", subject)
-        _set(self, "ok", ok)
-        _set(self, "detail", detail)
+    __slots__ = ("kind", "subject", "ok", "detail")
+    _defaults = {"detail": ""}
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "subject": self.subject, "ok": self.ok, "detail": self.detail}
 
 
 class GeometryReport(Value):
-    __slots__ = ("kind", "records")
+    """The CheckRecords of one kind of check."""
 
-    def __init__(self, kind: str, records: tuple[CheckRecord, ...]):
-        _set(self, "kind", kind)
-        _set(self, "records", records)
+    __slots__ = ("kind", "records")
 
     @property
     def passed(self) -> bool:
@@ -293,12 +280,9 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
             c1, c2 = cl[a_idx], cl[b_idx]
             (w1, r1), (w2, r2) = circles[c1], circles[c2]
             dist2 = _dist2(w1, w2)
-            if c1.contains_interval(c2) and c1.depth <= c2.depth:
+            if c1.contains_interval(c2):
                 ok = r2 < r1 and dist2 < (r1 - r2) ** 2
                 expect = f"{c2} nested inside {c1}"
-            elif c2.contains_interval(c1) and c2.depth <= c1.depth:
-                ok = r1 < r2 and dist2 < (r2 - r1) ** 2
-                expect = f"{c1} nested inside {c2}"
             else:
                 ok = dist2 > (r1 + r2) ** 2
                 expect = f"{c1} and {c2} external"
@@ -487,23 +471,10 @@ def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
 
 
 class OracleReport(Value):
-    """Outcome of comparing the tracked braid with the cluster twists."""
+    """Outcome of comparing the tracked braid's action with the cluster
+    twists: the conjugator of the inner shift between them, or None."""
 
     __slots__ = ("braid", "tracked", "symbolic", "conjugator", "exact")
-
-    def __init__(
-        self,
-        braid: BraidWord,
-        tracked: FreeAutomorphism,
-        symbolic: FreeAutomorphism,
-        conjugator: Optional[FreeWord],
-        exact: bool,
-    ):
-        _set(self, "braid", braid)
-        _set(self, "tracked", tracked)
-        _set(self, "symbolic", symbolic)
-        _set(self, "conjugator", conjugator)
-        _set(self, "exact", exact)
 
     @property
     def consistent(self) -> bool:

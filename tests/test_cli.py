@@ -345,6 +345,23 @@ def test_verify_topology_exact_values_past_the_digit_limit(doc, fmt, tmp_path):
         assert max(map(len, details)) < 200
 
 
+def test_padic_points_past_the_digit_limit_have_no_labels_only_in_present(tmp_path):
+    """Only `present` prints the points: `clusters` and `orbits` accept a
+    p-adic point too long for str(), and `present` refuses it by index."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"mode": "padic", "p": 3, "points": [0, "1e5000", "2e5000"]}))
+    for args in (("clusters",), ("orbits", "--group", "q8")):
+        out = run_cli(*args, "--input", str(path))
+        assert (out.returncode, out.stderr) == (0, "")
+    out = run_cli("present", "--input", str(path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert json.loads(out.stderr) == {
+        "error": "INVALID_INPUT",
+        "message": "point 2 = <Fraction too long to print> has no default label",
+        "details": {"point": 2},
+    }
+
+
 @pytest.mark.parametrize("group", ["c²", "s①"], ids=["superscript_two", "circled_one"])
 def test_orbits_non_decimal_digits_are_unknown_builtin(group):
     """str.isdigit() accepts these characters but int() does not parse them;

@@ -129,7 +129,7 @@ def random_padic_input(rng):
             + p ** rng.choice([0, 1, 2, 3, 30, 200]) * F(rng.randint(-p**4, p**4), rng.choice(dens))
             for _ in range(rng.randint(2, 24))
         )
-    return BranchInput(mode="padic", p=p, points=tuple(points), labels=tuple(map(str, range(len(points)))))
+    return BranchInput(mode="padic", p=p, points=tuple(points))
 
 
 def random_series_input(rng):
@@ -182,21 +182,23 @@ def test_series_tie_names_the_first_pair_of_a_scan():
 def test_deep_shared_prefixes():
     """Shared runs of 20000 digits, 2-adic and 3-adic, give exact depths;
     each node takes one valuation per member, not one level per digit."""
-    bi = BranchInput(mode="padic", p=2, points=(F(0), F(2**20000), F(3 * 2**20000)), labels=("a", "b", "c"))
+    bi = BranchInput(mode="padic", p=2, points=(F(0), F(2**20000), F(3 * 2**20000)))
     m = compute_matrix(bi)
     assert m.order == (1, 2, 3)
     assert m.steps == (20000, 20001)
     x = 3**20000
-    bi = BranchInput(mode="padic", p=3, points=(F(x), F(0), F(4 * x), F(2 * x, 5)), labels=tuple("abcd"))
+    bi = BranchInput(mode="padic", p=3, points=(F(x), F(0), F(4 * x), F(2 * x, 5)))
     m = compute_matrix(bi)
     assert (m.order, m.steps) == ((1, 3, 4, 2), (20001, 20002, 20000))
 
 
 def test_points_past_the_digit_limit_without_labels():
-    """A point too long for str() has no default label, and a non-integral
-    one is echoed bounded; both are domain errors, not a bare ValueError."""
-    with pytest.raises(InvalidInput, match="point 2 = <Fraction too long to print> has no default label") as info:
-        BranchInput(mode="padic", p=2, points=(F(0), F(2**20000)))
+    """A point too long for str() is accepted but has no default label when
+    its labels are read, and a non-integral one is echoed bounded; both are
+    domain errors, not a bare ValueError."""
+    bi = BranchInput(mode="padic", p=2, points=(F(0), F(2**20000)))
+    with pytest.raises(InvalidInput, match="point 2 = <Fraction too long to print> has no default label$") as info:
+        bi.labels
     assert info.value.to_json_dict()["details"] == {"point": 2}
     with pytest.raises(NonIntegralPoint, match=r"point 2 = <Fraction too long to print> has v_2 < 0"):
         BranchInput(mode="padic", p=2, points=(F(0), F(2**20000 + 1, 2)))

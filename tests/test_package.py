@@ -171,8 +171,8 @@ def _value_cases():
     from branchmono.clusters import Cluster
     from branchmono.freegroup import FreeWord
     from branchmono.intersection import IntersectionMatrix
-    from branchmono.quotients import FiniteGroup, cyclic_group
-    from branchmono.topocheck import RationalComplex
+    from branchmono.quotients import FiniteGroup, OrbitReport, cyclic_group
+    from branchmono.topocheck import CheckRecord, RationalComplex
 
     c2 = ((0, 1), (1, 0))
     # (value, an equal one built another way, an unequal one, repr, a field)
@@ -213,10 +213,31 @@ def _value_cases():
             "FiniteGroup(name='C2', table=((0, 1), (1, 0)), inverse=(0, 1))",
             "table",
         ),
+        "CheckRecord": (
+            CheckRecord("distinct-values", "a1 vs a2", True),
+            CheckRecord(kind="distinct-values", subject="a1 vs a2", ok=True, detail=""),
+            CheckRecord("distinct-values", "a1 vs a2", False),
+            "CheckRecord(kind='distinct-values', subject='a1 vs a2', ok=True, detail='')",
+            "ok",
+        ),
+        "OrbitReport": (
+            OrbitReport("S3", 6, 3, 7, True, 1, 6, ((1, 2, 2),), (1,)),
+            OrbitReport(
+                group_name="S3", group_order=6, d=3, p=7, surjective_only=True,
+                center_size=1, exponent=6, classes=((1, 2, 2),), degrees=(1,),
+            ),
+            OrbitReport("S3", 6, 3, 7, True, 1, 6, ((1, 2, 2),), (2,)),
+            "OrbitReport(group_name='S3', group_order=6, d=3, p=7, surjective_only=True,"
+            " center_size=1, exponent=6, classes=((1, 2, 2),), degrees=(1,))",
+            "degrees",
+        ),
     }
 
 
-@pytest.mark.parametrize("name", ["FreeWord", "BraidWord", "Cluster", "IntersectionMatrix", "RationalComplex", "FiniteGroup"])
+@pytest.mark.parametrize(
+    "name",
+    ["FreeWord", "BraidWord", "Cluster", "IntersectionMatrix", "RationalComplex", "FiniteGroup", "CheckRecord", "OrbitReport"],
+)
 def test_value_semantics(name):
     """Equality and hashing on the fields, an exact repr, and no assignment
     or deletion after construction."""
@@ -234,3 +255,86 @@ def test_value_semantics(name):
     assert value == equal
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and repr(twin) == text
+
+
+def _stored_values():
+    """The classes that only store their fields, by name, each with
+    positional arguments for every field."""
+    from fractions import Fraction as F
+
+    from branchmono.braid import BraidWord
+    from branchmono.clusters import Cluster, TreeNode
+    from branchmono.freegroup import FreeAutomorphism, FreeWord
+    from branchmono.monodromy import Presentation
+    from branchmono.quotients import OrbitReport
+    from branchmono.topocheck import CheckRecord, GeometryReport, OracleReport, RationalComplex
+
+    twist = FreeAutomorphism(2, (FreeWord((1, 2, -1)), FreeWord((1, 2, -2, -1))))
+    record = ("circle-separation", "c1 vs c2", False, "violated")
+    cases = [
+        (TreeNode, (Cluster(1, 2, 1), ())),
+        (Presentation, (2, twist.images, 3, ("0", "1"), (1, 2))),
+        (OrbitReport, ("S3", 6, 3, 7, False, 1, 6, ((1, 2, 2),), (1,))),
+        (RationalComplex, (F(1, 2), F(-1, 3))),
+        (CheckRecord, record),
+        (GeometryReport, ("separation", (CheckRecord(*record),))),
+        (OracleReport, (BraidWord(2, (1, 1)), twist, twist, FreeWord(), True)),
+    ]
+    return {cls.__name__: (cls, args) for cls, args in cases}
+
+
+STORED = ["TreeNode", "Presentation", "OrbitReport", "RationalComplex", "CheckRecord", "GeometryReport", "OracleReport"]
+
+
+@pytest.mark.parametrize("name", STORED)
+def test_stored_values_take_positional_or_keyword_fields(name):
+    """The base's one constructor: positional, keyword and mixed calls give
+    equal values, and the class defines no constructor of its own."""
+    cls, args = _stored_values()[name]
+    assert "__init__" not in cls.__dict__
+    value = cls(*args)
+    assert [getattr(value, field) for field in cls.__slots__] == list(args)
+    assert cls(**dict(zip(cls.__slots__, args))) == value
+    assert cls(*args[:1], **dict(zip(cls.__slots__[1:], args[1:]))) == value
+    assert repr(cls(**dict(zip(cls.__slots__, args)))) == repr(value)
+
+
+def test_value_constructor_refuses_bad_arguments():
+    """TypeError wherever a signature would refuse the call."""
+    from fractions import Fraction as F
+
+    from branchmono.clusters import Cluster
+    from branchmono.topocheck import CheckRecord, RationalComplex
+
+    with pytest.raises(TypeError, match=r"CheckRecord\(\) takes 4 arguments, got 5"):
+        CheckRecord("k", "s", True, "detail", "extra")
+    with pytest.raises(TypeError, match=r"RationalComplex\(\) takes 2 arguments, got 3"):
+        RationalComplex(F(1), F(2), F(3))
+    with pytest.raises(TypeError, match="unknown or repeated keyword 'colour'"):
+        CheckRecord("k", "s", True, colour="red")
+    with pytest.raises(TypeError, match="unknown or repeated keyword 'kind'"):
+        CheckRecord("k", "s", True, kind="k")
+    with pytest.raises(TypeError, match="unknown or repeated keyword 're'"):
+        RationalComplex(F(1), re=F(1))
+    with pytest.raises(TypeError, match="missing argument 'ok'"):
+        CheckRecord("k", "s")
+    with pytest.raises(TypeError, match="missing argument 'subject'"):
+        CheckRecord("k", ok=True)
+    with pytest.raises(TypeError):
+        Cluster(1, 2)  # a validating class keeps its own signature
+
+
+def test_defaults_fill_only_the_missing_fields():
+    from fractions import Fraction as F
+
+    from branchmono.monodromy import Presentation
+    from branchmono.topocheck import CheckRecord, RationalComplex
+
+    assert (RationalComplex().re, RationalComplex().im) == (F(0), F(0))
+    assert (RationalComplex(im=F(1)).re, RationalComplex(im=F(1)).im) == (F(0), F(1))
+    assert RationalComplex(F(2)) == RationalComplex(F(2), F(0))
+    assert CheckRecord("k", "s", True).detail == ""
+    assert CheckRecord("k", "s", True, "given").detail == "given"
+    assert CheckRecord("k", "s", True, detail="given").detail == "given"
+    pres = Presentation(2, (), sigma=(2, 1))
+    assert (pres.p, pres.point_labels, pres.sigma) == (0, (), (2, 1))
