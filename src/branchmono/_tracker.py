@@ -194,17 +194,11 @@ class _Tracker:
     def crossing_time(self, left: int, right: int, t_lo: float, t_hi: float) -> float:
         """Bisect for the time in (t_lo, t_hi) where the projection of
         strand right falls below that of strand left."""
-        # Both strands in one Horner loop, each with ``_horner``'s operations.
-        pairs = list(zip(self.coeffs[left][::-1], self.coeffs[right][::-1]))
-        z0 = self.z0
+        left_cs, right_cs = self.coeffs[left], self.coeffs[right]
 
         def gap(t: float) -> float:
-            z = z0 * cmath.exp(2j * math.pi * t)
-            acc_l = acc_r = 0j
-            for c_l, c_r in pairs:
-                acc_l = acc_l * z + c_l
-                acc_r = acc_r * z + c_r
-            return acc_r.real - acc_l.real
+            z = self.z0 * cmath.exp(2j * math.pi * t)
+            return _horner(right_cs, z).real - _horner(left_cs, z).real
 
         lo, hi = t_lo, t_hi
         g_lo = gap(lo)

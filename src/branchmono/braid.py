@@ -88,8 +88,7 @@ def braid_action(b: BraidWord) -> FreeAutomorphism:
         if letter > 0:
             images[k], images[k + 1] = v.conjugated_by(u), u
         else:
-            v_inv = tuple(-x for x in reversed(v.letters))
-            images[k], images[k + 1] = v, FreeWord(v_inv + u.letters + v.letters)
+            images[k], images[k + 1] = v, u.conjugated_by(v.inv())
     return FreeAutomorphism(d, tuple(images))
 
 

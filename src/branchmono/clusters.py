@@ -125,6 +125,9 @@ def nesting_tree(forest: ClusterForest) -> tuple[TreeNode, ...]:
     disjoint, and a cluster strictly inside another is strictly deeper,
     so in the order (start, -length, depth) the clusters containing one
     form a stack whose top is its parent: one sweep in O(c log c).
+    Siblings are disjoint intervals (one inside another would be strictly
+    deeper and so its descendant), so each child list, and the roots,
+    come out of the sweep already in (start, depth) order.
     """
     order = sorted(forest.clusters, key=lambda o: (o.start, -o.length, o.depth))
     children: dict[Cluster, list[Cluster]] = {c: [] for c in order}
@@ -138,9 +141,8 @@ def nesting_tree(forest: ClusterForest) -> tuple[TreeNode, ...]:
     # Bottom-up, children before parents: chains are as long as the depth.
     nodes: dict[Cluster, TreeNode] = {}
     for c in reversed(order):
-        kids = sorted(children[c], key=lambda o: (o.start, o.depth))
-        nodes[c] = TreeNode(c, tuple(nodes[k] for k in kids))
-    return tuple(nodes[r] for r in sorted(roots, key=lambda o: (o.start, o.depth)))
+        nodes[c] = TreeNode(c, tuple(nodes[k] for k in children[c]))
+    return tuple(nodes[r] for r in roots)
 
 
 def tree_to_text(roots: tuple[TreeNode, ...]) -> str:

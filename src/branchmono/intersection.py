@@ -69,10 +69,6 @@ def parse_rational(value: Any) -> Fraction:
     raise InvalidInput(f"not a rational: {_echo(value)} (floats are not accepted)")
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # Miller–Rabin with the first 13 primes as bases is proven exact below
 # this bound (Sorenson and Webster, 2015); larger n are refused.
 PRIME_CAP = 3_317_044_064_679_887_385_961_981
@@ -191,7 +187,7 @@ class BranchInput(Value):
         labels = []
         for idx, x in enumerate(self.points, start=1):
             try:
-                labels.append(format_rational(x))
+                labels.append(str(x))
             except ValueError:  # past the interpreter's limit for str()
                 raise InvalidInput(
                     f"point {idx} = {_echo(x)} has no default label", point=idx

@@ -40,7 +40,7 @@ from .braid import BraidWord, braid_action
 from .clusters import compute_clusters
 from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
 from .freegroup import is_inner_shift
-from .intersection import BranchInput, _echo, compute_matrix, parse_rational
+from .intersection import BranchInput, _echo, _is_array, _is_array_of_arrays, compute_matrix, parse_rational
 from .monodromy import monodromy_automorphism
 from ._tracker import _horner, _NeedsRotation, _Speeds, _Tracker
 
@@ -56,7 +56,7 @@ class RationalComplex(Value):
 
     @classmethod
     def from_json(cls, obj: Any) -> "RationalComplex":
-        if isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)):
+        if _is_array(obj):
             if len(obj) != 2:
                 raise InvalidInput(f"complex rational needs [re, im], got {obj!r}")
             return cls(parse_rational(obj[0]), parse_rational(obj[1]))
@@ -147,9 +147,7 @@ class WitnessFamily(Value):
         if not isinstance(obj, Mapping):
             raise InvalidInput("witness family must be a JSON object")
         coeffs = obj.get("coefficients")
-        if not isinstance(coeffs, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in coeffs
-        ):
+        if not _is_array_of_arrays(coeffs):
             raise InvalidInput("witness family needs a 'coefficients' array of arrays")
         polys = tuple(tuple(parse_rational(c) for c in row) for row in coeffs)
         kwargs: dict[str, Any] = {}
@@ -318,33 +316,6 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
     return _raise_if_failed(GeometryReport("separation", tuple(records)))
 
 
-def _limit_denominator(x: float, limit: int) -> tuple[int, int]:
-    """(p, q), q > 0: the nearest fraction to x with q <= limit, the
-    smaller denominator on a tie, exactly as
-    ``Fraction(x).limit_denominator(limit)`` returns it, from the same
-    continued fraction in plain integers.  With x = n/d in lowest terms,
-    p1/q1 is the last convergent within the limit and
-    (p0 + k p1)/(q0 + k q1) the best semiconvergent.  x lies between
-    them, den/(q1·d) from p1/q1, and they are 1/(q1·(q0 + k q1)) apart,
-    so p1/q1 is at least as near iff 2·den·(q0 + k q1) <= d."""
-    n, d = x.as_integer_ratio()
-    if d <= limit:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > limit:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (limit - q0) // q1
-    if 2 * den * (q0 + k * q1) <= d:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
-
-
 def _circle_points(z0: RationalComplex, count: int) -> list[tuple[int, int, int]]:
     """Exact points on |z| = |z0| as (X, Y, N) with z = (X + iY)/N, N > 0:
     first -z0, then z0 * ((q^2-p^2) + 2pq i)/(q^2+p^2) for rational
@@ -353,7 +324,8 @@ def _circle_points(z0: RationalComplex, count: int) -> list[tuple[int, int, int]
     out = [(-u, -v, den)]
     for k in range(count - 1):
         angle = math.pi * ((k + 0.5) / (count - 1) - 0.5)
-        p, q = _limit_denominator(math.tan(angle), 10**6)
+        t = Fraction(math.tan(angle)).limit_denominator(10**6)
+        p, q = t.numerator, t.denominator
         x, y = q * q - p * p, 2 * p * q
         out.append((u * x - v * y, u * y + v * x, den * (q * q + p * p)))
     return out

@@ -19,7 +19,10 @@ and ``fraction_cluster_bound`` evaluate the witness geometry in Gaussian
 rationals, against ``freegroup.is_inner_shift`` and ``topocheck``'s one
 integer evaluator.  ``csv_lines`` builds every line of an orbits
 report's CSV table at once, the reference for the blocks that
-``OrbitReport.write_csv`` streams.  ``moduli_degree``,
+``OrbitReport.write_csv`` streams.  ``light_failure`` is Light's
+associativity test with its greedy generators grown by a naive fixpoint,
+the reference for the triple ``quotients.associativity_failure`` names.
+``moduli_degree``,
 ``dehn_twist_automorphism``, ``lambda_braid_for_forest`` and
 ``puncture_loop_braid`` are the direct
 definitions that the closed forms of ``quotients.moduli_report`` and
@@ -28,7 +31,6 @@ definitions that the closed forms of ``quotients.moduli_report`` and
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -189,31 +191,32 @@ def letter_delta_on_class(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGr
     return g.canonical(new)
 
 
+def light_failure(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The first triple (a, b, c) with (ab)c != a(bc), for b over Light's
+    greedy generators in the order chosen, then a and c ascending, or None.
+    Each generator is the least element outside the set reached from 0 by
+    right multiplication by the earlier ones, grown until it stops."""
+    n = len(table)
+    gens: list[int] = []
+    reached = {0}
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))
+        grown = reached | {table[a][b] for a in reached for b in gens}
+        while grown != reached:
+            reached = grown
+            grown = reached | {table[a][b] for a in reached for b in gens}
+    for b in gens:
+        for a in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
 class EverySampleTracker(_tracker._Tracker):
-    """The strand tracker without leaps: ``resolve`` on every grid step,
-    and each bisection midpoint evaluated by two separate Horner loops."""
+    """The strand tracker without leaps: ``resolve`` on every grid step."""
 
     __slots__ = ()
-
-    def crossing_time(self, left: int, right: int, t_lo: float, t_hi: float) -> float:
-        left_cs, right_cs = self.coeffs[left], self.coeffs[right]
-
-        def gap(t: float) -> float:
-            z = self.z0 * cmath.exp(2j * math.pi * t)
-            return _tracker._horner(right_cs, z).real - _tracker._horner(left_cs, z).real
-
-        lo, hi = t_lo, t_hi
-        g_lo = gap(lo)
-        for _ in range(64):
-            if hi - lo < 1e-9 * max(t_hi - t_lo, 1e-12):
-                break
-            mid = (lo + hi) / 2
-            g_mid = gap(mid)
-            if (g_mid > 0) == (g_lo > 0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
 
     def run(self) -> tuple[list[int], list[int]]:
         start = self.order_at(0.0)

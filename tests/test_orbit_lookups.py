@@ -30,7 +30,14 @@ from branchmono.quotients import (
     moduli_report,
 )
 from conftest import random_ultrametric_matrix
-from oracles import canonical_tuple, csv_lines, evaluate_word, letter_delta_on_class, moduli_degree
+from oracles import (
+    canonical_tuple,
+    csv_lines,
+    evaluate_word,
+    letter_delta_on_class,
+    light_failure,
+    moduli_degree,
+)
 from test_quotients import find_nonassociative_loop
 
 # Every built-in family member up to order 24.
@@ -436,11 +443,26 @@ def test_light_test_agrees_with_the_cubic_check(rng):
     for table in tables:
         failures = cubic_failures(table)
         got = associativity_failure(table)
+        assert got == light_failure(table), table
         assert (got is None) == (not failures), table
         if got is not None:
             failing += 1
             assert got in failures, table
     assert failing > 50  # loops of order 4 or less are groups
+
+
+def test_light_test_names_the_oracle_triple(rng):
+    """On loops of orders 8 to 12, whose greedy sets are larger, the triple
+    named is the oracle's: b over the generators in the order chosen, then
+    a and c ascending."""
+    named = 0
+    for n in range(8, 13):
+        for _ in range(20):
+            table = random_loop(rng, n)
+            want = light_failure(table)
+            assert associativity_failure(table) == want, table
+            named += want is not None
+    assert named > 90
 
 
 def test_light_test_checks_every_generator():
@@ -455,6 +477,7 @@ def test_light_test_checks_every_generator():
         table[table[a][1]][c] == table[a][table[1][c]] for a in range(15) for c in range(15)
     )
     assert associativity_failure(table) in cubic_failures(table)
+    assert associativity_failure(table) == light_failure(table)
 
 
 def test_not_a_group_names_a_failing_triple():

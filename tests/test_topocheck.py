@@ -20,13 +20,11 @@ from branchmono.freegroup import is_inner_shift
 from branchmono.intersection import ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.topocheck import (
-    BOUND_SAMPLES,
     MAX_SAMPLES,
     RationalComplex,
     WitnessFamily,
     _evaluate,
     _exact,
-    _limit_denominator,
     _point,
     _raise_if_failed,
     check_samples,
@@ -507,23 +505,6 @@ def test_oracle_geometry_on_the_pool_and_data_families(source):
         assert_separation_matches_oracle(w)
     for w in families[::4] if source == "pool" else families:
         assert_bound_matches_oracle(w)
-
-
-def test_limit_denominator_is_fractions():
-    """The integer continued fraction returns what Fraction does: on the
-    bound's sample angles, random doubles of every size and sign, and
-    values whose denominators are already within the limit."""
-    rng = random.Random(20261019)
-    count = BOUND_SAMPLES - 1
-    xs = [math.tan(math.pi * ((k + 0.5) / count - 0.5)) for k in range(count)]
-    xs += [rng.uniform(-1e3, 1e3) for _ in range(5000)]
-    xs += [rng.choice((1, -1)) * rng.random() * 10.0 ** rng.randint(-320, 300) for _ in range(5000)]
-    xs += [0.0, -0.0, 3.0, -0.25, 999999.5, 2.0**-20, 1.5e-6, -1e-300, 5e-324, 1e300]
-    xs += [rng.randint(-10**6, 10**6) / 2 ** rng.randint(0, 19) for _ in range(200)]
-    for limit in (10**6, 1, 7):
-        for x in xs:
-            want = F(x).limit_denominator(limit)
-            assert _limit_denominator(x, limit) == (want.numerator, want.denominator), (x, limit)
 
 
 def test_inner_shift_matches_window_oracle_on_tracked_pairs():
