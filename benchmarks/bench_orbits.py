@@ -102,7 +102,16 @@ sys.exit(code)
 
 
 def source_env(src: Path) -> dict[str, str]:
-    """This process's environment with ``src`` first on PYTHONPATH."""
+    """This process's environment with ``src`` first on PYTHONPATH.
+
+    A tree holding cached bytecode is refused: the processes measured
+    would load it instead of compiling the package from source, which
+    favours the tree that has it."""
+    cache = src / "branchmono" / "__pycache__"
+    if cache.exists():
+        raise SystemExit(
+            f"{cache} holds cached bytecode: delete it, and run with PYTHONDONTWRITEBYTECODE=1 to leave none"
+        )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return env
@@ -137,10 +146,9 @@ def launched(argv: list[str], env: dict[str, str], hwm: Path) -> tuple[float, fl
     return cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env), rss_mb
 
 
-def measure(src: Path, group: str, points: tuple[int, ...], max_tuples, fmt: str, path: str) -> dict:
+def measure(env: dict[str, str], group: str, points: tuple[int, ...], max_tuples, fmt: str, path: str) -> dict:
     from branchmono import cli, quotients
 
-    env = source_env(src)
     argv = ["orbits", "--group", group, "--input", path, "--p", str(P), "--format", fmt]
     cap = quotients.DEFAULT_TUPLE_CAP
     if max_tuples is not None:
@@ -191,6 +199,7 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
     args = parser.parse_args()
     src = args.src.resolve()
+    env = source_env(src)
     sys.path.insert(0, str(src))
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -199,7 +208,7 @@ def main() -> None:
             with open(path, "w") as out:
                 json.dump({"mode": "padic", "p": P, "points": list(points)}, out)
             name = f"{group} d={len(points)}" + ("" if fmt == "json" else f" {fmt}")
-            results[name] = r = measure(src, group, points, max_tuples, fmt, path)
+            results[name] = r = measure(env, group, points, max_tuples, fmt, path)
             layers = "  ".join(f"{k} {v * 1000:.2f} ms" for k, v in r["layers_s"].items())
             print(
                 f"{args.label:>8} {name:<10} {r['classes']:>7} classes  {layers}  "

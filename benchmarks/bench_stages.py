@@ -107,10 +107,9 @@ def command_costs(argv: list[str], env: dict[str, str]) -> dict:
     }
 
 
-def measure(src: Path, path: str) -> dict:
+def measure(env: dict[str, str], path: str) -> dict:
     from branchmono import clusters, intersection, monodromy
 
-    env = source_env(src)
     binput = intersection.BranchInput.from_json_dict(json.loads(Path(path).read_text()))
     matrix = intersection.compute_matrix(binput)
     sigma, reordered = intersection.canonical_order(matrix)
@@ -129,13 +128,13 @@ def measure(src: Path, path: str) -> dict:
         "emit_present": scaled_cpu(pres.text),
     }
     return {
-        "clusters": len(forest),
+        "clusters": len(forest.clusters),
         "layers_s": {name: round(t, 5) for name, t in layers.items()},
         "commands": {command: command_costs([command, "--input", path], env) for command in COMMANDS},
     }
 
 
-def measure_topology(src: Path, docs: list[bytes], samples: int, path: str) -> dict:
+def measure_topology(env: dict[str, str], docs: list[bytes], samples: int, path: str) -> dict:
     from branchmono import braid, freegroup, monodromy, topocheck
 
     families = [topocheck.WitnessFamily.from_json_dict(json.loads(doc)) for doc in docs]
@@ -153,7 +152,7 @@ def measure_topology(src: Path, docs: list[bytes], samples: int, path: str) -> d
     return {
         "families": len(families),
         "layers_s": {name: round(t, 5) for name, t in layers.items()},
-        "commands": {"verify-topology": command_costs(argv, source_env(src))},
+        "commands": {"verify-topology": command_costs(argv, env)},
     }
 
 
@@ -174,6 +173,7 @@ def main() -> None:
     parser.add_argument("--stage", choices=STAGES, help="run this stage only (default: every stage)")
     args = parser.parse_args()
     src = args.src.resolve()
+    env = source_env(src)
     sys.path.insert(0, str(src))
     stages = (args.stage,) if args.stage else STAGES
     results = {}
@@ -183,7 +183,7 @@ def main() -> None:
             with open(path, "w") as out:
                 json.dump(input_doc(mode, d), out)
             name = f"{mode} d={d}"
-            results[name] = measure(src, path)
+            results[name] = measure(env, path)
             report(args.label, name, results[name])
         if "verify-topology" in stages:
             docs = pool_families()
@@ -192,11 +192,12 @@ def main() -> None:
                 out.write(next(doc for doc in docs if len(json.loads(doc)["coefficients"]) == 12))
             for samples in SAMPLES:
                 name = f"verify-topology samples={samples}"
-                results[name] = measure_topology(src, docs, samples, path)
+                results[name] = measure_topology(env, docs, samples, path)
                 report(args.label, name, results[name])
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    previous = doc.setdefault("runs", {}).get(args.label, {}).get("cases", {}) if args.stage else {}
-    doc["runs"][args.label] = {
+    runs = doc.setdefault("runs", {})
+    previous = runs.get(args.label, {}).get("cases", {}) if args.stage else {}
+    runs[args.label] = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": REPEATS,

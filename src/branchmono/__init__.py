@@ -12,9 +12,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "braid": ("BraidWord", "braid_action", "lambda_braid"),
+    "braid": ("BraidWord", "braid_action"),
     "clusters": ("Cluster", "ClusterForest", "compute_clusters", "nesting_tree"),
-    "freegroup": ("FreeAutomorphism", "FreeWord", "compose", "inner", "is_inner_shift"),
+    "freegroup": ("FreeAutomorphism", "FreeWord", "is_inner_shift"),
     "intersection": ("BranchInput", "IntersectionMatrix", "canonical_order", "compute_matrix"),
     "monodromy": ("Presentation", "emit_presentation", "monodromy_automorphism"),
     "quotients": (

@@ -16,9 +16,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._value import Value
-from .clusters import Cluster
-from .errors import DimensionMismatch, IndexOutOfRange, IntervalOutOfRange, InvalidInput
-from .freegroup import FreeAutomorphism, FreeWord, format_letters, parse_letters
+from .errors import IndexOutOfRange, IntervalOutOfRange, InvalidInput
+from .freegroup import FreeAutomorphism, FreeWord, format_letters
 
 
 class BraidWord(Value):
@@ -35,36 +34,8 @@ class BraidWord(Value):
                 raise IndexOutOfRange(f"braid letter {x} out of range for {strands} strands")
         super().__init__(strands, letters)
 
-    @classmethod
-    def identity(cls, strands: int) -> "BraidWord":
-        return cls(strands, ())
-
-    @classmethod
-    def parse(cls, text: str, strands: int) -> "BraidWord":
-        return cls(strands, tuple(parse_letters(text, symbol="b")))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise DimensionMismatch(f"strand mismatch {self.strands} != {other.strands}")
-        return BraidWord(self.strands, self.letters + other.letters)
-
     def inv(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "BraidWord":
-        base = self if n >= 0 else self.inv()
-        return BraidWord(self.strands, base.letters * abs(n))
-
-    def permutation(self) -> tuple[int, ...]:
-        """Induced strand permutation; position k ends holding start strand perm[k]."""
-        perm = list(range(self.strands))
-        for x in self.letters:
-            k = abs(x) - 1
-            perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        return tuple(perm)
-
-    def is_pure(self) -> bool:
-        return self.permutation() == tuple(range(self.strands))
 
     def __str__(self) -> str:
         return format_letters(self.letters, symbol="b")
@@ -77,8 +48,10 @@ def braid_action(b: BraidWord) -> FreeAutomorphism:
     """The automorphism of the free group of rank ``b.strands`` induced by
     a braid word.
 
-    Homomorphism convention: the rightmost letter acts first, so
-    braid_action(u * v) = compose(braid_action(u), braid_action(v)).
+    Homomorphism convention: the rightmost letter acts first, so the
+    action of the concatenation u v is compose(braid_action(u),
+    braid_action(v)), for the composition by substitution
+    ``tests/oracles.compose``.
     """
     d = b.strands
     images = [FreeWord.generator(j) for j in range(1, d + 1)]
@@ -92,24 +65,12 @@ def braid_action(b: BraidWord) -> FreeAutomorphism:
     return FreeAutomorphism(d, tuple(images))
 
 
-def _check_interval(m: int, l: int, d: int) -> None:
+def half_twist(m: int, l: int, d: int) -> BraidWord:
+    """The Garside half-twist of strands m..m+l-1,
+    (b_m ... b_{m+l-2})(b_m ... b_{m+l-3}) ... (b_m).  It reverses the
+    block, and its square is the full twist (b_m ... b_{m+l-2})^l."""
     if l < 2 or m < 1 or m + l - 1 > d:
         raise IntervalOutOfRange(
             f"interval [{m}, {m + l - 1}] (length {l}) does not fit in {d} strands"
         )
-
-
-def lambda_braid(c: Cluster, d: int) -> BraidWord:
-    """The pure braid (b_m ... b_{m+l-2})^l rotating the points of a cluster."""
-    m, l = c.start, c.length
-    _check_interval(m, l, d)
-    block = tuple(range(m, m + l - 1))
-    return BraidWord(d, block * l)
-
-
-def half_twist(m: int, l: int, d: int) -> BraidWord:
-    """The Garside half-twist of strands m..m+l-1,
-    (b_m ... b_{m+l-2})(b_m ... b_{m+l-3}) ... (b_m).  It reverses the
-    block, and its square is the full twist ``lambda_braid`` of the block."""
-    _check_interval(m, l, d)
     return BraidWord(d, tuple(m + i for j in range(l - 1, 0, -1) for i in range(j)))

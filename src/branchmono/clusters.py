@@ -28,10 +28,6 @@ class Cluster(Value):
         super().__init__(start, length, depth)
 
     @property
-    def interval(self) -> tuple[int, int]:
-        return (self.start, self.length)
-
-    @property
     def end(self) -> int:
         """Last index of the interval (inclusive)."""
         return self.start + self.length - 1
@@ -54,9 +50,6 @@ class ClusterForest(Value):
             if c.end > d:
                 raise IntervalOutOfRange(f"cluster {c} exceeds d = {d}")
         super().__init__(d, tuple(sorted(clusters, key=lambda c: (c.depth, c.start))))
-
-    def __len__(self) -> int:
-        return len(self.clusters)
 
     def to_json_list(self) -> list[dict[str, Any]]:
         return [

@@ -2,24 +2,21 @@
 
 Words are tuples of signed indices: +i is the generator x_i, -i its
 inverse.  Every word is stored freely reduced; reduction happens in the
-constructor.  Automorphisms are given by the images of x_1..x_d and are
-composed by substitution.  ``is_inner_shift`` decides whether two
-automorphisms differ by a single inner automorphism.  That is exact here
-because all images this package produces are conjugates of generators:
-x_1's image fixes every conjugator up to a power of one generator x_k,
-and in x_1's conjugation frame each image either rejects, leaves the
-power free or pins it, read off its maximal x_k powers at both ends.
+constructor.  Automorphisms are given by the images of x_1..x_d.
+``is_inner_shift`` decides whether two automorphisms differ by a single
+inner automorphism.  That is exact here because all images this package
+produces are conjugates of generators: x_1's image fixes every
+conjugator up to a power of one generator x_k, and in x_1's conjugation
+frame each image either rejects, leaves the power free or pins it, read
+off its maximal x_k powers at both ends.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._value import Value
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, UnsupportedForm
-
-_TOKEN = re.compile(r"^([A-Za-z]+)(\d+)(?:\^(-?\d+))?$")
 
 
 def format_letters(letters: Sequence[int], symbol: str = "x") -> str:
@@ -30,28 +27,6 @@ def format_letters(letters: Sequence[int], symbol: str = "x") -> str:
     for x in letters:
         parts.append(f"{symbol}{x}" if x > 0 else f"{symbol}{-x}^-1")
     return "*".join(parts)
-
-
-def parse_letters(text: str, symbol: str = "x") -> list[int]:
-    """Parse the canonical word syntax; ``1`` (or empty) is the identity.
-
-    Arbitrary integer exponents are accepted on input, though output only
-    ever uses ``^-1``.
-    """
-    text = text.strip()
-    if text in ("", "1"):
-        return []
-    letters: list[int] = []
-    for token in text.split("*"):
-        m = _TOKEN.match(token.strip())
-        if not m or m.group(1) != symbol:
-            raise InvalidInput(f"cannot parse word token {token!r} (expected e.g. {symbol}2 or {symbol}2^-1)")
-        idx = int(m.group(2))
-        if idx < 1:
-            raise InvalidInput(f"generator index must be >= 1 in token {token!r}")
-        exp = int(m.group(3)) if m.group(3) is not None else 1
-        letters.extend([idx if exp > 0 else -idx] * abs(exp))
-    return letters
 
 
 class FreeWord(Value):
@@ -71,33 +46,15 @@ class FreeWord(Value):
         super().__init__(tuple(out))
 
     @classmethod
-    def identity(cls) -> "FreeWord":
-        return cls(())
-
-    @classmethod
     def generator(cls, i: int) -> "FreeWord":
         return cls((i,))
-
-    @classmethod
-    def parse(cls, text: str) -> "FreeWord":
-        return cls(tuple(parse_letters(text)))
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + other.letters)
 
     def inv(self) -> "FreeWord":
         return FreeWord(tuple(-x for x in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "FreeWord":
-        base = self if n >= 0 else self.inv()
-        return FreeWord(base.letters * abs(n))
-
     def conjugated_by(self, g: "FreeWord") -> "FreeWord":
         """g * self * g^-1."""
         return FreeWord(g.letters + self.letters + tuple(-x for x in reversed(g.letters)))
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def max_index(self) -> int:
         return max((abs(x) for x in self.letters), default=0)
@@ -110,17 +67,6 @@ class FreeWord(Value):
             lo += 1
             hi -= 1
         return FreeWord(tuple(letters[:lo])), FreeWord(tuple(letters[lo:hi]))
-
-    def is_conjugate_of_generator(self, i: int) -> bool:
-        """Whether the word is w * x_i * w^-1 for some w."""
-        _, core = self.cyclic_decomposition()
-        return core.letters == (i,)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
     def __str__(self) -> str:
         return format_letters(self.letters)
@@ -146,41 +92,6 @@ class FreeAutomorphism(Value):
             if w.max_index() > d:
                 raise IndexOutOfRange(f"image {w} uses a generator beyond rank {d}")
         super().__init__(d, images)
-
-    @classmethod
-    def identity(cls, d: int) -> "FreeAutomorphism":
-        return cls(d, tuple(FreeWord.generator(i) for i in range(1, d + 1)))
-
-    def is_identity(self) -> bool:
-        return all(w.letters == (i + 1,) for i, w in enumerate(self.images))
-
-    def apply(self, w: FreeWord) -> FreeWord:
-        """Substitute each letter's image (reversed and negated for an
-        inverse letter); the constructor reduces the result once."""
-        if w.max_index() > self.d:
-            raise DimensionMismatch(f"word {w} does not fit in rank {self.d}")
-        letters: list[int] = []
-        for x in w.letters:
-            img = self.images[abs(x) - 1].letters
-            letters.extend(img if x > 0 else (-y for y in reversed(img)))
-        return FreeWord(tuple(letters))
-
-    def __str__(self) -> str:
-        return ", ".join(f"x{i + 1} -> {w}" for i, w in enumerate(self.images))
-
-
-def compose(a: FreeAutomorphism, b: FreeAutomorphism) -> FreeAutomorphism:
-    """a after b: (a . b)(x_i) = a(b(x_i))."""
-    if a.d != b.d:
-        raise DimensionMismatch(f"rank mismatch {a.d} != {b.d}")
-    return FreeAutomorphism(a.d, tuple(a.apply(w) for w in b.images))
-
-
-def inner(g: FreeWord, d: int) -> FreeAutomorphism:
-    """The inner automorphism x -> g x g^-1."""
-    if g.max_index() > d:
-        raise DimensionMismatch(f"conjugator {g} does not fit in rank {d}")
-    return FreeAutomorphism(d, tuple(FreeWord.generator(i).conjugated_by(g) for i in range(1, d + 1)))
 
 
 def _frame(a: FreeAutomorphism) -> tuple[tuple[int, ...], int]:
@@ -251,4 +162,4 @@ def is_inner_shift(a: FreeAutomorphism, b: FreeAutomorphism) -> Optional[FreeWor
     # Every t works: |candidate(t)| >= |t| - |u| - |v|, so nothing outside
     # the window can beat candidate(0).
     limit = 2 * (len(u) + len(v)) + 2
-    return min((candidate(t) for t in range(-limit, limit + 1)), key=lambda g: (len(g), g.letters))
+    return min((candidate(t) for t in range(-limit, limit + 1)), key=lambda g: (len(g.letters), g.letters))

@@ -459,17 +459,12 @@ class OrbitReport(Value):
     def all_divide(self) -> bool:
         return all(self.exponent % deg == 0 for deg in self.degrees)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            **self._head(),
-            "classes": [
-                {"rep": list(rep), "degree": deg} for rep, deg in zip(self.classes, self.degrees)
-            ],
-        }
-
-    def _head(self) -> dict[str, Any]:
-        """The JSON document without its "classes" member."""
-        return {
+    def write_json(self, out: TextIO) -> None:
+        """Write the report's JSON document to ``out``, the same bytes as its
+        reference ``tests/oracles.orbit_json``, which ``json.dumps`` the
+        whole document at once: here each class block is formatted straight
+        from its tuple and written JSON_CHUNK classes at a time."""
+        doc = {
             "schema": "branchmono/1",
             "kind": "orbits",
             "group": self.group_name,
@@ -482,13 +477,9 @@ class OrbitReport(Value):
             "class_count": self.class_count,
             "max_degree": self.max_degree,
             "all_degrees_divide_exponent": self.all_divide,
+            "classes": [],
         }
-
-    def write_json(self, out: TextIO) -> None:
-        """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline
-        to ``out``: the same bytes, with each class block formatted straight
-        from its tuple and written JSON_CHUNK classes at a time."""
-        head = json.dumps({**self._head(), "classes": []}, indent=2)
+        head = json.dumps(doc, indent=2)
         if not self.classes:
             out.write(head + "\n")
             return

@@ -18,19 +18,25 @@ in a window, with the full validity check, and ``fraction_separation``
 and ``fraction_cluster_bound`` evaluate the witness geometry in Gaussian
 rationals, against ``freegroup.is_inner_shift`` and ``topocheck``'s one
 integer evaluator.  ``csv_lines`` builds every line of an orbits
-report's CSV table at once, the reference for the blocks that
-``OrbitReport.write_csv`` streams.  ``light_failure`` is Light's
-associativity test with its greedy generators grown by a naive fixpoint,
-the reference for the triple ``quotients.associativity_failure`` names.
-``moduli_degree``,
-``dehn_twist_automorphism``, ``lambda_braid_for_forest`` and
-``puncture_loop_braid`` are the direct
-definitions that the closed forms of ``quotients.moduli_report`` and
-``monodromy.monodromy_automorphism`` are tested against.
+report's CSV table at once, and ``orbit_json`` dumps its whole JSON
+document at once, the references for the blocks that
+``OrbitReport.write_csv`` and ``OrbitReport.write_json`` stream.
+``light_failure`` is Light's associativity test with its greedy
+generators grown by a naive fixpoint, the reference for the triple
+``quotients.associativity_failure`` names.
+``identity``, ``apply``, ``compose`` and ``inner`` are automorphisms of
+the free group by their definitions, composed by substitution, and
+``permutation`` and ``is_pure`` read a braid word's strand permutation.
+``moduli_degree``, ``dehn_twist_automorphism``, ``lambda_braid``,
+``lambda_braid_for_forest`` and ``puncture_loop_braid`` are the direct
+definitions that the closed forms of ``quotients.moduli_report``,
+``monodromy.monodromy_automorphism`` and ``braid.half_twist`` are tested
+against.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -38,7 +44,7 @@ from typing import Optional, Sequence
 from unittest import mock
 
 from branchmono import _tracker, topocheck
-from branchmono.braid import BraidWord, lambda_braid
+from branchmono.braid import BraidWord
 from branchmono.clusters import Cluster
 from branchmono.errors import (
     IndexOutOfRange,
@@ -243,6 +249,35 @@ def every_sample_track(w: WitnessFamily, samples: Optional[int] = None) -> Braid
 
 
 # ---------------------------------------------------------------------------
+# Automorphisms of the free group, composed by substitution
+
+
+def identity(d: int) -> FreeAutomorphism:
+    """The identity automorphism of the free group of rank d."""
+    return FreeAutomorphism(d, tuple(FreeWord((i,)) for i in range(1, d + 1)))
+
+
+def apply(a: FreeAutomorphism, w: FreeWord) -> FreeWord:
+    """a(w): each letter replaced by its image, reversed and negated for
+    an inverse letter, then reduced."""
+    letters: list[int] = []
+    for x in w.letters:
+        img = a.images[abs(x) - 1].letters
+        letters.extend(img if x > 0 else [-y for y in reversed(img)])
+    return FreeWord(letters)
+
+
+def compose(a: FreeAutomorphism, b: FreeAutomorphism) -> FreeAutomorphism:
+    """a after b: (a . b)(x_i) = a(b(x_i))."""
+    return FreeAutomorphism(a.d, tuple(apply(a, w) for w in b.images))
+
+
+def inner(g: FreeWord, d: int) -> FreeAutomorphism:
+    """The inner automorphism x -> g x g^-1 of the free group of rank d."""
+    return FreeAutomorphism(d, tuple(FreeWord((i,)).conjugated_by(g) for i in range(1, d + 1)))
+
+
+# ---------------------------------------------------------------------------
 # Monodromy, braids and moduli degrees by their definitions
 
 
@@ -271,6 +306,27 @@ def csv_lines(report: OrbitReport) -> list[str]:
     return lines
 
 
+def orbit_json(report: OrbitReport) -> str:
+    """The JSON document of an orbits report with a newline: its header
+    fields, then each class's tuple and degree."""
+    doc = {
+        "schema": "branchmono/1",
+        "kind": "orbits",
+        "group": report.group_name,
+        "order": report.group_order,
+        "d": report.d,
+        "p": report.p,
+        "surjective_only": report.surjective_only,
+        "center_size": report.center_size,
+        "exponent_mod_center": report.exponent,
+        "class_count": len(report.classes),
+        "max_degree": max(report.degrees, default=1),
+        "all_degrees_divide_exponent": all(report.exponent % deg == 0 for deg in report.degrees),
+        "classes": [{"rep": list(rep), "degree": deg} for rep, deg in zip(report.classes, report.degrees)],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def dehn_twist_automorphism(c: Cluster, d: int) -> FreeAutomorphism:
     """One cluster's twist: conjugate the generators of the interval by
     their ordered product."""
@@ -284,12 +340,32 @@ def dehn_twist_automorphism(c: Cluster, d: int) -> FreeAutomorphism:
     return FreeAutomorphism(d, tuple(images))
 
 
+def lambda_braid(c: Cluster, d: int) -> BraidWord:
+    """The pure braid (b_m ... b_{m+l-2})^l rotating the points of a
+    cluster m..m+l-1 once."""
+    if c.end > d:
+        raise IntervalOutOfRange(f"cluster {c} does not fit in {d} strands")
+    return BraidWord(d, tuple(range(c.start, c.end)) * c.length)
+
+
 def lambda_braid_for_forest(clusters: Sequence[Cluster], d: int) -> BraidWord:
     """Concatenation of the cluster braids in the given order."""
-    word = BraidWord.identity(d)
-    for c in clusters:
-        word = word * lambda_braid(c, d)
-    return word
+    return BraidWord(d, tuple(x for c in clusters for x in lambda_braid(c, d).letters))
+
+
+def permutation(b: BraidWord) -> tuple[int, ...]:
+    """The strand permutation of a braid word: position k ends holding
+    start strand perm[k]."""
+    perm = list(range(b.strands))
+    for x in b.letters:
+        k = abs(x) - 1
+        perm[k], perm[k + 1] = perm[k + 1], perm[k]
+    return tuple(perm)
+
+
+def is_pure(b: BraidWord) -> bool:
+    """Whether every strand ends where it started."""
+    return permutation(b) == tuple(range(b.strands))
 
 
 def puncture_loop_braid(i: int, d: int) -> BraidWord:
@@ -319,12 +395,14 @@ def window_inner_shift(a: FreeAutomorphism, b: FreeAutomorphism) -> Optional[Fre
     u, core = a.images[0].cyclic_decomposition()
     v, _ = b.images[0].cyclic_decomposition()
     k = abs(core.letters[0])
-    limit = 2 * (len(u) + len(v)) + max(len(wa) + len(wb) for wa, wb in zip(a.images, b.images)) + 2
+    limit = 2 * (len(u.letters) + len(v.letters))
+    limit += max(len(wa.letters) + len(wb.letters) for wa, wb in zip(a.images, b.images)) + 2
     best: Optional[FreeWord] = None
     for t in range(-limit, limit + 1):
-        g = u * FreeWord.generator(k) ** t * v.inv()
+        power = (k,) * t if t >= 0 else (-k,) * -t
+        g = FreeWord(u.letters + power + v.inv().letters)
         if all(wb.conjugated_by(g) == wa for wa, wb in zip(a.images, b.images)):
-            if best is None or (len(g), g.letters) < (len(best), best.letters):
+            if best is None or (len(g.letters), g.letters) < (len(best.letters), best.letters):
                 best = g
     return best
 

@@ -78,7 +78,7 @@ def test_depths_have_no_outward_gaps(rng):
     for _ in range(40):
         mat = random_ultrametric_matrix(rng, rng.randint(2, 6), 4)
         forest = compute_clusters(mat)
-        present = {(c.interval, c.depth) for c in forest.clusters}
+        present = {((c.start, c.length), c.depth) for c in forest.clusters}
         for c in forest.clusters:
             if c.depth >= 2:
                 assert any(
@@ -87,7 +87,7 @@ def test_depths_have_no_outward_gaps(rng):
                 ), f"cluster {c} has no container at depth {c.depth - 1}"
         # for a fixed interval the depths present are exactly 1..nu(I)
         # minus the depths at which a strict superset is still valid
-        for interval in {c.interval for c in forest.clusters}:
+        for interval in {(c.start, c.length) for c in forest.clusters}:
             start, length = interval
             members = range(start - 1, start + length - 1)
             e = entries(mat)
@@ -99,11 +99,11 @@ def test_depths_have_no_outward_gaps(rng):
                     and other[0] <= start
                     and start + length <= other[0] + other[1]
                     and (other, n) in present
-                    for other in {c.interval for c in forest.clusters}
+                    for other in {(c.start, c.length) for c in forest.clusters}
                 )
                 if not superset_valid:
                     expected.add(n)
-            got = {c.depth for c in forest.clusters if c.interval == interval}
+            got = {c.depth for c in forest.clusters if (c.start, c.length) == interval}
             assert got == expected
 
 
@@ -227,7 +227,7 @@ def test_cluster_cap_counted_before_enumeration():
 def test_deep_chain_has_no_recursion_limit():
     depth = 3000
     forest = compute_clusters(IntersectionMatrix(2, ((0, depth), (depth, 0))))
-    assert len(forest) == depth
+    assert len(forest.clusters) == depth
     text = tree_to_text(nesting_tree(forest))
     lines = text.split("\n")
     assert len(lines) == depth

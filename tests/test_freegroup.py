@@ -14,16 +14,8 @@ from branchmono.errors import (
     InvalidInput,
     UnsupportedForm,
 )
-from branchmono.freegroup import (
-    FreeAutomorphism,
-    FreeWord,
-    compose,
-    format_letters,
-    inner,
-    is_inner_shift,
-    parse_letters,
-)
-from oracles import window_inner_shift
+from branchmono.freegroup import FreeAutomorphism, FreeWord, format_letters, is_inner_shift
+from oracles import apply, compose, identity, inner, window_inner_shift
 
 
 def naive_reduce(letters):
@@ -53,6 +45,11 @@ def naive_apply(images, word):
 
 def random_letters(rng, d, length):
     return [rng.choice([-1, 1]) * rng.randint(1, d) for _ in range(length)]
+
+
+def power(i, n):
+    """x_i^n."""
+    return FreeWord((i if n > 0 else -i,) * abs(n))
 
 
 # -- reduction ---------------------------------------------------------------
@@ -94,17 +91,16 @@ def test_reduce_matches_naive_oracle(raw):
 def test_reduce_idempotent_and_shorter(raw):
     w = FreeWord(tuple(raw))
     assert FreeWord(w.letters) == w
-    assert len(w) <= len(raw)
+    assert len(w.letters) <= len(raw)
 
 
 def test_word_algebra():
-    w = FreeWord.parse("x1*x2^-1*x1")
+    w = FreeWord((1, -2, 1))
     assert str(w) == "x1*x2^-1*x1"
-    assert (w * w.inv()).is_identity()
-    assert w ** 2 == w * w
-    assert str(FreeWord.identity()) == "1"
-    assert FreeWord.parse("1") == FreeWord.identity()
-    assert parse_letters("x2^3") == [2, 2, 2]
+    assert FreeWord(w.letters + w.inv().letters) == FreeWord()
+    assert FreeWord((2,)).conjugated_by(w) == FreeWord((1, -2, 1, 2, -1, 2, -1))
+    assert w.max_index() == 2
+    assert str(FreeWord()) == "1"
     assert format_letters((1, -2), "b") == "b1*b2^-1"
 
 
@@ -112,32 +108,31 @@ def test_cyclic_decomposition():
     w = FreeWord((2, 1, -2))
     u, core = w.cyclic_decomposition()
     assert u.letters == (2,) and core.letters == (1,)
-    assert w.is_conjugate_of_generator(1)
-    assert not w.is_conjugate_of_generator(2)
-    assert not FreeWord((1, 2)).is_conjugate_of_generator(1)
+    assert FreeWord((2, 1, 3, -2)).cyclic_decomposition() == (FreeWord((2,)), FreeWord((1, 3)))
+    assert FreeWord((1, 2)).cyclic_decomposition() == (FreeWord(), FreeWord((1, 2)))
 
 
 # -- automorphisms -----------------------------------------------------------
 
 def test_apply_examples():
-    ident = FreeAutomorphism.identity(3)
+    ident = identity(3)
     w = FreeWord((1, 2, -3))
-    assert ident.apply(w) == w
+    assert apply(ident, w) == w
 
     a = FreeAutomorphism(2, (FreeWord((1, 2, -1)), FreeWord((2,))))
-    got = a.apply(FreeWord((1, 2)))
+    got = apply(a, FreeWord((1, 2)))
     assert got.letters == tuple(naive_apply([(1, 2, -1), (2,)], [1, 2]))
     assert got == FreeWord((1, 2, -1, 2))
 
 
 def test_substitute_matches_naive_apply(rng):
-    assert FreeAutomorphism.identity(2).apply(FreeWord()) == FreeWord()
+    assert apply(identity(2), FreeWord()) == FreeWord()
     for _ in range(200):
         d = rng.randint(2, 4)
         images = [tuple(random_letters(rng, d, rng.randint(0, 5))) for _ in range(d)]
         word = random_letters(rng, d, rng.randint(0, 12))
         a = FreeAutomorphism(d, tuple(map(FreeWord, images)))
-        got = a.apply(FreeWord(tuple(word)))
+        got = apply(a, FreeWord(tuple(word)))
         assert list(got.letters) == naive_apply(images, word), (images, word)
 
 
@@ -147,24 +142,24 @@ def test_twist_fixes_interval_product():
     a = FreeAutomorphism(
         2, (FreeWord.generator(1).conjugated_by(conj), FreeWord.generator(2).conjugated_by(conj))
     )
-    assert a.apply(FreeWord((1, 2))) == FreeWord((1, 2))
+    assert apply(a, FreeWord((1, 2))) == FreeWord((1, 2))
 
 
 def test_compose_identity_neutral():
     a = FreeAutomorphism(3, (FreeWord((1, 2, -1)), FreeWord((2,)), FreeWord((3,))))
-    ident = FreeAutomorphism.identity(3)
+    ident = identity(3)
     assert compose(a, ident) == a
     assert compose(ident, a) == a
 
 
 def test_inner_composition():
     g, h = FreeWord((1,)), FreeWord((2,))
-    assert compose(inner(g, 3), inner(h, 3)) == inner(g * h, 3)
+    assert compose(inner(g, 3), inner(h, 3)) == inner(FreeWord((1, 2)), 3)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        compose(FreeAutomorphism.identity(2), FreeAutomorphism.identity(3))
+        is_inner_shift(identity(2), identity(3))
 
 
 def _random_conjugating_automorphism(rng, d):
@@ -181,7 +176,7 @@ def test_apply_respects_composition(rng):
         a = _random_conjugating_automorphism(rng, d)
         b = _random_conjugating_automorphism(rng, d)
         w = FreeWord(tuple(random_letters(rng, d, rng.randint(0, 8))))
-        assert compose(a, b).apply(w) == a.apply(b.apply(w))
+        assert apply(compose(a, b), w) == apply(a, apply(b, w))
 
 
 # -- is_inner_shift ----------------------------------------------------------
@@ -200,7 +195,7 @@ def exhaustive_conjugator(a, b, max_len):
 
 def test_inner_shift_identity_case():
     a = FreeAutomorphism(2, (FreeWord((2, 1, -2)), FreeWord((2,))))
-    assert is_inner_shift(a, a) == FreeWord.identity()
+    assert is_inner_shift(a, a) == FreeWord()
 
 
 def test_inner_shift_constructed_conjugator():
@@ -216,7 +211,7 @@ def test_inner_shift_solvable_pair():
     # a: x1 -> x2 x1 x2^-1, x2 -> x2 against the identity: g = x2 works,
     # confirmed by the exhaustive oracle.
     a = FreeAutomorphism(2, (FreeWord((2, 1, -2)), FreeWord((2,))))
-    b = FreeAutomorphism.identity(2)
+    b = identity(2)
     oracle = exhaustive_conjugator(a, b, 3)
     assert oracle == FreeWord((2,))
     got = is_inner_shift(a, b)
@@ -228,7 +223,7 @@ def test_inner_shift_absent():
     # the x1 equation forces g in <x1>, the x2 equation forces
     # g in (x2 x1) <x2>, and those cosets are disjoint.
     a = FreeAutomorphism(2, (FreeWord((1,)), FreeWord((2, 1, 2, -1, -2))))
-    b = FreeAutomorphism.identity(2)
+    b = identity(2)
     assert is_inner_shift(a, b) is None
     assert exhaustive_conjugator(a, b, 5) is None
 
@@ -248,14 +243,14 @@ def test_inner_shift_completeness_small(rng):
             assert all(
                 b.images[i].conjugated_by(got) == a.images[i] for i in range(d)
             )
-            if len(got) <= 5:
+            if len(got.letters) <= 5:
                 # the oracle enumerates by length, so it returns a shortest one
-                assert oracle is not None and len(got) <= len(oracle)
+                assert oracle is not None and len(got.letters) <= len(oracle.letters)
 
 
 def test_inner_shift_shortest_and_ties():
     # a = inner(x1) o identity has conjugators x1^(1+t); shortest is x1.
-    b = FreeAutomorphism.identity(2)
+    b = identity(2)
     a = compose(inner(FreeWord((1,)), 2), b)
     assert is_inner_shift(a, b) == FreeWord((1,))
 
@@ -278,13 +273,13 @@ def random_pair(rng):
     kind = rng.choice(("shift", "near", "repinned", "unrelated", "free"))
     if kind == "free":
         k, v = rng.randint(1, d), FreeWord(tuple(random_letters(rng, d, rng.randint(0, 3))))
-        b = FreeAutomorphism(d, tuple((FreeWord.generator(k) ** rng.choice((1, -1))).conjugated_by(v) for _ in range(d)))
+        b = FreeAutomorphism(d, tuple(power(k, rng.choice((1, -1))).conjugated_by(v) for _ in range(d)))
     else:
         b = _random_conjugating_automorphism(rng, d)
     if kind == "unrelated":
         return kind, _random_conjugating_automorphism(rng, d), b
     g = FreeWord(tuple(random_letters(rng, d, rng.randint(0, 3))))
-    g = g * FreeWord.generator(rng.randint(1, d)) ** rng.randint(-9, 9) * g.inv() ** rng.randint(0, 1)
+    g = FreeWord(g.letters + power(rng.randint(1, d), rng.randint(-9, 9)).letters + g.inv().letters * rng.randint(0, 1))
     a = compose(inner(g, d), b)
     if kind == "near":
         i = rng.randrange(d)
@@ -293,10 +288,10 @@ def random_pair(rng):
         a = FreeAutomorphism(d, tuple(images))
     if kind == "repinned":
         u, core = a.images[0].cyclic_decomposition()
-        power = FreeWord.generator(abs(core.letters[0])) ** rng.choice((-2, -1, 1, 2))
+        twist = power(abs(core.letters[0]), rng.choice((-2, -1, 1, 2)))
         i = rng.randrange(1, d)
         images = list(a.images)
-        images[i] = images[i].conjugated_by(power.conjugated_by(u))
+        images[i] = images[i].conjugated_by(twist.conjugated_by(u))
         a = FreeAutomorphism(d, tuple(images))
     return kind, a, b
 

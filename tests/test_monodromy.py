@@ -7,10 +7,10 @@ import pytest
 from branchmono.braid import braid_action
 from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.errors import IntervalOutOfRange
-from branchmono.freegroup import FreeAutomorphism, FreeWord, compose
+from branchmono.freegroup import FreeWord
 from branchmono.monodromy import emit_presentation, monodromy_automorphism
 from conftest import random_ultrametric_matrix
-from oracles import dehn_twist_automorphism, lambda_braid_for_forest
+from oracles import apply, compose, dehn_twist_automorphism, identity, lambda_braid_for_forest
 
 
 def test_twist_formula_examples():
@@ -33,7 +33,7 @@ def test_example2_monodromy():
     for m in (1, 2, 3):
         forest = ClusterForest(4, tuple(Cluster(1, 2, n) for n in range(1, m + 1)))
         aut = monodromy_automorphism(forest)
-        conj = FreeWord((1, 2)) ** m
+        conj = FreeWord((1, 2) * m)
         for i in (1, 2):
             assert aut.images[i - 1] == FreeWord.generator(i).conjugated_by(conj)
         for i in (3, 4):
@@ -41,12 +41,12 @@ def test_example2_monodromy():
 
 
 def test_empty_forest_identity():
-    assert monodromy_automorphism(ClusterForest(5, ())).is_identity()
+    assert monodromy_automorphism(ClusterForest(5, ())) == identity(5)
 
 
 def test_nested_composition_example():
     # d=3 forest {({1,2,3},1), ({1,2},2)}: independently composed here with
-    # freegroup.compose; the strand-tracking oracle re-derives it in
+    # oracles.compose; the strand-tracking oracle re-derives it in
     # test_topocheck.
     forest = ClusterForest(3, (Cluster(1, 3, 1), Cluster(1, 2, 2)))
     aut = monodromy_automorphism(forest)
@@ -64,18 +64,18 @@ def test_composition_order_immaterial(rng):
     for _ in range(40):
         mat = random_ultrametric_matrix(rng, rng.randint(2, 6), 3)
         forest = compute_clusters(mat)
-        if len(forest) < 1:
+        if len(forest.clusters) < 1:
             continue
         twists = [dehn_twist_automorphism(c, forest.d) for c in forest.clusters]
         reference = monodromy_automorphism(forest)
-        if len(forest) <= 4:
+        if len(forest.clusters) <= 4:
             orders = itertools.permutations(twists)
         else:
             shuffled_order = twists[:]
             rng.shuffle(shuffled_order)
             orders = [list(reversed(twists)), shuffled_order]
         for perm in orders:
-            acc = FreeAutomorphism.identity(forest.d)
+            acc = identity(forest.d)
             for t in perm:
                 acc = compose(acc, t)
             assert acc == reference
@@ -87,9 +87,9 @@ def test_product_fixed_and_conjugate_images(rng):
         forest = compute_clusters(mat)
         aut = monodromy_automorphism(forest)
         full = FreeWord(tuple(range(1, forest.d + 1)))
-        assert aut.apply(full) == full
+        assert apply(aut, full) == full
         for i, w in enumerate(aut.images, start=1):
-            assert w.is_conjugate_of_generator(i)
+            assert w.cyclic_decomposition()[1].letters == (i,)
 
 
 def test_braid_consistency(rng):
@@ -166,7 +166,7 @@ def test_oracle_closed_form_matches_composition(rng):
     per cluster, on forests well past the sizes above."""
     for _ in range(25):
         forest = compute_clusters(random_ultrametric_matrix(rng, rng.randint(2, 48), rng.randint(1, 6)))
-        acc = FreeAutomorphism.identity(forest.d)
+        acc = identity(forest.d)
         for c in forest.clusters:
             acc = compose(acc, dehn_twist_automorphism(c, forest.d))
         assert monodromy_automorphism(forest) == acc

@@ -10,7 +10,6 @@ import functools
 import gc
 import io
 import itertools
-import json
 import tracemalloc
 
 import pytest
@@ -18,7 +17,7 @@ import pytest
 from branchmono import quotients
 from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.errors import NotAGroup, UnsupportedForm
-from branchmono.freegroup import FreeAutomorphism, FreeWord, compose, inner
+from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
     FiniteGroup,
@@ -32,11 +31,14 @@ from branchmono.quotients import (
 from conftest import random_ultrametric_matrix
 from oracles import (
     canonical_tuple,
+    compose,
     csv_lines,
     evaluate_word,
+    inner,
     letter_delta_on_class,
     light_failure,
     moduli_degree,
+    orbit_json,
 )
 from test_quotients import find_nonassociative_loop
 
@@ -315,19 +317,19 @@ def test_streamed_json_is_json_dumps(chunk, monkeypatch):
         g = load_group(name)
         report = moduli_report(g, twist(d), p=0, surjective_only=surjective_only)
         empty += report.class_count == 0
-        assert streamed(report) == json.dumps(report.to_json_dict(), indent=2) + "\n", (
+        assert streamed(report) == orbit_json(report), (
             name, d, surjective_only,
         )
     report = moduli_report(load_group("s3"), twist(2), surjective_only=True)
     assert report.class_count == 0 and empty > 0
-    assert streamed(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert streamed(report) == orbit_json(report)
 
 
 def test_streamed_json_escapes_the_group_name_and_spans_chunks():
     g = load_group({"name": 'K"é\\\n', "table": load_group("s3").table})
     report = moduli_report(g, twist(7), p=7)
     assert report.class_count > quotients.JSON_CHUNK
-    assert streamed(report) == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert streamed(report) == orbit_json(report)
 
 
 @pytest.mark.parametrize("chunk", (quotients.JSON_CHUNK, 1, 3))
@@ -386,7 +388,7 @@ def test_report_memory_is_about_the_classes():
         # Writing every CSV line at once holds about 0.75 MB, and JSON in
         # blocks of 4096 classes about 1.6 MB.
         for write, text in (
-            (report.write_json, json.dumps(report.to_json_dict(), indent=2) + "\n"),
+            (report.write_json, orbit_json(report)),
             (report.write_csv, "\n".join(csv_lines(report)) + "\n"),
         ):
             sink = CountingSink()

@@ -3,6 +3,7 @@ delta action, and the moduli-degree divisibility check."""
 
 import io
 import itertools
+import json
 
 import pytest
 
@@ -14,7 +15,7 @@ from branchmono.errors import (
     SizeLimit,
     UnknownBuiltin,
 )
-from branchmono.freegroup import FreeAutomorphism, FreeWord, compose, inner
+from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
     DEFAULT_TUPLE_CAP,
@@ -26,7 +27,7 @@ from branchmono.quotients import (
     load_group,
     moduli_report,
 )
-from oracles import canonical_tuple, evaluate_word, moduli_degree
+from oracles import canonical_tuple, compose, evaluate_word, identity, inner, moduli_degree
 
 
 # -- groups ------------------------------------------------------------------
@@ -250,8 +251,8 @@ def example2_automorphism(m: int = 1) -> FreeAutomorphism:
 def test_delta_identity_automorphism():
     g = load_group("s3")
     for c in enumerate_classes(g, 3)[:5]:
-        assert delta_on_class(c, FreeAutomorphism.identity(3), g) == c
-        assert moduli_degree(c, FreeAutomorphism.identity(3), g) == 1
+        assert delta_on_class(c, identity(3), g) == c
+        assert moduli_degree(c, identity(3), g) == 1
 
 
 def test_delta_conjugates_first_two_slots():
@@ -339,7 +340,9 @@ def test_prime_to_p_violation():
 def test_report_json_and_csv():
     g = load_group("c3")
     rep = moduli_report(g, example2_automorphism(1), p=5, surjective_only=False)
-    doc = rep.to_json_dict()
+    out = io.StringIO()
+    rep.write_json(out)
+    doc = json.loads(out.getvalue())
     assert doc["kind"] == "orbits"
     assert doc["class_count"] == len(doc["classes"])
     out = io.StringIO()
