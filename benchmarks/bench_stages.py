@@ -15,8 +15,12 @@ run.  A one-stage run replaces only its own cases under the label.
 
 The inputs are the 2-adic points 0..d-1 for d = 512, 1024 and 2048, whose
 cluster tree is the complete binary tree, and at d = 512 the same tree in
-series mode: point i is the series of i's binary digits, T = 9.  Each
-input runs `clusters` and `present`, both in text form.  The package
+series mode: point i is the series of i's binary digits, T = 9.  Three
+matrix-mode inputs follow: a seeded random ultrametric at d = 512 and
+1024, whose entry for two points is the common prefix length of their
+random labels of MATRIX_DEPTH base-3 digits, so its rows come in no
+particular order, and the all-zero matrix at d = 1024, the widest split.
+Each input runs `clusters` and `present`, both in text form.  The package
 under ``--src`` (default: this checkout's ``src``) is imported into this
 process, and each layer is timed by calling the public function that the
 commands call:
@@ -36,7 +40,7 @@ commands call:
 `verify-topology` pool (``perfbench/workloads.py``, loaded by path), with
 the tracker at 1024, 2^14 and 2^16 samples.  Its layers are
 ``topocheck.verify_separation``, ``verify_cluster_bound``,
-``track_braid`` and ``freegroup.is_inner_shift`` (on each family's
+``track_braid`` and ``topocheck.is_inner_shift`` (on each family's
 tracked braid action and cluster twists, as the oracle calls it), each
 summed over the 64 families, and its one command is
 `verify-topology --samples N` on the first 12-strand family of the pool.
@@ -46,8 +50,10 @@ scaled by ``bench_orbits``'s calibration: 0.2 s over the CPU time of the
 work of ``perfbench/reference.py`` right after each run, in this process
 for a layer and in a fresh process for ``process``.  The results merge
 into ``BENCH_15.json`` under the label (``BENCH_11.json`` holds the
-`clusters` and `present` stages before and after the trie ingest, and
-``BENCH_14.json`` the tracker before and after its leaps).
+`clusters` and `present` stages before and after the trie ingest,
+``BENCH_14.json`` the tracker before and after its leaps, and
+``BENCH_22.json`` the `clusters` stage before and after the split-built
+matrix order).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import tempfile
@@ -66,20 +73,36 @@ from pathlib import Path
 from bench_orbits import REPEATS, ROOT, launched, scaled_cpu, source_env
 
 SERIES_BITS = 9
+MATRIX_DEPTH = 6
 
-# (mode, d)
-CASES = (("padic", 512), ("padic", 1024), ("padic", 2048), ("series", 512))
+# (input kind, d)
+CASES = (
+    ("padic", 512),
+    ("padic", 1024),
+    ("padic", 2048),
+    ("series", 512),
+    ("matrix", 512),
+    ("matrix", 1024),
+    ("zero-matrix", 1024),
+)
 COMMANDS = ("clusters", "present")
 # Tracker sample counts of the verify-topology stage.
 SAMPLES = (1024, 2**14, 2**16)
 STAGES = ("clusters", "verify-topology")
 
 
-def input_doc(mode: str, d: int) -> dict:
-    if mode == "padic":
+def input_doc(kind: str, d: int) -> dict:
+    if kind == "padic":
         return {"mode": "padic", "p": 2, "points": list(range(d))}
-    bits = [[(i >> n) & 1 for n in range(SERIES_BITS)] for i in range(d)]
-    return {"mode": "series", "truncation": SERIES_BITS, "points": bits}
+    if kind == "series":
+        bits = [[(i >> n) & 1 for n in range(SERIES_BITS)] for i in range(d)]
+        return {"mode": "series", "truncation": SERIES_BITS, "points": bits}
+    if kind == "zero-matrix":
+        return {"mode": "matrix", "matrix": [[0] * d for _ in range(d)]}
+    rng = random.Random(f"bench_stages/{d}")
+    labels = [[rng.randrange(3) for _ in range(MATRIX_DEPTH)] + [i] for i in range(d)]
+    e = [[next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), 0) for b in labels] for a in labels]
+    return {"mode": "matrix", "matrix": e}
 
 
 def pool_families() -> list[bytes]:
@@ -135,7 +158,7 @@ def measure(env: dict[str, str], path: str) -> dict:
 
 
 def measure_topology(env: dict[str, str], docs: list[bytes], samples: int, path: str) -> dict:
-    from branchmono import braid, freegroup, monodromy, topocheck
+    from branchmono import braid, monodromy, topocheck
 
     families = [topocheck.WitnessFamily.from_json_dict(json.loads(doc)) for doc in docs]
     pairs = [
@@ -146,7 +169,7 @@ def measure_topology(env: dict[str, str], docs: list[bytes], samples: int, path:
         "verify_separation": scaled_cpu(lambda: [topocheck.verify_separation(w) for w in families]),
         "verify_cluster_bound": scaled_cpu(lambda: [topocheck.verify_cluster_bound(w) for w in families]),
         "track_braid": scaled_cpu(lambda: [topocheck.track_braid(w, samples=samples) for w in families]),
-        "is_inner_shift": scaled_cpu(lambda: [freegroup.is_inner_shift(a, b) for a, b in pairs]),
+        "is_inner_shift": scaled_cpu(lambda: [topocheck.is_inner_shift(a, b) for a, b in pairs]),
     }
     argv = ["verify-topology", "--family", path, "--samples", str(samples)]
     return {
@@ -178,11 +201,11 @@ def main() -> None:
     stages = (args.stage,) if args.stage else STAGES
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for mode, d in CASES if "clusters" in stages else ():
-            path = os.path.join(tmp, f"{mode}-{d}.json")
+        for kind, d in CASES if "clusters" in stages else ():
+            path = os.path.join(tmp, f"{kind}-{d}.json")
             with open(path, "w") as out:
-                json.dump(input_doc(mode, d), out)
-            name = f"{mode} d={d}"
+                json.dump(input_doc(kind, d), out)
+            name = f"{kind} d={d}"
             results[name] = measure(env, path)
             report(args.label, name, results[name])
         if "verify-topology" in stages:

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "braid": ("BraidWord", "braid_action"),
     "clusters": ("Cluster", "ClusterForest", "compute_clusters", "nesting_tree"),
-    "freegroup": ("FreeAutomorphism", "FreeWord", "is_inner_shift"),
+    "freegroup": ("FreeAutomorphism", "FreeWord"),
     "intersection": ("BranchInput", "IntersectionMatrix", "canonical_order", "compute_matrix"),
     "monodromy": ("Presentation", "emit_presentation", "monodromy_automorphism"),
     "quotients": (
@@ -27,6 +27,7 @@ _EXPORTS = {
     ),
     "topocheck": (
         "WitnessFamily",
+        "is_inner_shift",
         "track_braid",
         "verify_cluster_bound",
         "verify_monodromy_oracle",

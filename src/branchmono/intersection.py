@@ -15,19 +15,23 @@ of two leaves is the least depth between them.
   coefficient) per member gives the node's depth v, and the members split
   by their digit (or coefficient) at v.  A run of shared digits costs one
   valuation, not one level per digit.
-- matrix input is validated in O(d^2): the canonical order is computed
-  first, and along it every entry must be the minimum of the consecutive
-  depths between its two indices.
+- matrix input is split the same way, then validated in O(d^2) C-level
+  comparisons: at each node v is the least entry of the first member's
+  row, and the members split into the classes of e > v.  Along the order
+  this gives, every entry must be the minimum of the consecutive depths
+  between its two indices, which one slice count per run of constant
+  running minimum checks.
 
-The trie's depth-first leaf order, with children by least original index,
-is the canonical order: Prim's maximum-spanning order from index 1, least
+The depth-first leaf order, with children by least original index, is
+the canonical order: Prim's maximum-spanning order from index 1, least
 index on ties.  ``canonical_order`` reindexes along it in O(d), since the
 reindexed tree has the identity order and the same consecutive depths.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
+from operator import itemgetter
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ._value import Value
@@ -54,15 +58,26 @@ def _echo(value: Any) -> str:
     return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} chars)"
 
 
+# Most decimal digits a rational string may expand to: its digits plus
+# its exponent.  Fraction builds 10^exponent in full, and int() bounds
+# only the digits, at 4300 each.
+DIGIT_CAP = 20_000
+
+
 def parse_rational(value: Any) -> Fraction:
     """Accept an int or an ``"a/b"`` / ``"a"`` string; floats are rejected
-    to keep the arithmetic exact."""
+    to keep the arithmetic exact.  A string past DIGIT_CAP is SizeLimit."""
     if isinstance(value, bool):
         raise InvalidInput(f"not a rational: {_echo(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            m = _RATIONAL_FORMAT.match(value)  # the grammar Fraction reads
+            if m and m["exp"]:
+                digits = len((m["num"] + (m["decimal"] or "")).replace("_", "")) + abs(int(m["exp"]))
+                if digits > DIGIT_CAP:
+                    raise SizeLimit(f"rational {_echo(value)} has more digits than the cap {DIGIT_CAP}", cap=DIGIT_CAP)
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"cannot parse rational {_echo(value)}") from exc
@@ -220,7 +235,7 @@ class BranchInput(Value):
         mat = obj.get("matrix")
         if not _is_array_of_arrays(mat):
             raise InvalidInput("matrix mode requires a matrix array of arrays")
-        matrix = tuple(tuple(v for v in row) for row in mat)
+        matrix = tuple(map(tuple, mat))
         return cls(mode=mode, p=p, matrix=matrix)
 
 
@@ -238,7 +253,8 @@ class IntersectionMatrix(Value):
     ``IntersectionMatrix(d, e)`` validates a full matrix: every entry a
     nonnegative integer, symmetry, and the ultrametric two-minima rule
     (among e_ij, e_ik, e_jk the minimum is attained at least twice), with
-    the diagonal ignored; only the tree is kept.  ``from_tree`` builds one
+    the diagonal ignored; only the tree is kept, split top down.  A
+    failure names the first violating triple.  ``from_tree`` builds one
     from the tree alone.
     """
 
@@ -255,22 +271,30 @@ class IntersectionMatrix(Value):
                 for j, v in enumerate(row):
                     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                         raise InvalidInput(f"entry ({i + 1},{j + 1}) must be a nonnegative integer")
-        rows = tuple((*row[:i], 0, *row[i + 1 :]) for i, row in enumerate(e))
+        rows = tuple(map(tuple, e))  # no check reads the diagonal
         if rows != tuple(zip(*rows)):
             i, j = next((i, j) for i in range(d) for j in range(i + 1, d) if rows[i][j] != rows[j][i])
             raise InvalidInput(f"matrix not symmetric at ({i + 1},{j + 1})")
-        order, rest, key = [0], list(range(1, d)), list(rows[0])
-        while rest:
-            order.append(max(rest, key=key.__getitem__))
-            rest.remove(order[-1])
-            key = [max(k, v) for k, v in zip(key, rows[order[-1]])]
-        # Ultrametric iff each entry is the minimum of the consecutive entries
-        # between its indices in this order; the triple scan names a triple.
-        for p, a in enumerate(order):
-            for b, c in zip(order[p + 1 :], order[p + 2 :]):
-                if rows[a][c] != min(rows[a][b], rows[b][c]):
+        tree = _trie(d, _matrix_split(rows))
+        # Along any order, each entry being the least consecutive step
+        # between its indices forces the ultrametric rule; on an ultrametric
+        # the trie's order passes.  nxt[s] is the first step after s that is
+        # smaller than step s, so the running minimum is constant from s to it.
+        order, steps = [i - 1 for i in tree.order], tree.steps
+        get = itemgetter(*order)
+        prows = [get(rows[a]) for a in order]
+        nxt, stack = [d - 1] * (d - 1), []
+        for t, x in enumerate(steps):
+            while stack and steps[stack[-1]] > x:
+                nxt[stack.pop()] = t
+            stack.append(t)
+        for s, r in enumerate(prows):
+            while s < d - 1:
+                t = nxt[s]
+                if r[s + 1 : t + 1].count(steps[s]) != t - s:
                     _raise_first_violation(rows)
-        super().__init__(d, tuple(i + 1 for i in order), tuple(rows[a][b] for a, b in zip(order, order[1:])))
+                s = t
+        super().__init__(d, tree.order, steps)
 
     @classmethod
     def from_tree(cls, order: Sequence[int], steps: Sequence[int]) -> "IntersectionMatrix":
@@ -376,9 +400,28 @@ def _series_split(points: Sequence[Sequence[Fraction]], t: int) -> Split:
     return split
 
 
+def _matrix_split(rows: tuple[tuple[int, ...], ...]) -> Split:
+    """A node's depth is the least entry of its first member's row within
+    it, v; its members split into the classes of e > v, each keyed by its
+    least member.  On an ultrametric these are the node's children; on any
+    matrix the first member's class leaves one out, so the split ends."""
+
+    def split(members: list[int], floor: int) -> tuple[int, list[int]]:
+        v = min(map(rows[members[0]].__getitem__, members[1:]))
+        lead, rest = {}, members
+        while rest:
+            row = rows[rest[0]]
+            lead[rest[0]] = rest[0]
+            lead.update(dict.fromkeys([b for b in rest[1:] if row[b] > v], rest[0]))
+            rest = [b for b in rest[1:] if row[b] <= v]
+        return v, [lead[i] for i in members]
+
+    return split
+
+
 def compute_matrix(binput: BranchInput) -> IntersectionMatrix:
-    """The cluster tree of the pairwise valuations of differences: read off
-    a trie for p-adic and series inputs, validated for a matrix."""
+    """The cluster tree of the pairwise valuations of differences, read off
+    a trie; a matrix is then checked against its tree."""
     if binput.mode == "matrix":
         assert binput.matrix is not None
         return IntersectionMatrix(binput.d, binput.matrix)

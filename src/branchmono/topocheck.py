@@ -26,6 +26,13 @@ of a computed gap, the order provably holds, with no tie, for
 grid time past that and resolves it as a walk over every grid time
 would, so its letters and errors are that walk's, at a cost that goes
 with the number of crossings rather than the sample count.
+
+``is_inner_shift`` compares the tracked braid's action with the cluster
+twists up to a single inner automorphism.  That is exact here because
+all images this package produces are conjugates of generators: x_1's
+image fixes every conjugator up to a power of one generator x_k, and in
+x_1's conjugation frame each image either rejects, leaves the power free
+or pins it, read off its maximal x_k powers at both ends.
 """
 
 from __future__ import annotations
@@ -38,8 +45,15 @@ from typing import Any, Mapping, Optional, Sequence
 from ._value import Value
 from .braid import BraidWord, braid_action
 from .clusters import compute_clusters
-from .errors import InvalidInput, ParametersTooLarge, SizeLimit, UnresolvedCrossing
-from .freegroup import is_inner_shift
+from .errors import (
+    DimensionMismatch,
+    InvalidInput,
+    ParametersTooLarge,
+    SizeLimit,
+    UnresolvedCrossing,
+    UnsupportedForm,
+)
+from .freegroup import FreeAutomorphism, FreeWord
 from .intersection import BranchInput, _echo, _is_array, _is_array_of_arrays, compute_matrix, parse_rational
 from .monodromy import monodromy_automorphism
 from ._tracker import _horner, _NeedsRotation, _Speeds, _Tracker
@@ -461,6 +475,77 @@ class OracleReport(Value):
             "exact": self.exact,
             "conjugator": None if self.conjugator is None else str(self.conjugator),
         }
+
+
+def _frame(a: FreeAutomorphism) -> tuple[tuple[int, ...], int]:
+    """(u, k) with a(x_1) = u * x_k^+-1 * u^-1; UnsupportedForm unless
+    every image is a conjugate of a generator."""
+    frame = None
+    for i, w in enumerate(a.images):
+        u, core = w.cyclic_decomposition()
+        if len(core.letters) != 1:
+            raise UnsupportedForm(
+                f"image of x{i + 1} is not a conjugate of a generator: {w}"
+            )
+        frame = frame or (u.letters, abs(core.letters[0]))
+    return frame
+
+
+def _split(letters: tuple[int, ...], k: int) -> tuple[int, tuple[int, ...]]:
+    """(alpha, core) with letters = x_k^alpha * core * x_k^beta and both
+    powers maximal; a power of x_k has the empty core.  A reduced word's
+    run of +-k letters has one sign, and x // k is it."""
+    lo, hi = 0, len(letters)
+    while lo < hi and abs(letters[lo]) == k:
+        lo += 1
+    while hi > lo and abs(letters[hi - 1]) == k:
+        hi -= 1
+    return sum(x // k for x in letters[:lo]), letters[lo:hi]
+
+
+def is_inner_shift(a: FreeAutomorphism, b: FreeAutomorphism) -> Optional[FreeWord]:
+    """Find g with a(x_i) = g * b(x_i) * g^-1 for all i, if one exists.
+
+    With a(x_1) = u x_k^+-1 u^-1 and b(x_1) = v x_k^+-1 v^-1, the
+    centralizer of x_k is <x_k>, so every solution is g = u x_k^t v^-1,
+    and such a g works iff x_k^t c_i x_k^-t = e_i for every i, where
+    c_i = v^-1 b(x_i) v and e_i = u^-1 a(x_i) u.  Split both as
+    x_k^alpha * core * x_k^beta: conjugating by x_k^t adds t to alpha,
+    takes it from beta and leaves a nonempty core alone, and fixes a power
+    of x_k.  So each generator rejects (the cores differ, or two powers of
+    x_k differ), leaves t free (equal powers of x_k), or pins
+    t = alpha_e - alpha_c.  A pin needs no test on beta: both words are
+    conjugates of a generator, reduced as P x_j P^-1, so a nonempty core
+    has beta = -alpha on each side.  Returns the shortest solution, ties
+    broken by letter-tuple order; None when no conjugator exists.
+    """
+    if a.d != b.d:
+        raise DimensionMismatch(f"rank mismatch {a.d} != {b.d}")
+    u, k = _frame(a)
+    v, _ = _frame(b)
+    u_inv = tuple(-x for x in reversed(u))
+    v_inv = tuple(-x for x in reversed(v))
+    pinned: Optional[int] = None
+    for wa, wb in zip(a.images, b.images):
+        alpha_e, core_e = _split(FreeWord(u_inv + wa.letters + u).letters, k)
+        alpha_c, core_c = _split(FreeWord(v_inv + wb.letters + v).letters, k)
+        if core_c != core_e or (not core_c and alpha_c != alpha_e):
+            return None
+        if core_c:
+            t = alpha_e - alpha_c
+            if pinned not in (None, t):
+                return None
+            pinned = t
+
+    def candidate(t: int) -> FreeWord:
+        return FreeWord(u + (k if t > 0 else -k,) * abs(t) + v_inv)
+
+    if pinned is not None:
+        return candidate(pinned)
+    # Every t works: |candidate(t)| >= |t| - |u| - |v|, so nothing outside
+    # the window can beat candidate(0).
+    limit = 2 * (len(u) + len(v)) + 2
+    return min((candidate(t) for t in range(-limit, limit + 1)), key=lambda g: (len(g.letters), g.letters))
 
 
 def verify_monodromy_oracle(w: WitnessFamily, samples: Optional[int] = None) -> OracleReport:

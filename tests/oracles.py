@@ -4,7 +4,9 @@
 ``Fraction`` arithmetic with one division per digit of ``padic_valuation``,
 as the p-adic and series ingest once did.  ``entries`` reads the full
 matrix back from a cluster tree, and ``reindex`` and ``depth_partition``
-read it entry by entry.
+read it entry by entry.  ``prim_tree`` validates a matrix by Prim's
+order and one ``min`` per entry, the reference for
+``IntersectionMatrix``'s split order and run-length check.
 ``evaluate_word`` and ``canonical_tuple`` are the direct definitions of
 word evaluation and of the canonical form of a cover class, which the
 finite-group layer computes from precomputed conjugation data, and
@@ -16,7 +18,7 @@ time, which the leaping tracker must agree with.
 ``window_inner_shift`` tries every conjugator the first generator allows
 in a window, with the full validity check, and ``fraction_separation``
 and ``fraction_cluster_bound`` evaluate the witness geometry in Gaussian
-rationals, against ``freegroup.is_inner_shift`` and ``topocheck``'s one
+rationals, against ``topocheck.is_inner_shift`` and ``topocheck``'s one
 integer evaluator.  ``csv_lines`` builds every line of an orbits
 report's CSV table at once, and ``orbit_json`` dumps its whole JSON
 document at once, the references for the blocks that
@@ -54,7 +56,7 @@ from branchmono.errors import (
     UnsupportedForm,
 )
 from branchmono.freegroup import FreeAutomorphism, FreeWord
-from branchmono.intersection import BranchInput, IntersectionMatrix
+from branchmono.intersection import BranchInput, IntersectionMatrix, _raise_first_violation
 from branchmono.quotients import FiniteGroup, OrbitReport, delta_on_class
 from branchmono.topocheck import CheckRecord, GeometryReport, WitnessFamily
 
@@ -118,6 +120,27 @@ def reindex(m: IntersectionMatrix, sigma: Sequence[int]) -> IntersectionMatrix:
         raise InvalidInput(f"{sigma} is not a permutation of 1..{m.d}")
     e = entries(m)
     return IntersectionMatrix(m.d, tuple(tuple(e[s - 1][t - 1] for t in sigma) for s in sigma))
+
+
+def prim_tree(e: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cluster tree of a square matrix of nonnegative integers: Prim's
+    maximum-spanning order from index 1, least index on ties, then every
+    entry checked to be the minimum of the consecutive entries between its
+    indices along it, one ``min`` per entry.  Returns (order, steps),
+    1-based; a failure raises the validator's own UltrametricViolation,
+    which names the first violating triple.  The diagonal is never read,
+    and symmetry is assumed."""
+    d = len(e)
+    order, rest, key = [0], list(range(1, d)), list(e[0])
+    while rest:
+        order.append(max(rest, key=key.__getitem__))
+        rest.remove(order[-1])
+        key = [max(k, v) for k, v in zip(key, e[order[-1]])]
+    for p, a in enumerate(order):
+        for b, c in zip(order[p + 1 :], order[p + 2 :]):
+            if e[a][c] != min(e[a][b], e[b][c]):
+                _raise_first_violation(e)
+    return tuple(i + 1 for i in order), tuple(e[a][b] for a, b in zip(order, order[1:]))
 
 
 def depth_partition(m: IntersectionMatrix, block: Sequence[int], n: int) -> list[list[int]]:

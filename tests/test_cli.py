@@ -363,6 +363,31 @@ def test_padic_points_past_the_digit_limit_have_no_labels_only_in_present(tmp_pa
     }
 
 
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (("clusters", "--input"), {"mode": "padic", "p": 3, "points": [0, 1, "1e10000000"]}),
+        (
+            ("verify-topology", "--family"),
+            {"coefficients": [["0"], ["1"]], "eta": "1/8", "r": "1e-3000000", "z0": ["3e-3000000", "0"]},
+        ),
+    ],
+    ids=["clusters-point", "verify-topology-radius"],
+)
+def test_exponent_past_the_digit_cap_is_refused_at_once(args, doc, tmp_path):
+    """Fraction expands an exponent in full: "1e10000000" alone is a
+    33-Mbit integer and seconds of work.  The exponent is read first."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = subprocess.run(
+        [sys.executable, "-m", "branchmono.cli", *args, str(path)], capture_output=True, text=True, timeout=5
+    )
+    assert (out.returncode, out.stdout) == (1, "")
+    err = json.loads(out.stderr)
+    assert err["error"] == "SIZE_LIMIT"
+    assert err["details"] == {"cap": 20000}
+
+
 @pytest.mark.parametrize("group", ["c²", "s①"], ids=["superscript_two", "circled_one"])
 def test_orbits_non_decimal_digits_are_unknown_builtin(group):
     """str.isdigit() accepts these characters but int() does not parse them;

@@ -14,7 +14,8 @@ from branchmono.errors import (
     InvalidInput,
     UnsupportedForm,
 )
-from branchmono.freegroup import FreeAutomorphism, FreeWord, format_letters, is_inner_shift
+from branchmono.freegroup import FreeAutomorphism, FreeWord, format_letters
+from branchmono.topocheck import is_inner_shift
 from oracles import apply, compose, identity, inner, window_inner_shift
 
 

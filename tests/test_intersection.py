@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from branchmono.errors import (
+    BranchMonoError,
     DuplicatePoint,
     IndistinguishableTruncation,
     InvalidInput,
@@ -14,6 +15,7 @@ from branchmono.errors import (
     UltrametricViolation,
 )
 from branchmono.intersection import (
+    DIGIT_CAP,
     ECHO_LIMIT,
     PRIME_CAP,
     BranchInput,
@@ -24,8 +26,8 @@ from branchmono.intersection import (
     parse_rational,
     satisfies_interval_hypothesis,
 )
-from conftest import random_ultrametric_matrix, shuffled
-from oracles import entries, padic_valuation, pairwise_oracle, reindex
+from conftest import random_ultrametric_entries, random_ultrametric_matrix, shuffled
+from oracles import entries, padic_valuation, pairwise_oracle, prim_tree, reindex
 
 
 def test_padic_valuation():
@@ -344,6 +346,25 @@ def test_matrix_rejects_bool_entries():
         IntersectionMatrix(2, ((0, True), (True, 0)))
 
 
+def test_exponent_strings_are_capped_by_their_digits():
+    """Mantissa digits (underscores not counted) plus |exponent| may reach
+    DIGIT_CAP; past it the string is refused before Fraction expands it,
+    echoed bounded.  An exponent past int()'s own digit limit stays
+    INVALID_INPUT, as Fraction would have it."""
+    assert parse_rational("1e19999") == 10**19999
+    assert parse_rational(" 1_2.5_0e-19_996 ") == F(12_50, 10**19998)
+    assert parse_rational("1e5000") == 10**5000
+    for text in ("1e20000", "9.9E-19999", "1" * 4000 + "e16001", "1e" + "9" * 4000):
+        with pytest.raises(SizeLimit, match=r"has more digits than the cap 20000$") as info:
+            parse_rational(text)
+        assert info.value.details == {"cap": DIGIT_CAP}
+        assert len(str(info.value)) < ECHO_LIMIT + 80
+    with pytest.raises(InvalidInput, match="cannot parse rational"):
+        parse_rational("1e" + "9" * 5000)
+    with pytest.raises(InvalidInput, match="cannot parse rational"):
+        parse_rational("1/2e99999999")
+
+
 def test_error_messages_echo_bounded_input():
     huge = "9" * 5000 + "x"
     for call in (
@@ -386,6 +407,70 @@ def test_oracle_validation_matches_triple_scan(rng):
             IntersectionMatrix(m.d, tuple(map(tuple, e)))
         assert info.value.details == {"triple": expected}
     assert rejected > 100
+
+
+def random_matrix_draw(rng, dmax):
+    """A square matrix of nonnegative integers, d = 2..dmax: an
+    ultrametric, the all-zero matrix or the caterpillar
+    e_ab = min(a, b) + 1, each shuffled and half the time with one pair of
+    entries changed, or random entries in 0..3, symmetric or not.  The
+    diagonal is random: no check may read it."""
+    d = rng.randint(2, dmax)
+    kind = rng.randrange(5)
+    if kind == 0:
+        e = random_ultrametric_entries(rng, d, rng.randint(1, 5))
+    elif kind == 1:
+        e = [[0] * d for _ in range(d)]
+    elif kind == 2:
+        e = [[min(a, b) + 1 for b in range(d)] for a in range(d)]
+    else:
+        e = [[rng.randint(0, 3) for _ in range(d)] for _ in range(d)]
+        if kind == 3:
+            e = [[e[min(a, b)][max(a, b)] for b in range(d)] for a in range(d)]
+    if kind < 3:
+        perm = rng.sample(range(d), d)
+        e = [[e[perm[a]][perm[b]] for b in range(d)] for a in range(d)]
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(d), 2)
+            e[i][j] = e[j][i] = rng.randint(0, 6)
+    for i in range(d):
+        e[i][i] = rng.randint(0, 5)
+    return tuple(map(tuple, e))
+
+
+def outcome(build):
+    """What build() returns, or the type, message and details of the
+    domain error it raises."""
+    try:
+        return build()
+    except BranchMonoError as exc:
+        return type(exc), str(exc), exc.details
+
+
+def oracle_tree(e):
+    """The first asymmetric pair as the validator names it, then Prim's
+    order and the consecutive-minimum check of ``prim_tree``."""
+    d = len(e)
+    for i, j in itertools.combinations(range(d), 2):
+        if e[i][j] != e[j][i]:
+            raise InvalidInput(f"matrix not symmetric at ({i + 1},{j + 1})")
+    return prim_tree(e)
+
+
+def test_split_order_and_run_check_match_prim_oracle(rng):
+    """The split-built order and the run-length check agree with Prim's
+    order and the per-entry check: the same order and steps, or the same
+    error, message and details.  One draw in ten has d up to 40."""
+    accepted = 0
+    for n in range(4000):
+        e = random_matrix_draw(rng, 40 if n % 10 == 0 else 14)
+        m = outcome(lambda: IntersectionMatrix(len(e), e))
+        expected = outcome(lambda: oracle_tree(e))
+        if isinstance(m, IntersectionMatrix):
+            accepted += 1
+            m = (m.order, m.steps)
+        assert m == expected, e
+    assert 1000 < accepted < 3000
 
 
 # -- primality ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from branchmono.errors import (
     SizeLimit,
     UnresolvedCrossing,
 )
-from branchmono.freegroup import is_inner_shift
 from branchmono.intersection import ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.topocheck import (
@@ -28,6 +27,7 @@ from branchmono.topocheck import (
     _point,
     _raise_if_failed,
     check_samples,
+    is_inner_shift,
     track_braid,
     verify_cluster_bound,
     verify_monodromy_oracle,
