@@ -20,7 +20,8 @@ matrix-mode inputs follow: a seeded random ultrametric at d = 512 and
 1024, whose entry for two points is the common prefix length of their
 random labels of MATRIX_DEPTH base-3 digits, so its rows come in no
 particular order, and the all-zero matrix at d = 1024, the widest split.
-Each input runs `clusters` and `present`, both in text form.  The package
+Each input runs `clusters` and `present`, both in text form, and the
+2-adic inputs run `present` in JSON and relators form too.  The package
 under ``--src`` (default: this checkout's ``src``) is imported into this
 process, and each layer is timed by calling the public function that the
 commands call:
@@ -31,7 +32,10 @@ commands call:
 - ``monodromy``: ``monodromy.emit_presentation`` (the images of every
   generator);
 - ``emit_clusters``: ``nesting_tree`` and ``tree_to_text``;
-  ``emit_present``: ``Presentation.text``;
+  ``emit_present``: ``Presentation.text``; at the 2-adic inputs also
+  ``emit_present_json``: ``json.dumps`` of ``Presentation.to_json_dict``
+  as the command prints it, and ``emit_present_relators``:
+  ``Presentation.relators_text``;
 - per command, ``command``: ``cli.main`` in this process, stdout to
   devnull; ``process`` and ``peak_rss_mb``: a fresh process's CPU time
   and VmHWM, measured by ``bench_orbits.launched`` as for `orbits`.
@@ -40,9 +44,9 @@ commands call:
 `verify-topology` pool (``perfbench/workloads.py``, loaded by path), with
 the tracker at 1024, 2^14 and 2^16 samples.  Its layers are
 ``topocheck.verify_separation``, ``verify_cluster_bound``,
-``track_braid`` and ``topocheck.is_inner_shift`` (on each family's
-tracked braid action and cluster twists, as the oracle calls it), each
-summed over the 64 families, and its one command is
+``track_braid``, ``braid.braid_action`` (of each family's tracked braid)
+and ``topocheck.is_inner_shift`` (on that action and the cluster twists,
+as the oracle calls it), each summed over the 64 families, and its one command is
 `verify-topology --samples N` on the first 12-strand family of the pool.
 
 Times are CPU seconds, the median of ``bench_orbits.REPEATS`` runs,
@@ -51,9 +55,12 @@ work of ``perfbench/reference.py`` right after each run, in this process
 for a layer and in a fresh process for ``process``.  The results merge
 into ``BENCH_15.json`` under the label (``BENCH_11.json`` holds the
 `clusters` and `present` stages before and after the trie ingest,
-``BENCH_14.json`` the tracker before and after its leaps, and
+``BENCH_14.json`` the tracker before and after its leaps,
 ``BENCH_22.json`` the `clusters` stage before and after the split-built
-matrix order).
+matrix order, and ``BENCH_23.json`` both stages before and after the
+monodromy images built as products of per-cluster words).  A JSON case
+and a relators case name their command ``present json`` and
+``present relators``.
 """
 
 from __future__ import annotations
@@ -85,7 +92,12 @@ CASES = (
     ("matrix", 1024),
     ("zero-matrix", 1024),
 )
-COMMANDS = ("clusters", "present")
+COMMANDS = {"clusters": ["clusters"], "present": ["present"]}
+# The other forms of `present`, run at the 2-adic inputs only.
+PRESENT_FORMS = {
+    "present json": ["present", "--format", "json"],
+    "present relators": ["present", "--format", "relators"],
+}
 # Tracker sample counts of the verify-topology stage.
 SAMPLES = (1024, 2**14, 2**16)
 STAGES = ("clusters", "verify-topology")
@@ -130,7 +142,7 @@ def command_costs(argv: list[str], env: dict[str, str]) -> dict:
     }
 
 
-def measure(env: dict[str, str], path: str) -> dict:
+def measure(env: dict[str, str], path: str, forms: bool) -> dict:
     from branchmono import clusters, intersection, monodromy
 
     binput = intersection.BranchInput.from_json_dict(json.loads(Path(path).read_text()))
@@ -150,10 +162,15 @@ def measure(env: dict[str, str], path: str) -> dict:
         "emit_clusters": scaled_cpu(lambda: clusters.tree_to_text(clusters.nesting_tree(forest))),
         "emit_present": scaled_cpu(pres.text),
     }
+    commands = dict(COMMANDS)
+    if forms:
+        layers["emit_present_json"] = scaled_cpu(lambda: json.dumps(pres.to_json_dict(), indent=2))
+        layers["emit_present_relators"] = scaled_cpu(pres.relators_text)
+        commands.update(PRESENT_FORMS)
     return {
         "clusters": len(forest.clusters),
         "layers_s": {name: round(t, 5) for name, t in layers.items()},
-        "commands": {command: command_costs([command, "--input", path], env) for command in COMMANDS},
+        "commands": {name: command_costs([*argv, "--input", path], env) for name, argv in commands.items()},
     }
 
 
@@ -161,14 +178,13 @@ def measure_topology(env: dict[str, str], docs: list[bytes], samples: int, path:
     from branchmono import braid, monodromy, topocheck
 
     families = [topocheck.WitnessFamily.from_json_dict(json.loads(doc)) for doc in docs]
-    pairs = [
-        (braid.braid_action(topocheck.track_braid(w, samples=samples)), monodromy.monodromy_automorphism(w.forest))
-        for w in families
-    ]
+    braids = [topocheck.track_braid(w, samples=samples) for w in families]
+    pairs = [(braid.braid_action(b), monodromy.monodromy_automorphism(w.forest)) for b, w in zip(braids, families)]
     layers = {
         "verify_separation": scaled_cpu(lambda: [topocheck.verify_separation(w) for w in families]),
         "verify_cluster_bound": scaled_cpu(lambda: [topocheck.verify_cluster_bound(w) for w in families]),
         "track_braid": scaled_cpu(lambda: [topocheck.track_braid(w, samples=samples) for w in families]),
+        "braid_action": scaled_cpu(lambda: [braid.braid_action(b) for b in braids]),
         "is_inner_shift": scaled_cpu(lambda: [topocheck.is_inner_shift(a, b) for a, b in pairs]),
     }
     argv = ["verify-topology", "--family", path, "--samples", str(samples)]
@@ -206,7 +222,7 @@ def main() -> None:
             with open(path, "w") as out:
                 json.dump(input_doc(kind, d), out)
             name = f"{kind} d={d}"
-            results[name] = measure(env, path)
+            results[name] = measure(env, path, forms=kind == "padic")
             report(args.label, name, results[name])
         if "verify-topology" in stages:
             docs = pool_families()

@@ -64,9 +64,11 @@ def _echo(value: Any) -> str:
 DIGIT_CAP = 20_000
 
 
-def parse_rational(value: Any) -> Fraction:
+def parse_rational(value: Any, **where: Any) -> Fraction:
     """Accept an int or an ``"a/b"`` / ``"a"`` string; floats are rejected
-    to keep the arithmetic exact.  A string past DIGIT_CAP is SizeLimit."""
+    to keep the arithmetic exact.  A string past DIGIT_CAP is SizeLimit,
+    whose details are ``cap`` and ``where``: the caller's keys naming the
+    value's place in its document."""
     if isinstance(value, bool):
         raise InvalidInput(f"not a rational: {_echo(value)}")
     if isinstance(value, int):
@@ -77,7 +79,9 @@ def parse_rational(value: Any) -> Fraction:
             if m and m["exp"]:
                 digits = len((m["num"] + (m["decimal"] or "")).replace("_", "")) + abs(int(m["exp"]))
                 if digits > DIGIT_CAP:
-                    raise SizeLimit(f"rational {_echo(value)} has more digits than the cap {DIGIT_CAP}", cap=DIGIT_CAP)
+                    raise SizeLimit(
+                        f"rational {_echo(value)} has more digits than the cap {DIGIT_CAP}", cap=DIGIT_CAP, **where
+                    )
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"cannot parse rational {_echo(value)}") from exc
@@ -223,13 +227,16 @@ class BranchInput(Value):
             pts = obj.get("points")
             if not _is_array(pts):
                 raise InvalidInput("padic mode requires a points array")
-            points: tuple = tuple(parse_rational(x) for x in pts)
+            points: tuple = tuple(parse_rational(x, point=i) for i, x in enumerate(pts, 1))
             return cls(mode=mode, p=p, points=points)
         if mode == "series":
             pts = obj.get("points")
             if not _is_array_of_arrays(pts):
                 raise InvalidInput("series mode requires an array of coefficient arrays")
-            points = tuple(tuple(parse_rational(c) for c in row) for row in pts)
+            points = tuple(
+                tuple(parse_rational(c, point=i, coefficient=k) for k, c in enumerate(row))
+                for i, row in enumerate(pts, 1)
+            )
             truncation = obj.get("truncation")
             return cls(mode=mode, p=p, points=points, truncation=truncation)
         mat = obj.get("matrix")

@@ -4,8 +4,12 @@ generators-and-relations presentation.
 A cluster I = {m..m+l-1} twists x_i -> P_I x_i P_I^-1 for i in I, where
 P_I = x_m...x_{m+l-1}.  The twists of a forest commute and nest, so their
 product is x_i -> W_i x_i W_i^-1, W_i = P_C1...P_Ck over the clusters
-containing i, shallowest first.  The emitter performs free reduction only
-and never simplifies across relations, so output is stable for goldens.
+containing i, shallowest first.  Each P_C and P_C^-1 is built once per
+cluster, and each image is one ``FreeWord.product`` of them along the
+chain of clusters containing i, so letters are copied in blocks and
+cancel only where x_i meets P_Ck^-1.  The emitter performs free reduction
+only and never simplifies across relations, so output is stable for
+goldens; each output names its letters through one table.
 """
 
 from __future__ import annotations
@@ -14,17 +18,25 @@ from typing import Any, Optional, Sequence
 
 from ._value import Value
 from .clusters import ClusterForest
-from .freegroup import FreeAutomorphism, FreeWord
+from .freegroup import FreeAutomorphism, FreeWord, format_letters, letter_names
 
 
 def monodromy_automorphism(forest: ClusterForest) -> FreeAutomorphism:
     """Product of the forest's twists in closed form, W_i built shallowest
     first (``forest.clusters`` is sorted by depth); empty forest: identity."""
-    conj: list[list[int]] = [[] for _ in range(forest.d)]
+    # P_C and P_C^-1 of each cluster C containing i, shallowest first.
+    lefts: list[list[FreeWord]] = [[] for _ in range(forest.d)]
+    rights: list[list[FreeWord]] = [[] for _ in range(forest.d)]
     for c in forest.clusters:
+        p = FreeWord(c.indices())
+        q = p.inv()
         for i in c.indices():
-            conj[i - 1].extend(c.indices())
-    images = (FreeWord((*w, i, *(-x for x in reversed(w)))) for i, w in enumerate(conj, 1))
+            lefts[i - 1].append(p)
+            rights[i - 1].append(q)
+    images = (
+        FreeWord.product(*left, FreeWord.generator(i), *reversed(right))
+        for i, (left, right) in enumerate(zip(lefts, rights), 1)
+    )
     return FreeAutomorphism(forest.d, tuple(images))
 
 
@@ -42,18 +54,27 @@ class Presentation(Value):
     def product_word(self) -> str:
         return "*".join(f"x{i}" for i in range(1, self.d + 1))
 
+    def _image_words(self, inverse: bool = False) -> list[str]:
+        """The images, or their inverses, as ``str(FreeWord)`` writes them,
+        through one table of letter names built here for all of them."""
+        names = letter_names([*range(-self.d, 0), *range(1, self.d + 1)])
+        if inverse:
+            names = {x: names[-x] for x in names}
+            return [format_letters(w.letters[::-1], names=names) for w in self.images]
+        return [format_letters(w.letters, names=names) for w in self.images]
+
     def relation_pairs(self) -> list[tuple[str, str]]:
         """Machine form: every relation as (lhs word, rhs word)."""
         rels = [(self.product_word(), "1")]
-        for i, w in enumerate(self.images, start=1):
-            rels.append((f"delta^-1*x{i}*delta", str(w)))
+        for i, w in enumerate(self._image_words(), start=1):
+            rels.append((f"delta^-1*x{i}*delta", w))
         return rels
 
     def relation_displays(self) -> list[str]:
         """Paper-style display: commutators for fixed generators."""
         out = [f"{self.product_word()} = 1"]
-        for i, w in enumerate(self.images, start=1):
-            if w.letters == (i,):
+        for i, w in enumerate(self._image_words(), start=1):
+            if w == f"x{i}":
                 out.append(f"[delta, x{i}] = 1")
             else:
                 out.append(f"delta^-1*x{i}*delta = {w}")
@@ -77,8 +98,7 @@ class Presentation(Value):
     def relator_lines(self) -> list[str]:
         """Flat relator list: every relation as a word equal to 1."""
         out = [self.product_word()]
-        for i, w in enumerate(self.images, start=1):
-            inv = str(w.inv()) if w.letters else "1"
+        for i, inv in enumerate(self._image_words(inverse=True), start=1):
             if inv == "1":
                 out.append(f"delta^-1*x{i}*delta")
             else:

@@ -69,12 +69,13 @@ class RationalComplex(Value):
         return self.re * self.re + self.im * self.im
 
     @classmethod
-    def from_json(cls, obj: Any) -> "RationalComplex":
+    def from_json(cls, obj: Any, **where: Any) -> "RationalComplex":
+        """[re, im] or a real rational; ``where`` as for ``parse_rational``."""
         if _is_array(obj):
             if len(obj) != 2:
                 raise InvalidInput(f"complex rational needs [re, im], got {obj!r}")
-            return cls(parse_rational(obj[0]), parse_rational(obj[1]))
-        return cls(parse_rational(obj))
+            return cls(parse_rational(obj[0], **where), parse_rational(obj[1], **where))
+        return cls(parse_rational(obj, **where))
 
 
 # Most tracker samples accepted.  The tracker leaps over the grid times at
@@ -163,15 +164,18 @@ class WitnessFamily(Value):
         coeffs = obj.get("coefficients")
         if not _is_array_of_arrays(coeffs):
             raise InvalidInput("witness family needs a 'coefficients' array of arrays")
-        polys = tuple(tuple(parse_rational(c) for c in row) for row in coeffs)
+        polys = tuple(
+            tuple(parse_rational(c, strand=i, coefficient=k) for k, c in enumerate(row))
+            for i, row in enumerate(coeffs, 1)
+        )
         kwargs: dict[str, Any] = {}
         if "samples" in obj:
             kwargs["samples"] = obj["samples"]
         return cls(
             polys=polys,
-            eta=parse_rational(obj.get("eta")),
-            r=parse_rational(obj.get("r")),
-            z0=RationalComplex.from_json(obj.get("z0")),
+            eta=parse_rational(obj.get("eta"), field="eta"),
+            r=parse_rational(obj.get("r"), field="r"),
+            z0=RationalComplex.from_json(obj.get("z0"), field="z0"),
             **kwargs,
         )
 

@@ -22,7 +22,10 @@ rationals, against ``topocheck.is_inner_shift`` and ``topocheck``'s one
 integer evaluator.  ``csv_lines`` builds every line of an orbits
 report's CSV table at once, and ``orbit_json`` dumps its whole JSON
 document at once, the references for the blocks that
-``OrbitReport.write_csv`` and ``OrbitReport.write_json`` stream.
+``OrbitReport.write_csv`` and ``OrbitReport.write_json`` stream, and
+``presentation_forms`` writes a presentation's three output forms one
+letter at a time, the reference for ``freegroup.format_letters``'s table
+of letter names.
 ``light_failure`` is Light's associativity test with its greedy
 generators grown by a naive fixpoint, the reference for the triple
 ``quotients.associativity_failure`` names.
@@ -57,6 +60,7 @@ from branchmono.errors import (
 )
 from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.intersection import BranchInput, IntersectionMatrix, _raise_first_violation
+from branchmono.monodromy import Presentation
 from branchmono.quotients import FiniteGroup, OrbitReport, delta_on_class
 from branchmono.topocheck import CheckRecord, GeometryReport, WitnessFamily
 
@@ -348,6 +352,49 @@ def orbit_json(report: OrbitReport) -> str:
         "classes": [{"rep": list(rep), "degree": deg} for rep, deg in zip(report.classes, report.degrees)],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def word_text(letters: tuple[int, ...]) -> str:
+    """A word in ``str(FreeWord)`` syntax, written letter by letter."""
+    return "*".join(f"x{x}" if x > 0 else f"x{-x}^-1" for x in letters) or "1"
+
+
+def presentation_forms(pres: Presentation) -> tuple[str, str, dict]:
+    """A presentation's text, relators text and JSON document, each image
+    written by ``word_text`` and its inverse through ``FreeWord.inv``."""
+    xs = [f"x{i}" for i in range(1, pres.d + 1)]
+    product = "*".join(xs)
+    displays = [f"{product} = 1"]
+    relators = [product]
+    pairs = [{"lhs": product, "rhs": "1"}]
+    for i, w in enumerate(pres.images, start=1):
+        lhs = f"delta^-1*x{i}*delta"
+        displays.append(f"[delta, x{i}] = 1" if w.letters == (i,) else f"{lhs} = {word_text(w.letters)}")
+        relators.append(f"{lhs}*{word_text(w.inv().letters)}" if w.letters else lhs)
+        pairs.append({"lhs": lhs, "rhs": word_text(w.letters)})
+    head = []
+    if pres.p:
+        head.append(f"# p = {pres.p}")
+    if pres.point_labels:
+        head.append("# points (reordered) = " + ", ".join(pres.point_labels))
+    if pres.sigma:
+        head.append("# sigma = [" + ", ".join(map(str, pres.sigma)) + "]")
+    generators = xs + ["delta"]
+    head.append("< " + ", ".join(generators) + " |")
+    body = [f"  {rel}," for rel in displays[:-1]] + [f"  {displays[-1]} >"]
+    text = "\n".join(head + body) + "\n"
+    relators_text = "\n".join(["generators: " + ", ".join(generators)] + relators) + "\n"
+    doc = {
+        "schema": "branchmono/1",
+        "kind": "presentation",
+        "d": pres.d,
+        "p": pres.p,
+        "points": list(pres.point_labels),
+        "sigma": list(pres.sigma),
+        "generators": generators,
+        "relations": pairs,
+    }
+    return text, relators_text, doc
 
 
 def dehn_twist_automorphism(c: Cluster, d: int) -> FreeAutomorphism:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -12,10 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branchmono import cli
+from branchmono.intersection import DIGIT_CAP
 from branchmono.topocheck import MAX_SAMPLES
 from conftest import random_ultrametric_entries
 from oracles import orbit_json
@@ -364,19 +366,21 @@ def test_padic_points_past_the_digit_limit_have_no_labels_only_in_present(tmp_pa
 
 
 @pytest.mark.parametrize(
-    "args, doc",
+    "args, doc, where",
     [
-        (("clusters", "--input"), {"mode": "padic", "p": 3, "points": [0, 1, "1e10000000"]}),
+        (("clusters", "--input"), {"mode": "padic", "p": 3, "points": [0, 1, "1e10000000"]}, {"point": 3}),
         (
             ("verify-topology", "--family"),
             {"coefficients": [["0"], ["1"]], "eta": "1/8", "r": "1e-3000000", "z0": ["3e-3000000", "0"]},
+            {"field": "r"},
         ),
     ],
     ids=["clusters-point", "verify-topology-radius"],
 )
-def test_exponent_past_the_digit_cap_is_refused_at_once(args, doc, tmp_path):
+def test_exponent_past_the_digit_cap_is_refused_at_once(args, doc, where, tmp_path):
     """Fraction expands an exponent in full: "1e10000000" alone is a
-    33-Mbit integer and seconds of work.  The exponent is read first."""
+    33-Mbit integer and seconds of work.  The exponent is read first, and
+    the error names where the value was."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     out = subprocess.run(
@@ -385,7 +389,7 @@ def test_exponent_past_the_digit_cap_is_refused_at_once(args, doc, tmp_path):
     assert (out.returncode, out.stdout) == (1, "")
     err = json.loads(out.stderr)
     assert err["error"] == "SIZE_LIMIT"
-    assert err["details"] == {"cap": 20000}
+    assert err["details"] == {"cap": 20000, **where}
 
 
 @pytest.mark.parametrize("group", ["c²", "s①"], ids=["superscript_two", "circled_one"])
@@ -609,6 +613,150 @@ def test_branch_commands_never_raise(doc, command, fmt, extra, data):
     assert code in (0, 1, 2)
     if code == 1:
         assert "error" in json.loads(err)
+
+
+# Every short document ends quickly.
+def short_numbers(digits=DIGIT_CAP + 1):
+    """Short strings that expand far: decimal exponents of up to
+    ``digits`` digits (by default up to and past DIGIT_CAP, mantissa
+    digits plus |exponent|), long digit runs and fractions of large
+    integers."""
+    exponents = st.integers(-digits, digits)
+    if digits > DIGIT_CAP:
+        exponents |= st.sampled_from([19998, 19999, 20000, -19998, -19999, -20000])
+    return st.one_of(
+        st.integers(-9, 9),
+        st.integers(-(10**120), 10**120),
+        st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 10**60)),
+        st.builds(
+            "{}{}e{}".format,
+            st.sampled_from(["", "-"]),
+            st.sampled_from(["1", "6", "9", "9.9", "0.5", "1_0"]),
+            exponents,
+        ),
+        st.sampled_from(["1/3", "-1", "9" * 120, "0." + "0" * 120 + "1", "1.7e308", "-1.7e308"]),
+    )
+
+
+SHORT_NUMBERS = short_numbers()
+SHORT_BYTES = 300
+# CPU seconds, so that a busy machine does not fail the test.
+SHORT_SECONDS = 10
+# Witness families here give r and z0 at most FAMILY_DIGITS digits over
+# the length of their longest polynomial.  Nothing bounds the exact
+# checks' work yet (ROADMAP direction 3): their gcds grow with the square
+# of the values' length, which grows with that length times z0's digits,
+# so a 138-byte family with a depth-10 cluster at |z0| = 6e-19999 takes
+# 39 s (test_deep_cluster_at_a_tiny_z0_is_not_yet_bounded).
+FAMILY_DIGITS = 5000
+
+
+@st.composite
+def short_branch_documents(draw):
+    mode = draw(st.sampled_from(["padic", "series", "matrix"]))
+    d = draw(st.integers(1, 6))
+    doc = {"mode": mode, "p": draw(st.sampled_from([2, 3, 7, 2**61 - 1, 10**100, 4]))}
+    if mode == "padic":
+        doc["points"] = draw(st.lists(SHORT_NUMBERS, min_size=d, max_size=d))
+    elif mode == "series":
+        t = draw(st.integers(1, 3))
+        doc["truncation"] = draw(st.sampled_from([t, t, 10**9, 10**100]))
+        doc["points"] = draw(st.lists(st.lists(SHORT_NUMBERS, min_size=t, max_size=t), min_size=d, max_size=d))
+    else:
+        depths = st.integers(0, 3) | st.sampled_from([9_999, 10_000, 10**9, 10**100])
+        doc["matrix"] = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                doc["matrix"][i][j] = doc["matrix"][j][i] = draw(depths)
+    return doc
+
+
+@st.composite
+def short_family_documents(draw):
+    """Witness families: at random, or strands in canonical order that
+    split from 0 at random depths, with |z0| = 0.6 r at a drawn scale, so
+    that the exact checks run."""
+
+    def padded(poly):
+        return tuple(poly) + (0,) * (41 - len(poly))
+
+    d = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        polys = draw(st.lists(st.lists(SHORT_NUMBERS, min_size=1, max_size=12), min_size=d, max_size=d))
+        scale = short_numbers(FAMILY_DIGITS // max(map(len, polys)))
+        r, z0 = draw(scale), draw(scale | st.lists(scale, min_size=2, max_size=2))
+    else:
+        ends = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d, unique=True))
+        depths = st.integers(0, 40 // d) | st.just(40 // d)
+        polys = sorted(([0] * draw(depths) + [end] for end in ends), key=padded)
+        most = FAMILY_DIGITS // max(map(len, polys)) - 1
+        k = draw(st.sampled_from([most, 3000, 300]).filter(lambda k: k <= most) | st.integers(1, most))
+        r, z0 = f"1e-{k}", [f"6e-{k + 1}", "0"]
+    return {
+        "coefficients": polys,
+        "eta": draw(st.sampled_from(["1/8", "1e300"]) | SHORT_NUMBERS),
+        "r": r,
+        "z0": z0,
+        "samples": draw(st.sampled_from([16, 1024, MAX_SAMPLES, MAX_SAMPLES + 1])),
+    }
+
+
+class TookTooLong(BaseException):
+    """Raised by the timer out of whatever the command is doing; not an
+    Exception, so that Hypothesis stops at once rather than shrink by
+    rerunning slow documents."""
+
+
+def run_document(argv, text, seconds):
+    """``run_main_in_process`` on ``text`` written to a file, whose path
+    is put after ``argv[:2]``; TookTooLong past ``seconds`` of CPU time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        argv = [*argv[:2], str(path), *argv[2:]]
+
+        def took_too_long(signum, frame):
+            raise TookTooLong(f"{' '.join(argv[:1] + argv[3:])} took over {seconds} CPU s on {text}")
+
+        previous = signal.signal(signal.SIGPROF, took_too_long)
+        signal.setitimer(signal.ITIMER_PROF, seconds)
+        try:
+            return run_main_in_process(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["clusters", "present", "orbits", "verify-topology"]),
+    fmt=st.sampled_from([None, "text", "json", "relators", "csv"]),
+    data=st.data(),
+)
+def test_short_documents_end_quickly(command, fmt, data):
+    """Every document of at most SHORT_BYTES bytes, families within
+    FAMILY_DIGITS, ends within SHORT_SECONDS of CPU time in exit 0, 1 with
+    an error JSON or 2."""
+    family = command == "verify-topology"
+    text = json.dumps(data.draw(short_family_documents() if family else short_branch_documents()))
+    assume(len(text) <= SHORT_BYTES)
+    argv = [command, "--family" if family else "--input"]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if command == "orbits":
+        argv += ["--group", data.draw(st.sampled_from(["s3", "q8", "a5"]))]
+    code, err = run_document(argv, text, SHORT_SECONDS)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "error" in json.loads(err)
+
+
+@pytest.mark.xfail(raises=TookTooLong, strict=True, reason="no cap bounds the exact checks' work yet")
+def test_deep_cluster_at_a_tiny_z0_is_not_yet_bounded():
+    """A depth-5 cluster at |z0| = 6e-19999: 330-kbit values, whose gcds
+    take seconds each.  A cap on the checks' work would refuse it at once."""
+    doc = {"coefficients": [["0"], ["0"] * 5 + ["1"]], "eta": "1/8", "r": "1e-19998", "z0": ["6e-19999", "0"]}
+    run_document(["verify-topology", "--family"], json.dumps(doc), 1)
 
 
 # -- orbits output stream ------------------------------------------------------

@@ -16,7 +16,7 @@ from branchmono.errors import (
 )
 from branchmono.freegroup import FreeAutomorphism, FreeWord, format_letters
 from branchmono.topocheck import is_inner_shift
-from oracles import apply, compose, identity, inner, window_inner_shift
+from oracles import apply, compose, identity, inner, window_inner_shift, word_text
 
 
 def naive_reduce(letters):
@@ -93,6 +93,59 @@ def test_reduce_idempotent_and_shorter(raw):
     w = FreeWord(tuple(raw))
     assert FreeWord(w.letters) == w
     assert len(w.letters) <= len(raw)
+
+
+reduced_words = st.builds(FreeWord, letters_strategy)
+
+
+@st.composite
+def word_products(draw):
+    """Reduced words, each next one drawn to start with the inverse of a
+    suffix of the product so far (of any length, the whole of it and more
+    included), so that the junctions cancel partly, wholly, or cascade
+    into earlier words."""
+    words = [draw(reduced_words)]
+    for _ in range(draw(st.integers(0, 4))):
+        done = FreeWord(tuple(x for w in words for x in w.letters)).letters
+        k = draw(st.integers(0, len(done)))
+        head = tuple(-x for x in reversed(done[len(done) - k :]))
+        words.append(FreeWord(head + draw(reduced_words).letters))
+    return words
+
+
+@given(word_products())
+def test_product_matches_the_constructor_on_the_concatenation(words):
+    expected = FreeWord(tuple(x for w in words for x in w.letters))
+    got = FreeWord.product(*words)
+    assert got == expected
+    assert list(got.letters) == naive_reduce([x for w in words for x in w.letters])
+
+
+@given(reduced_words, reduced_words)
+def test_product_with_an_inverse_cancels_wholly(w, v):
+    assert FreeWord.product(w, w.inv()) == FreeWord()
+    assert FreeWord.product(w.inv(), w) == FreeWord()
+    assert FreeWord.product(w, v, v.inv(), w.inv()) == FreeWord()
+    assert FreeWord.product(v, w, w.inv()) == v
+    assert v.conjugated_by(w) == FreeWord(w.letters + v.letters + w.inv().letters)
+    assert w.inv() == FreeWord(tuple(-x for x in reversed(w.letters)))
+
+
+def test_product_examples():
+    assert FreeWord.product() == FreeWord()
+    assert FreeWord.product(FreeWord((1, 2))) == FreeWord((1, 2))
+    # x1 x2 . x2^-1 x3 . x3^-1 x1^-1 x2 cancels across both junctions.
+    words = (FreeWord((1, 2)), FreeWord((-2, 3)), FreeWord((-3, -1, 2)))
+    assert FreeWord.product(*words).letters == (2,)
+    # A middle word cancels wholly, so the next one meets the first.
+    words = (FreeWord((1, 2)), FreeWord((-2,)), FreeWord((-1, 3)))
+    assert FreeWord.product(*words).letters == (3,)
+
+
+@given(reduced_words)
+def test_str_matches_the_letter_by_letter_writer(w):
+    assert str(w) == word_text(w.letters)
+    assert format_letters(w.letters, "b") == word_text(w.letters).replace("x", "b")
 
 
 def test_word_algebra():

@@ -365,6 +365,23 @@ def test_exponent_strings_are_capped_by_their_digits():
         parse_rational("1/2e99999999")
 
 
+HUGE_EXPONENT = "1e20001"
+
+
+def test_padic_point_past_the_digit_cap_is_named():
+    doc = {"mode": "padic", "p": 2, "points": ["1", "2", HUGE_EXPONENT]}
+    with pytest.raises(SizeLimit) as info:
+        BranchInput.from_json_dict(doc)
+    assert info.value.details == {"cap": DIGIT_CAP, "point": 3}
+
+
+def test_series_coefficient_past_the_digit_cap_is_named():
+    doc = {"mode": "series", "truncation": 3, "points": [["0", "1", "2"], ["0", HUGE_EXPONENT, "1"]]}
+    with pytest.raises(SizeLimit) as info:
+        BranchInput.from_json_dict(doc)
+    assert info.value.details == {"cap": DIGIT_CAP, "point": 2, "coefficient": 1}
+
+
 def test_error_messages_echo_bounded_input():
     huge = "9" * 5000 + "x"
     for call in (

@@ -3,14 +3,23 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from branchmono.braid import braid_action
 from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.errors import IntervalOutOfRange
 from branchmono.freegroup import FreeWord
-from branchmono.monodromy import emit_presentation, monodromy_automorphism
+from branchmono.monodromy import Presentation, emit_presentation, monodromy_automorphism
 from conftest import random_ultrametric_matrix
-from oracles import apply, compose, dehn_twist_automorphism, identity, lambda_braid_for_forest
+from oracles import (
+    apply,
+    compose,
+    dehn_twist_automorphism,
+    identity,
+    lambda_braid_for_forest,
+    presentation_forms,
+)
 
 
 def test_twist_formula_examples():
@@ -170,3 +179,77 @@ def test_oracle_closed_form_matches_composition(rng):
         for c in forest.clusters:
             acc = compose(acc, dehn_twist_automorphism(c, forest.d))
         assert monodromy_automorphism(forest) == acc
+
+
+@st.composite
+def nested_forests(draw, max_d=12):
+    """A forest of nested or disjoint intervals, each strictly deeper than
+    those containing it.  An interval may repeat at several consecutive
+    depths, and blocks are cut at random, so generators that end (or
+    start) their innermost cluster are common."""
+    d = draw(st.integers(1, max_d))
+    clusters = []
+
+    def fill(lo, hi, depth):
+        # Cut [lo, hi] into consecutive blocks; make some blocks clusters.
+        cuts = sorted(draw(st.sets(st.integers(lo + 1, hi), max_size=3))) if hi > lo else []
+        for a, b in zip([lo] + cuts, [c - 1 for c in cuts] + [hi]):
+            if b > a and draw(st.booleans()):
+                repeats = draw(st.integers(1, 3))
+                clusters.extend(Cluster(a, b - a + 1, depth + k) for k in range(repeats))
+                fill(a, b, depth + repeats)
+
+    fill(1, d, 1)
+    return ClusterForest(d, tuple(clusters))
+
+
+@given(nested_forests())
+def test_images_are_the_composition_of_the_twists(forest):
+    acc = identity(forest.d)
+    for c in forest.clusters:
+        acc = compose(acc, dehn_twist_automorphism(c, forest.d))
+    assert monodromy_automorphism(forest) == acc
+
+
+def test_images_of_generators_that_end_their_innermost_cluster():
+    # {1..4} at depths 1 and 2 and {3, 4} at depth 3: x4 ends every
+    # cluster it is in, so it cancels against the first letter of P_{3,4}^-1.
+    forest = ClusterForest(5, (Cluster(1, 4, 1), Cluster(1, 4, 2), Cluster(3, 2, 3)))
+    aut = monodromy_automorphism(forest)
+    acc = identity(5)
+    for c in forest.clusters:
+        acc = compose(acc, dehn_twist_automorphism(c, 5))
+    assert aut == acc
+    w = FreeWord((1, 2, 3, 4) * 2 + (3,))
+    assert aut.images[3] == FreeWord.generator(4).conjugated_by(w)
+    assert aut.images[3].letters == (1, 2, 3, 4) * 2 + (3, 4, -3) + (-4, -3, -2, -1) * 2
+
+
+@given(nested_forests(), st.integers(0, 7), st.lists(st.integers(0, 99), max_size=3), st.booleans())
+def test_presentation_forms_match_the_word_formatter(forest, p, labels, sigma):
+    aut = monodromy_automorphism(forest)
+    d = forest.d
+    pres = emit_presentation(
+        forest,
+        p=p,
+        point_labels=tuple(map(str, labels)),
+        sigma=tuple(range(d, 0, -1)) if sigma else None,
+    )
+    assert pres.images == aut.images
+    text, relators, doc = presentation_forms(pres)
+    assert pres.text() == text
+    assert pres.relators_text() == relators
+    assert pres.to_json_dict() == doc
+
+
+def test_presentation_forms_with_an_empty_image():
+    # Not a monodromy (x2 maps to 1), but the formatter must still write
+    # the empty word as "1" and drop its inverse from the relator.
+    pres = Presentation(3, (FreeWord((2, 1, -2)), FreeWord(), FreeWord((3,))), p=2)
+    text, relators, doc = presentation_forms(pres)
+    assert pres.text() == text
+    assert pres.relators_text() == relators
+    assert pres.to_json_dict() == doc
+    assert "  delta^-1*x2*delta = 1," in text
+    assert "\ndelta^-1*x2*delta\n" in relators
+    assert doc["relations"][2] == {"lhs": "delta^-1*x2*delta", "rhs": "1"}

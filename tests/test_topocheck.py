@@ -16,7 +16,7 @@ from branchmono.errors import (
     SizeLimit,
     UnresolvedCrossing,
 )
-from branchmono.intersection import ECHO_LIMIT
+from branchmono.intersection import DIGIT_CAP, ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.topocheck import (
     MAX_SAMPLES,
@@ -112,6 +112,26 @@ def test_family_errors_echo_bounded_values(eta, r, z0):
     with pytest.raises(InvalidInput) as info:
         WitnessFamily.from_json_dict(doc)
     assert len(str(info.value)) < 2 * ECHO_LIMIT + 100
+
+
+FAMILY_DOC = {"coefficients": [["0"], ["0", "0", "1"], ["0", "1"]], "eta": "1/8", "r": "1/16", "z0": ["3/64", "0"]}
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("coefficients", [["0"], ["0", "0", "1"], ["0", "-9.9e-20001"]], {"strand": 3, "coefficient": 1}),
+        ("eta", "1e20001", {"field": "eta"}),
+        ("r", "1e-20001", {"field": "r"}),
+        ("z0", ["3/64", "1e20001"], {"field": "z0"}),
+        ("z0", "1e20001", {"field": "z0"}),
+    ],
+    ids=["coefficient", "eta", "r", "z0-pair", "z0-real"],
+)
+def test_family_value_past_the_digit_cap_is_named(key, value, where):
+    with pytest.raises(SizeLimit) as info:
+        WitnessFamily.from_json_dict({**FAMILY_DOC, key: value})
+    assert info.value.details == {"cap": DIGIT_CAP, **where}
 
 
 def test_family_requires_canonical_order():
