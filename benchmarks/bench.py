@@ -1,0 +1,495 @@
+"""Cost of each subcommand: its layers in process, the whole command in
+process and in a fresh process, its peak RSS, and its start-up.
+
+Run from the root of a source checkout:
+
+    python benchmarks/bench.py --label change --out BENCH_N.json
+    python benchmarks/bench.py --label change --stage clusters --out BENCH_N.json
+    python benchmarks/bench.py --label change --against PARENT_CHECKOUT/src --out BENCH_N.json
+
+The package measured is the one under ``--src`` (default: this
+checkout's ``src``); the inputs come from this checkout.  ``--stage``
+runs one stage; by default every stage runs, in this order:
+
+- ``startup``: ``--version``, ``clusters``, ``present``, ``orbits`` and
+  ``verify-topology`` on small fixed inputs from ``tests/data``, each case
+  named by its command, STARTUP_RUNS fresh processes each and no layers.
+- ``orbits``: `orbits --group G --p 7 --format json` on fixed 7-adic
+  points: the first five inputs of perfbench's `orbits` pool (one per
+  group), then A5 and S5 at d = 4, the order-200 dihedral group `d100`
+  at d = 3, and A5 at d = 5 with `--max-tuples 100000000` (60^4 tuples
+  are past the default cap), once more with `--format csv`.  Layers:
+  ``load_group`` (``quotients.load_group``); ``enumerate``
+  (``quotients.enumerate_classes`` with the generation filter);
+  ``delta`` (``quotients.delta_on_class`` on every class, given the
+  automorphism's ``conjugation_form`` derived once, as ``moduli_report``
+  gives it); ``report`` (``quotients.moduli_report`` with
+  ``enumerate_classes`` replaced, during the timed call only, by a
+  function that returns the classes already enumerated: delta on every
+  class, the lookup of each image and the cycle walk that reads the
+  degrees); ``emit`` (``OrbitReport.write_json`` to devnull).  The CSV
+  case times only its command: its layers up to the report are those of
+  the JSON case.
+- ``clusters``: the 2-adic points 0..d-1 for d = 512, 1024 and 2048,
+  whose cluster tree is the complete binary tree; at d = 512 the same
+  tree in series mode (point i is the series of i's binary digits,
+  T = 9); a seeded random ultrametric at d = 512 and 1024, whose entry
+  for two points is the common prefix length of their random labels of
+  MATRIX_DEPTH base-3 digits, so its rows come in no particular order;
+  and the all-zero matrix at d = 1024, the widest split.  Each input
+  runs `clusters` and `present` in text form, and the 2-adic inputs run
+  `present` in JSON and relators form too (commands ``present json`` and
+  ``present relators``).  Layers: ``compute_matrix``,
+  ``canonical_order`` and ``compute_clusters`` (the functions of
+  ``intersection`` and ``clusters`` that ``cli._pipeline`` calls);
+  ``monodromy`` (``monodromy.emit_presentation``); ``emit_clusters``
+  (``nesting_tree`` and ``tree_to_text``); ``emit_present``
+  (``Presentation.text``); with the other forms ``emit_present_json``
+  (``json.dumps`` of ``Presentation.to_json_dict`` as the command prints
+  it) and ``emit_present_relators`` (``Presentation.relators_text``).
+- ``verify-topology``: the 64 frozen witness families of perfbench's
+  `verify-topology` pool (``perfbench/workloads.py``, loaded by path),
+  with the tracker at 1024, 2^14 and 2^16 samples.  Layers, each summed
+  over the 64 families: ``verify_separation``, ``verify_cluster_bound``
+  and ``track_braid`` of ``topocheck``, ``braid_action`` (of each
+  family's tracked braid) and ``is_inner_shift`` (on that action and the
+  cluster twists, as the oracle calls it).  Its one command is
+  `verify-topology --samples N` on the first 12-strand family of the pool.
+
+Figures are CPU seconds, each the median of REPEATS rounds (STARTUP_RUNS
+for a start-up case), scaled by 0.2 s over the CPU time of the work of
+``perfbench/reference.py`` right after it, which measures the machine's
+speed at that moment.  A case's round runs, for each package:
+
+- one child interpreter (CHILD, ``python -c`` with the package's ``src``
+  first on its path; this process imports no ``branchmono``), which
+  builds the case's data, times each layer once and then each command
+  through ``cli.main`` (``command_s``), stdout to devnull, each scaled by
+  ``reference.work()`` in that process;
+- for each command one fresh LAUNCH process, which adds interpreter
+  start-up and imports: its user plus system CPU time from wait4
+  (``process_s``, for a start-up case ``cpu_s_p50`` with every run in
+  ``cpu_s``), scaled by a fresh process of ``reference.py``, and its own
+  VmHWM (``peak_rss_mb``).  A start-up case also records the sorted
+  ``branchmono`` modules the process imported (``modules``).
+
+The two scalings differ, so in-process and fresh-process figures are not
+in the same unit.  A case records ``layers_s`` and, per command, its
+figures under ``commands``; a start-up case records its figures at the
+top.  The processes run in the caller's environment, so a setting such
+as PYTHONDONTWRITEBYTECODE applies as it does to any user.
+
+With ``--against``, the package there runs in the same invocation and
+is recorded under ``parent``: each round runs both packages, in an order
+that flips every round, so both see the same drift of the machine.  For
+each figure, ``pairs`` records the round-by-round differences (label
+minus parent): their median (``diff_p50``) and the rounds in which the
+label's figure was ``lower`` and ``higher``; a tie counts for neither.
+
+The results merge into ``--out``: a run replaces, under its label (and
+under ``parent`` and ``"<label> - parent"`` in ``pairs``), the cases it
+measured and keeps the label's other cases.  Every figure is rounded to
+four significant digits.  Each case's medians are printed as it ends,
+and with ``--against`` its paired differences, each followed by its
+rounds lower/higher.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from unittest import mock
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+REFERENCE = ROOT / "perfbench" / "reference.py"
+REFERENCE_S = 0.2  # as perfbench/run.py
+REPEATS = 5
+STARTUP_RUNS = 15
+STAGES = ("startup", "orbits", "clusters", "verify-topology")
+
+STARTUP = {
+    "--version": ["--version"],
+    "clusters": ["clusters", "--input", str(DATA / "example2_p3_m1.json")],
+    "present": ["present", "--input", str(DATA / "example2_p3_m1.json")],
+    "orbits": ["orbits", "--group", "s3", "--input", str(DATA / "example2_p3_m1.json"), "--p", "5"],
+    "verify-topology": ["verify-topology", "--family", str(DATA / "family_3pt.json")],
+}
+P = 7
+# (group, 7-adic points, --max-tuples or None for the default cap,
+# --format); the first five are perfbench's orbits pool cases 0-4.
+ORBITS = (
+    ("s3", (7, 311, 191, 152, 324, 89, 115), None, "json"),
+    ("d5", (55, 180, 236, 330, 282, 243), None, "json"),
+    ("a4", (21, 7, 108, 260, 228), None, "json"),
+    ("s4", (97, 85, 208, 290), None, "json"),
+    ("a5", (142, 46, 274), None, "json"),
+    ("a5", (142, 46, 274, 97), None, "json"),
+    ("s5", (142, 46, 274, 97), None, "json"),
+    ("d100", (142, 46, 274), None, "json"),
+    ("a5", (0, 7, 1, 8, 2), 10**8, "json"),
+    ("a5", (0, 7, 1, 8, 2), 10**8, "csv"),
+)
+SERIES_BITS = 9
+MATRIX_DEPTH = 6
+# (input kind, d) of the clusters stage.
+CLUSTERS = (
+    ("padic", 512),
+    ("padic", 1024),
+    ("padic", 2048),
+    ("series", 512),
+    ("matrix", 512),
+    ("matrix", 1024),
+    ("zero-matrix", 1024),
+)
+# Tracker sample counts of the verify-topology stage.
+SAMPLES = (1024, 2**14, 2**16)
+
+# A fresh process: the CLI as its console script runs it, then its own
+# VmHWM line and the package modules it imported, written to the file
+# named by BENCH_OUT.  The peak comes from /proc/self/status, as
+# perfbench's LAUNCH reads it: wait4's ru_maxrss would carry this
+# process's peak over fork and exec.
+LAUNCH = """\
+import os, sys
+from branchmono.cli import main
+try:
+    code = main()
+finally:
+    with open("/proc/self/status") as status, open(os.environ["BENCH_OUT"], "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")))
+        out.write("\\n".join(sorted(m for m in sys.modules if m.split(".")[0] == "branchmono")))
+sys.exit(code)
+"""
+
+# One round of a case's layers and in-process commands; argv[1] is the case.
+CHILD = f"""\
+import sys
+sys.path += [{str(ROOT / "benchmarks")!r}, {str(REFERENCE.parent)!r}]
+import bench
+bench.child(sys.argv[1])
+"""
+
+
+def source_env(src: Path) -> dict[str, str]:
+    """This process's environment with ``src`` first on PYTHONPATH.
+
+    A tree holding cached bytecode is refused: the processes measured
+    would load it instead of compiling the package from source, which
+    favours the tree that has it."""
+    cache = src / "branchmono" / "__pycache__"
+    if cache.exists():
+        raise SystemExit(
+            f"{cache} holds cached bytecode: delete it, and run with PYTHONDONTWRITEBYTECODE=1 to leave none"
+        )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def cpu_seconds(argv: list[str], env: dict[str, str]) -> float:
+    """User plus system CPU seconds of a fresh Python process run from the
+    checkout's root, stdout to devnull."""
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env, cwd=ROOT)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"{argv} failed")
+    return usage.ru_utime + usage.ru_stime
+
+
+def launch(argv: list[str], env: dict[str, str], out: Path) -> tuple[float, float, list[str]]:
+    """(scaled CPU seconds, peak RSS in MB, imported package modules) of
+    one fresh LAUNCH process."""
+    cpu = cpu_seconds(["-c", LAUNCH, *argv], {**env, "BENCH_OUT": str(out)})
+    hwm, *modules = out.read_text().split("\n")
+    return cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env), int(hwm.split()[1]) / 1024, modules
+
+
+def scaled_cpu(fn) -> float:
+    """CPU seconds of one call of fn in this process, scaled by
+    ``reference.work()`` right after it."""
+    from reference import work
+
+    start = time.process_time()
+    fn()
+    mid = time.process_time()
+    work()
+    return (mid - start) * REFERENCE_S / (time.process_time() - mid)
+
+
+def orbit_layers(case: dict) -> tuple[dict, dict]:
+    from branchmono import cli, quotients
+
+    group, path = case["args"]["group"], case["input"]
+    cap = case["args"]["max_tuples"] or quotients.DEFAULT_TUPLE_CAP
+    g = quotients.load_group(group)
+    aut = cli.monodromy_automorphism(cli._pipeline(path)[-1])
+    classes = quotients.enumerate_classes(g, aut.d, surjective_only=True, cap=cap)
+    report = quotients.moduli_report(g, aut, p=P, cap=cap)
+    info = {"classes": report.class_count}
+    if case["args"]["format"] != "json":
+        return info, {}
+    form = quotients.conjugation_form(aut)
+    with mock.patch.object(quotients, "enumerate_classes", lambda *args, **kwargs: classes):
+        report_s = scaled_cpu(lambda: quotients.moduli_report(g, aut, p=P, cap=cap))
+    return info, {
+        "load_group": scaled_cpu(lambda: quotients.load_group(group)),
+        "enumerate": scaled_cpu(lambda: quotients.enumerate_classes(g, aut.d, surjective_only=True, cap=cap)),
+        "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, aut, g, form=form) for c in classes]),
+        "report": report_s,
+        "emit": scaled_cpu(lambda: report.write_json(sys.stdout)),
+    }
+
+
+def cluster_layers(case: dict) -> tuple[dict, dict]:
+    from branchmono import clusters, intersection, monodromy
+
+    binput = intersection.BranchInput.from_json_dict(json.loads(Path(case["input"]).read_text()))
+    matrix = intersection.compute_matrix(binput)
+    sigma, reordered = intersection.canonical_order(matrix)
+    forest = clusters.compute_clusters(reordered)
+    labels = tuple(binput.labels[s - 1] for s in sigma)
+    pres = monodromy.emit_presentation(forest, p=binput.p or 0, point_labels=labels, sigma=sigma)
+    layers = {
+        "compute_matrix": scaled_cpu(lambda: intersection.compute_matrix(binput)),
+        "canonical_order": scaled_cpu(lambda: intersection.canonical_order(matrix)),
+        "compute_clusters": scaled_cpu(lambda: clusters.compute_clusters(reordered)),
+        "monodromy": scaled_cpu(
+            lambda: monodromy.emit_presentation(forest, p=binput.p or 0, point_labels=labels, sigma=sigma)
+        ),
+        "emit_clusters": scaled_cpu(lambda: clusters.tree_to_text(clusters.nesting_tree(forest))),
+        "emit_present": scaled_cpu(pres.text),
+    }
+    if "present json" in case["commands"]:
+        layers["emit_present_json"] = scaled_cpu(lambda: json.dumps(pres.to_json_dict(), indent=2))
+        layers["emit_present_relators"] = scaled_cpu(pres.relators_text)
+    return {"clusters": len(forest.clusters)}, layers
+
+
+def topology_layers(case: dict) -> tuple[dict, dict]:
+    from branchmono import braid, monodromy, topocheck
+
+    samples = case["args"]["samples"]
+    families = [topocheck.WitnessFamily.from_json_dict(doc) for doc in json.loads(Path(case["input"]).read_text())]
+    braids = [topocheck.track_braid(w, samples=samples) for w in families]
+    pairs = [(braid.braid_action(b), monodromy.monodromy_automorphism(w.forest)) for b, w in zip(braids, families)]
+    return {"families": len(families)}, {
+        "verify_separation": scaled_cpu(lambda: [topocheck.verify_separation(w) for w in families]),
+        "verify_cluster_bound": scaled_cpu(lambda: [topocheck.verify_cluster_bound(w) for w in families]),
+        "track_braid": scaled_cpu(lambda: [topocheck.track_braid(w, samples=samples) for w in families]),
+        "braid_action": scaled_cpu(lambda: [braid.braid_action(b) for b in braids]),
+        "is_inner_shift": scaled_cpu(lambda: [topocheck.is_inner_shift(a, b) for a, b in pairs]),
+    }
+
+
+LAYERS = {"orbits": orbit_layers, "clusters": cluster_layers, "verify-topology": topology_layers}
+
+
+def child(spec: str) -> None:
+    """One round of a case in this process: its layers, then each of its
+    commands through ``cli.main``; prints them as JSON."""
+    from branchmono import cli
+
+    case = json.loads(spec)
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        info, layers = LAYERS[case["stage"]](case)
+        commands = {name: scaled_cpu(lambda: cli.main(argv)) for name, argv in case["commands"].items()}
+    print(json.dumps({"info": info, "layers_s": layers, "command_s": commands}))
+
+
+def input_doc(kind: str, d: int) -> dict:
+    if kind == "padic":
+        return {"mode": "padic", "p": 2, "points": list(range(d))}
+    if kind == "series":
+        bits = [[(i >> n) & 1 for n in range(SERIES_BITS)] for i in range(d)]
+        return {"mode": "series", "truncation": SERIES_BITS, "points": bits}
+    if kind == "zero-matrix":
+        return {"mode": "matrix", "matrix": [[0] * d for _ in range(d)]}
+    rng = random.Random(f"bench_stages/{d}")  # the seed of the matrices in earlier records
+    labels = [[rng.randrange(3) for _ in range(MATRIX_DEPTH)] + [i] for i in range(d)]
+    e = [[next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), 0) for b in labels] for a in labels]
+    return {"mode": "matrix", "matrix": e}
+
+
+def pool_families() -> list[dict]:
+    """The witness families of perfbench's verify-topology pool."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up by name
+    spec.loader.exec_module(workloads)
+    return [json.loads(workloads.family_case(i).files["family"]) for i in range(workloads.FAMILY_POOL)]
+
+
+def cases(stages: tuple[str, ...], tmp: Path) -> list[dict]:
+    """Every case of the stages, with its input files written under tmp.
+    ``input`` is the file a case's layers read, ``args`` what the case
+    records of its parameters."""
+
+    def written(name: str, doc) -> str:
+        (tmp / name).write_text(json.dumps(doc))
+        return str(tmp / name)
+
+    out = []
+    for name, argv in STARTUP.items() if "startup" in stages else ():
+        out.append({"stage": "startup", "name": name, "args": {}, "commands": {name: argv}})
+    for group, points, max_tuples, fmt in ORBITS if "orbits" in stages else ():
+        path = written(f"{group}-{len(points)}.json", {"mode": "padic", "p": P, "points": list(points)})
+        argv = ["orbits", "--group", group, "--input", path, "--p", str(P), "--format", fmt]
+        out.append({
+            "stage": "orbits",
+            "name": f"{group} d={len(points)}" + ("" if fmt == "json" else f" {fmt}"),
+            "input": path,
+            "args": {"group": group, "d": len(points), "max_tuples": max_tuples, "format": fmt},
+            "commands": {"orbits": argv + (["--max-tuples", str(max_tuples)] if max_tuples else [])},
+        })
+    for kind, d in CLUSTERS if "clusters" in stages else ():
+        path = written(f"{kind}-{d}.json", input_doc(kind, d))
+        commands = {"clusters": ["clusters"], "present": ["present"]}
+        if kind == "padic":
+            commands.update({"present json": ["present", "--format", "json"],
+                             "present relators": ["present", "--format", "relators"]})
+        commands = {name: [*argv, "--input", path] for name, argv in commands.items()}
+        out.append({"stage": "clusters", "name": f"{kind} d={d}", "input": path, "args": {}, "commands": commands})
+    if "verify-topology" in stages:
+        families = pool_families()
+        pool = written("pool.json", families)
+        family = written("family.json", next(f for f in families if len(f["coefficients"]) == 12))
+        for samples in SAMPLES:
+            argv = ["verify-topology", "--family", family, "--samples", str(samples)]
+            out.append({
+                "stage": "verify-topology",
+                "name": f"verify-topology samples={samples}",
+                "input": pool,
+                "args": {"samples": samples},
+                "commands": {"verify-topology": argv},
+            })
+    return out
+
+
+def one_round(case: dict, env: dict[str, str], out: Path) -> tuple[dict, dict]:
+    """(figure path -> value, other facts) of one round of a case for one
+    package: its CHILD if the case has layers, then a LAUNCH per command."""
+    figures, facts = {}, {}
+    if case["stage"] in LAYERS:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, json.dumps(case)], env=env, cwd=ROOT, stdout=subprocess.PIPE, check=True
+        )
+        result = json.loads(proc.stdout)
+        facts = result["info"]
+        figures.update({("layers_s", name): t for name, t in result["layers_s"].items()})
+        figures.update({("commands", name, "command_s"): t for name, t in result["command_s"].items()})
+    for name, argv in case["commands"].items():
+        cpu, rss, modules = launch(argv, env, out)
+        if case["stage"] == "startup":
+            figures.update({("cpu_s_p50",): cpu, ("peak_rss_mb",): rss})
+            facts["modules"] = modules
+        else:
+            figures.update({("commands", name, "process_s"): cpu, ("commands", name, "peak_rss_mb"): rss})
+    return figures, facts
+
+
+def measure(case: dict, envs: dict[str, dict[str, str]], out: Path) -> tuple[dict, dict]:
+    """(label -> figure path -> one value per round, label -> other facts);
+    each round runs every label, in an order that flips every round."""
+    samples: dict[str, dict[tuple, list[float]]] = {label: {} for label in envs}
+    facts = {}
+    for k in range(STARTUP_RUNS if case["stage"] == "startup" else REPEATS):
+        for label in list(envs)[:: 1 if k % 2 == 0 else -1]:
+            figures, facts[label] = one_round(case, envs[label], out)
+            for path, value in figures.items():
+                samples[label].setdefault(path, []).append(value)
+    return samples, facts
+
+
+def sig4(x: float) -> float:
+    return float(f"{x:.4g}")
+
+
+def nested(flat: dict[tuple, object]) -> dict:
+    out: dict = {}
+    for path, value in flat.items():
+        node = out
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return out
+
+
+def paired(a: list[float], b: list[float]) -> dict:
+    """The round-by-round differences a - b: their median, and the rounds
+    in which a was lower and higher; a tie counts for neither."""
+    diffs = [x - y for x, y in zip(a, b)]
+    return {
+        "diff_p50": sig4(statistics.median(diffs)),
+        "lower": sum(d < 0 for d in diffs),
+        "higher": sum(d > 0 for d in diffs),
+    }
+
+
+def merge(doc: dict, results: dict[str, dict], pairs: dict, label: str) -> None:
+    """Record each label's cases in doc, replacing under the label the
+    cases measured and keeping its others; the pairs likewise."""
+    for name, measured in results.items():
+        run = doc.setdefault("runs", {}).setdefault(name, {})
+        run.update(
+            python=platform.python_version(),
+            machine=platform.machine(),
+            PYTHONDONTWRITEBYTECODE=os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+            repeats=REPEATS,
+            startup_runs=STARTUP_RUNS,
+        )
+        run.setdefault("cases", {}).update(measured)
+    if pairs:
+        doc.setdefault("pairs", {}).setdefault(f"{label} - parent", {}).update(pairs)
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the branchmono package")
+    parser.add_argument(
+        "--against", type=Path, help="a second package directory, run alternately with --src and recorded as parent"
+    )
+    parser.add_argument("--stage", choices=STAGES, help="run this stage only (default: every stage)")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file the results merge into")
+    args = parser.parse_args(argv)
+    srcs = {args.label: args.src}
+    if args.against:
+        if args.label == "parent":
+            parser.error("--against records its package as parent: choose another --label")
+        srcs["parent"] = args.against
+    envs = {label: source_env(src.resolve()) for label, src in srcs.items()}
+    results: dict[str, dict] = {label: {} for label in envs}
+    pairs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in cases((args.stage,) if args.stage else STAGES, Path(tmp)):
+            samples, facts = measure(case, envs, Path(tmp) / "launch")
+            for label in envs:
+                medians = {path: sig4(statistics.median(v)) for path, v in samples[label].items()}
+                record = results[label][case["name"]] = {**case["args"], **facts[label], **nested(medians)}
+                if case["stage"] == "startup":
+                    record["cpu_s"] = [sig4(t) for t in samples[label][("cpu_s_p50",)]]
+                print(f"{label:>8} {case['name']:<28}", *(f"{'.'.join(p)} {v}" for p, v in medians.items()), flush=True)
+            if args.against:
+                diffs = {path: paired(samples[args.label][path], samples["parent"][path]) for path in samples["parent"]}
+                pairs[case["name"]] = nested(diffs)
+                shown = (f"{'.'.join(p)} {d['diff_p50']:+} ({d['lower']}/{d['higher']})" for p, d in diffs.items())
+                print(f"{'diff':>8} {case['name']:<28}", *shown, flush=True)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    merge(doc, results, pairs, args.label)
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -481,7 +481,7 @@ class OracleReport(Value):
         }
 
 
-def _frame(a: FreeAutomorphism) -> tuple[tuple[int, ...], int]:
+def _frame(a: FreeAutomorphism) -> tuple[FreeWord, int]:
     """(u, k) with a(x_1) = u * x_k^+-1 * u^-1; UnsupportedForm unless
     every image is a conjugate of a generator."""
     frame = None
@@ -491,7 +491,7 @@ def _frame(a: FreeAutomorphism) -> tuple[tuple[int, ...], int]:
             raise UnsupportedForm(
                 f"image of x{i + 1} is not a conjugate of a generator: {w}"
             )
-        frame = frame or (u.letters, abs(core.letters[0]))
+        frame = frame or (u, abs(core.letters[0]))
     return frame
 
 
@@ -527,12 +527,11 @@ def is_inner_shift(a: FreeAutomorphism, b: FreeAutomorphism) -> Optional[FreeWor
         raise DimensionMismatch(f"rank mismatch {a.d} != {b.d}")
     u, k = _frame(a)
     v, _ = _frame(b)
-    u_inv = tuple(-x for x in reversed(u))
-    v_inv = tuple(-x for x in reversed(v))
+    u_inv, v_inv = u.inv(), v.inv()
     pinned: Optional[int] = None
     for wa, wb in zip(a.images, b.images):
-        alpha_e, core_e = _split(FreeWord(u_inv + wa.letters + u).letters, k)
-        alpha_c, core_c = _split(FreeWord(v_inv + wb.letters + v).letters, k)
+        alpha_e, core_e = _split(FreeWord.product(u_inv, wa, u).letters, k)
+        alpha_c, core_c = _split(FreeWord.product(v_inv, wb, v).letters, k)
         if core_c != core_e or (not core_c and alpha_c != alpha_e):
             return None
         if core_c:
@@ -542,13 +541,13 @@ def is_inner_shift(a: FreeAutomorphism, b: FreeAutomorphism) -> Optional[FreeWor
             pinned = t
 
     def candidate(t: int) -> FreeWord:
-        return FreeWord(u + (k if t > 0 else -k,) * abs(t) + v_inv)
+        return FreeWord.product(u, FreeWord((k if t > 0 else -k,) * abs(t)), v_inv)
 
     if pinned is not None:
         return candidate(pinned)
     # Every t works: |candidate(t)| >= |t| - |u| - |v|, so nothing outside
     # the window can beat candidate(0).
-    limit = 2 * (len(u) + len(v)) + 2
+    limit = 2 * (len(u.letters) + len(v.letters)) + 2
     return min((candidate(t) for t in range(-limit, limit + 1)), key=lambda g: (len(g.letters), g.letters))
 
 

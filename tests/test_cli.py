@@ -316,7 +316,8 @@ def test_verify_topology_coefficient_outside_double_range(coefficient, tmp_path)
 
 
 # Families whose exact check values pass str()'s limit of 4300 digits: 1200
-# terms of 1/3 and 1/5 past depth 2, and r = 10^-2200.
+# terms of 1/3 and 1/5 past depth 2, r = 10^-2200, and z0 within 10^-4000
+# of 3/64.
 LONG_TAILS = {
     "coefficients": [["0"], ["0", "1"] + ["1/3"] * 1200, ["0", "2"] + ["1/5"] * 1200],
     "eta": "1/8",
@@ -324,23 +325,38 @@ LONG_TAILS = {
     "z0": ["3/64", "0"],
     "samples": 16,
 }
+# Its z0 = 3/4 * 10^-2200 is below a double's range, so the command refuses
+# it before printing anything.
 TINY_R = {
     "coefficients": [["0"], ["0", "1"], ["0", "2"]],
     "eta": "1/8",
     "r": "1/1" + "0" * 2200,
     "z0": ["3/4" + "0" * 2200, "0"],
 }
+# z0 = 3/64 + 10^-4000 as one fraction.
+NEAR_Z0 = {
+    "coefficients": [["0"], ["0", "1"], ["0", "2"]],
+    "eta": "1/8",
+    "r": "1/16",
+    "z0": ["3" + "0" * 3998 + "64/64" + "0" * 4000, "0"],
+}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("doc", [LONG_TAILS, TINY_R], ids=["long-tails", "tiny-r"])
-def test_verify_topology_exact_values_past_the_digit_limit(doc, fmt, tmp_path):
+@pytest.mark.parametrize(
+    "doc, codes", [(LONG_TAILS, (0, 1)), (TINY_R, (1,)), (NEAR_Z0, (0,))], ids=["long-tails", "tiny-r", "near-z0"]
+)
+def test_verify_topology_exact_values_past_the_digit_limit(doc, codes, fmt, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
     out = run_cli("verify-topology", "--family", str(path), "--format", fmt)
     assert "Traceback" not in out.stderr
-    assert out.returncode in (0, 1)
-    if out.returncode:
+    assert out.returncode in codes
+    if doc is TINY_R:
+        assert out.stdout == ""
+        err = json.loads(out.stderr)
+        assert (err["error"], err["details"]) == ("SIZE_LIMIT", {"field": "z0"})
+    elif out.returncode:
         assert json.loads(out.stderr)["error"]
     elif fmt == "json":
         details = [rec["detail"] for rec in json.loads(out.stdout)["cluster_bound"]["checks"]]
