@@ -18,18 +18,22 @@ runs one stage; by default every stage runs, in this order:
   points: the first five inputs of perfbench's `orbits` pool (one per
   group), then A5 and S5 at d = 4, the order-200 dihedral group `d100`
   at d = 3, and A5 at d = 5 with `--max-tuples 100000000` (60^4 tuples
-  are past the default cap), once more with `--format csv`.  Layers:
-  ``load_group`` (``quotients.load_group``); ``enumerate``
-  (``quotients.enumerate_classes`` with the generation filter);
-  ``delta`` (``quotients.delta_on_class`` on every class, given the
-  automorphism's ``conjugation_form`` derived once, as ``moduli_report``
-  gives it); ``report`` (``quotients.moduli_report`` with
-  ``enumerate_classes`` replaced, during the timed call only, by a
-  function that returns the classes already enumerated: delta on every
-  class, the lookup of each image and the cycle walk that reads the
-  degrees); ``emit`` (``OrbitReport.write_json`` to devnull).  The CSV
-  case times only its command: its layers up to the report are those of
-  the JSON case.
+  are past the default cap), once more with `--format csv`.  The layers
+  replay the command's own calls: one untimed `cli.main` run records the
+  arguments and results of its first calls of ``cli.moduli_report``,
+  ``quotients.enumerate_classes`` and ``quotients.delta_on_class``, so
+  they time the same work on either side of a change to those
+  functions' parameters.  Layers: ``load_group``
+  (``quotients.load_group``); ``enumerate`` (``enumerate_classes`` with
+  the recorded arguments, the generation filter included); ``delta``
+  (``delta_on_class`` on every class, with the arguments after the class
+  that ``moduli_report`` passed it); ``report`` (``moduli_report`` with
+  the recorded arguments and ``enumerate_classes`` replaced, during the
+  timed call only, by a function that returns the classes already
+  enumerated: delta on every class, the lookup of each image and the
+  cycle walk that reads the degrees); ``emit`` (``OrbitReport.write_json``
+  of the recorded report to devnull).  The CSV case times only its
+  command: its layers up to the report are those of the JSON case.
 - ``clusters``: the 2-adic points 0..d-1 for d = 512, 1024 and 2048,
   whose cluster tree is the complete binary tree; at d = 512 the same
   tree in series mode (point i is the series of i's binary digits,
@@ -85,13 +89,18 @@ that flips every round, so both see the same drift of the machine.  For
 each figure, ``pairs`` records the round-by-round differences (label
 minus parent): their median (``diff_p50``) and the rounds in which the
 label's figure was ``lower`` and ``higher``; a tie counts for neither.
+Next to each median, ``ci95`` is a distribution-free interval for the
+median paired difference, from the sign test's order statistics, and
+``coverage`` its exact coverage: with REPEATS = 6 rounds it is the least
+and greatest difference (96.9 %), with STARTUP_RUNS = 16 the 4th and
+13th (97.9 %).  An interval that excludes 0 resolves the difference.
 
 The results merge into ``--out``: a run replaces, under its label (and
 under ``parent`` and ``"<label> - parent"`` in ``pairs``), the cases it
 measured and keeps the label's other cases.  Every figure is rounded to
 four significant digits.  Each case's medians are printed as it ends,
 and with ``--against`` its paired differences, each followed by its
-rounds lower/higher.
+interval and its rounds lower/higher.
 """
 
 from __future__ import annotations
@@ -100,6 +109,7 @@ import argparse
 import contextlib
 import importlib.util
 import json
+import math
 import os
 import platform
 import random
@@ -115,8 +125,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 REFERENCE = ROOT / "perfbench" / "reference.py"
 REFERENCE_S = 0.2  # as perfbench/run.py
-REPEATS = 5
-STARTUP_RUNS = 15
+# Even, so that with --against each package runs first in half the rounds.
+REPEATS = 6
+STARTUP_RUNS = 16
 STAGES = ("startup", "orbits", "clusters", "verify-topology")
 
 STARTUP = {
@@ -231,22 +242,34 @@ def scaled_cpu(fn) -> float:
 def orbit_layers(case: dict) -> tuple[dict, dict]:
     from branchmono import cli, quotients
 
-    group, path = case["args"]["group"], case["input"]
-    cap = case["args"]["max_tuples"] or quotients.DEFAULT_TUPLE_CAP
-    g = quotients.load_group(group)
-    aut = cli.monodromy_automorphism(cli._pipeline(path)[-1])
-    classes = quotients.enumerate_classes(g, aut.d, surjective_only=True, cap=cap)
-    report = quotients.moduli_report(g, aut, p=P, cap=cap)
+    # One untimed run of the command, recording the arguments of its own
+    # calls, so that the layers replay them whatever their signatures.
+    calls: dict[str, tuple] = {}
+
+    def spy(owner, name: str):
+        fn = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.setdefault(name, (args, kwargs, result))
+            return result
+
+        return mock.patch.object(owner, name, recorded)
+
+    with spy(cli, "moduli_report"), spy(quotients, "enumerate_classes"), spy(quotients, "delta_on_class"):
+        cli.main(case["commands"]["orbits"])
+    report_args, report_kwargs, report = calls["moduli_report"]
+    enum_args, enum_kwargs, classes = calls["enumerate_classes"]
+    (_, *delta_args), delta_kwargs, _ = calls["delta_on_class"]
     info = {"classes": report.class_count}
     if case["args"]["format"] != "json":
         return info, {}
-    form = quotients.conjugation_form(aut)
     with mock.patch.object(quotients, "enumerate_classes", lambda *args, **kwargs: classes):
-        report_s = scaled_cpu(lambda: quotients.moduli_report(g, aut, p=P, cap=cap))
+        report_s = scaled_cpu(lambda: quotients.moduli_report(*report_args, **report_kwargs))
     return info, {
-        "load_group": scaled_cpu(lambda: quotients.load_group(group)),
-        "enumerate": scaled_cpu(lambda: quotients.enumerate_classes(g, aut.d, surjective_only=True, cap=cap)),
-        "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, aut, g, form=form) for c in classes]),
+        "load_group": scaled_cpu(lambda: quotients.load_group(case["args"]["group"])),
+        "enumerate": scaled_cpu(lambda: quotients.enumerate_classes(*enum_args, **enum_kwargs)),
+        "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, *delta_args, **delta_kwargs) for c in classes]),
         "report": report_s,
         "emit": scaled_cpu(lambda: report.write_json(sys.stdout)),
     }
@@ -426,12 +449,35 @@ def nested(flat: dict[tuple, object]) -> dict:
     return out
 
 
+def sign_interval(diffs: list[float]) -> tuple[list[float] | None, float]:
+    """The distribution-free interval for the median of ``diffs`` from the
+    sign test, at 95 % or more, and its coverage.
+
+    With n values sorted, [d_(k), d_(n+1-k)] holds the median with
+    probability 1 - 2 P(B <= k - 1) for B ~ Binomial(n, 1/2), whatever the
+    distribution; k is the largest for which that is at least 0.95.  Below
+    six values no k reaches it: the interval is None, coverage 0."""
+    n = len(diffs)
+    k, tail = 0, 0.0  # tail = P(B <= k - 1)
+    while 1 - 2 * (tail + math.comb(n, k) / 2**n) >= 0.95:
+        tail += math.comb(n, k) / 2**n
+        k += 1
+    if k == 0:
+        return None, 0.0
+    ordered = sorted(diffs)
+    return [sig4(ordered[k - 1]), sig4(ordered[n - k])], sig4(1 - 2 * tail)
+
+
 def paired(a: list[float], b: list[float]) -> dict:
-    """The round-by-round differences a - b: their median, and the rounds
-    in which a was lower and higher; a tie counts for neither."""
+    """The round-by-round differences a - b: their median, its sign-test
+    interval (``ci95``) with the interval's coverage, and the rounds in
+    which a was lower and higher; a tie counts for neither."""
     diffs = [x - y for x, y in zip(a, b)]
+    interval, coverage = sign_interval(diffs)
     return {
         "diff_p50": sig4(statistics.median(diffs)),
+        "ci95": interval,
+        "coverage": coverage,
         "lower": sum(d < 0 for d in diffs),
         "higher": sum(d > 0 for d in diffs),
     }
@@ -484,7 +530,10 @@ def main(argv: list[str] | None = None) -> None:
             if args.against:
                 diffs = {path: paired(samples[args.label][path], samples["parent"][path]) for path in samples["parent"]}
                 pairs[case["name"]] = nested(diffs)
-                shown = (f"{'.'.join(p)} {d['diff_p50']:+} ({d['lower']}/{d['higher']})" for p, d in diffs.items())
+                shown = (
+                    f"{'.'.join(p)} {d['diff_p50']:+} {d['ci95']} ({d['lower']}/{d['higher']})"
+                    for p, d in diffs.items()
+                )
                 print(f"{'diff':>8} {case['name']:<28}", *shown, flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     merge(doc, results, pairs, args.label)

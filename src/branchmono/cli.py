@@ -21,10 +21,12 @@ from .intersection import BranchInput, canonical_order, compute_matrix, is_prime
 
 # The later layers, imported on first use, so that each subcommand loads
 # only its own modules: `clusters` stops at the cluster layer, `present`
-# adds the monodromy, and only `orbits` and `verify-topology` load the
-# finite groups and the braid tracker.  The commands look these names up
+# adds the monodromy, `orbits` adds only the finite groups, and
+# `verify-topology` the braid tracker.  The commands look these names up
 # as attributes of this module (``_cli.name``), which resolves them once
 # and calls whatever value this module then holds, patched or not.
+# No command calls ``monodromy_automorphism``: perfbench's tracer hooks
+# it here and needs the name to resolve.
 _LAZY = {
     "emit_presentation": "monodromy",
     "monodromy_automorphism": "monodromy",
@@ -103,13 +105,12 @@ def _cmd_present(args: argparse.Namespace) -> int:
 def _cmd_orbits(args: argparse.Namespace) -> int:
     group = _cli.load_group(args.group)
     binput, _, forest = _pipeline(args.input)
-    aut = _cli.monodromy_automorphism(forest)
     p = args.p if args.p is not None else (binput.p or 0)
     if p != 0 and not is_prime(p):
         raise InvalidInput(f"--p must be 0 or a prime, got {p}")
     report = _cli.moduli_report(
         group,
-        aut,
+        forest,
         p=p,
         surjective_only=args.surjective_only,
         cap=_cli.DEFAULT_TUPLE_CAP if args.max_tuples is None else args.max_tuples,

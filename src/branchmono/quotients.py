@@ -10,18 +10,20 @@ generation), so enumeration costs about (number of classes) × |G|.  The
 same walk decides generation: each prefix carries the subgroup it
 generates, and ``FiniteGroup.generates`` is asked once per distinct
 (subgroup, last free coordinate); ``_kernels`` holds the walk and the
-closure.  The monodromy automorphism acts on a class through its images
-in conjugation form: every reduced word is u·c·u⁻¹ with c cyclically
-reduced (a generator, for a product of Dehn twists), the u's and c's
-are evaluated once per class along a shared prefix trie, each image is
-then one conjugation, and the image tuple is re-canonicalised from the
-conjugations that take its first coordinate to its least conjugate,
-which the group precomputes.  The moduli degree of a class is
-the length of its orbit under that action, which the corollary under
-test bounds by the exponent of G/Z(G).  ``moduli_report`` finds each
-image by bisection in the sorted classes and reads the degrees off one
-walk per cycle, so beside the classes it holds their degrees and one
-byte per class; the report is written a block of classes at a time.
+closure.  The forest's delta acts on a class by its clusters' twists:
+strand i is conjugated by W_i, the product of P_C over the clusters
+containing i, outermost first; ``forest_twists`` lists the clusters
+parents first once per forest, so per class each P_C is one pair of
+lookups in the tuple's prefix products, each W_C is W_parent * P_C,
+each strand is one conjugation, and the image tuple is
+re-canonicalised from the conjugations that take its first coordinate
+to its least conjugate, which the group precomputes.  The moduli degree
+of a class is the length of its orbit under delta, which the corollary
+under test bounds by the exponent of G/Z(G).  Delta permutes the
+classes, so ``moduli_report`` finds each image by bisection in the
+sorted classes and reads the degrees off one walk per cycle, holding
+beside the classes only their degrees; the report is written a block of
+classes at a time.
 The benchmark's tracer times ``generates`` and ``delta_on_class`` by
 name, so the walk asks the one and ``moduli_report`` calls the other
 once per class.
@@ -40,17 +42,16 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 from . import _kernels
 from ._value import Value
+from .clusters import ClusterForest
 from .errors import (
-    DimensionMismatch,
+    IntervalOutOfRange,
     InvalidInput,
     NotAGroup,
     PrimeToPViolation,
     SizeLimit,
     UnknownBuiltin,
-    UnsupportedForm,
     read_json,
 )
-from .freegroup import FreeAutomorphism
 
 DEFAULT_TUPLE_CAP = 10_000_000
 # Largest group order accepted; the Cayley table and the conjugation table
@@ -364,71 +365,57 @@ def enumerate_classes(
     )
 
 
-# (trie, images, inverses): see ``conjugation_form``.
-ConjugationForm = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], bool]
+# (clusters, strands): see ``forest_twists``.
+Twists = tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]
 
 
-def conjugation_form(a: FreeAutomorphism) -> ConjugationForm:
-    """The automorphism's images in the form ``delta_on_class`` evaluates,
-    derived once per automorphism.
+def forest_twists(forest: ClusterForest) -> Twists:
+    """The forest's twists in the form ``delta_on_class`` evaluates,
+    derived once per forest.  ``delta_on_class`` keeps W_C^-1 for cluster
+    k (0-based in ``forest.clusters``) in slot k + 1 of a list whose slot
+    0 is the identity, the W of no cluster; here each cluster, parents
+    first, is (start - 1, end, its parent's slot or 0), and each strand
+    is (its position, its innermost cluster's slot or 0).
 
-    Every reduced word is u * c * u^-1 with c cyclically reduced
-    (``FreeWord.cyclic_decomposition``), so at a tuple its value is the
-    value of c conjugated by the value of u.  The u's and c's go into one
-    prefix trie: node k + 1 is ``trie[k]`` = (parent node, letter),
-    parents first, and node 0 is the empty word.  A monodromy image has
-    u = W_i = P_C1...P_Ck and c = x_i, and strands in a common cluster
-    share a prefix of their W_i, which the trie evaluates once.
-    ``images[i]`` is (the node of u, the node of c).
-
-    A letter is stored as its slot in rep + (the inverses of rep): x_k
-    at k - 1 and x_k^-1 at d + k - 1.  ``inverses`` says whether any
-    letter needs the second half."""
-    d = a.d
-    trie: list[tuple[int, int]] = []
-    node_of: dict[tuple[int, int], int] = {}
-
-    def node(letters: tuple[int, ...]) -> int:
-        at = 0
-        for x in letters:
-            key = (at, x - 1 if x > 0 else d - x - 1)
-            if key not in node_of:
-                trie.append(key)
-                node_of[key] = len(trie)
-            at = node_of[key]
-        return at
-
-    images: list[tuple[int, int]] = []
-    inverses = False
-    for w in a.images:
-        u, c = w.cyclic_decomposition()
-        images.append((node(u.letters), node(c.letters)))
-        inverses = inverses or min(u.letters + c.letters, default=1) < 0
-    return tuple(trie), tuple(images), inverses
+    ``forest.clusters`` is sorted by depth, so when a cluster comes up
+    its parent is the last cluster seen at its strands.  A forest that
+    ``compute_clusters`` builds always has one: its clusters are nested
+    or disjoint, the inner one deeper.  A cluster whose strands show
+    different last clusters overlaps one that does not contain it; its
+    twist does not commute with the others and delta need not permute
+    the classes, so that is IntervalOutOfRange."""
+    slot = [0] * forest.d
+    clusters = []
+    for k, c in enumerate(forest.clusters, 1):
+        parent = slot[c.start - 1]
+        if slot[c.start - 1 : c.end].count(parent) != c.length:
+            raise IntervalOutOfRange(f"cluster {c} overlaps a cluster that does not contain it")
+        clusters.append((c.start - 1, c.end, parent))
+        slot[c.start - 1 : c.end] = [k] * c.length
+    return tuple(clusters), tuple(enumerate(slot))
 
 
-def delta_on_class(
-    rep: tuple[int, ...],
-    a: FreeAutomorphism,
-    g: FiniteGroup,
-    form: Optional[ConjugationForm] = None,
-) -> tuple[int, ...]:
-    """The canonical tuple of the automorphism's image of the class: every
-    image word evaluated at the tuple, then re-canonicalized.
+def delta_on_class(rep: tuple[int, ...], form: Twists, g: FiniteGroup) -> tuple[int, ...]:
+    """The canonical tuple of delta's image of the class: strand i goes to
+    W_i g_i W_i^-1, then the tuple is re-canonicalized.
 
-    The images are read in ``conjugation_form`` (``form``, derived from
-    ``a`` when not given): one table lookup per trie node, then one
-    conjugation per generator."""
-    if a.d != len(rep):
-        raise DimensionMismatch(f"automorphism rank {a.d} != tuple length {len(rep)}")
-    trie, images, inverses = conjugation_form(a) if form is None else form
-    table, conj, inv = g.table, g.conj, g.inverse
-    value = (*rep, *[inv[x] for x in rep]) if inverses else rep
-    at = [0]  # at[node]: the value of the node's word
-    for parent, k in trie:
-        at.append(table[at[parent]][value[k]])
-    # u c u^-1 = h^-1 c h for h = u^-1
-    return g.canonical([conj[inv[at[u]]][at[c]] for u, c in images])
+    W_i multiplies P_C = g_m...g_{m+l-1} over the clusters C containing
+    i, outermost first, so with the tuple's prefix products each P_C is
+    one pair of lookups and W_C = W_parent * P_C.  The loop keeps the
+    inverses h_C = W_C^-1 = P_C^-1 * h_parent, since conj[h] conjugates
+    by W."""
+    clusters, strands = form
+    table, inv = g.table, g.inverse
+    prefix = [0]
+    acc = 0
+    for x in rep:
+        acc = table[acc][x]
+        prefix.append(acc)
+    h = [0]
+    for lo, hi, parent in clusters:
+        h.append(table[table[inv[prefix[hi]]][prefix[lo]]][h[parent]])
+    conj = g.conj
+    return g.canonical([conj[h[c]][rep[i]] for i, c in strands])
 
 
 class OrbitReport(Value):
@@ -509,46 +496,39 @@ class OrbitReport(Value):
 
 def moduli_report(
     g: FiniteGroup,
-    a: FreeAutomorphism,
+    forest: ClusterForest,
     p: int = 0,
     surjective_only: bool = True,
     cap: int = DEFAULT_TUPLE_CAP,
 ) -> OrbitReport:
-    """Per-class moduli degrees plus the divisibility verdict.
+    """Per-class moduli degrees of the forest's delta, plus the
+    divisibility verdict.
 
-    Degrees are read off the cycles of the delta permutation, one walk per
-    cycle, so the cost is one delta evaluation per class.  The classes come
-    sorted, so the position of each image is found by bisection in them,
-    and beside the classes and their degrees the walk keeps one byte per
-    class, set when delta arrives there: a second arrival means the map is
-    not a permutation, and ends a walk that would never close.  Groups
-    whose order shares a factor with p are refused.
+    Delta permutes the classes.  Each twist fixes its P_C, so delta
+    fixes x_1...x_d and takes product-one tuples to product-one tuples.
+    Each image is a word in the tuple, and delta is an automorphism of
+    the free group whose inverse writes the tuple back as words in the
+    image, so a tuple and its image generate the same subgroup.  Delta
+    commutes with simultaneous conjugation, so it is a map on classes,
+    and it is invertible there.  So the degrees are read off the cycles
+    of the permutation, one walk per cycle and one delta evaluation per
+    class; the classes come sorted, so each image is found by bisection
+    in them, and beside the classes the walk holds only their degrees.
+    Groups whose order shares a factor with p are refused.
     """
     if p and math.gcd(g.order, p) != 1:
         raise PrimeToPViolation(
             f"|{g.name}| = {g.order} is not prime to p = {p}", group=g.name, p=p
         )
-    classes = enumerate_classes(g, a.d, surjective_only=surjective_only, cap=cap)
-    n = len(classes)
-    form = conjugation_form(a)
-    degrees = [0] * n
-    reached = bytearray(n)
-    for start in range(n):
+    classes = enumerate_classes(g, forest.d, surjective_only=surjective_only, cap=cap)
+    form = forest_twists(forest)
+    degrees = [0] * len(classes)
+    for start in range(len(classes)):
         if degrees[start]:
             continue
         cycle = [start]
-        at = start
         while True:
-            image = delta_on_class(classes[at], a, g, form=form)
-            at = bisect_left(classes, image)
-            if at == n or classes[at] != image:
-                raise UnsupportedForm(
-                    "delta image left the enumerated class set; the automorphism "
-                    "does not preserve the product-one/generation constraints"
-                )
-            if reached[at]:
-                raise UnsupportedForm("two classes have the same delta image; the map is not an automorphism")
-            reached[at] = 1
+            at = bisect_left(classes, delta_on_class(classes[cycle[-1]], form, g))
             if at == start:
                 break
             cycle.append(at)
@@ -558,7 +538,7 @@ def moduli_report(
     return OrbitReport(
         group_name=g.name,
         group_order=g.order,
-        d=a.d,
+        d=forest.d,
         p=p,
         surjective_only=surjective_only,
         center_size=len(zc),

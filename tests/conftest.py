@@ -1,6 +1,7 @@
-"""Shared test helpers: seeded generators for ultrametric matrices,
-independent brute-force oracles used to freeze expected values, and the
-witness families of perfbench's verify-topology pool and of tests/data."""
+"""Shared test helpers: seeded generators for ultrametric matrices and
+cluster forests, independent brute-force oracles used to freeze
+expected values, and the witness families of perfbench's
+verify-topology pool and of tests/data."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from branchmono.clusters import Cluster, ClusterForest, compute_clusters
 from branchmono.intersection import IntersectionMatrix
 from branchmono.topocheck import WitnessFamily
 from oracles import entries
@@ -68,6 +70,27 @@ def random_ultrametric_matrix(
     rng: random.Random, d: int, max_depth: int
 ) -> IntersectionMatrix:
     return IntersectionMatrix(d, tuple(tuple(r) for r in random_ultrametric_entries(rng, d, max_depth)))
+
+
+def chain(rng, d: int, depth: int) -> ClusterForest:
+    """Clusters nested to ``depth``, each a random interval of the one
+    before (an interval may repeat one depth down)."""
+    clusters, lo, hi = [], 1, d
+    for n in range(1, depth + 1):
+        lo = rng.randint(lo, hi - 1)
+        hi = rng.randint(lo + 1, hi)
+        clusters.append(Cluster(lo, hi - lo + 1, n))
+    return ClusterForest(d, tuple(clusters))
+
+
+def random_forests(rng, d: int) -> list:
+    """The empty forest, a chain to depth 5 or more, and the cluster
+    forests of random ultrametric matrices, which have sibling clusters
+    and chains of their own."""
+    forests = [ClusterForest(d, ()), chain(rng, d, rng.randint(5, 7))]
+    for depth in (1, 2, 3, 6):
+        forests.append(compute_clusters(random_ultrametric_matrix(rng, d, depth)))
+    return forests
 
 
 def shuffled(m: IntersectionMatrix, rng: random.Random) -> IntersectionMatrix:

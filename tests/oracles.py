@@ -10,9 +10,9 @@ order and one ``min`` per entry, the reference for
 ``evaluate_word`` and ``canonical_tuple`` are the direct definitions of
 word evaluation and of the canonical form of a cover class, which the
 finite-group layer computes from precomputed conjugation data, and
-``letter_delta_on_class`` is delta evaluated one table lookup per image
-letter, as ``quotients.delta_on_class`` did before it read the images in
-conjugation form.
+``letter_delta_on_class`` is delta of any free-group automorphism
+evaluated one table lookup per image letter, the reference for
+``quotients.delta_on_class``, which reads a forest's twists.
 ``every_sample_track`` is the strand tracker that evaluates every grid
 time, which the leaping tracker must agree with.
 ``window_inner_shift`` tries every conjugator the first generator allows
@@ -36,7 +36,8 @@ the free group by their definitions, composed by substitution, and
 ``lambda_braid_for_forest`` and ``puncture_loop_braid`` are the direct
 definitions that the closed forms of ``quotients.moduli_report``,
 ``monodromy.monodromy_automorphism`` and ``braid.half_twist`` are tested
-against.
+against; ``moduli_degree`` follows an orbit through
+``letter_delta_on_class``, so it shares no code with the delta it checks.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from branchmono.errors import (
 from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.intersection import BranchInput, IntersectionMatrix, _raise_first_violation
 from branchmono.monodromy import Presentation
-from branchmono.quotients import FiniteGroup, OrbitReport, delta_on_class
+from branchmono.quotients import FiniteGroup, OrbitReport
 from branchmono.topocheck import CheckRecord, GeometryReport, WitnessFamily
 
 
@@ -309,14 +310,15 @@ def inner(g: FreeWord, d: int) -> FreeAutomorphism:
 
 
 def moduli_degree(rep: tuple[int, ...], a: FreeAutomorphism, g: FiniteGroup) -> int:
-    """Least N >= 1 with delta^N fixing the class, by following its orbit.
-    A map that does not permute the classes can lead into a cycle that
-    misses rep: that is UnsupportedForm."""
+    """Least N >= 1 with delta^N fixing the class, by following its orbit
+    one ``letter_delta_on_class`` at a time.  A map that does not permute
+    the classes can lead into a cycle that misses rep: that is
+    UnsupportedForm."""
     seen = {rep}
-    current = delta_on_class(rep, a, g)
+    current = letter_delta_on_class(rep, a, g)
     while current not in seen:
         seen.add(current)
-        current = delta_on_class(current, a, g)
+        current = letter_delta_on_class(current, a, g)
     if current != rep:
         raise UnsupportedForm(
             f"delta's orbit of {rep} returns to {current} before {rep}; the map is not an automorphism"

@@ -185,8 +185,7 @@ def test_criterion_6_corollary_brute_force():
             p = _coprime_prime(g.order)
             for mat in matrices:
                 forest = compute_clusters(mat)
-                aut = monodromy_automorphism(forest)
-                report = moduli_report(g, aut, p=p, surjective_only=True)
+                report = moduli_report(g, forest, p=p, surjective_only=True)
                 assert report.all_divide, (
                     f"violation: {name}, d={mat.d}, config {entries(mat)}: "
                     f"max degree {report.max_degree} vs exponent {report.exponent}"
@@ -235,7 +234,7 @@ def test_criterion_8_error_paths():
         with pytest.raises(PrimeToPViolation):
             moduli_report(
                 load_group("c6"),
-                monodromy_automorphism(ClusterForest(4, (Cluster(1, 2, 1),))),
+                ClusterForest(4, (Cluster(1, 2, 1),)),
                 p=3,
             )
         with pytest.raises(ParametersTooLarge):
@@ -255,7 +254,7 @@ def test_criterion_8_error_paths():
         with pytest.raises(SizeLimit):
             moduli_report(
                 load_group("s4"),
-                monodromy_automorphism(ClusterForest(4, (Cluster(1, 2, 1),))),
+                ClusterForest(4, (Cluster(1, 2, 1),)),
                 p=5,
                 cap=100,
             )

@@ -1,10 +1,15 @@
-"""The rules of ``benchmarks/bench.py`` that need no measurement: the
-pairing of two packages' rounds, the merge of a run into its output file,
-the required ``--out`` and the refusal of a tree holding cached bytecode.
-No test here starts a process."""
+"""``benchmarks/bench.py`` without fresh processes: the pairing of two
+packages' rounds and the sign-test interval of their differences, the
+merge of a run into its output file, the required ``--out``, the
+refusal of a tree holding cached bytecode, and the orbits layers, which
+replay the command's own calls, run in this process.  No test here
+starts a process."""
 
+import contextlib
 import importlib.util
+import io
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,9 +21,42 @@ _spec.loader.exec_module(bench)
 
 
 def test_pairs_take_the_median_difference_and_ties_count_for_neither():
-    # Differences 1, 0, -1, 3, 2: one round lower, three higher, one tie.
-    assert bench.paired([3, 5, 2, 4, 6], [2, 5, 3, 1, 4]) == {"diff_p50": 1, "lower": 1, "higher": 3}
-    assert bench.paired([1, 1], [1, 1]) == {"diff_p50": 0, "lower": 0, "higher": 0}
+    # Differences 1, 0, -1, 3, 2: one round lower, three higher, one tie;
+    # five rounds give no 95 % sign-test interval.
+    assert bench.paired([3, 5, 2, 4, 6], [2, 5, 3, 1, 4]) == {
+        "diff_p50": 1, "ci95": None, "coverage": 0, "lower": 1, "higher": 3,
+    }
+    assert bench.paired([1, 1], [1, 1]) == {"diff_p50": 0, "ci95": None, "coverage": 0, "lower": 0, "higher": 0}
+
+
+def test_sign_interval_by_hand():
+    """P(B <= k) for B ~ Binomial(n, 1/2): at n = 6, 1/64 for k = 0 and
+    7/64 for k = 1, so only [d_(1), d_(6)] reaches 95 %, with coverage
+    1 - 2/64 = 0.96875.  At n = 16, P(B <= 3) = 697/65536 and
+    P(B <= 4) = 2517/65536, so k = 4: [d_(4), d_(13)] with coverage
+    1 - 1394/65536 = 0.97873, and k = 5 would give 0.92319."""
+    six = [0.3, -0.1, 0.5, 0.2, -0.4, 0.1]
+    assert bench.sign_interval(six) == ([-0.4, 0.5], 0.9688)
+    sixteen = [(7 * i) % 16 - 5 for i in range(16)]  # -5..10, shuffled
+    assert bench.sign_interval(sixteen) == ([-2, 7], 0.9787)
+    assert bench.paired([1.0] * 6, [0.5, 0.6, 0.7, 0.8, 0.9, 0.4])["ci95"] == [0.1, 0.6]
+
+
+def test_orbit_layers_replay_the_commands_calls(tmp_path):
+    """The orbits layers, in this process, on S3 at d = 3."""
+    path = tmp_path / "s3.json"
+    path.write_text('{"mode": "padic", "p": 7, "points": [0, 7, 1]}')
+    argv = ["orbits", "--group", "s3", "--input", str(path), "--p", "7", "--format", "json"]
+    case = {"input": str(path), "args": {"group": "s3", "format": "json"}, "commands": {"orbits": argv}}
+    sys.path.insert(0, str(ROOT / "perfbench"))  # scaled_cpu's reference.work
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            info, layers = bench.orbit_layers(case)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    assert info == {"classes": 3}  # (1, 2, 3), (1, 3, 5) and (3, 1, 2)
+    assert list(layers) == ["load_group", "enumerate", "delta", "report", "emit"]
+    assert all(t >= 0 for t in layers.values())
 
 
 def test_a_stage_run_keeps_the_labels_other_cases():

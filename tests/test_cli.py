@@ -791,7 +791,7 @@ def test_orbits_json_is_json_dumps_of_the_report(group, points, surjective, tmp_
     forest = cli._pipeline(str(src))[-1]
     report = moduli_report(
         load_group(group),
-        cli.monodromy_automorphism(forest),
+        forest,
         p=5 if group == "s3" else 3,
         surjective_only=surjective == "--surjective-only",
     )

@@ -1,9 +1,9 @@
 """The table-lookup path of `orbits` against slow oracles: the conjugation
 data of FiniteGroup, its canonical form, the generating walk, the delta
-permutation in conjugation form (and the letter-by-letter evaluation it
-is checked against), the cycle walk that reads degrees off it, the
-streamed JSON and CSV reports with their memory, and Light's
-associativity test."""
+permutation read off the cluster forest (and the letter-by-letter
+evaluation of the monodromy images it is checked against), the cycle
+walk that reads degrees off it, the streamed JSON and CSV reports with
+their memory, and Light's associativity test."""
 
 import collections
 import functools
@@ -15,26 +15,24 @@ import tracemalloc
 import pytest
 
 from branchmono import quotients
-from branchmono.clusters import Cluster, ClusterForest, compute_clusters
-from branchmono.errors import NotAGroup, UnsupportedForm
+from branchmono.clusters import Cluster, ClusterForest, nesting_tree
+from branchmono.errors import IntervalOutOfRange, NotAGroup, UnsupportedForm
 from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
     FiniteGroup,
     associativity_failure,
-    conjugation_form,
     delta_on_class,
     enumerate_classes,
+    forest_twists,
     load_group,
     moduli_report,
 )
-from conftest import random_ultrametric_matrix
+from conftest import random_forests
 from oracles import (
     canonical_tuple,
-    compose,
     csv_lines,
     evaluate_word,
-    inner,
     letter_delta_on_class,
     light_failure,
     moduli_degree,
@@ -118,26 +116,6 @@ def test_generating_walk_matches_brute_force(name):
         assert list(enumerate_classes(g, d, surjective_only=True)) == generating, (name, d)
 
 
-def random_automorphisms(rng, d: int) -> list:
-    """The monodromy of two random cluster forests, and two endomorphisms
-    with random image words (delta is defined on classes for any of them)."""
-    auts = []
-    for _ in range(2):
-        clusters = []
-        for depth in range(1, 3):
-            start = rng.randint(1, d - 1)
-            clusters.append(Cluster(start, rng.randint(2, d - start + 1), depth))
-        auts.append(monodromy_automorphism(ClusterForest(d, tuple(clusters))))
-    for _ in range(2):
-        words = (
-            [rng.choice((-1, 1)) * rng.randint(1, d) for _ in range(rng.randint(0, 6))]
-            for _ in range(d)
-        )
-        images = tuple(FreeWord(tuple(w)) for w in words)
-        auts.append(FreeAutomorphism(d, images))
-    return auts
-
-
 def test_evaluate_word_folds_the_table(rng):
     c3 = load_group("c3")
     assert evaluate_word(c3.table, c3.inverse, (1, 2), []) == 0
@@ -156,113 +134,67 @@ def test_delta_matches_word_evaluation_oracle(name, rng):
     g = load_group(name)
     for d in (2, 3, 4):
         classes = enumerate_classes(g, d)
-        for aut in random_automorphisms(rng, d):
+        for forest in random_forests(rng, d):
+            form, aut = forest_twists(forest), monodromy_automorphism(forest)
             for c in classes:
                 new = tuple(
                     evaluate_word(g.table, g.inverse, c, w.letters) for w in aut.images
                 )
                 want = canonical_tuple(g.table, g.inverse, new)
-                assert delta_on_class(c, aut, g) == want, (name, d, c, aut)
-
-
-def conjugation_cases(rng, d: int) -> list:
-    """Monodromy of random cluster forests, each also composed with an
-    inner automorphism on either side (conjugators with inverse letters),
-    and maps with some or all images not conjugates of a generator."""
-    auts = []
-    for _ in range(3):
-        a = monodromy_automorphism(compute_clusters(random_ultrametric_matrix(rng, d, rng.randint(1, 3))))
-        w = FreeWord(tuple(rng.choice((-1, 1)) * rng.randint(1, d) for _ in range(rng.randint(1, 5))))
-        auts += [a, compose(inner(w, d), a), compose(a, inner(w, d))]
-    images = list(auts[0].images)
-    images[rng.randrange(d)] = FreeWord((1, 1, -2) if d > 1 else (1, 1))
-    auts.append(FreeAutomorphism(d, tuple(images)))
-    auts.append(FreeAutomorphism(d, (FreeWord(()),) * d))
-    auts += random_automorphisms(rng, d)[2:]
-    return auts
+                assert delta_on_class(c, form, g) == want, (name, d, c, forest)
 
 
 @pytest.mark.parametrize("name", ("c6", "s3", "d4", "q8", "a4", "s4"))
 def test_conjugation_delta_matches_letter_by_letter(name, rng):
+    """On any tuple, product one or not, the twists give what the
+    monodromy images give folded one letter at a time."""
     g = load_group(name)
     for d in (2, 3, 5, 8):
         tuples = [tuple(rng.randrange(g.order) for _ in range(d)) for _ in range(25)]
-        for aut in conjugation_cases(rng, d):
-            form = conjugation_form(aut)
+        for forest in random_forests(rng, d):
+            form, aut = forest_twists(forest), monodromy_automorphism(forest)
             for tup in tuples:
-                want = letter_delta_on_class(tup, aut, g)
-                assert delta_on_class(tup, aut, g, form=form) == want, (name, tup, aut)
-                assert delta_on_class(tup, aut, g) == want, (name, tup, aut)
+                assert delta_on_class(tup, form, g) == letter_delta_on_class(tup, aut, g), (name, tup, forest)
 
 
-def test_conjugation_form_shares_prefixes(rng):
-    """Each image's two trie nodes spell its u and its cyclically reduced
-    core c, parents come first, the trie has one node per distinct
-    nonempty prefix of the u's and c's, and ``inverses`` says whether any
-    of their letters is an inverse."""
+def test_forest_twists_follow_the_nesting_tree(rng):
+    """Each cluster's parent is its parent in ``nesting_tree`` and comes
+    before it, and each strand's innermost cluster is the deepest one
+    holding it; cluster k has slot k + 1, and slot 0 is no cluster."""
     for _ in range(20):
         d = rng.randint(2, 12)
-        for aut in conjugation_cases(rng, d):
-            trie, images, inverses = conjugation_form(aut)
-            assert all(parent <= k for k, (parent, _) in enumerate(trie))
-
-            def spell(node):
-                slots = []
-                while node:
-                    node, slot = trie[node - 1]
-                    slots.append(slot)
-                return slots[::-1]
-
-            prefixes = set()
-            negative = False
-            for (u_node, c_node), w in zip(images, aut.images):
-                u, c = w.cyclic_decomposition()
-                for node, part in ((u_node, u), (c_node, c)):
-                    slots = [x - 1 if x > 0 else d - x - 1 for x in part.letters]
-                    assert spell(node) == slots, (aut, w)
-                    prefixes.update(tuple(slots[:n]) for n in range(1, len(slots) + 1))
-                    negative = negative or min(part.letters, default=1) < 0
-            assert len(trie) == len(prefixes)
-            assert inverses == negative
+        for forest in random_forests(rng, d):
+            clusters, strands = forest_twists(forest)
+            parent_of = {}
+            todo = [(root, None) for root in nesting_tree(forest)]
+            while todo:
+                node, parent = todo.pop()
+                parent_of[node.cluster] = parent
+                todo.extend((child, node.cluster) for child in node.children)
+            for k, (c, (lo, hi, parent)) in enumerate(zip(forest.clusters, clusters), 1):
+                assert (lo, hi) == (c.start - 1, c.end)
+                assert parent < k
+                assert parent_of[c] == (forest.clusters[parent - 1] if parent else None), forest
+            for i, (position, innermost) in enumerate(strands):
+                holding = [k for k, c in enumerate(forest.clusters, 1) if c.start <= i + 1 <= c.end]
+                assert (position, innermost) == (i, max(holding, default=0)), forest
 
 
-def test_moduli_report_refuses_images_outside_the_class_set():
-    g = load_group("s3")
-    squares = FreeAutomorphism(3, (FreeWord((1, 1)), FreeWord((2,)), FreeWord((3,))))
-    with pytest.raises(UnsupportedForm):
-        moduli_report(g, squares, surjective_only=False)
-
-
-def test_moduli_report_refuses_a_map_that_is_not_a_permutation():
-    """x1 -> x1*x2, x2 -> 1 keeps every product-one tuple product-one, but
-    sends both classes of C2 at d=2 to (0, 0): the orbit of (1, 1) never
-    closes, so the walk along it must not start."""
-    collapse = FreeAutomorphism(2, (FreeWord((1, 2)), FreeWord(())))
-    with pytest.raises(UnsupportedForm, match="same delta image"):
-        moduli_report(load_group("c2"), collapse, surjective_only=False)
-
-
-# S3's generating classes at d=3 are (1, 2, 3), (1, 3, 5) and (3, 1, 2).
-# Each map below sends the first, where the walk starts, to a tuple that
-# is no class: past the last, before the first, or between two classes.
 @pytest.mark.parametrize(
-    "words, image, position",
+    "clusters",
     (
-        (((3,), (3,), ()), (3, 3, 0), 3),
-        (((), (), ()), (0, 0, 0), 0),
-        (((3,), (), ()), (3, 0, 0), 2),
+        (Cluster(1, 3, 1), Cluster(2, 3, 2)),  # overlapping, neither inside the other
+        (Cluster(1, 3, 1), Cluster(2, 3, 1)),  # the same, at one depth
+        (Cluster(2, 2, 1), Cluster(1, 4, 2)),  # the deeper one outside
     ),
-    ids=("after_the_last", "before_the_first", "between_two"),
+    ids=("overlap", "overlap_at_one_depth", "shallower_inside"),
 )
-def test_moduli_report_refuses_an_image_at_each_boundary(words, image, position):
-    g = load_group("s3")
-    aut = FreeAutomorphism(3, tuple(FreeWord(w) for w in words))
-    classes = enumerate_classes(g, 3, surjective_only=True)
-    assert delta_on_class(classes[0], aut, g) == image
-    assert image not in classes
-    assert sum(c < image for c in classes) == position
-    with pytest.raises(UnsupportedForm, match="left the enumerated class set"):
-        moduli_report(g, aut)
+def test_forest_twists_refuse_clusters_that_are_not_nested(clusters):
+    """Twists of clusters that overlap without nesting do not commute, and
+    their delta need not permute the classes, so such a forest is refused
+    before delta runs."""
+    with pytest.raises(IntervalOutOfRange, match="overlaps a cluster that does not contain it"):
+        moduli_report(load_group("s3"), ClusterForest(4, clusters), surjective_only=False)
 
 
 def test_moduli_report_calls_delta_once_per_class(monkeypatch):
@@ -284,8 +216,9 @@ def test_moduli_report_calls_delta_once_per_class(monkeypatch):
 
 
 def test_moduli_degree_refuses_an_orbit_that_misses_its_start():
-    """The same map takes (1, 1) to the fixed point (0, 0), so delta^N
-    never fixes (1, 1); the walk must stop, not loop forever."""
+    """x1 -> x1*x2, x2 -> 1 is no automorphism: it takes both classes of
+    C2 at d=2 to the fixed point (0, 0), so delta^N never fixes (1, 1); the
+    oracle's walk must stop, not loop forever."""
     collapse = FreeAutomorphism(2, (FreeWord((1, 2)), FreeWord(())))
     with pytest.raises(UnsupportedForm, match=r"returns to \(0, 0\) before \(1, 1\)"):
         moduli_degree((1, 1), collapse, load_group("c2"))
@@ -299,8 +232,8 @@ def report_cases():
                 yield name, d, surjective_only
 
 
-def twist(d: int) -> FreeAutomorphism:
-    return monodromy_automorphism(ClusterForest(d, (Cluster(1, 2, 1),)))
+def twist(d: int) -> ClusterForest:
+    return ClusterForest(d, (Cluster(1, 2, 1),))
 
 
 def streamed(report) -> str:
@@ -371,11 +304,11 @@ def traced_peak(fn) -> tuple[object, int]:
 
 
 def test_report_memory_is_about_the_classes():
-    """At S3 d=7 (7623 classes), ``moduli_report`` holds the classes,
-    their degrees and one byte per class, and the writers hold one block
-    of JSON_CHUNK classes at a time."""
-    g, aut = load_group("s3"), twist(7)
-    moduli_report(g, aut)  # nothing below is a first-call cost
+    """At S3 d=7 (7623 classes), ``moduli_report`` holds the classes and
+    their degrees, and the writers hold one block of JSON_CHUNK classes at
+    a time."""
+    g, forest = load_group("s3"), twist(7)
+    moduli_report(g, forest)  # nothing below is a first-call cost
     tracemalloc.start()
     try:
         gc.collect()
@@ -383,7 +316,7 @@ def test_report_memory_is_about_the_classes():
         classes = enumerate_classes(g, 7, surjective_only=True)
         size = tracemalloc.get_traced_memory()[0] - before
         del classes
-        report, peak = traced_peak(lambda: moduli_report(g, aut))
+        report, peak = traced_peak(lambda: moduli_report(g, forest))
         assert peak <= 1.6 * size, (peak, size)
         # Writing every CSV line at once holds about 0.75 MB, and JSON in
         # blocks of 4096 classes about 1.6 MB.

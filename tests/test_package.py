@@ -115,6 +115,13 @@ def test_present_imports_only_the_monodromy_layers():
         assert f"branchmono.{layer}" not in loaded, layer
 
 
+def test_orbits_imports_no_monodromy_or_free_group():
+    """``orbits`` reads delta off the cluster forest: no free-group words."""
+    loaded = _imported_modules("orbits", "--group", "s3", "--input", str(DATA / "example2_p3_m1.json"), "--p", "5")
+    assert "branchmono.quotients" in loaded
+    assert "branchmono.monodromy" not in loaded and "branchmono.freegroup" not in loaded
+
+
 def test_only_orbits_imports_the_kernels():
     """``_kernels`` holds the orbit walk, so no other command loads it."""
     topology = _imported_modules("verify-topology", "--family", str(DATA / "family_3pt.json"))
@@ -124,7 +131,8 @@ def test_only_orbits_imports_the_kernels():
 
 
 # Each name the benchmark's tracer replaces on ``cli``, with a command
-# that must call the replacement.
+# that must call the replacement; no command calls
+# ``cli.monodromy_automorphism``, which the tracer only needs to resolve.
 PATCHABLE = [
     ("compute_matrix", ["clusters", "--input", str(DATA / "example1.json")]),
     ("canonical_order", ["clusters", "--input", str(DATA / "example1.json")]),
@@ -132,7 +140,6 @@ PATCHABLE = [
     ("nesting_tree", ["clusters", "--input", str(DATA / "example2_p3_m1.json")]),
     ("tree_to_text", ["clusters", "--input", str(DATA / "example2_p3_m1.json")]),
     ("emit_presentation", ["present", "--input", str(DATA / "example1.json")]),
-    ("monodromy_automorphism", ["orbits", "--group", "s3", "--input", str(DATA / "example1.json")]),
     ("load_group", ["orbits", "--group", "s3", "--input", str(DATA / "example1.json")]),
     ("moduli_report", ["orbits", "--group", "s3", "--input", str(DATA / "example1.json")]),
     ("verify_separation", ["verify-topology", "--family", str(DATA / "family_3pt.json")]),

@@ -1,6 +1,7 @@
 """perfbench's layer hooks against the package: every span it names and
-every function it hooks is reached by one small command per subcommand,
-and a witness family builds its cluster forest once per command."""
+every function it hooks, but ``cli.monodromy_automorphism``, is reached
+by one small command per subcommand, `orbits` records no monodromy
+span, and a witness family builds its cluster forest once per command."""
 
 import contextlib
 import importlib.util
@@ -37,8 +38,14 @@ def traced_spans() -> list[tuple[str, str]]:
 
 
 def test_every_span_fires():
-    fired = {name for _, name in traced_spans()}
-    assert set(tracing.SPAN_NAMES) <= fired
+    spans = traced_spans()
+    assert set(tracing.SPAN_NAMES) <= {name for _, name in spans}
+    assert not [name for command, name in spans if command == "orbits" and name.startswith("monodromy.")]
+
+
+# Hooked, but called by no command: `orbits` reads delta off the
+# cluster forest, and the name stays on ``cli`` for the hook to resolve.
+UNCALLED = {"cli.monodromy_automorphism"}
 
 
 def test_every_hooked_owner_fires(monkeypatch):
@@ -48,6 +55,7 @@ def test_every_hooked_owner_fires(monkeypatch):
     monkeypatch.setattr(tracing, "HOOKS", keyed)
     calls = Counter(traced_spans())
     fired = {name for _, name in calls}
-    assert {span for _, _, span, _ in keyed} <= fired
+    assert {span for _, _, span, _ in keyed} - UNCALLED <= fired
+    assert not UNCALLED & fired
     assert calls["verify-topology", "topocheck.compute_clusters"] == 1
     assert calls["verify-topology", "topocheck.compute_matrix"] == 1

@@ -15,7 +15,7 @@ from branchmono.errors import (
     SizeLimit,
     UnknownBuiltin,
 )
-from branchmono.freegroup import FreeAutomorphism, FreeWord
+from branchmono.freegroup import FreeWord
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
     DEFAULT_TUPLE_CAP,
@@ -24,10 +24,20 @@ from branchmono.quotients import (
     center_and_exponent,
     delta_on_class,
     enumerate_classes,
+    forest_twists,
     load_group,
     moduli_report,
 )
-from oracles import canonical_tuple, compose, evaluate_word, identity, inner, moduli_degree
+from conftest import random_forests
+from oracles import (
+    canonical_tuple,
+    compose,
+    evaluate_word,
+    identity,
+    inner,
+    letter_delta_on_class,
+    moduli_degree,
+)
 
 
 # -- groups ------------------------------------------------------------------
@@ -243,21 +253,20 @@ def test_product_of_class_is_identity():
 
 # -- delta action ------------------------------------------------------------
 
-def example2_automorphism(m: int = 1) -> FreeAutomorphism:
-    forest = ClusterForest(4, tuple(Cluster(1, 2, n) for n in range(1, m + 1)))
-    return monodromy_automorphism(forest)
+def example2_forest(m: int = 1) -> ClusterForest:
+    return ClusterForest(4, tuple(Cluster(1, 2, n) for n in range(1, m + 1)))
 
 
 def test_delta_identity_automorphism():
     g = load_group("s3")
     for c in enumerate_classes(g, 3)[:5]:
-        assert delta_on_class(c, identity(3), g) == c
+        assert delta_on_class(c, forest_twists(ClusterForest(3, ())), g) == c
         assert moduli_degree(c, identity(3), g) == 1
 
 
 def test_delta_conjugates_first_two_slots():
     g = load_group("s3")
-    aut = example2_automorphism(1)
+    aut = monodromy_automorphism(example2_forest(1))
     # any product-one tuple: check slots 1,2 are conjugated by g1*g2 and
     # slots 3,4 are fixed, on the raw tuple before canonicalization
     tup = (1, 2, g.inverse[g.table[g.table[1][2]][3]], 3)
@@ -271,40 +280,42 @@ def test_delta_conjugates_first_two_slots():
         assert evaluate_word(g.table, g.inverse, tup, aut.images[i].letters) == expected
     for i in (2, 3):
         assert evaluate_word(g.table, g.inverse, tup, aut.images[i].letters) == tup[i]
+    expected = (g.conj[g.inverse[y]][tup[0]], g.conj[g.inverse[y]][tup[1]], tup[2], tup[3])
+    assert delta_on_class(tup, forest_twists(example2_forest(1)), g) == g.canonical(expected)
 
 
 def test_delta_abelian_trivial():
     g = load_group("c5")
-    aut = example2_automorphism(2)
+    form = forest_twists(example2_forest(2))
     for c in enumerate_classes(g, 4):
-        assert delta_on_class(c, aut, g) == c
+        assert delta_on_class(c, form, g) == c
 
 
 def test_delta_well_defined_on_representatives(rng):
     g = load_group("s3")
-    aut = example2_automorphism(1)
+    form = forest_twists(example2_forest(1))
     classes = enumerate_classes(g, 4)
     for _ in range(30):
         c = classes[rng.randrange(len(classes))]
         h = rng.randrange(g.order)
         conj_rep = tuple(g.conj[h][x] for x in c)
         assert g.canonical(conj_rep) == c
-        assert delta_on_class(g.canonical(conj_rep), aut, g) == delta_on_class(c, aut, g)
+        assert delta_on_class(conj_rep, form, g) == delta_on_class(c, form, g)
 
 
 def test_inner_shift_acts_trivially_on_classes():
     g = load_group("s3")
-    aut = example2_automorphism(1)
-    shifted = compose(inner(FreeWord((1, 3, -1)), 4), aut)
+    forest = example2_forest(1)
+    shifted = compose(inner(FreeWord((1, 3, -1)), 4), monodromy_automorphism(forest))
     for c in enumerate_classes(g, 4, surjective_only=True):
-        assert delta_on_class(c, aut, g) == delta_on_class(c, shifted, g)
+        assert delta_on_class(c, forest_twists(forest), g) == letter_delta_on_class(c, shifted, g)
 
 
 # -- moduli degrees ----------------------------------------------------------
 
 def test_moduli_degree_divides_exponent_spot():
     g = load_group("s3")
-    aut = example2_automorphism(1)
+    aut = monodromy_automorphism(example2_forest(1))
     exp = center_and_exponent(g)[1]
     for c in enumerate_classes(g, 4, surjective_only=True):
         assert exp % moduli_degree(c, aut, g) == 0
@@ -313,33 +324,40 @@ def test_moduli_degree_divides_exponent_spot():
 def test_s3_d4_regression_values():
     """Frozen after the first verified run of this artifact."""
     g = load_group("s3")
-    rep = moduli_report(g, example2_automorphism(1), p=5, surjective_only=True)
+    rep = moduli_report(g, example2_forest(1), p=5, surjective_only=True)
     assert rep.class_count == 28
     assert rep.max_degree == 3
     assert rep.exponent == 6
     assert rep.all_divide
-    rep_all = moduli_report(g, example2_automorphism(1), p=5, surjective_only=False)
+    rep_all = moduli_report(g, example2_forest(1), p=5, surjective_only=False)
     assert rep_all.class_count == 49
     assert rep_all.max_degree == 3
 
 
-def test_moduli_report_matches_per_class_degrees():
-    g = load_group("q8")
-    aut = example2_automorphism(1)
-    rep = moduli_report(g, aut, p=3, surjective_only=True)
-    for c, deg in zip(rep.classes, rep.degrees):
-        assert moduli_degree(c, aut, g) == deg
+def test_moduli_report_matches_per_class_degrees(rng):
+    """The cycle walk's degrees are the orbit lengths under the monodromy
+    images folded letter by letter: with no cluster, on chains and on
+    sibling clusters, every class or only the generating ones."""
+    for name in ("c6", "s3", "d4", "q8", "a4", "s4"):
+        g = load_group(name)
+        for d in (2, 3, 4):
+            for forest in random_forests(rng, d):
+                aut = monodromy_automorphism(forest)
+                for surjective_only in (True, False):
+                    rep = moduli_report(g, forest, p=0, surjective_only=surjective_only)
+                    for c, deg in zip(rep.classes, rep.degrees):
+                        assert moduli_degree(c, aut, g) == deg, (name, c, forest)
 
 
 def test_prime_to_p_violation():
     g = load_group("c6")
     with pytest.raises(PrimeToPViolation):
-        moduli_report(g, example2_automorphism(1), p=3)
+        moduli_report(g, example2_forest(1), p=3)
 
 
 def test_report_json_and_csv():
     g = load_group("c3")
-    rep = moduli_report(g, example2_automorphism(1), p=5, surjective_only=False)
+    rep = moduli_report(g, example2_forest(1), p=5, surjective_only=False)
     out = io.StringIO()
     rep.write_json(out)
     doc = json.loads(out.getvalue())

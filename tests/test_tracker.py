@@ -180,6 +180,27 @@ def linking(braid):
     return out
 
 
+# Two strands whose difference has a zero near the loop |z| = |z0|, so
+# they cross both ways: (letters, zeros of a_1 - a_2 in |z| < |z0|).
+#   a_1 - a_2 = -z (3 + z + 3z^2): zeros 0 and (-1 +- i sqrt 35)/6, of
+#   modulus 1, against |z0| = 0.86;
+#   a_1 - a_2 = 2 (z - 1)^2 (z + 1): zeros of modulus 1, |z0| = 0.985.
+BOTH_WAYS = [
+    (family((2, -3, -1, -3), (2,), r="3/2", z0=RationalComplex(F(7, 10), F(-1, 2))), (1, -1, 1, 1, -1, 1), 1),
+    (family((3, -2, -2, 2), (1,), r="3/2", z0=RationalComplex(F(9, 10), F(2, 5))), (1, 1, -1, -1), 0),
+]
+
+
+@pytest.mark.parametrize("w, letters, zeros", BOTH_WAYS, ids=["net-2", "net-0"])
+@pytest.mark.parametrize("samples", [256, 1024, 4096])
+def test_crossings_both_ways_match_every_sample_tracker(w, letters, zeros, samples):
+    """Negative crossings: the letters are the oracle's, and by the
+    argument principle their signed sum is twice the number of zeros."""
+    assert outcome(track_braid, w, samples) == letters
+    assert_matches_oracle(w, samples)
+    assert sum(1 if x > 0 else -1 for x in letters) == 2 * zeros
+
+
 @pytest.mark.parametrize("name", ["pool", "family_3pt", "family_4pt", "family_eta10"])
 def test_strands_i_and_j_twist_e_ij_times(name):
     # The paper's twists: strands that agree to depth e_ij turn about each
