@@ -3,21 +3,32 @@
 Exit status: 0 on success, 1 on domain errors (machine-readable JSON on
 stderr), 2 on usage errors.  Output bytes are deterministic for a fixed
 input; no timestamps appear in data output.
+
+Each subcommand's options are declared once, in ``COMMANDS``.  A
+well-formed command line is read off that table without importing
+argparse (``_parse_fast``): argparse, with the gettext and locale it
+loads, is about 4 ms of a process's start-up.  argparse builds its parser
+from the same table (``build_parser``) and reads every other command
+line, so help, usage errors, abbreviations and ``--flag=value`` keep its
+bytes.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
 from .clusters import compute_clusters, nesting_tree, tree_to_text
 from .errors import BranchMonoError, InvalidInput, MonodromyMismatch, read_json
 from .intersection import BranchInput, canonical_order, compute_matrix, is_prime
+
+if TYPE_CHECKING:
+    import argparse
 
 # The later layers, imported on first use, so that each subcommand loads
 # only its own modules: `clusters` stops at the cluster layer, `present`
@@ -65,7 +76,7 @@ def _pipeline(path: str):
     return binput, sigma, forest
 
 
-def _cmd_clusters(args: argparse.Namespace) -> int:
+def _cmd_clusters(args: Any) -> int:
     _, sigma, forest = _pipeline(args.input)
     if args.format == "json":
         _emit_json(
@@ -87,7 +98,7 @@ def _cmd_clusters(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_present(args: argparse.Namespace) -> int:
+def _cmd_present(args: Any) -> int:
     binput, sigma, forest = _pipeline(args.input)
     labels = binput.labels
     pres = _cli.emit_presentation(
@@ -102,7 +113,7 @@ def _cmd_present(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_orbits(args: argparse.Namespace) -> int:
+def _cmd_orbits(args: Any) -> int:
     group = _cli.load_group(args.group)
     binput, _, forest = _pipeline(args.input)
     p = args.p if args.p is not None else (binput.p or 0)
@@ -129,7 +140,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_topology(args: argparse.Namespace) -> int:
+def _cmd_verify_topology(args: Any) -> int:
     if args.samples is not None:
         _cli.check_samples(args.samples, "--samples")
     family = _cli.WitnessFamily.from_json_dict(read_json(args.family))
@@ -163,56 +174,149 @@ def _cmd_verify_topology(args: argparse.Namespace) -> int:
     return 0
 
 
+# The subcommands: each one's help, its handler and its options in the
+# order of its --help, each option as (flag, keyword arguments of
+# ``add_argument``).  ``build_parser`` builds argparse's parser from this
+# table and ``_parse_fast`` reads the same table.  BOOLEAN stands for
+# ``argparse.BooleanOptionalAction``, which the table cannot name without
+# importing argparse.
+BOOLEAN = "boolean"
+COMMANDS = {
+    "clusters": (
+        "compute the cluster forest",
+        _cmd_clusters,
+        (
+            ("--input", {"required": True, "help": "branch input JSON file"}),
+            ("--format", {"choices": ("text", "json"), "default": "text"}),
+        ),
+    ),
+    "present": (
+        "emit the fundamental-group presentation",
+        _cmd_present,
+        (
+            ("--input", {"required": True, "help": "branch input JSON file"}),
+            ("--format", {"choices": ("text", "json", "relators"), "default": "text"}),
+        ),
+    ),
+    "orbits": (
+        "moduli degrees of finite-group cover classes",
+        _cmd_orbits,
+        (
+            ("--group", {"required": True, "help": "builtin name (s3, c7, d4, q8, a4) or Cayley JSON path"}),
+            ("--input", {"required": True, "help": "branch input JSON file"}),
+            ("--p", {"type": int, "default": None, "help": "residue characteristic (default: from input)"}),
+            (
+                "--surjective-only",
+                {"action": BOOLEAN, "default": True, "help": "restrict to generating tuples (connected covers)"},
+            ),
+            ("--max-tuples", {"type": int, "default": None}),
+            ("--threads", {"type": int, "default": 1, "help": "accepted and ignored; enumeration is serial"}),
+            ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+        ),
+    ),
+    "verify-topology": (
+        "separation checks and braid-tracking oracle",
+        _cmd_verify_topology,
+        (
+            ("--family", {"required": True, "help": "witness family JSON file"}),
+            (
+                "--samples",
+                {
+                    "type": int,
+                    "default": None,
+                    "help": "tracker sample count, 16 to 2^20 (default: the family's samples)",
+                },
+            ),
+            ("--format", {"choices": ("text", "json"), "default": "text"}),
+        ),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, for help, usage errors and any command line that
+    ``_parse_fast`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="branchmono",
         description="Monodromy and fundamental-group presentations from branch-point intersections",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_clusters = sub.add_parser("clusters", help="compute the cluster forest")
-    p_clusters.add_argument("--input", required=True, help="branch input JSON file")
-    p_clusters.add_argument("--format", choices=("text", "json"), default="text")
-    p_clusters.set_defaults(func=_cmd_clusters)
-
-    p_present = sub.add_parser("present", help="emit the fundamental-group presentation")
-    p_present.add_argument("--input", required=True, help="branch input JSON file")
-    p_present.add_argument("--format", choices=("text", "json", "relators"), default="text")
-    p_present.set_defaults(func=_cmd_present)
-
-    p_orbits = sub.add_parser("orbits", help="moduli degrees of finite-group cover classes")
-    p_orbits.add_argument("--group", required=True, help="builtin name (s3, c7, d4, q8, a4) or Cayley JSON path")
-    p_orbits.add_argument("--input", required=True, help="branch input JSON file")
-    p_orbits.add_argument("--p", type=int, default=None, help="residue characteristic (default: from input)")
-    p_orbits.add_argument(
-        "--surjective-only",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="restrict to generating tuples (connected covers)",
-    )
-    p_orbits.add_argument("--max-tuples", type=int, default=None)
-    p_orbits.add_argument("--threads", type=int, default=1, help="accepted and ignored; enumeration is serial")
-    p_orbits.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_orbits.set_defaults(func=_cmd_orbits)
-
-    p_verify = sub.add_parser("verify-topology", help="separation checks and braid-tracking oracle")
-    p_verify.add_argument("--family", required=True, help="witness family JSON file")
-    p_verify.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="tracker sample count, 16 to 2^20 (default: the family's samples)",
-    )
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=_cmd_verify_topology)
-
+    for name, (help_text, func, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            if kwargs.get("action") == BOOLEAN:
+                kwargs = {**kwargs, "action": argparse.BooleanOptionalAction}
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=func)
     return parser
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _parse_fast(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse returns for ``argv``, read off ``COMMANDS``
+    without argparse, or None where this reading might differ from
+    argparse's: then ``main`` asks argparse, for its namespace, its help
+    or its usage error.
+
+    Read here: a subcommand, then exact long flags of it, each followed by
+    a value that does not start with '-' (or, for a switch, alone),
+    values that convert and lie among their choices, and every required
+    flag given.  A repeated flag keeps its last value, as argparse's
+    ``store`` does.  Anything else declines: a prefix, ``--flag=value``,
+    ``-h``, ``--``, a missing value, or a value that starts with '-'
+    (argparse reads ``-7`` as a number and ``-x`` as an error).
+
+    ``["--version"]`` alone prints the version line and exits 0, as
+    argparse's version action does (which would also wrap that line in a
+    terminal narrower than 18 columns).
+    """
+    if argv == ["--version"]:
+        sys.stdout.write(f"branchmono {__version__}\n")
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    values = {_dest(flag): kwargs.get("default") for flag, kwargs in options}
+    # token -> (dest, the option's keyword arguments, or a switch's value)
+    flags: dict[str, tuple[str, Any]] = {}
+    for flag, kwargs in options:
+        if kwargs.get("action") == BOOLEAN:
+            flags[flag], flags["--no-" + flag[2:]] = (_dest(flag), True), (_dest(flag), False)
+        else:
+            flags[flag] = (_dest(flag), kwargs)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            return None
+        dest, kwargs = flags[token]
+        if isinstance(kwargs, bool):
+            values[dest] = kwargs
+            continue
+        value = next(tokens, "-")  # a missing value declines as a flag would
+        if value.startswith("-"):
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if any(kwargs.get("required") and values[_dest(flag)] is None for flag, kwargs in options):
+        return None
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_fast(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

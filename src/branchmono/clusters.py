@@ -43,13 +43,29 @@ class Cluster(Value):
 
 
 class ClusterForest(Value):
+    """Clusters on d strands, sorted by (depth, start), that are nested or
+    disjoint, the inner one deeper: the forest ``compute_clusters`` builds.
+
+    The constructor checks this in O(sum of lengths): in depth order, each
+    cluster's strands must all show the same last cluster seen, its
+    parent.  A cluster that overlaps another without nesting, or contains
+    a shallower one, fails that and is IntervalOutOfRange: its twist
+    would not commute with the others."""
+
     __slots__ = ("d", "clusters")
 
     def __init__(self, d: int, clusters: tuple[Cluster, ...]):
         for c in clusters:
             if c.end > d:
                 raise IntervalOutOfRange(f"cluster {c} exceeds d = {d}")
-        super().__init__(d, tuple(sorted(clusters, key=lambda c: (c.depth, c.start))))
+        clusters = tuple(sorted(clusters, key=lambda c: (c.depth, c.start)))
+        last = [-1] * d
+        for k, c in enumerate(clusters):
+            lo, n = c.start - 1, c.length
+            if last[lo : lo + n].count(last[lo]) != n:
+                raise IntervalOutOfRange(f"cluster {c} overlaps a cluster that does not contain it")
+            last[lo : lo + n] = [k] * n
+        super().__init__(d, clusters)
 
     def to_json_list(self) -> list[dict[str, Any]]:
         return [

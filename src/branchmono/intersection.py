@@ -3,7 +3,11 @@
 Three input modes: exact rationals with a p-adic valuation, truncated
 power series given by coefficient lists, or a raw matrix of valuations.
 All arithmetic in this module is exact (``fractions.Fraction`` and plain
-integers); nothing here touches floating point.
+integers); nothing here touches floating point.  A JSON integer point
+stays an ``int``, which reads as the equal Fraction does (numerator,
+denominator, equality, hash and str), so ``fractions`` is imported only
+when a rational string is read: integer and matrix input never load it,
+nor the ``decimal`` and ``numbers`` it imports.
 
 The paper's invariants depend only on the rooted tree of clusters, which
 ``IntersectionMatrix`` holds as the canonical leaf order and the d - 1
@@ -30,9 +34,9 @@ reindexed tree has the identity order and the same consecutive depths.
 
 from __future__ import annotations
 
-from fractions import _RATIONAL_FORMAT, Fraction
+import functools
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from ._value import Value
 from .errors import (
@@ -44,18 +48,32 @@ from .errors import (
     UltrametricViolation,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 MODES = ("padic", "series", "matrix")
 # Longest repr of an input value that an error message echoes.
 ECHO_LIMIT = 40
 
 
 def _echo(value: Any) -> str:
-    """repr(value), or str(value) for a Fraction, cut to ECHO_LIMIT characters."""
+    """repr(value), or str(value) for a rational (an int's str is its
+    repr), cut to ECHO_LIMIT characters."""
     try:
-        text = str(value) if isinstance(value, Fraction) else repr(value)
+        text = str(value) if hasattr(value, "denominator") else repr(value)
     except ValueError:  # an integer past the interpreter's limit for str()
         return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT]}... ({len(text)} chars)"
+
+
+@functools.cache
+def _fractions():
+    """The ``fractions`` module, imported on first use.  An import
+    statement inside ``parse_rational`` would cost about 1.3 µs a value,
+    which nearly doubled the parsing of a series input."""
+    import fractions
+
+    return fractions
 
 
 # Most decimal digits a rational string may expand to: its digits plus
@@ -69,20 +87,21 @@ def parse_rational(value: Any, **where: Any) -> Fraction:
     to keep the arithmetic exact.  A string past DIGIT_CAP is SizeLimit,
     whose details are ``cap`` and ``where``: the caller's keys naming the
     value's place in its document."""
+    fractions = _fractions()
     if isinstance(value, bool):
         raise InvalidInput(f"not a rational: {_echo(value)}")
     if isinstance(value, int):
-        return Fraction(value)
+        return fractions.Fraction(value)
     if isinstance(value, str):
         try:
-            m = _RATIONAL_FORMAT.match(value)  # the grammar Fraction reads
+            m = fractions._RATIONAL_FORMAT.match(value)  # the grammar Fraction reads
             if m and m["exp"]:
                 digits = len((m["num"] + (m["decimal"] or "")).replace("_", "")) + abs(int(m["exp"]))
                 if digits > DIGIT_CAP:
                     raise SizeLimit(
                         f"rational {_echo(value)} has more digits than the cap {DIGIT_CAP}", cap=DIGIT_CAP, **where
                     )
-            return Fraction(value.strip())
+            return fractions.Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInput(f"cannot parse rational {_echo(value)}") from exc
     raise InvalidInput(f"not a rational: {_echo(value)} (floats are not accepted)")
@@ -121,6 +140,10 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _is_fraction(value: Any) -> bool:
+    return isinstance(value, _fractions().Fraction)
 
 
 def _is_array(value: Any) -> bool:
@@ -166,9 +189,9 @@ class BranchInput(Value):
         self._check_common_size(len(self.points))
         if self.p is None:
             raise InvalidInput("padic mode requires a prime p")
-        seen: dict[Fraction, int] = {}
+        seen: dict[int | Fraction, int] = {}
         for idx, x in enumerate(self.points, start=1):
-            if not isinstance(x, Fraction):
+            if type(x) is not int and not _is_fraction(x):
                 raise InvalidInput(f"point {idx} is not an exact rational")
             if x.denominator % self.p == 0:  # reduced, so v_p(x) < 0
                 raise NonIntegralPoint(f"point {idx} = {_echo(x)} has v_{self.p} < 0")
@@ -177,6 +200,7 @@ class BranchInput(Value):
             seen[x] = idx
 
     def _check_series(self) -> None:
+        Fraction = _fractions().Fraction
         self._check_common_size(len(self.points))
         t = self.truncation
         if not isinstance(t, int) or isinstance(t, bool) or t < 1:
@@ -227,7 +251,10 @@ class BranchInput(Value):
             pts = obj.get("points")
             if not _is_array(pts):
                 raise InvalidInput("padic mode requires a points array")
-            points: tuple = tuple(parse_rational(x, point=i) for i, x in enumerate(pts, 1))
+            # An integer point stays an int, so integer input never imports fractions.
+            points: tuple = tuple(
+                x if type(x) is int else parse_rational(x, point=i) for i, x in enumerate(pts, 1)
+            )
             return cls(mode=mode, p=p, points=points)
         if mode == "series":
             pts = obj.get("points")
@@ -375,7 +402,7 @@ def _trie(d: int, split: Split) -> IntersectionMatrix:
     return IntersectionMatrix.from_tree(order, steps)
 
 
-def _padic_split(points: Sequence[Fraction], p: int) -> Split:
+def _padic_split(points: Sequence[int | Fraction], p: int) -> Split:
     """Write x = a/b with p not dividing b.  A node's depth is the least
     v_p(a_i b_0 - a_0 b_i) over its members; as b_i b_0 is a unit, the
     digit at v of x_i - x_0 is that difference over p^v, times

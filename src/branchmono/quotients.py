@@ -44,12 +44,12 @@ from . import _kernels
 from ._value import Value
 from .clusters import ClusterForest
 from .errors import (
-    IntervalOutOfRange,
     InvalidInput,
     NotAGroup,
     PrimeToPViolation,
     SizeLimit,
     UnknownBuiltin,
+    UnsupportedForm,
     read_json,
 )
 
@@ -377,20 +377,13 @@ def forest_twists(forest: ClusterForest) -> Twists:
     first, is (start - 1, end, its parent's slot or 0), and each strand
     is (its position, its innermost cluster's slot or 0).
 
-    ``forest.clusters`` is sorted by depth, so when a cluster comes up
-    its parent is the last cluster seen at its strands.  A forest that
-    ``compute_clusters`` builds always has one: its clusters are nested
-    or disjoint, the inner one deeper.  A cluster whose strands show
-    different last clusters overlaps one that does not contain it; its
-    twist does not commute with the others and delta need not permute
-    the classes, so that is IntervalOutOfRange."""
+    ``forest.clusters`` is sorted by depth and nested, as
+    ``ClusterForest`` checks, so when a cluster comes up its parent is
+    the last cluster seen at its first strand."""
     slot = [0] * forest.d
     clusters = []
     for k, c in enumerate(forest.clusters, 1):
-        parent = slot[c.start - 1]
-        if slot[c.start - 1 : c.end].count(parent) != c.length:
-            raise IntervalOutOfRange(f"cluster {c} overlaps a cluster that does not contain it")
-        clusters.append((c.start - 1, c.end, parent))
+        clusters.append((c.start - 1, c.end, slot[c.start - 1]))
         slot[c.start - 1 : c.end] = [k] * c.length
     return tuple(clusters), tuple(enumerate(slot))
 
@@ -514,6 +507,9 @@ def moduli_report(
     of the permutation, one walk per cycle and one delta evaluation per
     class; the classes come sorted, so each image is found by bisection
     in them, and beside the classes the walk holds only their degrees.
+    Every cycle length divides exp(G/Z(G)), so a walk that grows past it,
+    or an image that bisects past the last class, can only be a fault in
+    delta: UnsupportedForm, naming the class the walk started from.
     Groups whose order shares a factor with p are refused.
     """
     if p and math.gcd(g.order, p) != 1:
@@ -522,8 +518,10 @@ def moduli_report(
         )
     classes = enumerate_classes(g, forest.d, surjective_only=surjective_only, cap=cap)
     form = forest_twists(forest)
-    degrees = [0] * len(classes)
-    for start in range(len(classes)):
+    zc, exp = center_and_exponent(g)
+    count = len(classes)
+    degrees = [0] * count
+    for start in range(count):
         if degrees[start]:
             continue
         cycle = [start]
@@ -531,10 +529,15 @@ def moduli_report(
             at = bisect_left(classes, delta_on_class(classes[cycle[-1]], form, g))
             if at == start:
                 break
+            if len(cycle) == exp or at == count:
+                raise UnsupportedForm(
+                    f"delta's orbit of class {list(classes[start])} does not close "
+                    f"within exp(G/Z(G)) = {exp} steps among the classes",
+                    rep=list(classes[start]),
+                )
             cycle.append(at)
         for member in cycle:
             degrees[member] = len(cycle)
-    zc, exp = center_and_exponent(g)
     return OrbitReport(
         group_name=g.name,
         group_order=g.order,

@@ -45,6 +45,102 @@ def test_usage_error_is_exit_2():
     assert run_cli("no-such-command").returncode == 2
 
 
+# -- the fast path against argparse ------------------------------------------
+
+FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag, _ in options} | {"--no-surjective-only"})
+VALUES = ["text", "json", "relators", "csv", "xml", "", "-x", "-7", "+7", " 7", "0x7", "7", "5" * 5000, "s3", "in.json"]
+
+
+def well_formed(flag, kwargs):
+    """Tokens for one option that argparse reads without complaint."""
+    if kwargs.get("action") == cli.BOOLEAN:
+        return st.sampled_from([(flag,), ("--no-" + flag[2:],)])
+    if "choices" in kwargs:
+        values = kwargs["choices"]
+    elif "type" in kwargs:
+        values = ["7", "+7", " 7", "1_0", "0"]
+    else:
+        values = ["in.json", "", "s3", "7"]
+    return st.tuples(st.just(flag), st.sampled_from(values))
+
+
+@st.composite
+def command_lines(draw):
+    """A head word, then well-formed options of it, half the time with one
+    more piece of anything: one of its flags with any value, a flag of any
+    subcommand, a prefix, a ``--flag=value`` form or help, alone or with
+    any value, or a lone value; most of the time with every required flag
+    of the head."""
+    head = draw(st.sampled_from([*cli.COMMANDS, "nope", "--version", "-h", "--help"]))
+    options = cli.COMMANDS[head][2] if head in cli.COMMANDS else ()
+    pieces = draw(st.lists(st.one_of([well_formed(*option) for option in options]), max_size=4)) if options else []
+    if options and draw(st.integers(0, 3)):
+        pieces += [(flag, "in.json") for flag, kwargs in options if kwargs.get("required")]
+    if draw(st.booleans()):
+        values = st.sampled_from(VALUES) | st.sampled_from(["-x", "-7", "-", "--", "--input"])
+        own = st.sampled_from([flag for flag, _ in options] or FLAGS)
+        flags = (
+            st.sampled_from(FLAGS)
+            | st.builds(lambda flag, k: flag[:k], st.sampled_from(FLAGS), st.integers(2, 8))
+            | st.builds("{}={}".format, st.sampled_from(FLAGS), values)
+            | st.sampled_from(["-h", "--help", "--", "--version"])
+        )
+        pieces.append(draw(st.tuples(own, values) | st.tuples(flags, values) | st.tuples(flags) | st.tuples(values)))
+    pieces = draw(st.permutations(pieces))
+    return [head] + [token for piece in pieces for token in piece]
+
+
+def argparse_reading(argv):
+    """vars() of argparse's namespace for ``argv``, or (exit code, stdout)
+    where argparse exits."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_fast_path_reads_command_lines_as_argparse_does(argv):
+    """Where the fast path returns a namespace, argparse returns one with
+    the same fields; where argparse prints help or a usage error, the
+    fast path has declined; ``--version`` prints the same line on both
+    and exits 0.  In process: no process is started."""
+    expected = argparse_reading(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            fast = cli._parse_fast(argv)
+        except SystemExit as exc:
+            assert argv == ["--version"]
+            assert (exc.code, out.getvalue()) == expected == (0, "branchmono 0.1.0\n")
+            return
+    assert out.getvalue() == ""
+    if fast is not None:
+        assert vars(fast) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clusters", "--input", "in.json"],
+        ["present", "--format", "relators", "--input", ""],
+        ["present", "--input", "a", "--input", "b", "--format", "json", "--format", "text"],
+        ["orbits", "--input", "in.json", "--group", "s3", "--p", "+7", "--threads", " 7", "--max-tuples", "1_000"],
+        ["orbits", "--group", "s3", "--input", "x", "--no-surjective-only", "--surjective-only", "--format", "csv"],
+        ["orbits", "--group", "s3", "--input", "x", "--surjective-only", "--no-surjective-only"],
+        ["verify-topology", "--family", "f.json", "--samples", "64", "--format", "json"],
+    ],
+)
+def test_fast_path_reads_well_formed_command_lines(argv):
+    """Well-formed command lines, repeated flags and switches included,
+    are read by the fast path, into argparse's fields."""
+    fast = cli._parse_fast(argv)
+    assert fast is not None and vars(fast) == argparse_reading(argv)
+
+
 @pytest.mark.parametrize(
     "args, golden",
     [

@@ -154,6 +154,25 @@ def test_nesting_tree_covers_forest_once(rng):
         assert sorted(seen, key=lambda c: (c.depth, c.start)) == list(forest.clusters)
 
 
+@pytest.mark.parametrize(
+    "clusters",
+    (
+        (Cluster(1, 3, 1), Cluster(2, 3, 2)),  # overlapping, neither inside the other
+        (Cluster(1, 3, 1), Cluster(2, 3, 1)),  # the same, at one depth
+        (Cluster(2, 2, 1), Cluster(1, 4, 2)),  # the deeper one outside
+    ),
+    ids=("overlap", "overlap_at_one_depth", "shallower_inside"),
+)
+def test_forest_refuses_clusters_that_are_not_nested(clusters):
+    """Twists of clusters that overlap without nesting do not commute, so
+    no forest holds them: the tree, its text, the presentation and delta
+    never see such clusters."""
+    with pytest.raises(IntervalOutOfRange, match="overlaps a cluster that does not contain it"):
+        ClusterForest(4, clusters)
+    for c in clusters:
+        assert ClusterForest(4, (c,)).clusters == (c,)
+
+
 def test_forest_sorted_deterministically(rng):
     for _ in range(20):
         forest = compute_clusters(random_ultrametric_matrix(rng, 6, 4))

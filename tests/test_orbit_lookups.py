@@ -10,13 +10,14 @@ import functools
 import gc
 import io
 import itertools
+import re
 import tracemalloc
 
 import pytest
 
 from branchmono import quotients
 from branchmono.clusters import Cluster, ClusterForest, nesting_tree
-from branchmono.errors import IntervalOutOfRange, NotAGroup, UnsupportedForm
+from branchmono.errors import NotAGroup, UnsupportedForm
 from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.quotients import (
@@ -180,23 +181,6 @@ def test_forest_twists_follow_the_nesting_tree(rng):
                 assert (position, innermost) == (i, max(holding, default=0)), forest
 
 
-@pytest.mark.parametrize(
-    "clusters",
-    (
-        (Cluster(1, 3, 1), Cluster(2, 3, 2)),  # overlapping, neither inside the other
-        (Cluster(1, 3, 1), Cluster(2, 3, 1)),  # the same, at one depth
-        (Cluster(2, 2, 1), Cluster(1, 4, 2)),  # the deeper one outside
-    ),
-    ids=("overlap", "overlap_at_one_depth", "shallower_inside"),
-)
-def test_forest_twists_refuse_clusters_that_are_not_nested(clusters):
-    """Twists of clusters that overlap without nesting do not commute, and
-    their delta need not permute the classes, so such a forest is refused
-    before delta runs."""
-    with pytest.raises(IntervalOutOfRange, match="overlaps a cluster that does not contain it"):
-        moduli_report(load_group("s3"), ClusterForest(4, clusters), surjective_only=False)
-
-
 def test_moduli_report_calls_delta_once_per_class(monkeypatch):
     """The cycle walk evaluates delta exactly once at every class, also
     on cycles longer than 1."""
@@ -213,6 +197,21 @@ def test_moduli_report_calls_delta_once_per_class(monkeypatch):
         report = moduli_report(load_group(name), twist(d))
         assert report.max_degree > 1
         assert calls == collections.Counter(report.classes), (name, d)
+
+
+@pytest.mark.parametrize("image", ("first", "past_last"))
+def test_moduli_report_bounds_the_cycle_walk(image, monkeypatch):
+    """A delta that is no permutation of the classes, through a fault,
+    ends the walk with UnsupportedForm naming the class it started from:
+    a cycle longer than exp(G/Z(G)) = 6, or an image past the last class,
+    instead of a walk that never ends or an IndexError."""
+    g = load_group("s3")
+    classes = enumerate_classes(g, 4)
+    wrong = classes[0] if image == "first" else (g.order,) * 4
+    monkeypatch.setattr(quotients, "delta_on_class", lambda rep, form, g: wrong)
+    start = classes[1] if image == "first" else classes[0]
+    with pytest.raises(UnsupportedForm, match=re.escape(f"class {list(start)} does not close within exp(G/Z(G)) = 6")):
+        moduli_report(g, twist(4), surjective_only=False)
 
 
 def test_moduli_degree_refuses_an_orbit_that_misses_its_start():

@@ -3,6 +3,7 @@ imports, and the CLI names that callers may replace."""
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import pickle
@@ -58,9 +59,10 @@ def test_unknown_attribute_is_attribute_error():
         cli.no_such_name
 
 
+@functools.cache
 def _loaded_modules(*argv):
     """Every module a fresh process has imported after running the CLI
-    with ``argv``."""
+    with ``argv``; one process per distinct ``argv``."""
     script = (
         "import sys\n"
         "from branchmono.cli import main\n"
@@ -71,7 +73,7 @@ def _loaded_modules(*argv):
         "print(sorted(sys.modules), file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    return set(eval(out.stderr.strip().splitlines()[-1]))
+    return frozenset(eval(out.stderr.strip().splitlines()[-1]))
 
 
 def _imported_modules(*argv):
@@ -94,6 +96,29 @@ def test_commands_import_no_dataclasses_or_inspect(argv):
     ``inspect`` it pulls in, about 12 ms of start-up."""
     loaded = _loaded_modules(*argv)
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.parametrize("argv", HYGIENE, ids=[a[0] for a in HYGIENE])
+def test_well_formed_commands_import_no_argparse(argv):
+    """A well-formed command line is read without argparse, the gettext it
+    imports and the locale its first translated string loads: about 4 ms
+    of start-up."""
+    assert not {"argparse", "gettext", "locale"} & _loaded_modules(*argv)
+
+
+@pytest.mark.parametrize("command", ["clusters", "present", "orbits"])
+@pytest.mark.parametrize("name", ["example1.json", "example2_p3_m1.json"])
+def test_integer_points_import_no_fractions(command, name):
+    """Integer p-adic points stay ints, so ``fractions`` (and the
+    ``decimal`` it imports) loads only for a rational string."""
+    argv = [command, "--input", str(DATA / name)] + (["--group", "s3", "--p", "5"] if command == "orbits" else [])
+    assert not {"fractions", "decimal"} & _loaded_modules(*argv)
+
+
+def test_matrix_input_imports_no_fractions(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"mode": "matrix", "matrix": [[0, 2, 1], [2, 0, 1], [1, 1, 0]]}))
+    assert not {"fractions", "decimal"} & _loaded_modules("clusters", "--input", str(path))
 
 
 def test_clusters_imports_no_later_layer():
