@@ -67,9 +67,11 @@ speed at that moment.  A case's round runs, for each package:
 
 - one child interpreter (CHILD, ``python -c`` with the package's ``src``
   first on its path; this process imports no ``branchmono``), which
-  builds the case's data, times each layer once and then each command
-  through ``cli.main`` (``command_s``), stdout to devnull, each scaled by
-  ``reference.work()`` in that process;
+  builds the case's data, times each layer as the least of LAYER_CALLS
+  calls (the first call after the data is built carries the process's
+  allocation history, which a change to other code moves) and then each
+  command once through ``cli.main`` (``command_s``), stdout to devnull,
+  each call scaled by ``reference.work()`` in that process;
 - for each command one fresh LAUNCH process, which adds interpreter
   start-up and imports: its user plus system CPU time from wait4
   (``process_s``, for a start-up case ``cpu_s_p50`` with every run in
@@ -97,10 +99,12 @@ and greatest difference (96.9 %), with STARTUP_RUNS = 16 the 4th and
 
 The results merge into ``--out``: a run replaces, under its label (and
 under ``parent`` and ``"<label> - parent"`` in ``pairs``), the cases it
-measured and keeps the label's other cases.  Every figure is rounded to
-four significant digits.  Each case's medians are printed as it ends,
-and with ``--against`` its paired differences, each followed by its
-interval and its rounds lower/higher.
+measured and keeps the label's other cases.  Each label's run also
+records the Python version, the machine, PYTHONDONTWRITEBYTECODE,
+``repeats``, ``startup_runs`` and ``layer_calls``.  Every figure is
+rounded to four significant digits.  Each case's medians are printed as
+it ends, and with ``--against`` its paired differences, each followed by
+its interval and its rounds lower/higher.
 """
 
 from __future__ import annotations
@@ -128,6 +132,8 @@ REFERENCE_S = 0.2  # as perfbench/run.py
 # Even, so that with --against each package runs first in half the rounds.
 REPEATS = 6
 STARTUP_RUNS = 16
+# Calls per layer in each round's child; the least is the layer's figure.
+LAYER_CALLS = 3
 STAGES = ("startup", "orbits", "clusters", "verify-topology")
 
 STARTUP = {
@@ -239,6 +245,11 @@ def scaled_cpu(fn) -> float:
     return (mid - start) * REFERENCE_S / (time.process_time() - mid)
 
 
+def layer_cpu(fn) -> float:
+    """The least of LAYER_CALLS ``scaled_cpu`` figures of fn."""
+    return min(scaled_cpu(fn) for _ in range(LAYER_CALLS))
+
+
 def orbit_layers(case: dict) -> tuple[dict, dict]:
     from branchmono import cli, quotients
 
@@ -265,13 +276,13 @@ def orbit_layers(case: dict) -> tuple[dict, dict]:
     if case["args"]["format"] != "json":
         return info, {}
     with mock.patch.object(quotients, "enumerate_classes", lambda *args, **kwargs: classes):
-        report_s = scaled_cpu(lambda: quotients.moduli_report(*report_args, **report_kwargs))
+        report_s = layer_cpu(lambda: quotients.moduli_report(*report_args, **report_kwargs))
     return info, {
-        "load_group": scaled_cpu(lambda: quotients.load_group(case["args"]["group"])),
-        "enumerate": scaled_cpu(lambda: quotients.enumerate_classes(*enum_args, **enum_kwargs)),
-        "delta": scaled_cpu(lambda: [quotients.delta_on_class(c, *delta_args, **delta_kwargs) for c in classes]),
+        "load_group": layer_cpu(lambda: quotients.load_group(case["args"]["group"])),
+        "enumerate": layer_cpu(lambda: quotients.enumerate_classes(*enum_args, **enum_kwargs)),
+        "delta": layer_cpu(lambda: [quotients.delta_on_class(c, *delta_args, **delta_kwargs) for c in classes]),
         "report": report_s,
-        "emit": scaled_cpu(lambda: report.write_json(sys.stdout)),
+        "emit": layer_cpu(lambda: report.write_json(sys.stdout)),
     }
 
 
@@ -285,18 +296,18 @@ def cluster_layers(case: dict) -> tuple[dict, dict]:
     labels = tuple(binput.labels[s - 1] for s in sigma)
     pres = monodromy.emit_presentation(forest, p=binput.p or 0, point_labels=labels, sigma=sigma)
     layers = {
-        "compute_matrix": scaled_cpu(lambda: intersection.compute_matrix(binput)),
-        "canonical_order": scaled_cpu(lambda: intersection.canonical_order(matrix)),
-        "compute_clusters": scaled_cpu(lambda: clusters.compute_clusters(reordered)),
-        "monodromy": scaled_cpu(
+        "compute_matrix": layer_cpu(lambda: intersection.compute_matrix(binput)),
+        "canonical_order": layer_cpu(lambda: intersection.canonical_order(matrix)),
+        "compute_clusters": layer_cpu(lambda: clusters.compute_clusters(reordered)),
+        "monodromy": layer_cpu(
             lambda: monodromy.emit_presentation(forest, p=binput.p or 0, point_labels=labels, sigma=sigma)
         ),
-        "emit_clusters": scaled_cpu(lambda: clusters.tree_to_text(clusters.nesting_tree(forest))),
-        "emit_present": scaled_cpu(pres.text),
+        "emit_clusters": layer_cpu(lambda: clusters.tree_to_text(clusters.nesting_tree(forest))),
+        "emit_present": layer_cpu(pres.text),
     }
     if "present json" in case["commands"]:
-        layers["emit_present_json"] = scaled_cpu(lambda: json.dumps(pres.to_json_dict(), indent=2))
-        layers["emit_present_relators"] = scaled_cpu(pres.relators_text)
+        layers["emit_present_json"] = layer_cpu(lambda: json.dumps(pres.to_json_dict(), indent=2))
+        layers["emit_present_relators"] = layer_cpu(pres.relators_text)
     return {"clusters": len(forest.clusters)}, layers
 
 
@@ -308,11 +319,11 @@ def topology_layers(case: dict) -> tuple[dict, dict]:
     braids = [topocheck.track_braid(w, samples=samples) for w in families]
     pairs = [(braid.braid_action(b), monodromy.monodromy_automorphism(w.forest)) for b, w in zip(braids, families)]
     return {"families": len(families)}, {
-        "verify_separation": scaled_cpu(lambda: [topocheck.verify_separation(w) for w in families]),
-        "verify_cluster_bound": scaled_cpu(lambda: [topocheck.verify_cluster_bound(w) for w in families]),
-        "track_braid": scaled_cpu(lambda: [topocheck.track_braid(w, samples=samples) for w in families]),
-        "braid_action": scaled_cpu(lambda: [braid.braid_action(b) for b in braids]),
-        "is_inner_shift": scaled_cpu(lambda: [topocheck.is_inner_shift(a, b) for a, b in pairs]),
+        "verify_separation": layer_cpu(lambda: [topocheck.verify_separation(w) for w in families]),
+        "verify_cluster_bound": layer_cpu(lambda: [topocheck.verify_cluster_bound(w) for w in families]),
+        "track_braid": layer_cpu(lambda: [topocheck.track_braid(w, samples=samples) for w in families]),
+        "braid_action": layer_cpu(lambda: [braid.braid_action(b) for b in braids]),
+        "is_inner_shift": layer_cpu(lambda: [topocheck.is_inner_shift(a, b) for a, b in pairs]),
     }
 
 
@@ -494,6 +505,7 @@ def merge(doc: dict, results: dict[str, dict], pairs: dict, label: str) -> None:
             PYTHONDONTWRITEBYTECODE=os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
             repeats=REPEATS,
             startup_runs=STARTUP_RUNS,
+            layer_calls=LAYER_CALLS,
         )
         run.setdefault("cases", {}).update(measured)
     if pairs:

@@ -111,13 +111,13 @@ class _Speeds:
 
     __slots__ = ("coeffs", "weights", "eps", "memo")
 
-    def __init__(self, coeffs: list[list[float]], z0: complex):
+    def __init__(self, coeffs: Sequence[Sequence[float]], z0: complex):
         radius = math.hypot(z0.real, z0.imag)
         powers = [1.0]
         for _ in range(max(map(len, coeffs)) - 1):
             powers.append(powers[-1] * radius)
         size = max(sum(abs(c) * w for c, w in zip(cs, powers)) for cs in coeffs)
-        self.coeffs = [cs + [0.0] * (len(powers) - len(cs)) for cs in coeffs]
+        self.coeffs = [[*cs] + [0.0] * (len(powers) - len(cs)) for cs in coeffs]
         self.weights = [2 * math.pi * j * w for j, w in enumerate(powers)]
         self.eps = _ROUNDING * len(powers) * size
         self.memo: dict[tuple[int, int], float] = {}

@@ -5,7 +5,9 @@ intersect to depth at least n.  The matrix must be in canonical order
 (Hypothesis: rows weakly decreasing right of the diagonal), which makes
 every cluster a contiguous interval; maximal depth-n clusters are then
 exactly the maximal runs of consecutive indices with e[i][i+1] >= n.
-Singletons are excluded: their twists act trivially.
+Singletons are excluded: their twists act trivially.  ``ClusterForest``
+finds each cluster's parent and each strand's innermost cluster once;
+the tree here, the monodromy images and ``quotients``' delta read them.
 """
 
 from __future__ import annotations
@@ -46,13 +48,22 @@ class ClusterForest(Value):
     """Clusters on d strands, sorted by (depth, start), that are nested or
     disjoint, the inner one deeper: the forest ``compute_clusters`` builds.
 
-    The constructor checks this in O(sum of lengths): in depth order, each
-    cluster's strands must all show the same last cluster seen, its
-    parent.  A cluster that overlaps another without nesting, or contains
-    a shallower one, fails that and is IntervalOutOfRange: its twist
-    would not commute with the others."""
+    The constructor checks this in O(sum of lengths) and keeps the tree
+    it finds.  In depth order, the last cluster seen at a cluster's
+    strands is the deepest earlier one holding them, its parent; so it
+    must be one cluster, shallower than this one.  Anything else is
+    IntervalOutOfRange: overlapping clusters would twist without
+    commuting, and a cluster inside one of its own depth is a repeat or
+    not maximal.  Equality, hashing and the repr skip the two tables:
 
-    __slots__ = ("d", "clusters")
+    - ``parents[k]``, the index in ``clusters`` of cluster k's parent (the
+      deepest shallower cluster containing its interval), always below k,
+      or -1 for a root;
+    - ``innermost[i]``, the deepest cluster holding strand i + 1, or -1.
+    """
+
+    __slots__ = ("d", "clusters", "parents", "innermost")
+    _fields = ("d", "clusters")
 
     def __init__(self, d: int, clusters: tuple[Cluster, ...]):
         for c in clusters:
@@ -60,12 +71,17 @@ class ClusterForest(Value):
                 raise IntervalOutOfRange(f"cluster {c} exceeds d = {d}")
         clusters = tuple(sorted(clusters, key=lambda c: (c.depth, c.start)))
         last = [-1] * d
+        parents = []
         for k, c in enumerate(clusters):
             lo, n = c.start - 1, c.length
-            if last[lo : lo + n].count(last[lo]) != n:
+            parent = last[lo]
+            if last[lo : lo + n].count(parent) != n:
                 raise IntervalOutOfRange(f"cluster {c} overlaps a cluster that does not contain it")
+            if parent >= 0 and clusters[parent].depth == c.depth:
+                raise IntervalOutOfRange(f"cluster {c} lies in {clusters[parent]}, of the same depth")
+            parents.append(parent)
             last[lo : lo + n] = [k] * n
-        super().__init__(d, clusters)
+        super().__init__(d, clusters, tuple(parents), tuple(last))
 
     def to_json_list(self) -> list[dict[str, Any]]:
         return [
@@ -126,32 +142,14 @@ class TreeNode(Value):
 
 
 def nesting_tree(forest: ClusterForest) -> tuple[TreeNode, ...]:
-    """Roots of the containment tree.
-
-    The parent of (I, n) is the unique deepest cluster whose disk contains
-    it: (J, m) with J containing I, m <= n and (J, m) != (I, n); within a
-    fixed interval the depths chain outward.  Clusters are nested or
-    disjoint, and a cluster strictly inside another is strictly deeper,
-    so in the order (start, -length, depth) the clusters containing one
-    form a stack whose top is its parent: one sweep in O(c log c).
-    Siblings are disjoint intervals (one inside another would be strictly
-    deeper and so its descendant), so each child list, and the roots,
-    come out of the sweep already in (start, depth) order.
-    """
-    order = sorted(forest.clusters, key=lambda o: (o.start, -o.length, o.depth))
-    children: dict[Cluster, list[Cluster]] = {c: [] for c in order}
-    roots: list[Cluster] = []
-    stack: list[Cluster] = []
-    for c in order:
-        while stack and stack[-1].end < c.start:
-            stack.pop()
-        (children[stack[-1]] if stack else roots).append(c)
-        stack.append(c)
-    # Bottom-up, children before parents: chains are as long as the depth.
-    nodes: dict[Cluster, TreeNode] = {}
-    for c in reversed(order):
-        nodes[c] = TreeNode(c, tuple(nodes[k] for k in children[c]))
-    return tuple(nodes[r] for r in roots)
+    """Roots of the containment tree, read off ``forest.parents`` from
+    the last cluster back, so each node after its children.  Siblings
+    keep the forest's (depth, start) order: start order in a forest from
+    ``compute_clusters``, whose siblings share a depth."""
+    kids: list[list[TreeNode]] = [[] for _ in range(len(forest.clusters) + 1)]  # kids[-1]: the roots
+    for k in reversed(range(len(forest.clusters))):
+        kids[forest.parents[k]].append(TreeNode(forest.clusters[k], tuple(reversed(kids[k]))))
+    return tuple(reversed(kids[-1]))
 
 
 def tree_to_text(roots: tuple[TreeNode, ...]) -> str:

@@ -6,7 +6,8 @@ P_I = x_m...x_{m+l-1}.  The twists of a forest commute and nest, so their
 product is x_i -> W_i x_i W_i^-1, W_i = P_C1...P_Ck over the clusters
 containing i, shallowest first.  Each P_C and P_C^-1 is built once per
 cluster, and each image is one ``FreeWord.product`` of them along the
-chain of clusters containing i, so letters are copied in blocks and
+chain of clusters containing i, which the forest's parent table gives
+from i's innermost cluster outward, so letters are copied in blocks and
 cancel only where x_i meets P_Ck^-1.  The emitter performs free reduction
 only and never simplifies across relations, so output is stable for
 goldens; each output names its letters through one table.
@@ -22,21 +23,20 @@ from .freegroup import FreeAutomorphism, FreeWord, format_letters, letter_names
 
 
 def monodromy_automorphism(forest: ClusterForest) -> FreeAutomorphism:
-    """Product of the forest's twists in closed form, W_i built shallowest
-    first (``forest.clusters`` is sorted by depth); empty forest: identity."""
-    # P_C and P_C^-1 of each cluster C containing i, shallowest first.
-    lefts: list[list[FreeWord]] = [[] for _ in range(forest.d)]
-    rights: list[list[FreeWord]] = [[] for _ in range(forest.d)]
-    for c in forest.clusters:
-        p = FreeWord(c.indices())
-        q = p.inv()
-        for i in c.indices():
-            lefts[i - 1].append(p)
-            rights[i - 1].append(q)
-    images = (
-        FreeWord.product(*left, FreeWord.generator(i), *reversed(right))
-        for i, (left, right) in enumerate(zip(lefts, rights), 1)
-    )
+    """Product of the forest's twists in closed form; empty forest:
+    identity.  Each strand walks its chain up ``forest.parents`` from its
+    entry in ``forest.innermost``: a chain kept per cluster would hold
+    c^2/2 words for c nested clusters."""
+    words = [FreeWord(c.indices()) for c in forest.clusters]
+    inverses = [w.inv() for w in words]
+    images = []
+    for i, k in enumerate(forest.innermost, 1):
+        chain = []  # innermost first
+        while k >= 0:
+            chain.append(k)
+            k = forest.parents[k]
+        left = [words[k] for k in reversed(chain)]
+        images.append(FreeWord.product(*left, FreeWord.generator(i), *[inverses[k] for k in chain]))
     return FreeAutomorphism(forest.d, tuple(images))
 
 

@@ -12,10 +12,10 @@ generates, and ``FiniteGroup.generates`` is asked once per distinct
 (subgroup, last free coordinate); ``_kernels`` holds the walk and the
 closure.  The forest's delta acts on a class by its clusters' twists:
 strand i is conjugated by W_i, the product of P_C over the clusters
-containing i, outermost first; ``forest_twists`` lists the clusters
-parents first once per forest, so per class each P_C is one pair of
-lookups in the tuple's prefix products, each W_C is W_parent * P_C,
-each strand is one conjugation, and the image tuple is
+containing i, outermost first; ``forest_twists`` reshapes the forest's
+parent and innermost-cluster tables once per forest, so per class each
+P_C is one pair of lookups in the tuple's prefix products, each W_C is
+W_parent * P_C, each strand is one conjugation, and the image tuple is
 re-canonicalised from the conjugations that take its first coordinate
 to its least conjugate, which the group precomputes.  The moduli degree
 of a class is the length of its orbit under delta, which the corollary
@@ -370,22 +370,13 @@ Twists = tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]
 
 
 def forest_twists(forest: ClusterForest) -> Twists:
-    """The forest's twists in the form ``delta_on_class`` evaluates,
-    derived once per forest.  ``delta_on_class`` keeps W_C^-1 for cluster
-    k (0-based in ``forest.clusters``) in slot k + 1 of a list whose slot
-    0 is the identity, the W of no cluster; here each cluster, parents
-    first, is (start - 1, end, its parent's slot or 0), and each strand
-    is (its position, its innermost cluster's slot or 0).
-
-    ``forest.clusters`` is sorted by depth and nested, as
-    ``ClusterForest`` checks, so when a cluster comes up its parent is
-    the last cluster seen at its first strand."""
-    slot = [0] * forest.d
-    clusters = []
-    for k, c in enumerate(forest.clusters, 1):
-        clusters.append((c.start - 1, c.end, slot[c.start - 1]))
-        slot[c.start - 1 : c.end] = [k] * c.length
-    return tuple(clusters), tuple(enumerate(slot))
+    """The forest's tables in the form ``delta_on_class`` evaluates.  It
+    keeps W_C^-1 for cluster k in slot k + 1 of a list whose slot 0 is
+    the identity, the W of no cluster; here each cluster, parents first,
+    is (start - 1, end, its parent's slot), and each strand is (its
+    position, its innermost cluster's slot)."""
+    clusters = tuple((c.start - 1, c.end, k + 1) for c, k in zip(forest.clusters, forest.parents))
+    return clusters, tuple((i, k + 1) for i, k in enumerate(forest.innermost))
 
 
 def delta_on_class(rep: tuple[int, ...], form: Twists, g: FiniteGroup) -> tuple[int, ...]:

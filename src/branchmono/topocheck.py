@@ -15,10 +15,11 @@ the tail of a_i past depth n, evaluated at every sample.  A family's
 cluster forest is built once, with the family, and every check reads it.
 
 Only the braid tracker (``_tracker``) runs in double precision, with
-crossings located by bisection.  ``track_braid`` converts the family to
-doubles, checks their range and tries up to MAX_ROTATIONS projection
-frames.  The tracker does not evaluate every grid time: the projected gap
-of two strands a, b moves no faster than
+crossings located by bisection.  A family converts itself to doubles,
+and checks their range, when it is built, before any exact check;
+``track_braid`` tries up to MAX_ROTATIONS projection frames.  The
+tracker does not evaluate every grid time: the projected gap of two
+strands a, b moves no faster than
 V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j per turn, in every frame, so
 where every neighbouring gap exceeds the tie threshold and the rounding
 of a computed gap, the order provably holds, with no tie, for
@@ -118,11 +119,13 @@ class WitnessFamily(Value):
     The standing constraint r/2 < |z0| < r is validated exactly.  The
     polynomials' cluster ``forest`` is built once, here, as the clusters
     of their coefficient series, so the list must already be in canonical
-    (cluster-interval) order.  Equality, hashing and the repr read the
-    other fields; the forest follows from ``polys``.
+    (cluster-interval) order.  Last, ``doubles`` holds what the tracker
+    reads (``_doubles``), so a family it cannot take is refused before
+    any exact check.  Equality, hashing and the repr read the other
+    fields; the forest and the doubles follow from them.
     """
 
-    __slots__ = ("polys", "eta", "r", "z0", "samples", "forest")
+    __slots__ = ("polys", "eta", "r", "z0", "samples", "forest", "doubles")
     _fields = ("polys", "eta", "r", "z0", "samples")
 
     def __init__(
@@ -151,7 +154,8 @@ class WitnessFamily(Value):
         length = max(map(len, polys)) + 1
         padded = tuple(p + (Fraction(0),) * (length - len(p)) for p in polys)
         series = BranchInput(mode="series", points=padded, truncation=length)
-        super().__init__(polys, eta, r, z0, samples, compute_clusters(compute_matrix(series)))
+        forest = compute_clusters(compute_matrix(series))
+        super().__init__(polys, eta, r, z0, samples, forest, _doubles(polys, z0))
 
     @property
     def d(self) -> int:
@@ -403,6 +407,22 @@ def _double(x: Fraction, what: str, **details: Any) -> float:
     return f
 
 
+def _doubles(polys: Sequence[Sequence[Fraction]], z0: RationalComplex) -> tuple[Any, complex, float]:
+    """(coefficients, z0, scale) as the tracker reads them: each value as
+    a double (``_double``), and the largest |a_i(z0)|, at least 1, which
+    must be below the largest double too (SizeLimit)."""
+    coeffs = tuple(
+        tuple(_double(c, f"coefficient {k} of strand {i}", strand=i, coefficient=k) for k, c in enumerate(p))
+        for i, p in enumerate(polys, start=1)
+    )
+    z = complex(_double(z0.re, "Re z0", field="z0"), _double(z0.im, "Im z0", field="z0"))
+    sizes = [math.hypot(v.real, v.imag) for v in (_horner(cs, z) for cs in coeffs)]  # abs(v) can raise
+    for i, size in enumerate(sizes, start=1):
+        if not size < math.inf:
+            raise SizeLimit(f"a_{i}(z0) is past the range of a double", strand=i)
+    return coeffs, z, max(1.0, *sizes)
+
+
 def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
     """Recover the monodromy braid by following the points a_i(e(t) z0).
 
@@ -421,18 +441,7 @@ def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
     generators (this is not an inner-automorphism ambiguity).
     """
     sample_count = w.samples if samples is None else check_samples(samples)
-    coeffs = [
-        [_double(c, f"coefficient {k} of strand {i}", strand=i, coefficient=k) for k, c in enumerate(p)]
-        for i, p in enumerate(w.polys, start=1)
-    ]
-    z0 = complex(_double(w.z0.re, "Re z0", field="z0"), _double(w.z0.im, "Im z0", field="z0"))
-    scale = 1.0
-    for i, cs in enumerate(coeffs, start=1):
-        p = _horner(cs, z0)
-        size = math.hypot(p.real, p.imag)  # abs(p) raises near the largest double
-        if not size < math.inf:
-            raise SizeLimit(f"a_{i}(z0) is past the range of a double", strand=i)
-        scale = max(scale, size)
+    coeffs, z0, scale = w.doubles
     speeds = _Speeds(coeffs, z0)
     width = len(speeds.weights)
     last_error: Optional[_NeedsRotation] = None

@@ -1,15 +1,16 @@
 """``benchmarks/bench.py`` without fresh processes: the pairing of two
 packages' rounds and the sign-test interval of their differences, the
-merge of a run into its output file, the required ``--out``, the
-refusal of a tree holding cached bytecode, and the orbits layers, which
-replay the command's own calls, run in this process.  No test here
-starts a process."""
+least of a layer's calls, the merge of a run into its output file, the
+required ``--out``, the refusal of a tree holding cached bytecode, and
+the orbits layers, which replay the command's own calls, run in this
+process.  No test here starts a process."""
 
 import contextlib
 import importlib.util
 import io
 import os
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,26 @@ def test_orbit_layers_replay_the_commands_calls(tmp_path):
     assert info == {"classes": 3}  # (1, 2, 3), (1, 3, 5) and (3, 1, 2)
     assert list(layers) == ["load_group", "enumerate", "delta", "report", "emit"]
     assert all(t >= 0 for t in layers.values())
+
+
+def test_a_layer_records_its_least_call(monkeypatch):
+    """With a clock that only the calls move, a layer whose calls take 5,
+    2 and 3 units, each followed by 4 units of reference work, reads
+    2/4 of REFERENCE_S; the run records LAYER_CALLS."""
+    clock = [0.0]
+    durations = [5.0, 2.0, 3.0]
+
+    def advance(units):
+        clock[0] += units
+
+    monkeypatch.setattr(bench, "LAYER_CALLS", 3)
+    monkeypatch.setattr(bench.time, "process_time", lambda: clock[0])
+    monkeypatch.setitem(sys.modules, "reference", types.SimpleNamespace(work=lambda: advance(4.0)))
+    assert bench.layer_cpu(lambda: advance(durations.pop(0))) == 2.0 / 4.0 * bench.REFERENCE_S
+    assert durations == []
+    doc = {}
+    bench.merge(doc, {"change": {}}, {}, "change")
+    assert doc["runs"]["change"]["layer_calls"] == 3
 
 
 def test_a_stage_run_keeps_the_labels_other_cases():

@@ -755,11 +755,11 @@ SHORT_BYTES = 300
 # CPU seconds, so that a busy machine does not fail the test.
 SHORT_SECONDS = 10
 # Witness families here give r and z0 at most FAMILY_DIGITS digits over
-# the length of their longest polynomial.  Nothing bounds the exact
-# checks' work yet (ROADMAP direction 3): their gcds grow with the square
-# of the values' length, which grows with that length times z0's digits,
-# so a 138-byte family with a depth-10 cluster at |z0| = 6e-19999 takes
-# 39 s (test_deep_cluster_at_a_tiny_z0_is_not_yet_bounded).
+# the length of their longest polynomial.  A z0 past a double's range is
+# refused before the exact checks, but nothing bounds their work within
+# it yet (ROADMAP direction 3): their gcds grow with the square of the
+# values' length, which grows with that length times z0's digits, so a
+# depth-40 pair plus one strand at |z0| = 6e-300 takes about 8 CPU s.
 FAMILY_DIGITS = 5000
 
 
@@ -863,12 +863,15 @@ def test_short_documents_end_quickly(command, fmt, data):
         assert "error" in json.loads(err)
 
 
-@pytest.mark.xfail(raises=TookTooLong, strict=True, reason="no cap bounds the exact checks' work yet")
-def test_deep_cluster_at_a_tiny_z0_is_not_yet_bounded():
-    """A depth-5 cluster at |z0| = 6e-19999: 330-kbit values, whose gcds
-    take seconds each.  A cap on the checks' work would refuse it at once."""
+def test_deep_cluster_at_a_tiny_z0_is_refused_before_the_exact_checks():
+    """A depth-5 cluster at |z0| = 6e-19999: the exact checks would take
+    seconds on its 330-kbit values, but z0 is past a double's range, so
+    the family is refused when it is built."""
     doc = {"coefficients": [["0"], ["0"] * 5 + ["1"]], "eta": "1/8", "r": "1e-19998", "z0": ["6e-19999", "0"]}
-    run_document(["verify-topology", "--family"], json.dumps(doc), 1)
+    code, err = run_document(["verify-topology", "--family"], json.dumps(doc), 1)
+    assert code == 1
+    err = json.loads(err)
+    assert (err["error"], err["details"]) == ("SIZE_LIMIT", {"field": "z0"})
 
 
 # -- orbits output stream ------------------------------------------------------

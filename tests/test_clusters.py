@@ -1,5 +1,8 @@
 """Cluster enumeration against a brute-force subset oracle, and nesting."""
 
+import copy
+import pickle
+
 import pytest
 
 from branchmono.clusters import (
@@ -13,7 +16,7 @@ from branchmono.clusters import (
 )
 from branchmono.errors import IntervalOutOfRange, NotCanonicallyOrdered, SizeLimit
 from branchmono.intersection import IntersectionMatrix
-from conftest import brute_force_clusters, random_ultrametric_matrix
+from conftest import brute_force_clusters, random_forests, random_ultrametric_matrix
 from oracles import entries
 
 
@@ -171,6 +174,63 @@ def test_forest_refuses_clusters_that_are_not_nested(clusters):
         ClusterForest(4, clusters)
     for c in clusters:
         assert ClusterForest(4, (c,)).clusters == (c,)
+
+
+def test_forest_refuses_a_cluster_inside_one_of_its_depth():
+    for clusters in ((Cluster(1, 4, 1), Cluster(2, 2, 1)), (Cluster(1, 2, 3), Cluster(1, 2, 3))):
+        with pytest.raises(IntervalOutOfRange, match="of the same depth"):
+            ClusterForest(4, clusters)
+
+
+# A hand-built forest on 7 strands, its parents and its innermost clusters.
+HAND_BUILT = (
+    ClusterForest(7, (
+        Cluster(1, 7, 1), Cluster(1, 3, 2), Cluster(5, 3, 2), Cluster(1, 3, 3),
+        Cluster(2, 2, 5), Cluster(6, 2, 4),
+    )),
+    (-1, 0, 0, 1, 2, 3),
+    (3, 5, 5, 0, 2, 4, 4),
+)
+
+
+def test_forest_tables_by_hand():
+    forest, parents, innermost = HAND_BUILT
+    assert [(c.start, c.depth) for c in forest.clusters] == [(1, 1), (1, 2), (5, 2), (1, 3), (6, 4), (2, 5)]
+    assert (forest.parents, forest.innermost) == (parents, innermost)
+
+
+def test_forest_tables_match_a_brute_force_scan(rng):
+    """``parents[k]`` is the deepest shallower cluster whose interval
+    contains cluster k's, and comes before it; ``innermost[i]`` the
+    deepest cluster holding strand i + 1; -1 where there is none."""
+    forests = [HAND_BUILT[0]]
+    for _ in range(20):
+        forests += random_forests(rng, rng.randint(2, 12))
+    for forest in forests:
+        cs = forest.clusters
+
+        def deepest(ks):
+            return max(ks, key=lambda k: cs[k].depth, default=-1)
+
+        for k, c in enumerate(cs):
+            parent = deepest(j for j, o in enumerate(cs) if o.depth < c.depth and o.contains_interval(c))
+            assert forest.parents[k] == parent < k, forest
+        holding = [[k for k, c in enumerate(cs) if c.start <= i <= c.end] for i in range(1, forest.d + 1)]
+        assert forest.innermost == tuple(map(deepest, holding)), forest
+
+
+def test_forests_built_differently_are_the_same_value(rng):
+    """The tables are derived, so forests from the same clusters in any
+    order compare, hash, print, copy and pickle alike."""
+    for forest in [HAND_BUILT[0]] + [f for _ in range(5) for f in random_forests(rng, rng.randint(2, 10))]:
+        listed = list(forest.clusters)
+        rng.shuffle(listed)
+        again = ClusterForest(forest.d, tuple(listed))
+        assert again == forest and hash(again) == hash(forest)
+        assert repr(again) == repr(forest) == f"ClusterForest(d={forest.d}, clusters={forest.clusters!r})"
+        for other in (again, copy.copy(forest), copy.deepcopy(forest), pickle.loads(pickle.dumps(forest))):
+            assert other == forest
+            assert (other.parents, other.innermost) == (forest.parents, forest.innermost)
 
 
 def test_forest_sorted_deterministically(rng):

@@ -16,7 +16,7 @@ import tracemalloc
 import pytest
 
 from branchmono import quotients
-from branchmono.clusters import Cluster, ClusterForest, nesting_tree
+from branchmono.clusters import Cluster, ClusterForest
 from branchmono.errors import NotAGroup, UnsupportedForm
 from branchmono.freegroup import FreeAutomorphism, FreeWord
 from branchmono.monodromy import monodromy_automorphism
@@ -158,27 +158,20 @@ def test_conjugation_delta_matches_letter_by_letter(name, rng):
                 assert delta_on_class(tup, form, g) == letter_delta_on_class(tup, aut, g), (name, tup, forest)
 
 
-def test_forest_twists_follow_the_nesting_tree(rng):
-    """Each cluster's parent is its parent in ``nesting_tree`` and comes
-    before it, and each strand's innermost cluster is the deepest one
-    holding it; cluster k has slot k + 1, and slot 0 is no cluster."""
+def test_forest_twists_reshape_the_forest_tables(rng):
+    """Cluster k has slot k + 1 and slot 0 is no cluster: each cluster is
+    (start - 1, end, its parent's slot) and each strand (its position, its
+    innermost cluster's slot), read off ``ClusterForest``'s tables, which
+    ``test_clusters`` checks against a brute-force scan."""
     for _ in range(20):
-        d = rng.randint(2, 12)
-        for forest in random_forests(rng, d):
+        for forest in random_forests(rng, rng.randint(2, 12)):
             clusters, strands = forest_twists(forest)
-            parent_of = {}
-            todo = [(root, None) for root in nesting_tree(forest)]
-            while todo:
-                node, parent = todo.pop()
-                parent_of[node.cluster] = parent
-                todo.extend((child, node.cluster) for child in node.children)
-            for k, (c, (lo, hi, parent)) in enumerate(zip(forest.clusters, clusters), 1):
-                assert (lo, hi) == (c.start - 1, c.end)
-                assert parent < k
-                assert parent_of[c] == (forest.clusters[parent - 1] if parent else None), forest
-            for i, (position, innermost) in enumerate(strands):
-                holding = [k for k, c in enumerate(forest.clusters, 1) if c.start <= i + 1 <= c.end]
-                assert (position, innermost) == (i, max(holding, default=0)), forest
+            assert clusters == tuple(
+                (c.start - 1, c.end, parent + 1) for c, parent in zip(forest.clusters, forest.parents)
+            )
+            assert strands == tuple((i, k + 1) for i, k in enumerate(forest.innermost))
+            # delta_on_class fills the slots in one pass, parents first.
+            assert all(parent < k for k, (_, _, parent) in enumerate(clusters, 1))
 
 
 def test_moduli_report_calls_delta_once_per_class(monkeypatch):

@@ -611,8 +611,8 @@ def test_coefficients_must_be_array_of_arrays(coefficients):
 
 
 def test_tracker_refuses_values_outside_double_range():
-    """Where the exact family does not fit the tracker's doubles, the error
-    names what does not fit, before any tracking."""
+    """Where the exact family does not fit the tracker's doubles, the
+    family itself is refused, and the error names what does not fit."""
     huge = F(10**400)
     cases = [
         (((F(0),), (huge,)), F(1, 16), RationalComplex(F(3, 64)), {"strand": 2, "coefficient": 0}),
@@ -623,7 +623,6 @@ def test_tracker_refuses_values_outside_double_range():
         (((F(0),), (F(15 * 10**307), F(10**308))), F(2), RationalComplex(F(0), F(3, 2)), {"strand": 2}),
     ]
     for polys, r, z0, details in cases:
-        w = WitnessFamily(polys=polys, eta=F(1, 8), r=r, z0=z0, samples=64)
         with pytest.raises(SizeLimit) as info:
-            track_braid(w)
+            WitnessFamily(polys=polys, eta=F(1, 8), r=r, z0=z0, samples=64)
         assert info.value.details == details
