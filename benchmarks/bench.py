@@ -62,8 +62,9 @@ runs one stage; by default every stage runs, in this order:
 
 Figures are CPU seconds, each the median of REPEATS rounds (STARTUP_RUNS
 for a start-up case), scaled by 0.2 s over the CPU time of the work of
-``perfbench/reference.py`` right after it, which measures the machine's
-speed at that moment.  A case's round runs, for each package:
+``perfbench/reference.py``, which measures the machine's speed at that
+moment.  A case's round starts one fresh process of ``reference.py``,
+then runs, for each package:
 
 - one child interpreter (CHILD, ``python -c`` with the package's ``src``
   first on its path; this process imports no ``branchmono``), which
@@ -75,8 +76,9 @@ speed at that moment.  A case's round runs, for each package:
 - for each command one fresh LAUNCH process, which adds interpreter
   start-up and imports: its user plus system CPU time from wait4
   (``process_s``, for a start-up case ``cpu_s_p50`` with every run in
-  ``cpu_s``), scaled by a fresh process of ``reference.py``, and its own
-  VmHWM (``peak_rss_mb``).  A start-up case also records the sorted
+  ``cpu_s``), scaled by the round's reference process, so that with
+  ``--against`` both packages' figures of a round share one divisor, and
+  its own VmHWM (``peak_rss_mb``).  A start-up case also records the sorted
   ``branchmono`` modules the process imported (``modules``).
 
 The two scalings differ, so in-process and fresh-process figures are not
@@ -225,12 +227,12 @@ def cpu_seconds(argv: list[str], env: dict[str, str]) -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def launch(argv: list[str], env: dict[str, str], out: Path) -> tuple[float, float, list[str]]:
-    """(scaled CPU seconds, peak RSS in MB, imported package modules) of
-    one fresh LAUNCH process."""
+def launch(argv: list[str], env: dict[str, str], out: Path, reference: float) -> tuple[float, float, list[str]]:
+    """(CPU seconds scaled by the round's ``reference`` seconds, peak RSS
+    in MB, imported package modules) of one fresh LAUNCH process."""
     cpu = cpu_seconds(["-c", LAUNCH, *argv], {**env, "BENCH_OUT": str(out)})
     hwm, *modules = out.read_text().split("\n")
-    return cpu * REFERENCE_S / cpu_seconds([str(REFERENCE)], env), int(hwm.split()[1]) / 1024, modules
+    return cpu * REFERENCE_S / reference, int(hwm.split()[1]) / 1024, modules
 
 
 def scaled_cpu(fn) -> float:
@@ -411,9 +413,10 @@ def cases(stages: tuple[str, ...], tmp: Path) -> list[dict]:
     return out
 
 
-def one_round(case: dict, env: dict[str, str], out: Path) -> tuple[dict, dict]:
+def one_round(case: dict, env: dict[str, str], out: Path, reference: float) -> tuple[dict, dict]:
     """(figure path -> value, other facts) of one round of a case for one
-    package: its CHILD if the case has layers, then a LAUNCH per command."""
+    package: its CHILD if the case has layers, then a LAUNCH per command,
+    scaled by the round's ``reference`` seconds."""
     figures, facts = {}, {}
     if case["stage"] in LAYERS:
         proc = subprocess.run(
@@ -424,7 +427,7 @@ def one_round(case: dict, env: dict[str, str], out: Path) -> tuple[dict, dict]:
         figures.update({("layers_s", name): t for name, t in result["layers_s"].items()})
         figures.update({("commands", name, "command_s"): t for name, t in result["command_s"].items()})
     for name, argv in case["commands"].items():
-        cpu, rss, modules = launch(argv, env, out)
+        cpu, rss, modules = launch(argv, env, out, reference)
         if case["stage"] == "startup":
             figures.update({("cpu_s_p50",): cpu, ("peak_rss_mb",): rss})
             facts["modules"] = modules
@@ -435,12 +438,14 @@ def one_round(case: dict, env: dict[str, str], out: Path) -> tuple[dict, dict]:
 
 def measure(case: dict, envs: dict[str, dict[str, str]], out: Path) -> tuple[dict, dict]:
     """(label -> figure path -> one value per round, label -> other facts);
-    each round runs every label, in an order that flips every round."""
+    each round runs one reference process, then every label, in an order
+    that flips every round."""
     samples: dict[str, dict[tuple, list[float]]] = {label: {} for label in envs}
     facts = {}
     for k in range(STARTUP_RUNS if case["stage"] == "startup" else REPEATS):
+        reference = cpu_seconds([str(REFERENCE)], dict(os.environ))
         for label in list(envs)[:: 1 if k % 2 == 0 else -1]:
-            figures, facts[label] = one_round(case, envs[label], out)
+            figures, facts[label] = one_round(case, envs[label], out, reference)
             for path, value in figures.items():
                 samples[label].setdefault(path, []).append(value)
     return samples, facts

@@ -82,15 +82,25 @@ def _fractions():
 DIGIT_CAP = 20_000
 
 
+# What a value that is not a rational is, by its type as ``json`` reads it.
+_NOT_RATIONAL = {
+    bool: "a JSON boolean",
+    float: "floats are not accepted",
+    dict: "a JSON object",
+    list: "a JSON array",
+    type(None): "JSON null",
+}
+
+
 def parse_rational(value: Any, **where: Any) -> Fraction:
     """Accept an int or an ``"a/b"`` / ``"a"`` string; floats are rejected
-    to keep the arithmetic exact.  A string past DIGIT_CAP is SizeLimit,
-    whose details are ``cap`` and ``where``: the caller's keys naming the
-    value's place in its document."""
+    to keep the arithmetic exact.  A string that is no rational, or a
+    value of another type (its JSON type named), is InvalidInput, and a
+    string past DIGIT_CAP is SizeLimit, with ``cap`` in its details.  Each
+    error's details hold ``where``: the caller's keys naming the value's
+    place in its document."""
     fractions = _fractions()
-    if isinstance(value, bool):
-        raise InvalidInput(f"not a rational: {_echo(value)}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return fractions.Fraction(value)
     if isinstance(value, str):
         try:
@@ -103,8 +113,9 @@ def parse_rational(value: Any, **where: Any) -> Fraction:
                     )
             return fractions.Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"cannot parse rational {_echo(value)}") from exc
-    raise InvalidInput(f"not a rational: {_echo(value)} (floats are not accepted)")
+            raise InvalidInput(f"cannot parse rational {_echo(value)}", **where) from exc
+    kind = _NOT_RATIONAL.get(type(value), f"a {type(value).__name__}")
+    raise InvalidInput(f"not a rational: {_echo(value)} ({kind})", **where)
 
 
 # Miller–Rabin with the first 13 primes as bases is proven exact below

@@ -2,12 +2,14 @@
 polynomial families, and monodromy recovery by strand tracking.
 
 The circle/membership inequalities are all comparisons of squared moduli
-of Gaussian rationals, so they are checked exactly.  One evaluator,
-``_evaluate``, computes every polynomial value they need: an integer
-Horner over one common denominator per polynomial, at points given as
-Gaussian integers over a positive integer, (X + iY)/N.  Separation
-evaluates each a_i and each circle's centre at z0.  Circle samples come
-from the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2), which lies
+of Gaussian rationals, so they are checked exactly, from one integer form
+that a family derives once: z0 as (X, Y, N) with z0 = (X + iY)/N, and
+each polynomial as integer numerators over its least positive common
+denominator.  One evaluator, ``_evaluate``, computes every value the
+checks need: an integer Horner of numerators at Gaussian integers over a
+positive integer.  Separation evaluates each a_i and each circle's centre
+(a prefix of a member's numerators) at z0.  Circle samples come from the
+tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2), which lies
 exactly on |z| = |z0| for rational t.  The cluster bound factors out the
 circle's radius: the centre b_{I,n} is a_i truncated below depth n, so
 |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2 on the circle, with T_i
@@ -60,25 +62,6 @@ from .monodromy import monodromy_automorphism
 from ._tracker import _horner, _NeedsRotation, _Speeds, _Tracker
 
 
-class RationalComplex(Value):
-    """Gaussian rational: exact real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-    _defaults = {"re": Fraction(0), "im": Fraction(0)}
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @classmethod
-    def from_json(cls, obj: Any, **where: Any) -> "RationalComplex":
-        """[re, im] or a real rational; ``where`` as for ``parse_rational``."""
-        if _is_array(obj):
-            if len(obj) != 2:
-                raise InvalidInput(f"complex rational needs [re, im], got {obj!r}")
-            return cls(parse_rational(obj[0], **where), parse_rational(obj[1], **where))
-        return cls(parse_rational(obj, **where))
-
-
 # Most tracker samples accepted.  The tracker leaps over the grid times at
 # which a speed bound proves the strand order unchanged, so a family of 12
 # strands takes about 8 ms at 1024 samples and 10 ms at 2^16.  Where the
@@ -106,6 +89,13 @@ def check_samples(value: Any, name: str = "samples") -> int:
     return value
 
 
+def _over_common_denominator(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, L) with xs[k] = numerators[k]/L, L the least positive
+    common denominator (1 for no values)."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
 def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     out = list(coeffs)
     while out and out[-1] == 0:
@@ -114,18 +104,21 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 class WitnessFamily(Value):
-    """Polynomials a_1..a_d with the loop parameters (eta, r, z0).
+    """Polynomials a_1..a_d with the loop parameters (eta, r, z0), z0 as
+    the pair (re, im) of rationals.
 
     The standing constraint r/2 < |z0| < r is validated exactly.  The
     polynomials' cluster ``forest`` is built once, here, as the clusters
     of their coefficient series, so the list must already be in canonical
-    (cluster-interval) order.  Last, ``doubles`` holds what the tracker
-    reads (``_doubles``), so a family it cannot take is refused before
-    any exact check.  Equality, hashing and the repr read the other
-    fields; the forest and the doubles follow from them.
+    (cluster-interval) order.  So is the integer form the exact checks
+    read: ``point``, z0 as (X, Y, N), and ``integers``, each polynomial as
+    (numerators, L) (``_over_common_denominator``).  Last, ``doubles``
+    holds what the tracker reads (``_doubles``), so a family it cannot
+    take is refused before any exact check.  Equality, hashing and the
+    repr read the other fields; the rest follow from them.
     """
 
-    __slots__ = ("polys", "eta", "r", "z0", "samples", "forest", "doubles")
+    __slots__ = ("polys", "eta", "r", "z0", "samples", "forest", "point", "integers", "doubles")
     _fields = ("polys", "eta", "r", "z0", "samples")
 
     def __init__(
@@ -133,7 +126,7 @@ class WitnessFamily(Value):
         polys: tuple[tuple[Fraction, ...], ...],
         eta: Fraction,
         r: Fraction,
-        z0: RationalComplex,
+        z0: tuple[Fraction, Fraction],
         samples: int = 4096,
     ):
         polys = tuple(_trim(p) for p in polys)
@@ -145,7 +138,8 @@ class WitnessFamily(Value):
             raise InvalidInput(f"eta must be nonnegative, got {_echo(eta)}")
         if r <= 0:
             raise InvalidInput(f"r must be positive, got {_echo(r)}")
-        a2 = z0.abs2()
+        re, im = z0
+        a2 = re * re + im * im
         if not (r * r / 4 < a2 < r * r):
             raise InvalidInput(
                 f"z0 must satisfy r/2 < |z0| < r; got |z0|^2 = {_echo(a2)}, r = {_echo(r)}"
@@ -155,7 +149,9 @@ class WitnessFamily(Value):
         padded = tuple(p + (Fraction(0),) * (length - len(p)) for p in polys)
         series = BranchInput(mode="series", points=padded, truncation=length)
         forest = compute_clusters(compute_matrix(series))
-        super().__init__(polys, eta, r, z0, samples, forest, _doubles(polys, z0))
+        (x, y), n = _over_common_denominator(z0)
+        integers = tuple(map(_over_common_denominator, polys))
+        super().__init__(polys, eta, r, z0, samples, forest, (x, y, n), integers, _doubles(polys, z0))
 
     @property
     def d(self) -> int:
@@ -163,6 +159,7 @@ class WitnessFamily(Value):
 
     @classmethod
     def from_json_dict(cls, obj: Mapping[str, Any]) -> "WitnessFamily":
+        """The family of a JSON object; z0 is [re, im] or a real rational."""
         if not isinstance(obj, Mapping):
             raise InvalidInput("witness family must be a JSON object")
         coeffs = obj.get("coefficients")
@@ -175,13 +172,14 @@ class WitnessFamily(Value):
         kwargs: dict[str, Any] = {}
         if "samples" in obj:
             kwargs["samples"] = obj["samples"]
-        return cls(
-            polys=polys,
-            eta=parse_rational(obj.get("eta"), field="eta"),
-            r=parse_rational(obj.get("r"), field="r"),
-            z0=RationalComplex.from_json(obj.get("z0"), field="z0"),
-            **kwargs,
-        )
+        eta = parse_rational(obj.get("eta"), field="eta")
+        r = parse_rational(obj.get("r"), field="r")
+        z0 = obj.get("z0")
+        if not _is_array(z0):
+            z0 = (z0, 0)
+        elif len(z0) != 2:
+            raise InvalidInput(f"complex rational needs [re, im], got {z0!r}")
+        return cls(polys, eta, r, tuple(parse_rational(x, field="z0") for x in z0), **kwargs)
 
 
 class CheckRecord(Value):
@@ -237,20 +235,12 @@ def _exact(x: Fraction) -> str:
         return f"~{'-' if x < 0 else ''}{10 ** (e - math.floor(e)):.6f}e{math.floor(e)}"
 
 
-def _point(z: RationalComplex) -> tuple[int, int, int]:
-    """z as (X, Y, N) with z = (X + iY)/N, N > 0."""
-    den = math.lcm(z.re.denominator, z.im.denominator)
-    return z.re.numerator * (den // z.re.denominator), z.im.numerator * (den // z.im.denominator), den
-
-
-def _evaluate(coeffs: Sequence[Fraction], points: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """T(z) = sum_j coeffs[j] z^j at each point z = (X + iY)/N, exactly,
-    as (re, im, s) with T(z) = (re + i im)/s.  With L the common
-    denominator of the coefficients, P_j = L * coeffs[j] and m = deg T,
-    the integer Horner re + i im = sum_j P_j (X + iY)^j N^(m-j) gives
-    s = L N^m."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs] or [0]
+def _evaluate(nums: Sequence[int], den: int, points: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """T(z) = sum_j (nums[j]/den) z^j at each point z = (X + iY)/N, exactly,
+    as (re, im, s) with T(z) = (re + i im)/s.  With m = len(nums) - 1, the
+    integer Horner re + i im = sum_j nums[j] (X + iY)^j N^(m-j) gives
+    s = den N^m."""
+    nums = nums or (0,)
     top, rest = nums[-1], nums[-2::-1]
     out = []
     for x, y, n in points:
@@ -274,13 +264,15 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
     The circle of cluster (I, n) has radius eta * r^(n-1) and centre the
     common degree-<n prefix of its polynomials, at z0."""
     forest = w.forest
-    z0 = [_point(w.z0)]
-    values = [_evaluate(p, z0)[0] for p in w.polys]
+    z0 = [w.point]
+    values = [_evaluate(nums, den, z0)[0] for nums, den in w.integers]
     records: list[CheckRecord] = []
 
     for i in range(w.d):
+        x1, y1, s1 = values[i]
         for j in range(i + 1, w.d):
-            ok = _dist2(values[i], values[j]) != 0
+            x2, y2, s2 = values[j]
+            ok = x1 * s2 != x2 * s1 or y1 * s2 != y2 * s1
             records.append(
                 CheckRecord(
                     "distinct-values",
@@ -290,10 +282,10 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
                 )
             )
 
-    circles = {
-        c: (_evaluate(w.polys[c.start - 1][: c.depth], z0)[0], w.eta * w.r ** (c.depth - 1))
-        for c in forest.clusters
-    }
+    circles = {}
+    for c in forest.clusters:
+        nums, den = w.integers[c.start - 1]
+        circles[c] = (_evaluate(nums[: c.depth], den, z0)[0], w.eta * w.r ** (c.depth - 1))
     cl = list(forest.clusters)
     for a_idx in range(len(cl)):
         for b_idx in range(a_idx + 1, len(cl)):
@@ -338,11 +330,11 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
     return _raise_if_failed(GeometryReport("separation", tuple(records)))
 
 
-def _circle_points(z0: RationalComplex, count: int) -> list[tuple[int, int, int]]:
-    """Exact points on |z| = |z0| as (X, Y, N) with z = (X + iY)/N, N > 0:
-    first -z0, then z0 * ((q^2-p^2) + 2pq i)/(q^2+p^2) for rational
-    t = p/q, the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2)."""
-    u, v, den = _point(z0)
+def _circle_points(z0: tuple[int, int, int], count: int) -> list[tuple[int, int, int]]:
+    """Exact points on |z| = |z0|, each as z0 is given, (X, Y, N) with
+    z = (X + iY)/N: first -z0, then z0 * ((q^2-p^2) + 2pq i)/(q^2+p^2) for
+    rational t = p/q, the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2)."""
+    u, v, den = z0
     out = [(-u, -v, den)]
     for k in range(count - 1):
         angle = math.pi * ((k + 0.5) / (count - 1) - 0.5)
@@ -363,16 +355,18 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
     tail is evaluated once per sample in integers (``_evaluate``), the
     samples are compared by cross-multiplying, and the worst becomes one
     exact Fraction per record."""
-    points = _circle_points(w.z0, BOUND_SAMPLES)
-    z0_abs2 = w.z0.abs2()
+    points = _circle_points(w.point, BOUND_SAMPLES)
+    re, im = w.z0
+    z0_abs2 = re * re + im * im
     records: list[CheckRecord] = []
     for c in w.forest.clusters:
         n = c.depth
         bound2 = z0_abs2 ** (n - 1) * w.eta * w.eta
         for i in c.indices():
             best, best_s2 = 0, 1
-            for re, im, s in _evaluate(w.polys[i - 1][n:], points):
-                abs2, s2 = re * re + im * im, s * s
+            nums, den = w.integers[i - 1]
+            for x, y, s in _evaluate(nums[n:], den, points):
+                abs2, s2 = x * x + y * y, s * s
                 if abs2 * best_s2 > best * s2:
                     best, best_s2 = abs2, s2
             worst = z0_abs2**n * Fraction(best, best_s2)
@@ -407,7 +401,7 @@ def _double(x: Fraction, what: str, **details: Any) -> float:
     return f
 
 
-def _doubles(polys: Sequence[Sequence[Fraction]], z0: RationalComplex) -> tuple[Any, complex, float]:
+def _doubles(polys: Sequence[Sequence[Fraction]], z0: tuple[Fraction, Fraction]) -> tuple[Any, complex, float]:
     """(coefficients, z0, scale) as the tracker reads them: each value as
     a double (``_double``), and the largest |a_i(z0)|, at least 1, which
     must be below the largest double too (SizeLimit)."""
@@ -415,7 +409,7 @@ def _doubles(polys: Sequence[Sequence[Fraction]], z0: RationalComplex) -> tuple[
         tuple(_double(c, f"coefficient {k} of strand {i}", strand=i, coefficient=k) for k, c in enumerate(p))
         for i, p in enumerate(polys, start=1)
     )
-    z = complex(_double(z0.re, "Re z0", field="z0"), _double(z0.im, "Im z0", field="z0"))
+    z = complex(_double(z0[0], "Re z0", field="z0"), _double(z0[1], "Im z0", field="z0"))
     sizes = [math.hypot(v.real, v.imag) for v in (_horner(cs, z) for cs in coeffs)]  # abs(v) can raise
     for i, size in enumerate(sizes, start=1):
         if not size < math.inf:

@@ -18,13 +18,16 @@ time, which the leaping tracker must agree with.
 ``window_inner_shift`` tries every conjugator the first generator allows
 in a window, with the full validity check, and ``fraction_separation``
 and ``fraction_cluster_bound`` evaluate the witness geometry in Gaussian
-rationals, against ``topocheck.is_inner_shift`` and ``topocheck``'s one
-integer evaluator.  ``csv_lines`` builds every line of an orbits
-report's CSV table at once, and ``orbit_json`` dumps its whole JSON
-document at once, the references for the blocks that
-``OrbitReport.write_csv`` and ``OrbitReport.write_json`` stream, and
-``presentation_forms`` writes a presentation's three output forms one
-letter at a time, the reference for ``freegroup.format_letters``'s table
+rationals, straight from a family's ``Fraction`` coefficients and its z0
+pair, against ``topocheck.is_inner_shift`` and ``topocheck``'s one
+integer evaluator, which reads the family's integer form: z0 as
+(X, Y, N) and each polynomial as numerators over one denominator.
+``csv_lines`` builds every line of an orbits report's CSV table at once,
+and ``orbit_json`` dumps its whole JSON document at once, the references
+for the blocks that ``OrbitReport.write_csv`` and
+``OrbitReport.write_json`` stream, and ``presentation_forms`` writes a
+presentation's three output forms one letter at a time, the reference
+for ``freegroup.format_letters``'s table
 of letter names.
 ``light_failure`` is Light's associativity test with its greedy
 generators grown by a naive fixpoint, the reference for the triple
@@ -516,7 +519,7 @@ def center_poly(w: WitnessFamily, c: Cluster) -> tuple[Fraction, ...]:
 def fraction_separation(w: WitnessFamily) -> GeometryReport:
     """``verify_separation``'s records, each value computed in Gaussian
     rationals; the report is returned, not raised, when a check fails."""
-    z0 = (w.z0.re, w.z0.im)
+    z0 = w.z0
     values = [eval_poly(p, z0) for p in w.polys]
     records = []
     for i in range(w.d):
@@ -581,8 +584,8 @@ def fraction_cluster_bound(w: WitnessFamily, bound_samples: int = 128) -> Geomet
     """The bound evaluated directly: a_i(z) - b(z) in Gaussian rationals
     at every sample, for every cluster and member; the report is
     returned, not raised, when a check fails."""
-    zs = fraction_circle_samples((w.z0.re, w.z0.im), bound_samples)
-    z0_abs2 = w.z0.abs2()
+    zs = fraction_circle_samples(w.z0, bound_samples)
+    z0_abs2 = gauss_abs2(w.z0)
     values = [[eval_poly(p, z) for z in zs] for p in w.polys]
     records = []
     for c in w.forest.clusters:

@@ -195,16 +195,14 @@ def test_criterion_6_corollary_brute_force():
 
 
 def test_criterion_7_theorem_oracle():
-    from branchmono.topocheck import RationalComplex
-
     families = {
         "a=(0, x^2, x)": WitnessFamily(
             polys=((F(0),), (F(0), F(0), F(1)), (F(0), F(1))),
-            eta=F(1, 8), r=F(1, 16), z0=RationalComplex(F(3, 64)), samples=4096,
+            eta=F(1, 8), r=F(1, 16), z0=(F(3, 64), F(0)), samples=4096,
         ),
         "a=(0, x, 1, 1+x^2)": WitnessFamily(
             polys=((F(0),), (F(0), F(1)), (F(1),), (F(1), F(0), F(1))),
-            eta=F(1, 8), r=F(1, 16), z0=RationalComplex(F(3, 64)), samples=4096,
+            eta=F(1, 8), r=F(1, 16), z0=(F(3, 64), F(0)), samples=4096,
         ),
     }
     for label, fam in families.items():

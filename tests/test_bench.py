@@ -111,3 +111,30 @@ def test_a_tree_with_cached_bytecode_is_refused(tmp_path):
         bench.source_env(tmp_path)
     cache.rmdir()
     assert bench.source_env(tmp_path)["PYTHONPATH"].split(os.pathsep)[0] == str(tmp_path)
+
+
+def test_a_round_shares_one_reference_process(monkeypatch, tmp_path):
+    """With ``cpu_seconds`` replaced, each round runs ``reference.py`` once,
+    and both packages' ``process_s`` divide by that round's figure."""
+    references = iter([0.4, 0.1])
+    spawned = []
+
+    def cpu_seconds(argv, env):
+        spawned.append(argv[0] if argv[0] != "-c" else env["PYTHONPATH"])
+        if argv == [str(bench.REFERENCE)]:
+            return next(references)
+        Path(env["BENCH_OUT"]).write_text("VmHWM:\t2048 kB\nbranchmono")
+        return {"new": 0.2, "old": 0.3}[env["PYTHONPATH"]]
+
+    monkeypatch.setattr(bench, "cpu_seconds", cpu_seconds)
+    monkeypatch.setattr(bench, "REPEATS", 2)
+    monkeypatch.setattr(bench, "LAYERS", {})
+    case = {"stage": "verify-topology", "commands": {"verify-topology": ["verify-topology"]}}
+    envs = {"change": {"PYTHONPATH": "new"}, "parent": {"PYTHONPATH": "old"}}
+    samples, _ = bench.measure(case, envs, tmp_path / "launch")
+    assert spawned == [str(bench.REFERENCE), "new", "old", str(bench.REFERENCE), "old", "new"]
+    scale = [bench.REFERENCE_S / 0.4, bench.REFERENCE_S / 0.1]
+    process_s = ("commands", "verify-topology", "process_s")
+    assert samples["change"][process_s] == pytest.approx([0.2 * scale[0], 0.2 * scale[1]])
+    assert samples["parent"][process_s] == pytest.approx([0.3 * scale[0], 0.3 * scale[1]])
+    assert samples["change"][("commands", "verify-topology", "peak_rss_mb")] == [2.0, 2.0]

@@ -504,6 +504,40 @@ def test_exponent_past_the_digit_cap_is_refused_at_once(args, doc, where, tmp_pa
     assert err["details"] == {"cap": 20000, **where}
 
 
+FAMILY = {"coefficients": [["0"], ["0", "1"]], "eta": "1/8", "r": "1/16", "z0": ["3/64", "0"]}
+
+
+@pytest.mark.parametrize(
+    "args, doc, message, where",
+    [
+        (
+            ("verify-topology", "--family"),
+            {**FAMILY, "coefficients": [["0"], ["0", {"a": 1}]]},
+            "not a rational: {'a': 1} (a JSON object)",
+            {"strand": 2, "coefficient": 1},
+        ),
+        (
+            ("clusters", "--input"),
+            {"mode": "padic", "p": 3, "points": [0, None, 1]},
+            "not a rational: None (JSON null)",
+            {"point": 2},
+        ),
+        (("verify-topology", "--family"), {**FAMILY, "z0": {"re": 1}}, "not a rational: {'re': 1} (a JSON object)", {"field": "z0"}),
+        (("verify-topology", "--family"), {**FAMILY, "z0": [0.5, 0]}, "not a rational: 0.5 (floats are not accepted)", {"field": "z0"}),
+        (("verify-topology", "--family"), {**FAMILY, "eta": "1/0"}, "cannot parse rational '1/0'", {"field": "eta"}),
+    ],
+    ids=["object-coefficient", "null-padic-point", "object-z0", "float-z0", "unparsable-eta"],
+)
+def test_a_value_that_is_no_rational_is_named_with_its_place(args, doc, message, where, tmp_path):
+    """The error names the value's JSON type, keeps the note on floats for
+    floats, and its details say where the value was."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli(*args, str(path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert json.loads(out.stderr) == {"error": "INVALID_INPUT", "message": message, "details": where}
+
+
 @pytest.mark.parametrize("group", ["c²", "s①"], ids=["superscript_two", "circled_one"])
 def test_orbits_non_decimal_digits_are_unknown_builtin(group):
     """str.isdigit() accepts these characters but int() does not parse them;

@@ -211,14 +211,12 @@ def test_max_tuples_default_is_the_library_cap(monkeypatch):
 
 
 def _value_cases():
-    from fractions import Fraction as F
-
     from branchmono.braid import BraidWord
     from branchmono.clusters import Cluster
     from branchmono.freegroup import FreeWord
     from branchmono.intersection import IntersectionMatrix
     from branchmono.quotients import FiniteGroup, OrbitReport, cyclic_group
-    from branchmono.topocheck import CheckRecord, RationalComplex
+    from branchmono.topocheck import CheckRecord
 
     c2 = ((0, 1), (1, 0))
     # (value, an equal one built another way, an unequal one, repr, a field)
@@ -244,13 +242,6 @@ def _value_cases():
             IntersectionMatrix.from_tree((1, 2, 3), (1, 1)),
             "IntersectionMatrix(d=3, order=(1, 2, 3), steps=(2, 1))",
             "steps",
-        ),
-        "RationalComplex": (
-            RationalComplex(F(1, 2)),
-            RationalComplex(re=F(2, 4), im=F(0)),
-            RationalComplex(F(1, 2), F(1)),
-            "RationalComplex(re=Fraction(1, 2), im=Fraction(0, 1))",
-            "re",
         ),
         "FiniteGroup": (
             cyclic_group(2),
@@ -282,7 +273,7 @@ def _value_cases():
 
 @pytest.mark.parametrize(
     "name",
-    ["FreeWord", "BraidWord", "Cluster", "IntersectionMatrix", "RationalComplex", "FiniteGroup", "CheckRecord", "OrbitReport"],
+    ["FreeWord", "BraidWord", "Cluster", "IntersectionMatrix", "FiniteGroup", "CheckRecord", "OrbitReport"],
 )
 def test_value_semantics(name):
     """Equality and hashing on the fields, an exact repr, and no assignment
@@ -306,14 +297,12 @@ def test_value_semantics(name):
 def _stored_values():
     """The classes that only store their fields, by name, each with
     positional arguments for every field."""
-    from fractions import Fraction as F
-
     from branchmono.braid import BraidWord
     from branchmono.clusters import Cluster, TreeNode
     from branchmono.freegroup import FreeAutomorphism, FreeWord
     from branchmono.monodromy import Presentation
     from branchmono.quotients import OrbitReport
-    from branchmono.topocheck import CheckRecord, GeometryReport, OracleReport, RationalComplex
+    from branchmono.topocheck import CheckRecord, GeometryReport, OracleReport
 
     twist = FreeAutomorphism(2, (FreeWord((1, 2, -1)), FreeWord((1, 2, -2, -1))))
     record = ("circle-separation", "c1 vs c2", False, "violated")
@@ -321,7 +310,6 @@ def _stored_values():
         (TreeNode, (Cluster(1, 2, 1), ())),
         (Presentation, (2, twist.images, 3, ("0", "1"), (1, 2))),
         (OrbitReport, ("S3", 6, 3, 7, False, 1, 6, ((1, 2, 2),), (1,))),
-        (RationalComplex, (F(1, 2), F(-1, 3))),
         (CheckRecord, record),
         (GeometryReport, ("separation", (CheckRecord(*record),))),
         (OracleReport, (BraidWord(2, (1, 1)), twist, twist, FreeWord(), True)),
@@ -329,7 +317,7 @@ def _stored_values():
     return {cls.__name__: (cls, args) for cls, args in cases}
 
 
-STORED = ["TreeNode", "Presentation", "OrbitReport", "RationalComplex", "CheckRecord", "GeometryReport", "OracleReport"]
+STORED = ["TreeNode", "Presentation", "OrbitReport", "CheckRecord", "GeometryReport", "OracleReport"]
 
 
 @pytest.mark.parametrize("name", STORED)
@@ -347,21 +335,20 @@ def test_stored_values_take_positional_or_keyword_fields(name):
 
 def test_value_constructor_refuses_bad_arguments():
     """TypeError wherever a signature would refuse the call."""
-    from fractions import Fraction as F
+    from branchmono.clusters import Cluster, TreeNode
+    from branchmono.topocheck import CheckRecord
 
-    from branchmono.clusters import Cluster
-    from branchmono.topocheck import CheckRecord, RationalComplex
-
+    leaf = Cluster(1, 2, 1)
     with pytest.raises(TypeError, match=r"CheckRecord\(\) takes 4 arguments, got 5"):
         CheckRecord("k", "s", True, "detail", "extra")
-    with pytest.raises(TypeError, match=r"RationalComplex\(\) takes 2 arguments, got 3"):
-        RationalComplex(F(1), F(2), F(3))
+    with pytest.raises(TypeError, match=r"TreeNode\(\) takes 2 arguments, got 3"):
+        TreeNode(leaf, (), ())
     with pytest.raises(TypeError, match="unknown or repeated keyword 'colour'"):
         CheckRecord("k", "s", True, colour="red")
     with pytest.raises(TypeError, match="unknown or repeated keyword 'kind'"):
         CheckRecord("k", "s", True, kind="k")
-    with pytest.raises(TypeError, match="unknown or repeated keyword 're'"):
-        RationalComplex(F(1), re=F(1))
+    with pytest.raises(TypeError, match="unknown or repeated keyword 'cluster'"):
+        TreeNode(leaf, (), cluster=leaf)
     with pytest.raises(TypeError, match="missing argument 'ok'"):
         CheckRecord("k", "s")
     with pytest.raises(TypeError, match="missing argument 'subject'"):
@@ -371,14 +358,9 @@ def test_value_constructor_refuses_bad_arguments():
 
 
 def test_defaults_fill_only_the_missing_fields():
-    from fractions import Fraction as F
-
     from branchmono.monodromy import Presentation
-    from branchmono.topocheck import CheckRecord, RationalComplex
+    from branchmono.topocheck import CheckRecord
 
-    assert (RationalComplex().re, RationalComplex().im) == (F(0), F(0))
-    assert (RationalComplex(im=F(1)).re, RationalComplex(im=F(1)).im) == (F(0), F(1))
-    assert RationalComplex(F(2)) == RationalComplex(F(2), F(0))
     assert CheckRecord("k", "s", True).detail == ""
     assert CheckRecord("k", "s", True, "given").detail == "given"
     assert CheckRecord("k", "s", True, detail="given").detail == "given"

@@ -20,11 +20,9 @@ from branchmono.intersection import DIGIT_CAP, ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
 from branchmono.topocheck import (
     MAX_SAMPLES,
-    RationalComplex,
     WitnessFamily,
     _evaluate,
     _exact,
-    _point,
     _raise_if_failed,
     check_samples,
     is_inner_shift,
@@ -43,7 +41,7 @@ from oracles import (
     window_inner_shift,
 )
 
-Z0 = RationalComplex(F(3, 64))
+Z0 = (F(3, 64), F(0))
 PARAMS = dict(eta=F(1, 8), r=F(1, 16), z0=Z0)
 
 
@@ -61,24 +59,26 @@ def family_4pt(**kw):
     )
 
 
-def test_rational_complex_arithmetic():
-    a = RationalComplex(F(1, 2), F(1, 3))
-    assert a.abs2() == F(13, 36)
-    assert RationalComplex.from_json(["3/64", 0]) == Z0
-    assert RationalComplex.from_json("-1/3") == RationalComplex(F(-1, 3), F(0))
-    assert _point(RationalComplex(F(1, 6), F(-3, 4))) == (2, -9, 12)
+def test_z0_reads_as_a_pair_or_a_real_rational():
+    doc = {"coefficients": [["0"], ["0", "1"]], "eta": "1/8", "r": "1/16"}
+    assert WitnessFamily.from_json_dict({**doc, "z0": ["3/64", 0]}).z0 == Z0
+    assert WitnessFamily.from_json_dict({**doc, "z0": "-3/64"}).z0 == (F(-3, 64), F(0))
+    family = WitnessFamily(polys=((F(0),), (F(0), F(1))), eta=F(1, 8), r=F(1, 16), z0=(F(1, 30), F(-1, 24)))
+    assert family.point == (4, -5, 120)
 
 
 def test_eval_poly_exact():
     # 1 + z^2 at z = (1 + i)/2 is 1 + i/2, over L N^m = 1 * 2^2.
-    z = _point(RationalComplex(F(1, 2), F(1, 2)))
-    assert _evaluate((F(1), F(0), F(1)), [z]) == [(4, 2, 4)]
-    assert _evaluate((), [z, z]) == [(0, 0, 1), (0, 0, 1)]
+    z = (1, 1, 2)
+    assert _evaluate((1, 0, 1), 1, [z]) == [(4, 2, 4)]
+    assert _evaluate((), 1, [z, z]) == [(0, 0, 1), (0, 0, 1)]
     rng = random.Random(11)
     for _ in range(50):
         coeffs = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
         z = (F(rng.randint(-9, 9), rng.randint(1, 30)), F(rng.randint(-9, 9), rng.randint(1, 30)))
-        [(re, im, s)] = _evaluate(coeffs, [_point(RationalComplex(*z))])
+        den = math.lcm(*(c.denominator for c in coeffs))
+        n = math.lcm(z[0].denominator, z[1].denominator)
+        [(re, im, s)] = _evaluate([int(c * den) for c in coeffs], den, [(int(z[0] * n), int(z[1] * n), n)])
         assert (F(re, s), F(im, s)) == eval_poly(coeffs, z)
 
 
@@ -91,9 +91,9 @@ def test_exact_values_past_the_digit_limit_print_bounded():
 
 def test_family_validation():
     with pytest.raises(InvalidInput):
-        family_3pt(z0=RationalComplex(F(1, 16)))  # |z0| = r
+        family_3pt(z0=(F(1, 16), F(0)))  # |z0| = r
     with pytest.raises(InvalidInput):
-        family_3pt(z0=RationalComplex(F(1, 40)))  # |z0| < r/2
+        family_3pt(z0=(F(1, 40), F(0)))  # |z0| < r/2
     with pytest.raises(InvalidInput):
         WitnessFamily(polys=((F(0),), (F(0), F(0))), **PARAMS)  # duplicates after trim
 
@@ -265,7 +265,7 @@ def family_from_matrix(mat, eta=F(1, 8), r=F(1, 64), z0re=F(3, 256), samples=102
         polys=tuple(tuple(c) for c in coeffs),
         eta=eta,
         r=r,
-        z0=RationalComplex(z0re),
+        z0=(z0re, F(0)),
         samples=samples,
     )
 
@@ -346,7 +346,7 @@ def test_track_braid_imaginary_basepoint_uses_rotation():
         polys=((F(0),), (F(0), F(1))),
         eta=F(1, 8),
         r=F(1, 16),
-        z0=RationalComplex(F(0), F(3, 64)),
+        z0=(F(0), F(3, 64)),
         samples=256,
     )
     assert track_braid(fam).letters == (1, 1)
@@ -354,7 +354,7 @@ def test_track_braid_imaginary_basepoint_uses_rotation():
 
 # Collinear strands c + k*x^n cross at one point, all at once, in every
 # projection frame; each such crossing is a Garside half-twist of the block.
-COLLINEAR = dict(eta=F(1, 8), r=F(1, 64), z0=RationalComplex(F(3, 256)))
+COLLINEAR = dict(eta=F(1, 8), r=F(1, 64), z0=(F(3, 256), F(0)))
 
 
 def collinear_family(*polys, **kw):
@@ -418,7 +418,7 @@ def test_track_braid_errors_name_strands_and_window(monkeypatch):
         polys=((F(0),), (F(0), F(1))),
         eta=F(1, 8),
         r=F(1, 16),
-        z0=RationalComplex(F(0), F(3, 64)),
+        z0=(F(0), F(3, 64)),
         samples=256,
     )
     monkeypatch.setattr(topocheck, "MAX_ROTATIONS", 1)
@@ -490,11 +490,11 @@ def random_bound_family(rng):
     re = F(rng.randint(1, 20), rng.choice((64, 128, 256)))
     im = F(rng.randint(1, 20), rng.choice((81, 125, 243)))
     z0 = {
-        "real": RationalComplex(re * rng.choice((1, -1))),
-        "imaginary": RationalComplex(F(0), im * rng.choice((1, -1))),
-        "complex": RationalComplex(re * rng.choice((1, -1)), im * rng.choice((1, -1))),
+        "real": (re * rng.choice((1, -1)), F(0)),
+        "imaginary": (F(0), im * rng.choice((1, -1))),
+        "complex": (re * rng.choice((1, -1)), im * rng.choice((1, -1))),
     }[kind]
-    r = F(math.sqrt(z0.abs2()) * 1.5).limit_denominator(10**4)
+    r = F(math.sqrt(z0[0] ** 2 + z0[1] ** 2) * 1.5).limit_denominator(10**4)
     eta = rng.choice((F(0), F(1, 100000), F(1, 64), F(1, 8), F(1), F(1000)))
     return WitnessFamily(polys=tuple(polys), eta=eta, r=r, z0=z0)
 
@@ -546,15 +546,15 @@ def test_inner_shift_matches_window_oracle_on_tracked_pairs():
     [
         # a2 = x: |a2 - b|^2 = |z0|^2 = eta^2 at every sample, and the
         # bound is strict.
-        (((0,), (0, 1)), F(3, 64), RationalComplex(F(3, 64)), False),
-        (((0,), (0, 1)), F(5, 128), RationalComplex(F(3, 128), F(4, 128)), False),
-        (((0,), (0, 1)), F(3, 64) + F(1, 10**9), RationalComplex(F(3, 64)), True),
+        (((0,), (0, 1)), F(3, 64), (F(3, 64), F(0)), False),
+        (((0,), (0, 1)), F(5, 128), (F(3, 128), F(4, 128)), False),
+        (((0,), (0, 1)), F(3, 64) + F(1, 10**9), (F(3, 64), F(0)), True),
         # a2 = x - x^2: |1 - z| is largest at the first sample z = -z0 only.
-        (((0,), (0, 1, -1)), F(3, 64) * F(67, 64) + F(1, 10**9), RationalComplex(F(3, 64)), True),
-        (((0,), (0, 1, -1)), F(3, 64) * F(67, 64), RationalComplex(F(3, 64)), False),
+        (((0,), (0, 1, -1)), F(3, 64) * F(67, 64) + F(1, 10**9), (F(3, 64), F(0)), True),
+        (((0,), (0, 1, -1)), F(3, 64) * F(67, 64), (F(3, 64), F(0)), False),
         # The exact centre: a1 = b, so its left side is 0.
-        (((0,), (0, 0, 1)), F(1, 8), RationalComplex(F(3, 64)), True),
-        (((0,), (0, 0, 1)), F(0), RationalComplex(F(3, 64)), False),
+        (((0,), (0, 0, 1)), F(1, 8), (F(3, 64), F(0)), True),
+        (((0,), (0, 0, 1)), F(0), (F(3, 64), F(0)), False),
     ],
 )
 def test_oracle_cluster_bound_edges(polys, eta, z0, passes):
@@ -562,6 +562,58 @@ def test_oracle_cluster_bound_edges(polys, eta, z0, passes):
         polys=tuple(tuple(F(c) for c in p) for p in polys), eta=eta, r=F(1, 16), z0=z0
     )
     assert assert_bound_matches_oracle(w) is passes
+
+
+@pytest.mark.parametrize(
+    "polys, eta, passes",
+    [
+        # a1 = 0, a2 = x: the circle of {1, 2} has centre 0 and radius eta,
+        # and |a2(z0)| = |z0| = 3/64, so a2 lies on it at eta = 3/64.
+        (((0,), (0, 1)), F(3, 64), False),
+        (((0,), (0, 1)), F(3, 64) + F(1, 10**9), True),
+        # a3 = 1/8 is not in {1, 2} and lies on its circle of radius 1/8.
+        (((0,), (0, 1), (F(1, 8),)), F(1, 8), False),
+        (((0,), (0, 1), (F(1, 8) + F(1, 10**9),)), F(1, 8), True),
+        # The sibling circles of {1, 2} and {3, 4}, radius 1/8 and centres 0
+        # and c, touch from outside at c = 1/4.
+        (((0,), (0, 1), (F(1, 4),), (F(1, 4), 1)), F(1, 8), False),
+        (((0,), (0, 1), (F(1, 4) + F(1, 10**9),), (F(1, 4) + F(1, 10**9), 1)), F(1, 8), True),
+        # a = (c x, c x + x^2, 0): the circle of {1, 2} at depth 2 (centre
+        # c z0, radius 1/128) lies inside that of {1, 2, 3} (centre 0,
+        # radius 1/8) and touches it at |c z0| = 15/128, c = 5/2.
+        (((0, F(5, 2)), (0, F(5, 2), 1), (0,)), F(1, 8), False),
+        (((0, F(5, 2) - F(1, 10**9)), (0, F(5, 2) - F(1, 10**9), 1), (0,)), F(1, 8), True),
+    ],
+    ids=[
+        "member-on-its-circle", "member-inside", "foreign-on-the-circle", "foreign-outside",
+        "siblings-tangent", "siblings-apart", "nested-tangent", "nested-inside",
+    ],
+)
+def test_oracle_separation_at_exact_equality(polys, eta, passes):
+    """Every inequality of the separation check is strict: each boundary
+    case fails, and its neighbour 10^-9 away passes."""
+    w = WitnessFamily(polys=tuple(tuple(F(c) for c in p) for p in polys), eta=eta, r=F(1, 16), z0=Z0)
+    assert assert_separation_matches_oracle(w) is passes
+
+
+@pytest.mark.parametrize("source", ["pool", "data", "random"])
+def test_integer_form_gives_back_the_family(source):
+    """Each polynomial's numerators over its denominator are its
+    coefficients, and (X/N, Y/N) is z0; each denominator is positive and
+    shares no factor with all its numerators, so it is the least."""
+    rng = random.Random(20261018)
+    families = {
+        "pool": POOL,
+        "data": list(DATA_FAMILIES.values()),
+        "random": [random_bound_family(rng) for _ in range(40)],
+    }[source]
+    for w in families:
+        for poly, (nums, den) in zip(w.polys, w.integers, strict=True):
+            assert tuple(F(k, den) for k in nums) == poly
+            assert den > 0 and math.gcd(den, *nums) == 1
+        x, y, n = w.point
+        assert (F(x, n), F(y, n)) == w.z0
+        assert n > 0 and math.gcd(n, x, y) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +667,12 @@ def test_tracker_refuses_values_outside_double_range():
     family itself is refused, and the error names what does not fit."""
     huge = F(10**400)
     cases = [
-        (((F(0),), (huge,)), F(1, 16), RationalComplex(F(3, 64)), {"strand": 2, "coefficient": 0}),
-        (((F(0),), (F(0), F(1, 10**400))), F(1, 16), RationalComplex(F(3, 64)), {"strand": 2, "coefficient": 1}),
-        (((F(0),), (F(1),)), huge, RationalComplex(huge * 3 / 4), {"field": "z0"}),
-        (((F(0),), (F(10**308), F(10**308))), F(16), RationalComplex(F(10)), {"strand": 2}),
+        (((F(0),), (huge,)), F(1, 16), (F(3, 64), F(0)), {"strand": 2, "coefficient": 0}),
+        (((F(0),), (F(0), F(1, 10**400))), F(1, 16), (F(3, 64), F(0)), {"strand": 2, "coefficient": 1}),
+        (((F(0),), (F(1),)), huge, (huge * 3 / 4, F(0)), {"field": "z0"}),
+        (((F(0),), (F(10**308), F(10**308))), F(16), (F(10), F(0)), {"strand": 2}),
         # Both parts of a_2(z0) = (3/2 + 3/2 i) 10^308 fit a double; its modulus does not.
-        (((F(0),), (F(15 * 10**307), F(10**308))), F(2), RationalComplex(F(0), F(3, 2)), {"strand": 2}),
+        (((F(0),), (F(15 * 10**307), F(10**308))), F(2), (F(0), F(3, 2)), {"strand": 2}),
     ]
     for polys, r, z0, details in cases:
         with pytest.raises(SizeLimit) as info:

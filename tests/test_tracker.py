@@ -11,7 +11,7 @@ import pytest
 from branchmono import _tracker
 from branchmono.errors import BranchMonoError
 from branchmono.intersection import BranchInput, compute_matrix
-from branchmono.topocheck import MAX_SAMPLES, RationalComplex, WitnessFamily, track_braid
+from branchmono.topocheck import MAX_SAMPLES, WitnessFamily, track_braid
 from conftest import DATA_FAMILIES as DATA
 from conftest import POOL, random_ultrametric_matrix
 from oracles import EverySampleTracker, depth_partition, entries, every_sample_track
@@ -28,7 +28,7 @@ TOUCH = WitnessFamily.from_json_dict(
 )
 
 
-def family(*polys, eta="1/8", r="1/64", z0=RationalComplex(F(3, 256)), samples=1024):
+def family(*polys, eta="1/8", r="1/64", z0=(F(3, 256), F(0)), samples=1024):
     return WitnessFamily(
         polys=tuple(tuple(F(c) for c in p) for p in polys), eta=F(eta), r=F(r), z0=z0, samples=samples
     )
@@ -84,7 +84,7 @@ def random_family(rng):
     for cs in coeffs:
         cs[depth:] = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)]
     p, q = rng.randint(0, 3), rng.randint(1, 3)
-    z0 = RationalComplex(F(3, 256) * F(q * q - p * p, q * q + p * p), F(3, 256) * F(2 * p * q, q * q + p * p))
+    z0 = (F(3, 256) * F(q * q - p * p, q * q + p * p), F(3, 256) * F(2 * p * q, q * q + p * p))
     return WitnessFamily(
         polys=tuple(map(tuple, coeffs)), eta=F(1, 8), r=F(1, 64), z0=z0, samples=rng.choice((16, 64, 512))
     )
@@ -108,7 +108,7 @@ def test_fused_bisection_is_bit_identical():
     rng = random.Random(7)
     for w in POOL[:16]:
         coeffs = [[float(c) for c in p] for p in w.polys]
-        z0 = complex(float(w.z0.re), float(w.z0.im))
+        z0 = complex(*map(float, w.z0))
         speeds = _tracker._Speeds(coeffs, z0)
         width = len(speeds.weights)
         padded = [[complex(c) for c in cs] + [0j] * (width - len(cs)) for cs in coeffs]
@@ -159,7 +159,7 @@ def test_constant_family_leaps_the_whole_turn(monkeypatch):
 def test_speed_bound_past_double_range_steps_every_sample(monkeypatch):
     # a_2 = 10^307 z at |z0| = 10 stays within range, but its speed bound
     # 2 pi 10^308 does not: every frame falls back to one grid step a time.
-    w = family((0,), (0, 10**307), r=16, z0=RationalComplex(F(10)), samples=64)
+    w = family((0,), (0, 10**307), r=16, z0=(F(10), F(0)), samples=64)
     assert _tracker._Speeds([[0.0], [0.0, 1e307]], 10 + 0j).speed(0, 1) == float("inf")
     leaps = count_calls(monkeypatch, "leap")
     assert track_braid(w).letters == (1, 1)
@@ -186,8 +186,8 @@ def linking(braid):
 #   modulus 1, against |z0| = 0.86;
 #   a_1 - a_2 = 2 (z - 1)^2 (z + 1): zeros of modulus 1, |z0| = 0.985.
 BOTH_WAYS = [
-    (family((2, -3, -1, -3), (2,), r="3/2", z0=RationalComplex(F(7, 10), F(-1, 2))), (1, -1, 1, 1, -1, 1), 1),
-    (family((3, -2, -2, 2), (1,), r="3/2", z0=RationalComplex(F(9, 10), F(2, 5))), (1, 1, -1, -1), 0),
+    (family((2, -3, -1, -3), (2,), r="3/2", z0=(F(7, 10), F(-1, 2))), (1, -1, 1, 1, -1, 1), 1),
+    (family((3, -2, -2, 2), (1,), r="3/2", z0=(F(9, 10), F(2, 5))), (1, 1, -1, -1), 0),
 ]
 
 
