@@ -6,6 +6,8 @@ Run from the root of a source checkout:
     python benchmarks/bench.py --label change --out BENCH_N.json
     python benchmarks/bench.py --label change --stage clusters --out BENCH_N.json
     python benchmarks/bench.py --label change --against PARENT_CHECKOUT/src --out BENCH_N.json
+    python benchmarks/bench.py --label change --stage verify-topology --against PARENT_CHECKOUT/src \
+        --claim "verify-topology samples=1024:layers_s.track_braid" --out BENCH_N.json
 
 The package measured is the one under ``--src`` (default: this
 checkout's ``src``); the inputs come from this checkout.  ``--stage``
@@ -99,14 +101,31 @@ median paired difference, from the sign test's order statistics, and
 and greatest difference (96.9 %), with STARTUP_RUNS = 16 the 4th and
 13th (97.9 %).  An interval that excludes 0 resolves the difference.
 
+A claim is named before the run: ``--claim CASE:FIGURE`` (repeatable,
+with ``--against``) names one figure of one case, its path joined by
+dots, for example ``verify-topology samples=1024:layers_s.track_braid``.
+A case that no selected stage produces is refused before anything is
+measured, and a figure that its case did not produce when the run ends.
+With k claims, each claimed figure's sign-test interval is reported at
+coverage 1 - 0.05/k or more (Bonferroni), so that all of them hold at
+once at 95 %; a claimed case runs the least even number of rounds that
+reaches it, if that is more than its usual count: 8 for two to six
+claims.  The claims are recorded under ``claims``, each with its median
+difference, ``interval``, ``coverage``, ``level``, ``rounds`` and
+``resolved`` ("lower", "higher", or None where the interval holds 0).
+Every paired figure records ``exploratory``, true unless it is claimed:
+with about 200 figures a run, a few exploratory intervals exclude 0 by
+chance.
+
 The results merge into ``--out``: a run replaces, under its label (and
-under ``parent`` and ``"<label> - parent"`` in ``pairs``), the cases it
-measured and keeps the label's other cases.  Each label's run also
-records the Python version, the machine, PYTHONDONTWRITEBYTECODE,
-``repeats``, ``startup_runs`` and ``layer_calls``.  Every figure is
-rounded to four significant digits.  Each case's medians are printed as
-it ends, and with ``--against`` its paired differences, each followed by
-its interval and its rounds lower/higher.
+under ``parent`` and ``"<label> - parent"`` in ``pairs`` and
+``claims``), the cases and claims it measured and keeps the label's
+others.  Each label's run also records the Python version, the machine,
+PYTHONDONTWRITEBYTECODE, ``repeats``, ``startup_runs`` and
+``layer_calls``.  Every figure is rounded to four significant digits.
+Each case's medians are printed as it ends, and with ``--against`` its
+paired differences, each followed by its interval and its rounds
+lower/higher, then its claims.
 """
 
 from __future__ import annotations
@@ -174,6 +193,7 @@ CLUSTERS = (
 )
 # Tracker sample counts of the verify-topology stage.
 SAMPLES = (1024, 2**14, 2**16)
+CLAIM_EXAMPLE = "verify-topology samples=1024:layers_s.track_braid"
 
 # A fresh process: the CLI as its console script runs it, then its own
 # VmHWM line and the package modules it imported, written to the file
@@ -436,13 +456,14 @@ def one_round(case: dict, env: dict[str, str], out: Path, reference: float) -> t
     return figures, facts
 
 
-def measure(case: dict, envs: dict[str, dict[str, str]], out: Path) -> tuple[dict, dict]:
+def measure(case: dict, envs: dict[str, dict[str, str]], out: Path, rounds: int = 0) -> tuple[dict, dict]:
     """(label -> figure path -> one value per round, label -> other facts);
     each round runs one reference process, then every label, in an order
-    that flips every round."""
+    that flips every round.  The rounds are STARTUP_RUNS for a start-up
+    case and REPEATS for the others, or ``rounds`` where that is more."""
     samples: dict[str, dict[tuple, list[float]]] = {label: {} for label in envs}
     facts = {}
-    for k in range(STARTUP_RUNS if case["stage"] == "startup" else REPEATS):
+    for k in range(max(rounds, STARTUP_RUNS if case["stage"] == "startup" else REPEATS)):
         reference = cpu_seconds([str(REFERENCE)], dict(os.environ))
         for label in list(envs)[:: 1 if k % 2 == 0 else -1]:
             figures, facts[label] = one_round(case, envs[label], out, reference)
@@ -465,17 +486,18 @@ def nested(flat: dict[tuple, object]) -> dict:
     return out
 
 
-def sign_interval(diffs: list[float]) -> tuple[list[float] | None, float]:
+def sign_interval(diffs: list[float], level: float = 0.95) -> tuple[list[float] | None, float]:
     """The distribution-free interval for the median of ``diffs`` from the
-    sign test, at 95 % or more, and its coverage.
+    sign test, at coverage ``level`` or more, and its coverage.
 
     With n values sorted, [d_(k), d_(n+1-k)] holds the median with
     probability 1 - 2 P(B <= k - 1) for B ~ Binomial(n, 1/2), whatever the
-    distribution; k is the largest for which that is at least 0.95.  Below
-    six values no k reaches it: the interval is None, coverage 0."""
+    distribution; k is the largest for which that is at least ``level``.
+    Where no k reaches it (below six values at 95 %, since n values reach
+    at most 1 - 2^(1-n)), the interval is None, coverage 0."""
     n = len(diffs)
     k, tail = 0, 0.0  # tail = P(B <= k - 1)
-    while 1 - 2 * (tail + math.comb(n, k) / 2**n) >= 0.95:
+    while 1 - 2 * (tail + math.comb(n, k) / 2**n) >= level:
         tail += math.comb(n, k) / 2**n
         k += 1
     if k == 0:
@@ -499,9 +521,63 @@ def paired(a: list[float], b: list[float]) -> dict:
     }
 
 
-def merge(doc: dict, results: dict[str, dict], pairs: dict, label: str) -> None:
+def claim_level(claims: int) -> float:
+    """The coverage each of ``claims`` claimed figures is reported at:
+    1 - 0.05/claims (Bonferroni), so that all of them hold at once with
+    probability 95 % or more."""
+    return 1 - 0.05 / claims
+
+
+def claim_rounds(level: float) -> int:
+    """The least even number of rounds whose sign-test interval reaches
+    ``level``, which n rounds do when 1 - 2^(1-n) >= level."""
+    n = 2
+    while 1 - 2.0 ** (1 - n) < level:
+        n += 2
+    return n
+
+
+def claimed(a: list[float], b: list[float], level: float) -> dict:
+    """A claimed figure's round-by-round differences a - b: their median,
+    its sign-test ``interval`` at ``level`` with the interval's coverage,
+    the rounds, and ``resolved``: "lower" or "higher" where the interval
+    excludes 0 on that side, else None."""
+    diffs = [x - y for x, y in zip(a, b)]
+    interval, coverage = sign_interval(diffs, level)
+    resolved = None
+    if interval and interval[1] < 0:
+        resolved = "lower"
+    elif interval and interval[0] > 0:
+        resolved = "higher"
+    return {
+        "diff_p50": sig4(statistics.median(diffs)),
+        "interval": interval,
+        "coverage": coverage,
+        "level": sig4(level),
+        "rounds": len(diffs),
+        "resolved": resolved,
+    }
+
+
+def parse_claims(names: list[str], produced: list[str]) -> dict[str, tuple[str, ...]]:
+    """CASE:FIGURE names as {name: (case, figure path)}; SystemExit for a
+    name without both parts or a case that no selected stage produces."""
+    out = {}
+    for name in names:
+        case, _, figure = name.rpartition(":")
+        if not case or not figure:
+            raise SystemExit(f"--claim {name!r}: expected CASE:FIGURE, as in '{CLAIM_EXAMPLE}'")
+        if case not in produced:
+            raise SystemExit(
+                f"--claim {name!r}: no selected stage has a case {case!r}; cases: {', '.join(produced)}"
+            )
+        out[name] = (case, *figure.split("."))
+    return out
+
+
+def merge(doc: dict, results: dict[str, dict], pairs: dict, label: str, claims: dict | None = None) -> None:
     """Record each label's cases in doc, replacing under the label the
-    cases measured and keeping its others; the pairs likewise."""
+    cases measured and keeping its others; the pairs and claims likewise."""
     for name, measured in results.items():
         run = doc.setdefault("runs", {}).setdefault(name, {})
         run.update(
@@ -515,6 +591,8 @@ def merge(doc: dict, results: dict[str, dict], pairs: dict, label: str) -> None:
         run.setdefault("cases", {}).update(measured)
     if pairs:
         doc.setdefault("pairs", {}).setdefault(f"{label} - parent", {}).update(pairs)
+    if claims:
+        doc.setdefault("claims", {}).setdefault(f"{label} - parent", {}).update(claims)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -526,18 +604,34 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument("--stage", choices=STAGES, help="run this stage only (default: every stage)")
     parser.add_argument("--out", type=Path, required=True, help="JSON file the results merge into")
+    parser.add_argument(
+        "--claim",
+        action="append",
+        default=[],
+        metavar="CASE:FIGURE",
+        help=f"a figure this run claims, as in '{CLAIM_EXAMPLE}' (with --against; repeatable)",
+    )
     args = parser.parse_args(argv)
     srcs = {args.label: args.src}
     if args.against:
         if args.label == "parent":
             parser.error("--against records its package as parent: choose another --label")
         srcs["parent"] = args.against
-    envs = {label: source_env(src.resolve()) for label, src in srcs.items()}
-    results: dict[str, dict] = {label: {} for label in envs}
-    pairs = {}
+    elif args.claim:
+        parser.error("--claim needs --against: a claim is a paired difference")
+    results: dict[str, dict] = {label: {} for label in srcs}
+    pairs, claims = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case in cases((args.stage,) if args.stage else STAGES, Path(tmp)):
-            samples, facts = measure(case, envs, Path(tmp) / "launch")
+        selected = cases((args.stage,) if args.stage else STAGES, Path(tmp))
+        wanted = parse_claims(args.claim, [case["name"] for case in selected])
+        level = claim_level(len(wanted)) if wanted else 0.95
+        for name in wanted:
+            print(f"{'claim':>8} {name} at coverage {level:.4g}", flush=True)
+        envs = {label: source_env(src.resolve()) for label, src in srcs.items()}
+        for case in selected:
+            claimed_here = {name: path[1:] for name, path in wanted.items() if path[0] == case["name"]}
+            rounds = claim_rounds(level) if claimed_here else 0
+            samples, facts = measure(case, envs, Path(tmp) / "launch", rounds)
             for label in envs:
                 medians = {path: sig4(statistics.median(v)) for path, v in samples[label].items()}
                 record = results[label][case["name"]] = {**case["args"], **facts[label], **nested(medians)}
@@ -546,14 +640,24 @@ def main(argv: list[str] | None = None) -> None:
                 print(f"{label:>8} {case['name']:<28}", *(f"{'.'.join(p)} {v}" for p, v in medians.items()), flush=True)
             if args.against:
                 diffs = {path: paired(samples[args.label][path], samples["parent"][path]) for path in samples["parent"]}
+                for path, d in diffs.items():
+                    d["exploratory"] = path not in claimed_here.values()
                 pairs[case["name"]] = nested(diffs)
                 shown = (
                     f"{'.'.join(p)} {d['diff_p50']:+} {d['ci95']} ({d['lower']}/{d['higher']})"
                     for p, d in diffs.items()
                 )
                 print(f"{'diff':>8} {case['name']:<28}", *shown, flush=True)
+                for name, path in claimed_here.items():
+                    if path in diffs:
+                        c = claims[name] = claimed(samples[args.label][path], samples["parent"][path], level)
+                        shown = f"{c['diff_p50']:+} {c['interval']} ({c['coverage']}): {c['resolved']}"
+                        print(f"{'claim':>8} {name} {shown}", flush=True)
+    unknown = sorted(set(wanted) - set(claims))
+    if unknown:
+        raise SystemExit(f"--claim names figures that their cases do not produce: {', '.join(unknown)}")
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    merge(doc, results, pairs, args.label)
+    merge(doc, results, pairs, args.label, claims)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 

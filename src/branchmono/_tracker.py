@@ -1,6 +1,13 @@
-"""The strand tracker behind ``topocheck.track_braid``: the points
-a_i(z0 e(t)) followed in double precision in one projection frame, with
-crossings located by bisection and read as braid letters.
+"""The double-precision parts of ``topocheck``: the strand tracker behind
+``track_braid``, which follows the points a_i(z0 e(t)) in one projection
+frame and reads their crossings as braid letters, and the float filter
+of ``verify_cluster_bound``, which picks the circle samples where a
+tail's exact modulus may be largest (see ``_candidates``).  They live
+apart from ``topocheck`` for memory: where no bytecode is cached, each
+process compiles the modules from source, and CPython 3.11's peak while
+compiling a module steps up past about 4,100 tokens.  With the filter in
+``topocheck`` (4,176 tokens) that peak rose from 1.37 to 1.74 MB, and a
+``verify-topology`` process's peak RSS by 0.25-0.4 MB.
 
 The coefficients come multiplied by the frame once, so a position's real
 part is its projection and its imaginary part the orthogonal coordinate.
@@ -17,6 +24,11 @@ have had from a walk over every grid time, so letters and errors do not
 change.  The leaps shrink geometrically towards a crossing and grow away
 from it, so the cost goes with the number of crossings and the logarithm
 of the sample count, not with the sample count.
+
+A crossing of two strands is located by false position with the Illinois
+rule (``crossing_time``) on their projected gap, to 1e-9 of the interval
+it falls in: 4.7 gap evaluations a crossing on average over perfbench's
+pool, where bisection took 31.5.
 
 Between samples the tracked strand order changes by reversing disjoint
 blocks of adjacent strands.  A pair at positions k+1, k+2 emits b_{k+1}.
@@ -192,8 +204,18 @@ class _Tracker:
         return order
 
     def crossing_time(self, left: int, right: int, t_lo: float, t_hi: float) -> float:
-        """Bisect for the time in (t_lo, t_hi) where the projection of
-        strand right falls below that of strand left."""
+        """The time in (t_lo, t_hi) where the projection of strand right
+        falls below that of strand left, by false position with the
+        Illinois rule.  The bracket keeps the sign of the gap at t_lo at its
+        low end, as bisection would; each step is the secant root of the
+        gaps at the ends, the Illinois rule halving the gap kept at an end
+        that stays put twice in a row, so both ends close in.  Where the
+        ends' gaps do not differ in sign, the step is the midpoint.  A step
+        stays at least a quarter of the resolution inside the bracket, so
+        the bracket closes once the root is found.  The search stops when
+        the bracket is narrower than the resolution, when no double is left
+        inside it, after 64 steps, or at a time where the gap is exactly 0,
+        which it returns; otherwise it returns the bracket's midpoint."""
         left_cs, right_cs = self.coeffs[left], self.coeffs[right]
 
         def gap(t: float) -> float:
@@ -201,17 +223,33 @@ class _Tracker:
             return _horner(right_cs, z).real - _horner(left_cs, z).real
 
         lo, hi = t_lo, t_hi
-        g_lo = gap(lo)
+        g_lo, g_hi = gap(lo), gap(hi)
+        positive = g_lo > 0
         resolution = 1e-9 * max(t_hi - t_lo, 1e-12)
+        kept = 0  # +1 after the low end moved, -1 after the high end moved
         for _ in range(64):
             if hi - lo < resolution:
                 break
-            mid = (lo + hi) / 2
-            g_mid = gap(mid)
-            if (g_mid > 0) == (g_lo > 0):
-                lo, g_lo = mid, g_mid
+            if (g_hi > 0) != positive:
+                t = hi - g_hi * ((hi - lo) / (g_hi - g_lo))
             else:
-                hi = mid
+                t = (lo + hi) / 2
+            t = min(max(t, lo + resolution / 4), hi - resolution / 4)
+            if not lo < t < hi:
+                break
+            g = gap(t)
+            if g == 0:
+                return t
+            if (g > 0) == positive:
+                lo, g_lo = t, g
+                if kept == 1:
+                    g_hi /= 2
+                kept = 1
+            else:
+                hi, g_hi = t, g
+                if kept == -1:
+                    g_lo /= 2
+                kept = -1
         return (lo + hi) / 2
 
     def twist(self, block: list[int], k: int, t_lo: float, t_hi: float) -> Optional[BraidWord]:
@@ -233,10 +271,11 @@ class _Tracker:
         projs = [p.real for p in pts]
         orths = [p.imag for p in pts]
         extent = max(orths) - min(orths)
-        # A rigid block is off by its turning speed times the bisection's
-        # time resolution (about 1e-11 of its extent), or by rounding in
-        # the positions (about 1e-16 of the scale); separate crossings that
-        # merely fall close in time are off by far more, and are bisected.
+        # A rigid block is off by its turning speed times the crossing
+        # search's time resolution (about 1e-11 of its extent), or by
+        # rounding in the positions (about 1e-16 of the scale); separate
+        # crossings that merely fall close in time are off by far more, and
+        # are bisected.
         if m > 2 and max(projs) - min(projs) > 1e-9 * extent + 1e-14 * self.scale:
             return None
         for i in range(m):
@@ -344,3 +383,79 @@ class _Tracker:
                 1.0,
             )
         return self.letters, start
+
+
+# ---------------------------------------------------------------------------
+# The float filter of ``topocheck.verify_cluster_bound``
+
+# The unit roundoff and the smallest subnormal of a double, and the least
+# |z0| (as a double) at which a sample's rounding is relative (see
+# ``_error_terms``).
+_U = 2.0**-53
+_ETA = 2.0**-1074
+_FILTER_MIN_RADIUS = 2.0**-999
+
+
+def _error_terms(m: int) -> dict[str, float]:
+    """Bounds, in units of u S with u = 2^-53, on each source of error in
+    the modulus of a tail of degree m computed in doubles at a sample z,
+    as ``_candidates`` computes it; S = sum_j |c_j| R^j, with c_j the
+    tail's coefficients as doubles and R >= (1 + 2u)|z0|.  They hold for
+    |z0| >= 2^-1000 and m u <= 2^-20 (a tail of 2^33 terms would not fit
+    in memory); the absolute errors of subnormal values are bounded apart.
+
+    - horner: m complex products, each within sqrt(5) u, and m + 1 sums,
+      each within u, so each term c_j zh^j of the sum at the rounded
+      sample zh is off by a factor within ((1 + sqrt 5) m + 1) u;
+    - point: both parts of zh are correctly rounded, so |zh - z| <= u|z|
+      (plus 2^-1074.5, below 2^-21 u|z| here), and |zh^j - z^j| is at most
+      j u |z|^j times factors that 1.01 covers;
+    - coefficient: each c_j is its rational correctly rounded, within u;
+    - modulus: abs() is within one ulp, 2u, of the computed value."""
+    return {"horner": (1 + math.sqrt(5)) * m + 1, "point": 1.01 * m, "coefficient": 1.0, "modulus": 2.0}
+
+
+def _rounded_samples(
+    z0: complex, points: Sequence[tuple[int, int, int]]
+) -> tuple[list[complex], float]:
+    """(zs, R): the exact samples (X, Y, N) as doubles, each part correctly
+    rounded, and R = |z0| (1 + 8u) >= (1 + 2u) |z0|, from z0 as a double.
+    R is inf, and zs empty, where the filter does not apply: a z0 below
+    2^-999, whose samples would round with absolute error, or one whose
+    modulus is past a double."""
+    rho = math.hypot(z0.real, z0.imag)
+    radius = rho * (1 + 8 * _U) if rho >= _FILTER_MIN_RADIUS else math.inf
+    return ([complex(x / s, y / s) for x, y, s in points] if radius < math.inf else []), radius
+
+
+def _candidates(
+    tail: Sequence[float], zs: Sequence[complex], points: Sequence[tuple[int, int, int]], radius: float
+) -> Sequence[tuple[int, int, int]]:
+    """The points at which the exact modulus of a tail may be largest: those
+    whose modulus in doubles, at ``zs`` (the points correctly rounded), is
+    at least the largest less 2E.  Every computed modulus is within E/2 of
+    the exact one, so the exact maximum is among them.  E is twice the sum
+    of ``_error_terms`` times u S, plus 5 * 2^-1074 sum_{i<=m} R^i for the
+    subnormal products, coefficients and moduli; the factor 2 covers the
+    rounding of S, of E and of the threshold.  ``zs`` and R = ``radius``
+    come from ``_rounded_samples``; an R of inf, an overflow or a value
+    that is not finite makes every point a candidate."""
+    if not radius < math.inf:
+        return points
+    # Horner's rule at every sample at once, one coefficient at a time.
+    values = [complex(tail[-1]) if tail else 0j] * len(zs)
+    for c in tail[-2::-1]:
+        values = [v * z + c for v, z in zip(values, zs)]
+    try:
+        values = [abs(v) for v in values]
+    except OverflowError:  # abs() of finite parts whose modulus is past a double
+        return points
+    weighted = powers = 0.0  # S and sum_{i<=m} R^i
+    for c in reversed(tail):
+        weighted = weighted * radius + abs(c)
+        powers = powers * radius + 1.0
+    error = 2 * (_U * weighted * sum(_error_terms(max(len(tail) - 1, 0)).values()) + 5 * _ETA * powers)
+    if not sum(values) + error < math.inf:
+        return points
+    threshold = max(values) - 2 * error
+    return [p for p, v in zip(points, values) if v >= threshold]

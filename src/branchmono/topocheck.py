@@ -10,16 +10,39 @@ checks need: an integer Horner of numerators at Gaussian integers over a
 positive integer.  Separation evaluates each a_i and each circle's centre
 (a prefix of a member's numerators) at z0.  Circle samples come from the
 tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2), which lies
-exactly on |z| = |z0| for rational t.  The cluster bound factors out the
+exactly on |z| = |z0| for rational t; the values of t are symmetric about
+0, so half of them are computed.  The cluster bound factors out the
 circle's radius: the centre b_{I,n} is a_i truncated below depth n, so
 |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2 on the circle, with T_i
-the tail of a_i past depth n, evaluated at every sample.  A family's
-cluster forest is built once, with the family, and every check reads it.
+the tail of a_i past depth n.  A family's cluster forest is built once,
+with the family, and every check reads it.
 
-Only the braid tracker (``_tracker``) runs in double precision, with
-crossings located by bisection.  A family converts itself to doubles,
-and checks their range, when it is built, before any exact check;
-``track_braid`` tries up to MAX_ROTATIONS projection frames.  The
+The bound's maximum over the samples is exact, but a tail is evaluated
+exactly only where that maximum may be, by a floating-point filter with
+exact fallback (``_tracker._candidates``).  Each tail, of degree m, is
+evaluated in doubles at every sample: its coefficients c_j as
+``doubles`` holds them, and the sample's parts correctly rounded.  Every
+computed modulus is within E/2 of the exact one, with u = 2^-53,
+S = sum_j |c_j| R^j and R >= (1 + 2u)|z0|:
+    E = 2 [((1 + sqrt 5) m + 1) + 1.01 m + 1 + 2] u S
+        + 10 * 2^-1074 sum_{i<=m} R^i.
+The four terms in brackets bound, in units of u S, the Horner sum's
+roundings, the rounding of each sample, of each coefficient and of
+abs() (``_tracker._error_terms``); the last term bounds subnormal
+products, coefficients and moduli, and the factor 2 the rounding of S,
+of E and of the threshold.  So the samples whose computed modulus is at least the
+largest less 2E include the exact maximum, and only they are evaluated
+in integers.  A value or E that is not finite, or a z0 below 2^-999,
+whose samples round with absolute rather than relative error, makes
+every sample a candidate.  On perfbench's pool every tail with two or
+more nonzero terms is evaluated exactly at one or two of the 128
+samples; a tail with at most one has one modulus on the whole circle,
+so all its samples tie and all are evaluated.
+
+Only the braid tracker (``_tracker``) decides in double precision, with
+crossings located by false position.  A family converts itself to
+doubles, and checks their range, when it is built, before any exact
+check; ``track_braid`` tries up to MAX_ROTATIONS projection frames.  The
 tracker does not evaluate every grid time: the projected gap of two
 strands a, b moves no faster than
 V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j per turn, in every frame, so
@@ -59,12 +82,12 @@ from .errors import (
 from .freegroup import FreeAutomorphism, FreeWord
 from .intersection import BranchInput, _echo, _is_array, _is_array_of_arrays, compute_matrix, parse_rational
 from .monodromy import monodromy_automorphism
-from ._tracker import _horner, _NeedsRotation, _Speeds, _Tracker
+from ._tracker import _candidates, _horner, _NeedsRotation, _rounded_samples, _Speeds, _Tracker
 
 
 # Most tracker samples accepted.  The tracker leaps over the grid times at
 # which a speed bound proves the strand order unchanged, so a family of 12
-# strands takes about 8 ms at 1024 samples and 10 ms at 2^16.  Where the
+# strands takes about 5 ms at 1024 samples and 7 ms at 2^16.  Where the
 # bound proves nothing (it is past the range of a double), it evaluates
 # every grid time, about 15 us per sample for 12 strands, so about 16 s at
 # the cap (Python 3.11 on a Xeon VM core).
@@ -178,7 +201,7 @@ class WitnessFamily(Value):
         if not _is_array(z0):
             z0 = (z0, 0)
         elif len(z0) != 2:
-            raise InvalidInput(f"complex rational needs [re, im], got {z0!r}")
+            raise InvalidInput(f"complex rational needs [re, im], got {_echo(z0)}", field="z0")
         return cls(polys, eta, r, tuple(parse_rational(x, field="z0") for x in z0), **kwargs)
 
 
@@ -333,16 +356,21 @@ def verify_separation(w: WitnessFamily) -> GeometryReport:
 def _circle_points(z0: tuple[int, int, int], count: int) -> list[tuple[int, int, int]]:
     """Exact points on |z| = |z0|, each as z0 is given, (X, Y, N) with
     z = (X + iY)/N: first -z0, then z0 * ((q^2-p^2) + 2pq i)/(q^2+p^2) for
-    rational t = p/q, the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2)."""
+    rational t = p/q, the tan-half-angle parametrization z0*(1-t^2+2it)/(1+t^2).
+    The values of t are symmetric about 0, so only the first half comes
+    from the tangents of evenly spaced angles; then come 0, for an odd
+    number of values, and the first half negated, in reverse order.  At
+    BOUND_SAMPLES points that is exactly what the tangents of all the
+    angles give, with half the ``limit_denominator`` calls."""
     u, v, den = z0
-    out = [(-u, -v, den)]
-    for k in range(count - 1):
-        angle = math.pi * ((k + 0.5) / (count - 1) - 0.5)
-        t = Fraction(math.tan(angle)).limit_denominator(10**6)
+    m = count - 1
+    units = []
+    for k in range(m // 2):
+        t = Fraction(math.tan(math.pi * ((k + 0.5) / m - 0.5))).limit_denominator(10**6)
         p, q = t.numerator, t.denominator
-        x, y = q * q - p * p, 2 * p * q
-        out.append((u * x - v * y, u * y + v * x, den * (q * q + p * p)))
-    return out
+        units.append((q * q - p * p, 2 * p * q, q * q + p * p))
+    units += [(1, 0, 1)] * (m % 2) + [(x, -y, s) for x, y, s in reversed(units)]
+    return [(-u, -v, den)] + [(u * x - v * y, u * y + v * x, den * s) for x, y, s in units]
 
 
 def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
@@ -352,10 +380,14 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
     b_{I,n} is a_i truncated below depth n, so a_i - b_{I,n} = z^n T_i(z)
     with T_i the tail of a_i past depth n, and every sample lies exactly
     on |z| = |z0|: |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2.  Each
-    tail is evaluated once per sample in integers (``_evaluate``), the
-    samples are compared by cross-multiplying, and the worst becomes one
-    exact Fraction per record."""
+    tail is evaluated in doubles at every sample, and in integers
+    (``_evaluate``) only at the samples where its exact modulus may be
+    largest (``_candidates``); those are compared by cross-multiplying, and
+    the largest becomes one exact Fraction per record, the maximum over
+    all the samples."""
     points = _circle_points(w.point, BOUND_SAMPLES)
+    coeffs, z0, _ = w.doubles
+    zs, radius = _rounded_samples(z0, points)
     re, im = w.z0
     z0_abs2 = re * re + im * im
     records: list[CheckRecord] = []
@@ -365,7 +397,7 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
         for i in c.indices():
             best, best_s2 = 0, 1
             nums, den = w.integers[i - 1]
-            for x, y, s in _evaluate(nums[n:], den, points):
+            for x, y, s in _evaluate(nums[n:], den, _candidates(coeffs[i - 1][n:], zs, points, radius)):
                 abs2, s2 = x * x + y * y, s * s
                 if abs2 * best_s2 > best * s2:
                     best, best_s2 = abs2, s2

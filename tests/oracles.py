@@ -14,7 +14,9 @@ finite-group layer computes from precomputed conjugation data, and
 evaluated one table lookup per image letter, the reference for
 ``quotients.delta_on_class``, which reads a forest's twists.
 ``every_sample_track`` is the strand tracker that evaluates every grid
-time, which the leaping tracker must agree with.
+time, which the leaping tracker must agree with, and
+``bisection_crossing_time`` locates a crossing by bisection, the
+reference for ``_Tracker.crossing_time``'s false position.
 ``window_inner_shift`` tries every conjugator the first generator allows
 in a window, with the full validity check, and ``fraction_separation``
 and ``fraction_cluster_bound`` evaluate the witness geometry in Gaussian
@@ -45,6 +47,7 @@ against; ``moduli_degree`` follows an orbit through
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -271,6 +274,31 @@ class EverySampleTracker(_tracker._Tracker):
                 1.0,
             )
         return self.letters, start
+
+
+def bisection_crossing_time(tracker: _tracker._Tracker, left: int, right: int, t_lo: float, t_hi: float) -> float:
+    """``_Tracker.crossing_time`` by bisection: the midpoint takes the low
+    end when its gap has the sign of the gap at t_lo, until the bracket is
+    narrower than 1e-9 of its width or after 64 halvings."""
+    left_cs, right_cs = tracker.coeffs[left], tracker.coeffs[right]
+
+    def gap(t: float) -> float:
+        z = tracker.z0 * cmath.exp(2j * math.pi * t)
+        return _tracker._horner(right_cs, z).real - _tracker._horner(left_cs, z).real
+
+    lo, hi = t_lo, t_hi
+    g_lo = gap(lo)
+    resolution = 1e-9 * max(t_hi - t_lo, 1e-12)
+    for _ in range(64):
+        if hi - lo < resolution:
+            break
+        mid = (lo + hi) / 2
+        g_mid = gap(mid)
+        if (g_mid > 0) == (g_lo > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def every_sample_track(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:

@@ -8,6 +8,7 @@ process.  No test here starts a process."""
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import sys
 import types
@@ -138,3 +139,81 @@ def test_a_round_shares_one_reference_process(monkeypatch, tmp_path):
     assert samples["change"][process_s] == pytest.approx([0.2 * scale[0], 0.2 * scale[1]])
     assert samples["parent"][process_s] == pytest.approx([0.3 * scale[0], 0.3 * scale[1]])
     assert samples["change"][("commands", "verify-topology", "peak_rss_mb")] == [2.0, 2.0]
+
+
+def test_claims_get_bonferroni_coverage_and_the_rounds_for_it():
+    """k claims are each reported at 1 - 0.05/k.  P(B <= k) for
+    B ~ Binomial(n, 1/2): at n = 8, 1/256 for k = 0 and 9/256 for k = 1, so
+    at 97.5 % only [d_(1), d_(8)] qualifies, with coverage 1 - 2/256 =
+    0.99219; at n = 16, P(B <= 2) = 137/65536 and P(B <= 3) = 697/65536, so
+    at 99 % the interval is [d_(3), d_(14)] with coverage 1 - 274/65536 =
+    0.99582 (k = 4 gives 0.97873).  n rounds reach at most 1 - 2^(1-n):
+    six rounds serve one claim, eight up to six claims, ten a seventh."""
+    assert bench.claim_level(1) == 0.95 and bench.claim_level(2) == 0.975
+    eight = [0.4, -0.3, 0.2, 0.8, -0.1, 0.6, 0.5, 0.7]
+    assert bench.sign_interval(eight, 0.975) == ([-0.3, 0.8], 0.9922)
+    sixteen = [(7 * i) % 16 - 5 for i in range(16)]  # -5..10, shuffled
+    assert bench.sign_interval(sixteen, 0.99) == ([-3, 8], 0.9958)
+    assert bench.sign_interval(sixteen[:6], 0.975) == (None, 0)
+    assert [bench.claim_rounds(bench.claim_level(k)) for k in (1, 2, 6, 7)] == [6, 8, 8, 10]
+    lower = bench.claimed([1.0] * 8, [1.5, 1.2, 1.1, 1.3, 1.4, 1.6, 1.7, 1.8], 0.975)
+    assert lower == {
+        "diff_p50": -0.45,
+        "interval": [-0.8, -0.1],
+        "coverage": 0.9922,
+        "level": 0.975,
+        "rounds": 8,
+        "resolved": "lower",
+    }
+    assert bench.claimed([1.0] * 8, [0.9] * 7 + [1.1], 0.975)["resolved"] is None
+
+
+def test_a_claim_no_selected_case_produces_is_refused_before_measuring(monkeypatch, tmp_path, capsys):
+    def measure(*args, **kwargs):
+        raise AssertionError("measured")
+
+    monkeypatch.setattr(bench, "measure", measure)
+    out = tmp_path / "bench.json"
+    argv = ["--label", "change", "--src", str(tmp_path), "--against", str(tmp_path)]
+    argv += ["--stage", "startup", "--out", str(out)]
+    with pytest.raises(SystemExit, match="no selected stage has a case 'verify-topology samples=1024'"):
+        bench.main(argv + ["--claim", "verify-topology samples=1024:layers_s.track_braid"])
+    with pytest.raises(SystemExit, match="expected CASE:FIGURE"):
+        bench.main(argv + ["--claim", "layers_s.track_braid"])
+    with pytest.raises(SystemExit) as exc:
+        bench.main(argv[:4] + argv[6:] + ["--claim", "clusters:cpu_s_p50"])
+    assert exc.value.code == 2
+    assert "--claim needs --against" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unknown_claimed_figure_is_refused_when_the_run_ends(monkeypatch, tmp_path, capsys):
+    """With ``measure`` replaced, a start-up run claims one figure its case
+    produces and one it does not: nothing is written.  Without the second,
+    the claim is recorded with its 95 % interval over claim_rounds rounds
+    (6 for one claim; other cases get the default), and every other figure
+    is marked exploratory."""
+    rounds_seen = []
+
+    def measure(case, envs, out, rounds=0):
+        rounds_seen.append((case["name"], rounds))
+        n = rounds or bench.STARTUP_RUNS
+        figures = {label: {("cpu_s_p50",): [1.0 + 0.1 * (label == "parent")] * n, ("peak_rss_mb",): [16.0] * n} for label in envs}
+        return figures, {label: {"modules": []} for label in envs}
+
+    monkeypatch.setattr(bench, "measure", measure)
+    out = tmp_path / "bench.json"
+    argv = ["--label", "change", "--src", str(tmp_path), "--against", str(tmp_path)]
+    argv += ["--stage", "startup", "--out", str(out)]
+    with pytest.raises(SystemExit, match="clusters:cpu_s$"):
+        bench.main(argv + ["--claim", "clusters:cpu_s_p50", "--claim", "clusters:cpu_s"])
+    assert not out.exists()
+    rounds_seen.clear()
+    bench.main(argv + ["--claim", "clusters:cpu_s_p50"])
+    assert ("clusters", 6) in rounds_seen and ("present", 0) in rounds_seen
+    doc = json.loads(out.read_text())
+    assert doc["claims"]["change - parent"]["clusters:cpu_s_p50"]["resolved"] == "lower"
+    clusters = doc["pairs"]["change - parent"]["clusters"]
+    assert clusters["cpu_s_p50"]["exploratory"] is False and clusters["peak_rss_mb"]["exploratory"] is True
+    assert doc["pairs"]["change - parent"]["present"]["cpu_s_p50"]["exploratory"] is True
+    capsys.readouterr()

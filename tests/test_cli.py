@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branchmono import cli
-from branchmono.intersection import DIGIT_CAP
+from branchmono.intersection import DIGIT_CAP, ECHO_LIMIT
 from branchmono.topocheck import MAX_SAMPLES
 from conftest import random_ultrametric_entries
 from oracles import orbit_json
@@ -536,6 +536,17 @@ def test_a_value_that_is_no_rational_is_named_with_its_place(args, doc, message,
     out = run_cli(*args, str(path))
     assert (out.returncode, out.stdout) == (1, "")
     assert json.loads(out.stderr) == {"error": "INVALID_INPUT", "message": message, "details": where}
+
+
+@pytest.mark.parametrize("parts", [3, 100000])
+def test_a_z0_array_of_another_length_is_named_and_echoed_bounded(parts, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**FAMILY, "z0": ["1"] * parts}))
+    out = run_cli("verify-topology", "--family", str(path))
+    assert (out.returncode, out.stdout) == (1, "")
+    err = json.loads(out.stderr)
+    assert (err["error"], err["details"]) == ("INVALID_INPUT", {"field": "z0"})
+    assert len(out.stderr) < 2 * ECHO_LIMIT + 100
 
 
 @pytest.mark.parametrize("group", ["c²", "s①"], ids=["superscript_two", "circled_one"])

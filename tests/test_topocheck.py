@@ -18,6 +18,7 @@ from branchmono.errors import (
 )
 from branchmono.intersection import DIGIT_CAP, ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
+from branchmono._tracker import _error_terms, _horner, _rounded_samples
 from branchmono.topocheck import (
     MAX_SAMPLES,
     WitnessFamily,
@@ -35,6 +36,7 @@ from conftest import DATA_FAMILIES, POOL
 from oracles import (
     entries,
     eval_poly,
+    fraction_circle_samples,
     fraction_cluster_bound,
     fraction_separation,
     is_pure,
@@ -105,6 +107,8 @@ def test_family_validation():
         ("1/8", "1", ["1" + "0" * 3000, "0"]),  # past int-to-str's digit limit
         ("-1" + "0" * 3000, "1/64", ["1/100", "0"]),
         ("1/8", "-1" + "0" * 3000, ["1/100", "0"]),
+        ("1/8", "1/16", ["3/64", "0", "0"]),  # z0 with 3 parts
+        ("1/8", "1/16", ["1"] * 100000),
     ],
 )
 def test_family_errors_echo_bounded_values(eta, r, z0):
@@ -112,6 +116,8 @@ def test_family_errors_echo_bounded_values(eta, r, z0):
     with pytest.raises(InvalidInput) as info:
         WitnessFamily.from_json_dict(doc)
     assert len(str(info.value)) < 2 * ECHO_LIMIT + 100
+    if len(z0) != 2:
+        assert info.value.details == {"field": "z0"}
 
 
 FAMILY_DOC = {"coefficients": [["0"], ["0", "0", "1"], ["0", "1"]], "eta": "1/8", "r": "1/16", "z0": ["3/64", "0"]}
@@ -562,6 +568,147 @@ def test_oracle_cluster_bound_edges(polys, eta, z0, passes):
         polys=tuple(tuple(F(c) for c in p) for p in polys), eta=eta, r=F(1, 16), z0=z0
     )
     assert assert_bound_matches_oracle(w) is passes
+
+
+def test_circle_points_take_half_the_tangents_and_mirror_them():
+    """The 63 values of t computed and mirrored give exactly the 128 points
+    that the tangents of all 127 angles give."""
+    for w in POOL[:8] + list(DATA_FAMILIES.values()):
+        points = topocheck._circle_points(w.point, topocheck.BOUND_SAMPLES)
+        got = [(F(x, s), F(y, s)) for x, y, s in points]
+        assert got == fraction_circle_samples(w.z0, topocheck.BOUND_SAMPLES)
+
+
+# The float filter of the bound: its edges, its work and its error terms.
+
+
+def exact_samples(monkeypatch):
+    """(numerators, sample count) of every exact evaluation of a tail."""
+    seen = []
+    evaluate = topocheck._evaluate
+
+    def counted(nums, den, points):
+        seen.append((nums, len(points)))
+        return evaluate(nums, den, points)
+
+    monkeypatch.setattr(topocheck, "_evaluate", counted)
+    return seen
+
+
+def float_and_exact_argmax(w, i, depth):
+    """The sample at which a_i's tail past ``depth`` has the largest modulus
+    in doubles, as the filter computes it, and exactly."""
+    points = topocheck._circle_points(w.point, topocheck.BOUND_SAMPLES)
+    tail = w.doubles[0][i - 1][depth:]
+    floats = [abs(_horner(tail, complex(x / s, y / s))) for x, y, s in points]
+    nums, den = w.integers[i - 1]
+    exact = [F(x * x + y * y, s * s) for x, y, s in _evaluate(nums[depth:], den, points)]
+    return floats.index(max(floats)), exact.index(max(exact))
+
+
+def near_tie_family(seed):
+    """a = (0, x^2 + c x^3, x) at a random z0, with |c z0| about 1e-15: a2's
+    tail in the root cluster is z (1 + c z), a monomial with a term about
+    1e-15 of its size."""
+    rng = random.Random(seed)
+    c = F(rng.randint(10, 30), 10**15)
+    z0 = (F(rng.randint(40, 60), 1024), F(rng.randint(-20, 20), 1024))
+    polys = ((F(0),), (F(0), F(0), F(1), c), (F(0), F(1)))
+    return WitnessFamily(polys=polys, eta=F(1, 8), r=F(1, 16), z0=z0)
+
+
+@pytest.mark.parametrize(
+    "polys, z0, r",
+    [
+        # a2's tail in {1, 2} is z^2: every sample ties exactly.
+        (((0,), (0, 0, 0, 1)), Z0, F(1, 16)),
+        # a1 = 0 is the centre, so its tail is empty.
+        (((0,), (0, 1)), Z0, F(1, 16)),
+        # a2 = z (10^308 - 10^308 z / 3) at z0 = 3: its tail is 2 10^308 at
+        # -z0, past a double.
+        (((0,), (0, 10**308, F(-(10**308), 3))), (F(3), F(0)), F(4)),
+    ],
+    ids=["monomial", "empty-tail", "overflow"],
+)
+def test_the_filter_keeps_every_sample_where_the_doubles_cannot_tell(polys, z0, r, monkeypatch):
+    w = WitnessFamily(polys=tuple(tuple(F(c) for c in p) for p in polys), eta=F(1, 8), r=r, z0=z0)
+    seen = exact_samples(monkeypatch)
+    assert_bound_matches_oracle(w)
+    assert {k for _, k in seen} == {topocheck.BOUND_SAMPLES}
+
+
+def test_the_filter_finds_the_exact_maximum_in_a_near_tie():
+    """The first near-tie family whose largest sample in doubles is not
+    the exact one."""
+    w = next(w for w in map(near_tie_family, range(100)) if len(set(float_and_exact_argmax(w, 2, 1))) == 2)
+    assert_bound_matches_oracle(w)
+
+
+def test_the_bound_evaluates_one_or_two_samples_exactly(monkeypatch):
+    """A tail with at most one nonzero term has one modulus on the whole
+    circle, so every sample is a candidate; on the pool, every other tail
+    is evaluated exactly at one or two samples, and each 1201-term tail of
+    LONG_TAILS at one."""
+    from test_cli import LONG_TAILS
+
+    seen = exact_samples(monkeypatch)
+    for w in POOL:
+        verify_cluster_bound(w)
+    counts = [(sum(map(bool, nums)) <= 1, k) for nums, k in seen]
+    assert {k for flat, k in counts if flat} == {topocheck.BOUND_SAMPLES}
+    assert {k for flat, k in counts if not flat} == {1, 2}
+    seen.clear()
+    try:
+        verify_cluster_bound(WitnessFamily.from_json_dict(LONG_TAILS))
+    except ParametersTooLarge:
+        pass
+    assert [k for nums, k in seen if len(nums) == 1201] == [1, 1]
+
+
+def modulus2(p):
+    return p[0] * p[0] + p[1] * p[1]
+
+
+@pytest.mark.parametrize("source", ["pool", "data"])
+def test_each_error_term_bounds_its_own_source(source):
+    """Each term of ``_error_terms`` against the error of its source alone,
+    measured in exact arithmetic at every fourth sample: the computed
+    Horner sum against the exact sum of the same doubles at the same
+    rounded point (horner), that sum at the rounded point against the
+    exact one (point), the doubles against the exact coefficients
+    (coefficient), and abs() against the exact modulus of the computed
+    value (modulus)."""
+    families = POOL[:8] if source == "pool" else list(DATA_FAMILIES.values())
+    measured = dict.fromkeys(("horner", "point", "coefficient", "modulus"), 0)
+    for w in families:
+        points = topocheck._circle_points(w.point, topocheck.BOUND_SAMPLES)[::4]
+        zs, radius = _rounded_samples(w.doubles[1], points)
+        for c in w.forest.clusters:
+            for i in c.indices():
+                tail, exact_tail = w.doubles[0][i - 1][c.depth :], w.polys[i - 1][c.depth :]
+                rounded = tuple(map(F, tail))
+                terms = _error_terms(max(len(tail) - 1, 0))
+                unit = F(2.0**-53) * sum(abs(t) * F(radius) ** j for j, t in enumerate(rounded))
+                for (x, y, s), z_hat in zip(points, zs):
+                    computed = _horner(tail, z_hat)
+                    at_hat = eval_poly(rounded, (F(z_hat.real), F(z_hat.imag)))
+                    at_z = eval_poly(rounded, (F(x, s), F(y, s)))
+                    exact = eval_poly(exact_tail, (F(x, s), F(y, s)))
+                    errors = {
+                        "horner": modulus2((F(computed.real) - at_hat[0], F(computed.imag) - at_hat[1])),
+                        "point": modulus2((at_hat[0] - at_z[0], at_hat[1] - at_z[1])),
+                        "coefficient": modulus2((at_z[0] - exact[0], at_z[1] - exact[1])),
+                    }
+                    for name, e2 in errors.items():
+                        assert e2 <= (F(terms[name]) * unit) ** 2, (name, w, i)
+                        measured[name] = max(measured[name], e2)
+                    v, bound = F(abs(computed)), F(terms["modulus"]) * unit
+                    exact2 = modulus2((F(computed.real), F(computed.imag)))
+                    assert max(v - bound, 0) ** 2 <= exact2 <= (v + bound) ** 2
+                    measured["modulus"] = max(measured["modulus"], abs(v * v - exact2))
+    # The data families' tails are short, with exact coefficients, and
+    # their Horner sums happen to be exact; the pool's are not.
+    assert all(measured.values()) or source == "data"
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 time (``oracles.every_sample_track``): equal braids or equal errors, the
 work it saves, its fallbacks, and the linking numbers of its braids."""
 
+import math
 import random
+import statistics
 from collections import Counter
 from fractions import Fraction as F
 
@@ -14,7 +16,7 @@ from branchmono.intersection import BranchInput, compute_matrix
 from branchmono.topocheck import MAX_SAMPLES, WitnessFamily, track_braid
 from conftest import DATA_FAMILIES as DATA
 from conftest import POOL, random_ultrametric_matrix
-from oracles import EverySampleTracker, depth_partition, entries, every_sample_track
+from oracles import EverySampleTracker, bisection_crossing_time, depth_partition, entries, every_sample_track
 
 # a_1 - a_2 vanishes at z = -3/256, on the loop, yet the tracker passes it
 # (a known false pass); the leaping tracker must not differ there either.
@@ -101,19 +103,26 @@ def test_random_families_match_every_sample_tracker():
     assert kinds["tracked"] >= 20 and kinds["UnresolvedCrossing"] >= 5
 
 
-def test_fused_bisection_is_bit_identical():
+def framed_tracker(w, samples=1024):
+    """A tracker of w's strands in the identity frame, padded to one length
+    as ``track_braid`` pads them."""
+    coeffs = [[float(c) for c in p] for p in w.polys]
+    z0 = complex(*map(float, w.z0))
+    speeds = _tracker._Speeds(coeffs, z0)
+    width = len(speeds.weights)
+    padded = [[complex(c) for c in cs] + [0j] * (width - len(cs)) for cs in coeffs]
+    return _tracker._Tracker(padded, z0, samples, 1.0, speeds)
+
+
+def test_crossing_search_is_bit_identical_on_padded_strands():
     # The leaping tracker gets its strands padded to one length with zero
     # coefficients of higher degree, as ``track_braid`` pads them; the oracle
     # gets them unpadded.
     rng = random.Random(7)
     for w in POOL[:16]:
-        coeffs = [[float(c) for c in p] for p in w.polys]
-        z0 = complex(*map(float, w.z0))
-        speeds = _tracker._Speeds(coeffs, z0)
-        width = len(speeds.weights)
-        padded = [[complex(c) for c in cs] + [0j] * (width - len(cs)) for cs in coeffs]
-        leaping = _tracker._Tracker(padded, z0, 1024, 1.0, speeds)
-        walking = EverySampleTracker([list(map(complex, cs)) for cs in coeffs], z0, 1024, 1.0, speeds)
+        leaping = framed_tracker(w)
+        coeffs = [[complex(float(c)) for c in p] for p in w.polys]
+        walking = EverySampleTracker(coeffs, leaping.z0, 1024, 1.0, leaping.speeds)
         for _ in range(8):
             left, right = rng.sample(range(w.d), 2)
             t_lo = rng.random()
@@ -122,6 +131,97 @@ def test_fused_bisection_is_bit_identical():
                 left, right, t_lo, t_hi
             )
     assert any(len({len(p) for p in w.polys}) > 1 for w in POOL[:16])
+
+
+def test_crossing_time_is_the_bisection_oracles_within_resolution():
+    """Brackets at random times over the pool.  Where the two strands'
+    projected gap differs in sign at the ends, false position and
+    bisection stop within the same resolution of one crossing; where it
+    does not, both halve the bracket until they meet a sign change, or
+    run to its high end.  Where the computed gap is exactly 0 over a
+    stretch of time (its rounding is coarser than the resolution there),
+    bisection runs to the stretch's far end, and false position stops at
+    the first zero it meets."""
+    rng = random.Random(20261020)
+    brackets = Counter()
+    for w in POOL:
+        tracker = framed_tracker(w)
+
+        def gap(t):
+            pos = tracker.positions(t)
+            return (pos[right] - pos[left]).real
+
+        for _ in range(60):
+            left, right = rng.sample(range(w.d), 2)
+            t_lo = rng.random()
+            t_hi = t_lo + rng.choice((1 / 1024, 1 / 64, 1 / 16, 1 / 4))
+            resolution = 1e-9 * (t_hi - t_lo)
+            got = tracker.crossing_time(left, right, t_lo, t_hi)
+            assert t_lo < got < t_hi
+            kind = "sign change" if (gap(t_lo) > 0) != (gap(t_hi) > 0) else "same sign"
+            if abs(got - bisection_crossing_time(tracker, left, right, t_lo, t_hi)) >= resolution:
+                assert gap(got) == 0
+                kind = "zero"
+            brackets[kind] += 1
+    # One bracket of the pool's meets such a stretch.
+    assert brackets["sign change"] >= 300 and brackets["same sign"] >= 3000 and brackets["zero"] == 1
+
+
+def test_tracking_with_the_bisection_oracle_gives_the_same_outcomes(monkeypatch):
+    rng = random.Random(20261020)
+    families = POOL + [random_family(rng) for _ in range(200)]
+    outcomes = [outcome(track_braid, w) for w in families]
+    monkeypatch.setattr(_tracker._Tracker, "crossing_time", bisection_crossing_time)
+    assert [outcome(track_braid, w) for w in families] == outcomes
+    assert sum(not (o and isinstance(o[0], str)) for o in outcomes) >= 100
+
+
+def test_a_crossing_costs_a_few_gap_evaluations(monkeypatch):
+    # Each gap evaluates two strands; the bisection took about 31 gaps.
+    calls = [0]
+    horner = _tracker._horner
+    method = _tracker._Tracker.crossing_time
+    per_crossing = []
+
+    def counted(cs, z):
+        calls[0] += 1
+        return horner(cs, z)
+
+    def crossing_time(self, *args):
+        before = calls[0]
+        result = method(self, *args)
+        per_crossing.append((calls[0] - before) / 2)
+        return result
+
+    monkeypatch.setattr(_tracker, "_horner", counted)
+    monkeypatch.setattr(_tracker._Tracker, "crossing_time", crossing_time)
+    for w in POOL:
+        track_braid(w)
+    assert len(per_crossing) >= 20 * len(POOL)
+    assert statistics.median(per_crossing) <= 8
+
+
+def test_a_curved_gap_closes_from_both_ends(monkeypatch):
+    """a1 = 99/100 and a2 = z^3 at z0 = 1: the gap cos(6 pi t) - 0.99 is
+    far from linear over wide brackets around its root acos(0.99)/(6 pi).
+    Plain false position keeps one end there and creeps from the other
+    (27 to 66 gap evaluations, and its 64 steps can end far from the
+    root); the Illinois rule closes both ends in a few steps."""
+    tracker = framed_tracker(family((F(99, 100),), (0, 0, 0, 1), r="3/2", z0=(F(1), F(0))))
+    root = math.acos(0.99) / (6 * math.pi)
+    calls = [0]
+    horner = _tracker._horner
+
+    def counted(cs, z):
+        calls[0] += 1
+        return horner(cs, z)
+
+    monkeypatch.setattr(_tracker, "_horner", counted)
+    for t_lo, t_hi in [(0.0, root + 0.01), (root - 0.001, 0.15), (0.0, 0.1)]:
+        calls[0] = 0
+        got = tracker.crossing_time(0, 1, t_lo, t_hi)
+        assert abs(got - root) < 1e-9 * (t_hi - t_lo)
+        assert calls[0] // 2 <= 16
 
 
 def count_calls(monkeypatch, name):
