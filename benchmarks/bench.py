@@ -506,14 +506,20 @@ def sign_interval(diffs: list[float], level: float = 0.95) -> tuple[list[float] 
     return [sig4(ordered[k - 1]), sig4(ordered[n - k])], sig4(1 - 2 * tail)
 
 
+def _differences(a: list[float], b: list[float], level: float) -> tuple[list[float], float, list[float] | None, float]:
+    """The round-by-round differences a - b, their median, and the
+    median's sign-test interval at ``level`` with the interval's coverage."""
+    diffs = [x - y for x, y in zip(a, b)]
+    return diffs, sig4(statistics.median(diffs)), *sign_interval(diffs, level)
+
+
 def paired(a: list[float], b: list[float]) -> dict:
     """The round-by-round differences a - b: their median, its sign-test
     interval (``ci95``) with the interval's coverage, and the rounds in
     which a was lower and higher; a tie counts for neither."""
-    diffs = [x - y for x, y in zip(a, b)]
-    interval, coverage = sign_interval(diffs)
+    diffs, median, interval, coverage = _differences(a, b, 0.95)
     return {
-        "diff_p50": sig4(statistics.median(diffs)),
+        "diff_p50": median,
         "ci95": interval,
         "coverage": coverage,
         "lower": sum(d < 0 for d in diffs),
@@ -542,15 +548,14 @@ def claimed(a: list[float], b: list[float], level: float) -> dict:
     its sign-test ``interval`` at ``level`` with the interval's coverage,
     the rounds, and ``resolved``: "lower" or "higher" where the interval
     excludes 0 on that side, else None."""
-    diffs = [x - y for x, y in zip(a, b)]
-    interval, coverage = sign_interval(diffs, level)
+    diffs, median, interval, coverage = _differences(a, b, level)
     resolved = None
     if interval and interval[1] < 0:
         resolved = "lower"
     elif interval and interval[0] > 0:
         resolved = "higher"
     return {
-        "diff_p50": sig4(statistics.median(diffs)),
+        "diff_p50": median,
         "interval": interval,
         "coverage": coverage,
         "level": sig4(level),

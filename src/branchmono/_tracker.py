@@ -2,28 +2,60 @@
 ``track_braid``, which follows the points a_i(z0 e(t)) in one projection
 frame and reads their crossings as braid letters, and the float filter
 of ``verify_cluster_bound``, which picks the circle samples where a
-tail's exact modulus may be largest (see ``_candidates``).  They live
+tail's exact modulus may be largest (``_candidates``).  They live
 apart from ``topocheck`` for memory: where no bytecode is cached, each
 process compiles the modules from source, and CPython 3.11's peak while
 compiling a module steps up past about 4,100 tokens.  With the filter in
 ``topocheck`` (4,176 tokens) that peak rose from 1.37 to 1.74 MB, and a
 ``verify-topology`` process's peak RSS by 0.25-0.4 MB.
 
-The coefficients come multiplied by the frame once, so a position's real
-part is its projection and its imaginary part the orthogonal coordinate.
+Both decide from doubles only what two arguments prove, and both read
+the same rounding allowance.
 
-The tracker does not evaluate every grid time.  The projected gap of two
-strands a, b moves along the loop no faster than
-V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j per turn, in every frame.  So
-at an evaluated time where every neighbouring pair's gap exceeds the tie
-threshold plus twice a bound on the rounding of a computed gap, the order
-provably stays the same, with no tie, for (gap - threshold - rounding)/V
-of a turn.  The tracker leaps over the grid times inside that horizon and
-evaluates the first one outside it, handing it the same interval it would
-have had from a walk over every grid time, so letters and errors do not
-change.  The leaps shrink geometrically towards a crossing and grow away
-from it, so the cost goes with the number of crossings and the logarithm
-of the sample count, not with the sample count.
+One allowance.  For n double coefficients c_j and a radius R >= |z0|,
+let S = sum_j |c_j| R^j, and u = 2^-53.  What each layer computes in
+doubles, a tracker's gap of two positions and the filter's modulus of a
+tail, is off from the value it stands for by well under 128 n u S, so
+both allow _ROUNDING n S = 128 n u S for it, with room for the rounding
+of the allowance itself and of what it is compared with.
+  - Tracker, n = D + 1 for the largest degree D, and S = M, the largest
+    S of a strand at R = |z0|: a computed position differs from the
+    value of the double coefficients at the exact point z0 e(t) by at
+    most about 35 n u M.  Horner's D complex products and D + 1 sums add
+    (1 + sqrt 5) n u M, the frame's rounding 3 u M, and the computed
+    z = z0 exp(2 pi i t) is off by about 5u in modulus (5 D u M) and,
+    with the rounding of t = k/samples, by about 3.5u of a turn in angle,
+    which moves a position by at most 2 pi D M per turn (22 D u M).  A
+    computed gap Re(p_b - p_a) is two positions and one more rounding,
+    2 u M, so within 72 n u M; ``eps`` = _ROUNDING n M leaves room for
+    the few roundings of the slack and the horizon.
+  - Filter, a tail of degree m, n = m + 1, at R = |z0| (1 + 8u), for
+    |z0| >= 2^-999 and m u <= 2^-20 (a tail of 2^33 terms would not fit
+    in memory): the modulus computed at the rounded sample zh against
+    the exact modulus at the sample z.  Horner's m complex products,
+    each within sqrt(5) u, and m + 1 sums, each within u, put each term
+    c_j zh^j off by a factor within ((1 + sqrt 5) m + 1) u; both parts of
+    zh are correctly rounded, so |zh - z| <= u|z| and |zh^j - z^j| is
+    within 1.01 j u |z|^j (1.01 m u S); each c_j is its rational
+    correctly rounded (u S); and abs() is within one ulp (2 u S).  That
+    is at most (4.25 m + 4) u S, and E/2 = 64 n u S is 15 times that or
+    more.  Subnormal products, coefficients and moduli add at most
+    5 * 2^-1074 sum_{i<=m} R^i, which E takes twice.
+
+The leap.  The coefficients come multiplied by the frame once, so a
+position's real part is its projection and its imaginary part the
+orthogonal coordinate.  The tracker does not evaluate every grid time.
+The projected gap of two strands a, b moves along the loop no faster
+than V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j per turn, in every frame.
+So at an evaluated time where every neighbouring pair's gap exceeds the
+tie threshold plus twice ``eps``, the order provably stays the same,
+with no tie, for (gap - threshold - 2 eps)/V of a turn.  The tracker
+leaps over the grid times inside that horizon and evaluates the first
+one outside it, handing it the same interval it would have had from a
+walk over every grid time, so letters and errors do not change.  The
+leaps shrink geometrically towards a crossing and grow away from it, so
+the cost goes with the number of crossings and the logarithm of the
+sample count, not with the sample count.
 
 A crossing of two strands is located by false position with the Illinois
 rule (``crossing_time``) on their projected gap, to 1e-9 of the interval
@@ -102,69 +134,52 @@ def _horner(cs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-# A computed position differs from the value of the double coefficients
-# at the exact point z0 e(t) by at most about 35 (D+1) u M, with u = 2^-53,
-# D the largest degree and M = max_i sum_j |c_ij| |z0|^j: Horner's D
-# complex products and D+1 sums add (1 + sqrt 5)(D+1) u M, the frame's
-# rounding 3 u M, and the computed z = z0 exp(2 pi i t) is off by about
-# 5u in modulus (5 D u M) and, with the rounding of t = k/samples, by
-# about 3.5u of a turn in angle, which moves a position by at most
-# 2 pi D M per turn (22 D u M).  A computed gap Re(p_b - p_a) is two
-# positions and one more rounding, 2 u M, so within 72 (D+1) u M.  The
-# factor 128 leaves room for the few roundings of the slack and horizon.
+# The rounding allowance of both float layers per unit of n S (see the
+# module docstring).
 _ROUNDING = 128 * 2.0**-53
 
 
-class _Speeds:
-    """Per family, in every frame: V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j,
-    which bounds |d/dt Re(p_b - p_a)| over the loop, memoised per strand
-    pair, and ``eps``, which bounds the rounding of a computed gap.  Values
-    past the range of a double read as inf or nan, never as an error."""
+class _Tracker:
+    """Strands followed in one projection frame.  ``coeffs`` holds a
+    family's double coefficients (``WitnessFamily.doubles``) multiplied by
+    ``frame``, so a position's real part is its projection and its
+    imaginary part the orthogonal coordinate, and padded to one length
+    with zero coefficients of higher degree, which keep a Horner
+    accumulator at exactly 0j up to a strand's own top coefficient, so
+    every position is bit for bit the unpadded one.  ``eps`` bounds the
+    rounding of a computed gap, and ``speed`` the speed of one (see the
+    module docstring); values past the range of a double read as inf or
+    nan, never as an error.  ``current`` is the strand order at the last
+    time resolved, and ``letters`` the braid so far."""
 
-    __slots__ = ("coeffs", "weights", "eps", "memo")
+    __slots__ = ("coeffs", "z0", "samples", "scale", "eps", "unframed", "weights", "memo", "current", "letters")
 
-    def __init__(self, coeffs: Sequence[Sequence[float]], z0: complex):
+    def __init__(self, coeffs: Sequence[Sequence[float]], z0: complex, samples: int, scale: float, frame: complex):
         radius = math.hypot(z0.real, z0.imag)
         powers = [1.0]
         for _ in range(max(map(len, coeffs)) - 1):
             powers.append(powers[-1] * radius)
-        size = max(sum(abs(c) * w for c, w in zip(cs, powers)) for cs in coeffs)
-        self.coeffs = [[*cs] + [0.0] * (len(powers) - len(cs)) for cs in coeffs]
+        width = len(powers)
+        self.coeffs = [[c * frame for c in cs] + [0j] * (width - len(cs)) for cs in coeffs]
+        self.unframed = [[*cs] + [0.0] * (width - len(cs)) for cs in coeffs]
         self.weights = [2 * math.pi * j * w for j, w in enumerate(powers)]
-        self.eps = _ROUNDING * len(powers) * size
+        self.eps = _ROUNDING * width * max(sum(abs(c) * w for c, w in zip(cs, powers)) for cs in coeffs)
         self.memo: dict[tuple[int, int], float] = {}
-
-    def speed(self, a: int, b: int) -> float:
-        key = (a, b) if a < b else (b, a)
-        v = self.memo.get(key)
-        if v is None:
-            v = sum(abs(x - y) * w for x, y, w in zip(self.coeffs[a], self.coeffs[b], self.weights))
-            self.memo[key] = v
-        return v
-
-
-class _Tracker:
-    """Strands followed in one projection frame.  Their coefficients come
-    multiplied by the frame, so a position's real part is its projection
-    and its imaginary part the orthogonal coordinate, and padded to one
-    length with zero coefficients of higher degree, which keep a Horner
-    accumulator at exactly 0j up to a strand's own top coefficient, so
-    every position is bit for bit the unpadded one.  ``current`` is the
-    strand order at the last time resolved, and ``letters`` the braid so
-    far."""
-
-    __slots__ = ("coeffs", "z0", "samples", "scale", "speeds", "current", "letters")
-
-    def __init__(
-        self, coeffs: list[list[complex]], z0: complex, samples: int, scale: float, speeds: _Speeds
-    ):
-        self.coeffs = coeffs
         self.z0 = z0
         self.samples = samples
         self.scale = scale
-        self.speeds = speeds
         self.current: list[int] = []
         self.letters: list[int] = []
+
+    def speed(self, a: int, b: int) -> float:
+        """V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j, from the unframed
+        coefficients, memoised per strand pair."""
+        key = (a, b) if a < b else (b, a)
+        v = self.memo.get(key)
+        if v is None:
+            v = sum(abs(x - y) * w for x, y, w in zip(self.unframed[a], self.unframed[b], self.weights))
+            self.memo[key] = v
+        return v
 
     def positions(self, t: float) -> list[complex]:
         z = self.z0 * cmath.exp(2j * math.pi * t)
@@ -345,13 +360,12 @@ class _Tracker:
         pair's gap, less the tie threshold and twice ``eps``, over its
         speed bound is a time it cannot close, capped at one turn.  One
         step where a slack is not positive or a bound not finite."""
-        speeds = self.speeds
-        margin = 1e-14 * self.scale + 2 * speeds.eps
+        margin = 1e-14 * self.scale + 2 * self.eps
         current = self.current
         horizon = 1.0
         for a, b in zip(current, current[1:]):
             slack = pos[b].real - pos[a].real - margin
-            speed = speeds.speed(a, b)
+            speed = self.speed(a, b)
             if not (slack > 0 and speed < math.inf):
                 return 1
             if slack < horizon * speed:
@@ -389,30 +403,10 @@ class _Tracker:
 # The float filter of ``topocheck.verify_cluster_bound``
 
 # The unit roundoff and the smallest subnormal of a double, and the least
-# |z0| (as a double) at which a sample's rounding is relative (see
-# ``_error_terms``).
+# |z0| (as a double) at which a sample's rounding is relative.
 _U = 2.0**-53
 _ETA = 2.0**-1074
 _FILTER_MIN_RADIUS = 2.0**-999
-
-
-def _error_terms(m: int) -> dict[str, float]:
-    """Bounds, in units of u S with u = 2^-53, on each source of error in
-    the modulus of a tail of degree m computed in doubles at a sample z,
-    as ``_candidates`` computes it; S = sum_j |c_j| R^j, with c_j the
-    tail's coefficients as doubles and R >= (1 + 2u)|z0|.  They hold for
-    |z0| >= 2^-1000 and m u <= 2^-20 (a tail of 2^33 terms would not fit
-    in memory); the absolute errors of subnormal values are bounded apart.
-
-    - horner: m complex products, each within sqrt(5) u, and m + 1 sums,
-      each within u, so each term c_j zh^j of the sum at the rounded
-      sample zh is off by a factor within ((1 + sqrt 5) m + 1) u;
-    - point: both parts of zh are correctly rounded, so |zh - z| <= u|z|
-      (plus 2^-1074.5, below 2^-21 u|z| here), and |zh^j - z^j| is at most
-      j u |z|^j times factors that 1.01 covers;
-    - coefficient: each c_j is its rational correctly rounded, within u;
-    - modulus: abs() is within one ulp, 2u, of the computed value."""
-    return {"horner": (1 + math.sqrt(5)) * m + 1, "point": 1.01 * m, "coefficient": 1.0, "modulus": 2.0}
 
 
 def _rounded_samples(
@@ -431,19 +425,22 @@ def _rounded_samples(
 def _candidates(
     tail: Sequence[float], zs: Sequence[complex], points: Sequence[tuple[int, int, int]], radius: float
 ) -> Sequence[tuple[int, int, int]]:
-    """The points at which the exact modulus of a tail may be largest: those
-    whose modulus in doubles, at ``zs`` (the points correctly rounded), is
-    at least the largest less 2E.  Every computed modulus is within E/2 of
-    the exact one, so the exact maximum is among them.  E is twice the sum
-    of ``_error_terms`` times u S, plus 5 * 2^-1074 sum_{i<=m} R^i for the
-    subnormal products, coefficients and moduli; the factor 2 covers the
-    rounding of S, of E and of the threshold.  ``zs`` and R = ``radius``
-    come from ``_rounded_samples``; an R of inf, an overflow or a value
-    that is not finite makes every point a candidate."""
+    """The points at which the exact modulus of a tail may be largest.  A
+    tail with at most one nonzero coefficient c_j has the modulus
+    |c_j| |z0|^j at every point, exactly, so its first point is enough.
+    Otherwise they are the points whose modulus in doubles, at ``zs`` (the
+    points correctly rounded), is at least the largest less 2E, with
+    E = _ROUNDING (m + 1) S + 10 * 2^-1074 sum_{i<=m} R^i for a tail of
+    degree m (see the module docstring); every computed modulus is within
+    E/2 of the exact one, so the exact maximum is among them.  ``zs`` and
+    R = ``radius`` come from ``_rounded_samples``; an R of inf, an
+    overflow or a value that is not finite makes every point a candidate."""
+    if sum(map(bool, tail)) <= 1:
+        return points[:1]
     if not radius < math.inf:
         return points
     # Horner's rule at every sample at once, one coefficient at a time.
-    values = [complex(tail[-1]) if tail else 0j] * len(zs)
+    values = [complex(tail[-1])] * len(zs)
     for c in tail[-2::-1]:
         values = [v * z + c for v, z in zip(values, zs)]
     try:
@@ -454,7 +451,7 @@ def _candidates(
     for c in reversed(tail):
         weighted = weighted * radius + abs(c)
         powers = powers * radius + 1.0
-    error = 2 * (_U * weighted * sum(_error_terms(max(len(tail) - 1, 0)).values()) + 5 * _ETA * powers)
+    error = _ROUNDING * len(tail) * weighted + 10 * _ETA * powers
     if not sum(values) + error < math.inf:
         return points
     threshold = max(values) - 2 * error

@@ -52,6 +52,7 @@ from .errors import (
     UnsupportedForm,
     read_json,
 )
+from .intersection import _echo
 
 DEFAULT_TUPLE_CAP = 10_000_000
 # Largest group order accepted; the Cayley table and the conjugation table
@@ -135,7 +136,7 @@ class FiniteGroup(Value):
             if set(map(type, row)) != {int}:
                 for v in row:
                     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                        raise NotAGroup(f"entry {v!r} in row {i} out of range")
+                        raise NotAGroup(f"entry {_echo(v)} in row {i} out of range")
             if sorted(row) != elements:
                 raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
         cols = tuple(zip(*table))
@@ -276,7 +277,7 @@ def builtin_group(name: str) -> FiniteGroup:
     ``_`` reads as a space, and case and surrounding whitespace are ignored."""
     match = _BUILTIN_NAME.fullmatch(name.lower().replace("_", " ").strip())
     if match is None:
-        raise UnknownBuiltin(f"unknown builtin group {name!r}")
+        raise UnknownBuiltin(f"unknown builtin group {_echo(name)}")
     prefix, digits = match.groups()
     if len(digits.lstrip("0")) > len(str(MAX_GROUP_ORDER)):
         # Past the cap in every family, and maybe past what int() parses.

@@ -18,40 +18,22 @@ the tail of a_i past depth n.  A family's cluster forest is built once,
 with the family, and every check reads it.
 
 The bound's maximum over the samples is exact, but a tail is evaluated
-exactly only where that maximum may be, by a floating-point filter with
-exact fallback (``_tracker._candidates``).  Each tail, of degree m, is
-evaluated in doubles at every sample: its coefficients c_j as
-``doubles`` holds them, and the sample's parts correctly rounded.  Every
-computed modulus is within E/2 of the exact one, with u = 2^-53,
-S = sum_j |c_j| R^j and R >= (1 + 2u)|z0|:
-    E = 2 [((1 + sqrt 5) m + 1) + 1.01 m + 1 + 2] u S
-        + 10 * 2^-1074 sum_{i<=m} R^i.
-The four terms in brackets bound, in units of u S, the Horner sum's
-roundings, the rounding of each sample, of each coefficient and of
-abs() (``_tracker._error_terms``); the last term bounds subnormal
-products, coefficients and moduli, and the factor 2 the rounding of S,
-of E and of the threshold.  So the samples whose computed modulus is at least the
-largest less 2E include the exact maximum, and only they are evaluated
-in integers.  A value or E that is not finite, or a z0 below 2^-999,
-whose samples round with absolute rather than relative error, makes
-every sample a candidate.  On perfbench's pool every tail with two or
-more nonzero terms is evaluated exactly at one or two of the 128
-samples; a tail with at most one has one modulus on the whole circle,
-so all its samples tie and all are evaluated.
+exactly only where that maximum may be (``_tracker._candidates``).  A
+tail with at most one nonzero term has one modulus on the whole circle,
+so one sample is evaluated.  Any other is evaluated in doubles at every
+sample, and in integers only at the samples whose computed modulus is
+within twice a rounding allowance E of the largest; ``_tracker`` derives
+E.  On perfbench's pool that is one or two of the 128 samples.
 
 Only the braid tracker (``_tracker``) decides in double precision, with
 crossings located by false position.  A family converts itself to
 doubles, and checks their range, when it is built, before any exact
-check; ``track_braid`` tries up to MAX_ROTATIONS projection frames.  The
-tracker does not evaluate every grid time: the projected gap of two
-strands a, b moves no faster than
-V_ab = 2 pi sum_j j |c_aj - c_bj| |z0|^j per turn, in every frame, so
-where every neighbouring gap exceeds the tie threshold and the rounding
-of a computed gap, the order provably holds, with no tie, for
-(gap - threshold - rounding)/V of a turn.  The tracker leaps to the first
-grid time past that and resolves it as a walk over every grid time
-would, so its letters and errors are that walk's, at a cost that goes
-with the number of crossings rather than the sample count.
+check; ``track_braid`` tries up to MAX_ROTATIONS projection frames, one
+``_Tracker`` each.  A tracker leaps over the grid times at which a speed
+bound proves the strand order unchanged (``_tracker`` states the
+argument), so its letters and errors are a walk's over every grid time,
+at a cost that goes with the number of crossings rather than the sample
+count.
 
 ``is_inner_shift`` compares the tracked braid's action with the cluster
 twists up to a single inner automorphism.  That is exact here because
@@ -82,7 +64,7 @@ from .errors import (
 from .freegroup import FreeAutomorphism, FreeWord
 from .intersection import BranchInput, _echo, _is_array, _is_array_of_arrays, compute_matrix, parse_rational
 from .monodromy import monodromy_automorphism
-from ._tracker import _candidates, _horner, _NeedsRotation, _rounded_samples, _Speeds, _Tracker
+from ._tracker import _candidates, _horner, _NeedsRotation, _rounded_samples, _Tracker
 
 
 # Most tracker samples accepted.  The tracker leaps over the grid times at
@@ -380,11 +362,11 @@ def verify_cluster_bound(w: WitnessFamily) -> GeometryReport:
     b_{I,n} is a_i truncated below depth n, so a_i - b_{I,n} = z^n T_i(z)
     with T_i the tail of a_i past depth n, and every sample lies exactly
     on |z| = |z0|: |a_i(z) - b_{I,n}(z)|^2 = |z0|^(2n) |T_i(z)|^2.  Each
-    tail is evaluated in doubles at every sample, and in integers
-    (``_evaluate``) only at the samples where its exact modulus may be
-    largest (``_candidates``); those are compared by cross-multiplying, and
-    the largest becomes one exact Fraction per record, the maximum over
-    all the samples."""
+    tail is evaluated in integers (``_evaluate``) only at the samples
+    where its exact modulus may be largest (``_candidates``, whose float
+    argument ``_tracker`` states); those are compared by cross-multiplying,
+    and the largest becomes one exact Fraction per record, the maximum
+    over all the samples."""
     points = _circle_points(w.point, BOUND_SAMPLES)
     coeffs, z0, _ = w.doubles
     zs, radius = _rounded_samples(z0, points)
@@ -468,13 +450,9 @@ def track_braid(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:
     """
     sample_count = w.samples if samples is None else check_samples(samples)
     coeffs, z0, scale = w.doubles
-    speeds = _Speeds(coeffs, z0)
-    width = len(speeds.weights)
     last_error: Optional[_NeedsRotation] = None
     for rotation in range(MAX_ROTATIONS):
-        frame = cmath.exp(-1j * 0.1371 * rotation)
-        framed = [[c * frame for c in cs] + [0j] * (width - len(cs)) for cs in coeffs]
-        tracker = _Tracker(framed, z0, sample_count, scale, speeds)
+        tracker = _Tracker(coeffs, z0, sample_count, scale, cmath.exp(-1j * 0.1371 * rotation))
         try:
             letters, start = tracker.run()
         except _NeedsRotation as exc:

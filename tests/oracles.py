@@ -17,6 +17,9 @@ evaluated one table lookup per image letter, the reference for
 time, which the leaping tracker must agree with, and
 ``bisection_crossing_time`` locates a crossing by bisection, the
 reference for ``_Tracker.crossing_time``'s false position.
+``error_terms`` bounds each source of rounding in the cluster bound's
+float filter on its own, the reference that the filter's one allowance
+must cover.
 ``window_inner_shift`` tries every conjugator the first generator allows
 in a window, with the full validity check, and ``fraction_separation``
 and ``fraction_cluster_bound`` evaluate the witness geometry in Gaussian
@@ -299,6 +302,26 @@ def bisection_crossing_time(tracker: _tracker._Tracker, left: int, right: int, t
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def error_terms(m: int) -> dict[str, float]:
+    """Bounds, in units of u S with u = 2^-53, on each source of error in
+    the modulus of a tail of degree m computed in doubles at a sample z,
+    as ``_tracker._candidates`` computes it; S = sum_j |c_j| R^j, with c_j
+    the tail's coefficients as doubles and R >= (1 + 2u)|z0|.  They hold
+    for |z0| >= 2^-1000 and m u <= 2^-20; the absolute errors of subnormal
+    values are bounded apart.  The filter allows _ROUNDING (m + 1) S for
+    all four, at least twice their sum.
+
+    - horner: m complex products, each within sqrt(5) u, and m + 1 sums,
+      each within u, so each term c_j zh^j of the sum at the rounded
+      sample zh is off by a factor within ((1 + sqrt 5) m + 1) u;
+    - point: both parts of zh are correctly rounded, so |zh - z| <= u|z|
+      (plus 2^-1074.5, below 2^-21 u|z| here), and |zh^j - z^j| is at most
+      j u |z|^j times factors that 1.01 covers;
+    - coefficient: each c_j is its rational correctly rounded, within u;
+    - modulus: abs() is within one ulp, 2u, of the computed value."""
+    return {"horner": (1 + math.sqrt(5)) * m + 1, "point": 1.01 * m, "coefficient": 1.0, "modulus": 2.0}
 
 
 def every_sample_track(w: WitnessFamily, samples: Optional[int] = None) -> BraidWord:

@@ -2,6 +2,7 @@
 determinism, and stable error codes for every fixture."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from branchmono import cli
 from branchmono.intersection import DIGIT_CAP, ECHO_LIMIT
 from branchmono.topocheck import MAX_SAMPLES
-from conftest import random_ultrametric_entries
+from conftest import random_ultrametric_entries, workloads
 from oracles import orbit_json
 
 DATA = Path(__file__).parent / "data"
@@ -350,6 +351,21 @@ def test_malformed_group_file_is_invalid_input(kind, text, tmp_path):
     assert json.loads(out.stderr)["error"] == "INVALID_INPUT"
 
 
+@pytest.mark.parametrize(
+    "group, code",
+    [("table", "NOT_A_GROUP"), ("x" * 10**5, "UNKNOWN_BUILTIN")],
+    ids=["table_entry_of_a_million_chars", "name_of_1e5_chars"],
+)
+def test_group_errors_echo_bounded_values(group, code, tmp_path):
+    if group == "table":
+        group = str(tmp_path / "group.json")
+        Path(group).write_text(json.dumps({"table": [[0, "x" * 10**6], [1, 0]]}))
+    out = run_cli("orbits", "--group", group, "--input", str(DATA / "example1.json"))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert json.loads(out.stderr)["error"] == code
+    assert len(out.stderr) < 2 * ECHO_LIMIT + 100
+
+
 def test_orbits_p_past_primality_cap_is_size_limit():
     out = run_cli(
         "orbits", "--group", "s3", "--input", str(DATA / "example2_p3_m1.json"),
@@ -388,6 +404,34 @@ def test_verify_topology_mismatch_keeps_report():
     assert out.returncode == 1
     assert out.stdout.endswith("tracked braid: b1*b1\nmonodromy agreement: INCONSISTENT\n")
     assert json.loads(out.stderr)["error"] == "MONODROMY_MISMATCH"
+
+
+# stdout sha256 and exit code of ``verify-topology`` on the witness families
+# of perfbench's pool and of tests/data, in text and JSON.  perfbench pins
+# no bytes for some of its pool cases, so these digests do.
+TOPOLOGY_DIGESTS = GOLDEN / "verify_topology_digests.json"
+
+
+def verify_topology_digests(tmp_path):
+    """{"<family> <format>": {"exit": code, "stdout_sha256": digest}} of
+    ``verify-topology`` run in process on every family document."""
+    documents = {f"pool/{i}": workloads.family_case(i).files["family"] for i in range(workloads.FAMILY_POOL)}
+    documents.update((f"data/{path.stem}", path.read_bytes()) for path in sorted(DATA.glob("family_*.json")))
+    digests = {}
+    for name, doc in documents.items():
+        path = tmp_path / "family.json"
+        path.write_bytes(doc)
+        for fmt in ("text", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["verify-topology", "--family", str(path), "--format", fmt])
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            digests[f"{name} {fmt}"] = {"exit": code, "stdout_sha256": digest}
+    return digests
+
+
+def test_verify_topology_stdout_matches_its_digests(tmp_path):
+    assert verify_topology_digests(tmp_path) == json.loads(TOPOLOGY_DIGESTS.read_text())
 
 
 @pytest.mark.parametrize(

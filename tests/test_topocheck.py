@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from branchmono.errors import (
 )
 from branchmono.intersection import DIGIT_CAP, ECHO_LIMIT
 from branchmono.monodromy import monodromy_automorphism
-from branchmono._tracker import _error_terms, _horner, _rounded_samples
+from branchmono._tracker import _ROUNDING, _horner, _rounded_samples
 from branchmono.topocheck import (
     MAX_SAMPLES,
     WitnessFamily,
@@ -35,6 +36,7 @@ from branchmono.topocheck import (
 from conftest import DATA_FAMILIES, POOL
 from oracles import (
     entries,
+    error_terms,
     eval_poly,
     fraction_circle_samples,
     fraction_cluster_bound,
@@ -620,21 +622,56 @@ def near_tie_family(seed):
 @pytest.mark.parametrize(
     "polys, z0, r",
     [
-        # a2's tail in {1, 2} is z^2: every sample ties exactly.
-        (((0,), (0, 0, 0, 1)), Z0, F(1, 16)),
-        # a1 = 0 is the centre, so its tail is empty.
-        (((0,), (0, 1)), Z0, F(1, 16)),
+        # a2's tail in {1, 2} is z^2 (1 + 10^-30 z): in doubles every sample
+        # ties.
+        (((0,), (0, 0, 0, 1, F(1, 10**30))), Z0, F(1, 16)),
         # a2 = z (10^308 - 10^308 z / 3) at z0 = 3: its tail is 2 10^308 at
         # -z0, past a double.
         (((0,), (0, 10**308, F(-(10**308), 3))), (F(3), F(0)), F(4)),
     ],
-    ids=["monomial", "empty-tail", "overflow"],
+    ids=["near-monomial", "overflow"],
 )
 def test_the_filter_keeps_every_sample_where_the_doubles_cannot_tell(polys, z0, r, monkeypatch):
     w = WitnessFamily(polys=tuple(tuple(F(c) for c in p) for p in polys), eta=F(1, 8), r=r, z0=z0)
     seen = exact_samples(monkeypatch)
     assert_bound_matches_oracle(w)
-    assert {k for _, k in seen} == {topocheck.BOUND_SAMPLES}
+    assert {k for nums, k in seen if sum(map(bool, nums)) > 1} == {topocheck.BOUND_SAMPLES}
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        # a2's tail in {1, 2} is z^2.
+        ((0,), (0, 0, 0, 1)),
+        # a1 = 0 is the centre, so its tail is empty.
+        ((0,), (0, 1)),
+    ],
+    ids=["monomial", "empty-tail"],
+)
+def test_a_tail_with_at_most_one_nonzero_term_is_evaluated_at_one_sample(polys, monkeypatch):
+    """Its modulus is the same at every sample, exactly."""
+    w = WitnessFamily(polys=tuple(tuple(F(c) for c in p) for p in polys), eta=F(1, 8), r=F(1, 16), z0=Z0)
+    seen = exact_samples(monkeypatch)
+    assert_bound_matches_oracle(w)
+    assert {k for _, k in seen} == {1}
+
+
+# a2 = z^100: 100 clusters {1, 2}, each with an empty tail and a monomial.
+CHAIN = {"coefficients": [["0"], ["0"] * 100 + ["1"]], "eta": "1/2", "r": "1/16", "z0": "3/64"}
+
+
+def test_a_deep_chain_of_monomial_tails_is_cheap(monkeypatch):
+    """One exact sample a tail: within 0.05 CPU s at 128 samples (every
+    sample took 0.8 s), and equal to the Gaussian-rational oracle, whose
+    cost keeps it to 8 samples; every sample has the same modulus here."""
+    w = WitnessFamily.from_json_dict(CHAIN)
+    seen = exact_samples(monkeypatch)
+    start = time.process_time()
+    report = verify_cluster_bound(w)
+    assert time.process_time() - start < 0.05
+    assert len(report.records) == 200 and [k for _, k in seen] == [1] * 200
+    monkeypatch.setattr(topocheck, "BOUND_SAMPLES", 8)
+    assert verify_cluster_bound(w) == fraction_cluster_bound(w, 8)
 
 
 def test_the_filter_finds_the_exact_maximum_in_a_near_tie():
@@ -646,8 +683,8 @@ def test_the_filter_finds_the_exact_maximum_in_a_near_tie():
 
 def test_the_bound_evaluates_one_or_two_samples_exactly(monkeypatch):
     """A tail with at most one nonzero term has one modulus on the whole
-    circle, so every sample is a candidate; on the pool, every other tail
-    is evaluated exactly at one or two samples, and each 1201-term tail of
+    circle, so one sample is evaluated; on the pool, every other tail is
+    evaluated exactly at one or two samples, and each 1201-term tail of
     LONG_TAILS at one."""
     from test_cli import LONG_TAILS
 
@@ -655,7 +692,7 @@ def test_the_bound_evaluates_one_or_two_samples_exactly(monkeypatch):
     for w in POOL:
         verify_cluster_bound(w)
     counts = [(sum(map(bool, nums)) <= 1, k) for nums, k in seen]
-    assert {k for flat, k in counts if flat} == {topocheck.BOUND_SAMPLES}
+    assert {k for flat, k in counts if flat} == {1}
     assert {k for flat, k in counts if not flat} == {1, 2}
     seen.clear()
     try:
@@ -671,13 +708,14 @@ def modulus2(p):
 
 @pytest.mark.parametrize("source", ["pool", "data"])
 def test_each_error_term_bounds_its_own_source(source):
-    """Each term of ``_error_terms`` against the error of its source alone,
-    measured in exact arithmetic at every fourth sample: the computed
-    Horner sum against the exact sum of the same doubles at the same
-    rounded point (horner), that sum at the rounded point against the
+    """Each term of ``oracles.error_terms`` against the error of its source
+    alone, measured in exact arithmetic at every fourth sample: the
+    computed Horner sum against the exact sum of the same doubles at the
+    same rounded point (horner), that sum at the rounded point against the
     exact one (point), the doubles against the exact coefficients
     (coefficient), and abs() against the exact modulus of the computed
-    value (modulus)."""
+    value (modulus).  The filter's allowance, _ROUNDING (m + 1) S, is at
+    least twice their sum."""
     families = POOL[:8] if source == "pool" else list(DATA_FAMILIES.values())
     measured = dict.fromkeys(("horner", "point", "coefficient", "modulus"), 0)
     for w in families:
@@ -687,7 +725,9 @@ def test_each_error_term_bounds_its_own_source(source):
             for i in c.indices():
                 tail, exact_tail = w.doubles[0][i - 1][c.depth :], w.polys[i - 1][c.depth :]
                 rounded = tuple(map(F, tail))
-                terms = _error_terms(max(len(tail) - 1, 0))
+                m = max(len(tail) - 1, 0)
+                terms = error_terms(m)
+                assert 2 * sum(terms.values()) * 2.0**-53 <= _ROUNDING * (m + 1)
                 unit = F(2.0**-53) * sum(abs(t) * F(radius) ** j for j, t in enumerate(rounded))
                 for (x, y, s), z_hat in zip(points, zs):
                     computed = _horner(tail, z_hat)

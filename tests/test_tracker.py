@@ -104,25 +104,19 @@ def test_random_families_match_every_sample_tracker():
 
 
 def framed_tracker(w, samples=1024):
-    """A tracker of w's strands in the identity frame, padded to one length
-    as ``track_braid`` pads them."""
-    coeffs = [[float(c) for c in p] for p in w.polys]
-    z0 = complex(*map(float, w.z0))
-    speeds = _tracker._Speeds(coeffs, z0)
-    width = len(speeds.weights)
-    padded = [[complex(c) for c in cs] + [0j] * (width - len(cs)) for cs in coeffs]
-    return _tracker._Tracker(padded, z0, samples, 1.0, speeds)
+    """A tracker of w's strands in the identity frame, at scale 1."""
+    coeffs, z0, _ = w.doubles
+    return _tracker._Tracker(coeffs, z0, samples, 1.0, 1)
 
 
 def test_crossing_search_is_bit_identical_on_padded_strands():
-    # The leaping tracker gets its strands padded to one length with zero
-    # coefficients of higher degree, as ``track_braid`` pads them; the oracle
-    # gets them unpadded.
+    # A tracker pads its strands to one length with zero coefficients of
+    # higher degree; the oracle here gets them unpadded.
     rng = random.Random(7)
     for w in POOL[:16]:
         leaping = framed_tracker(w)
-        coeffs = [[complex(float(c)) for c in p] for p in w.polys]
-        walking = EverySampleTracker(coeffs, leaping.z0, 1024, 1.0, leaping.speeds)
+        walking = EverySampleTracker(*w.doubles[:2], 1024, 1.0, 1)
+        walking.coeffs = [cs[: len(p)] for cs, p in zip(walking.coeffs, w.polys)]
         for _ in range(8):
             left, right = rng.sample(range(w.d), 2)
             t_lo = rng.random()
@@ -260,7 +254,7 @@ def test_speed_bound_past_double_range_steps_every_sample(monkeypatch):
     # a_2 = 10^307 z at |z0| = 10 stays within range, but its speed bound
     # 2 pi 10^308 does not: every frame falls back to one grid step a time.
     w = family((0,), (0, 10**307), r=16, z0=(F(10), F(0)), samples=64)
-    assert _tracker._Speeds([[0.0], [0.0, 1e307]], 10 + 0j).speed(0, 1) == float("inf")
+    assert _tracker._Tracker([[0.0], [0.0, 1e307]], 10 + 0j, 64, 1.0, 1).speed(0, 1) == float("inf")
     leaps = count_calls(monkeypatch, "leap")
     assert track_braid(w).letters == (1, 1)
     assert set(leaps) == {1} and len(leaps) >= 64
